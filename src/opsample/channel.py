@@ -176,6 +176,30 @@ class SystemSample:
         )
 
 
+def _lag_kernel(eta):
+    """h(t_r + d*dt, t_r) for every stored row r and lag d in [0, L*P^2).
+
+    h[r, d] = dnu * sum_s values[r, s] * exp(2*pi*i*(j0+s)*d/N): place the
+    stored nu-lines at their frequencies and take one exact inverse DFT per row.
+    """
+    S = eta.support
+    N = S.L * S.P * S.P
+    rows, cols = eta.values.shape
+    if cols > N:
+        raise GridMismatch("support mask wider than one nu-superperiod")
+    V = np.zeros((rows, N), dtype=complex)
+    slots = (S.offsets[1] + np.arange(cols)) % N
+    V[:, slots] = eta.values
+    return S.dnu * N * np.fft.ifft(V, axis=1)
+
+
+def _zak_vectors(Zgrid, u, v, L, P):
+    """Z-vectors Z[u + p*P, v] * exp(-2*pi*i*v*p/(L*P)), p = 0..L-1, stacked on
+    axis 0 for base points (u, v) (scalars or matching index arrays)."""
+    p = np.arange(L)
+    return Zgrid[np.add.outer(p * P, u), v] * _unit_phase(-np.multiply.outer(p, v), L * P)
+
+
 def impulse_response(eta, x, t):
     """h(x, t) for grid-aligned t (a stored row of eta) and arbitrary x."""
     S = eta.support
@@ -214,20 +238,11 @@ def apply_channel(eta, g):
 
     L, P = S.L, S.P
     N = L * P * P
-    i0, j0 = S.offsets
-    rows, cols = eta.values.shape
-    if cols > N:
-        raise GridMismatch("support mask wider than one nu-superperiod")
-
-    # h_val[r, d] = dnu * sum_s values[r, s] * exp(2*pi*i*(j0+s)*d/N): place the
-    # stored nu-lines at their frequencies and take one exact inverse DFT per row.
-    V = np.zeros((rows, N), dtype=complex)
-    slots = (j0 + np.arange(cols)) % N
-    V[:, slots] = eta.values
-    h_val = S.dnu * N * np.fft.ifft(V, axis=1)
+    i0 = S.offsets[0]
+    h_val = _lag_kernel(eta)
 
     out = np.zeros(N, dtype=complex)
-    for r in range(rows):
+    for r in range(h_val.shape[0]):
         k0 = (i0 + r) % P
         ks = np.arange(k0, N, P)
         d = ks - (i0 + r)
@@ -308,8 +323,7 @@ def assemble_system(eta_qp, Zgrid, G, t, nu, T):
 
     omega = 1.0 / (T * L)
     LP = L * P
-    p = np.arange(L)
-    z = Zgrid[t + p * P, nu] * _unit_phase(-nu * p, LP)
+    z = _zak_vectors(Zgrid, t, nu, L, P)
     q, m = np.divmod(np.arange(L * L), L)
     eta_vec = (
         omega

@@ -30,6 +30,7 @@ from .errors import (
     RankDeficient,
     SparkTargetUnmet,
 )
+from .formats import _fmt
 from .gabor import build_gabor_matrix, generate_window, spark
 from .rates import bunched_window_plan, rate_report
 from .reconstruct import (
@@ -46,10 +47,6 @@ NUMERICAL_ERRORS = (RankDeficient, NoConvergence, GenerationFailed, SparkTargetU
 
 class _InputError(Exception):
     """A named input file exists but cannot be parsed into the expected object."""
-
-
-def _fmt(x):
-    return f"{float(x):.17g}"
 
 
 def _load(loader, path):
@@ -144,33 +141,19 @@ def cmd_simulate(args, parser_error):
 
 
 def cmd_identify(args, parser_error):
-    Z, T, L, P = _load(formats.load_zak, args.zak)
+    Z = _load(formats.load_zak, args.zak)[0]
     window = _load(formats.load_window, args.window)
     G = build_gabor_matrix(window)
     eta_true = _load(formats.load_spreading, args.eta_true) if args.eta_true else None
-
-    if args.unknown_support:
-        _require(parser_error, args.kmax is not None, "--unknown-support requires --kmax")
-        if args.domain:
-            R = _load(formats.load_support, args.domain)
-        else:
-            R = CellSupport(T=T, L=L, P=P, cells=[(q, m) for q in range(L) for m in range(L)])
-        report = recover_unknown_support(
-            Z, G, R, k_max=args.kmax, tol=args.tol, seed=_resolve_seed(args) or 0,
-            eta_true=eta_true,
-            gamma_true=eta_true.support.cells if eta_true else None,
-        )
+    S = _load(formats.load_support, args.support)
+    if args.smooth:
+        _require(parser_error, args.eps is not None, "--smooth requires --eps")
+        windows = smooth_windows(S.T, S.omega, args.eps, S.P)
+        report = recover_eta_smooth(Z, G, S, windows, eta_true=eta_true)
+    elif args.symplectic is not None:
+        report = recover_symplectic(Z, G, S, args.symplectic, eta_true=eta_true)
     else:
-        _require(parser_error, args.support, "known-support mode requires --support")
-        S = _load(formats.load_support, args.support)
-        if args.smooth:
-            _require(parser_error, args.eps is not None, "--smooth requires --eps")
-            windows = smooth_windows(S.T, S.omega, args.eps, S.P)
-            report = recover_eta_smooth(Z, G, S, windows, eta_true=eta_true)
-        elif args.symplectic is not None:
-            report = recover_symplectic(Z, G, S, args.symplectic, eta_true=eta_true)
-        else:
-            report = recover_eta_known_support(Z, G, S, eta_true=eta_true)
+        report = recover_eta_known_support(Z, G, S, eta_true=eta_true)
 
     print(f"formula={report.formula}")
     print(f"gamma={json.dumps([list(c) for c in report.eta_hat.support.cells])}")
@@ -277,7 +260,6 @@ def build_parser():
         prog="opsample",
         description="Operator sampling experiments: delta-train probing and Zak-domain recovery.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-window", help="draw identifier weights meeting a spark target")
@@ -314,15 +296,10 @@ def build_parser():
     p = sub.add_parser("identify", help="recover the spreading function from a Zak grid")
     p.add_argument("--zak", required=True)
     p.add_argument("--window", required=True)
-    p.add_argument("--support", default=None)
+    p.add_argument("--support", required=True)
     p.add_argument("--smooth", action="store_true")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--symplectic", type=float, default=None, metavar="CHIRP_A")
-    p.add_argument("--unknown-support", action="store_true")
-    p.add_argument("--domain", default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--eta-true", default=None)
     p.add_argument("--eta-out", default=None)
     p.add_argument("--report-out", default=None)
@@ -363,20 +340,9 @@ def build_parser():
     return parser
 
 
-def _cap_threads(n):
-    if n is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return
-    threadpool_limits(limits=n)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    _cap_threads(args.threads)
 
     def usage_error(message):
         print(f"usage error: {message}", file=sys.stderr)

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .channel import ChannelResponse, DiscreteSpreadingFunction
+from .channel import DiscreteSpreadingFunction
 from .errors import InvalidParameters
 from .gabor import Window
 from .support import CellSupport
@@ -131,15 +131,40 @@ def _write_grid_csv(values, rows, path, header):
 
 
 def _read_grid_csv(path):
+    """Header values (T, L, P, shift) and (i, j, re, im) rows of a grid CSV."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise InvalidParameters(f"{path}: missing grid header line")
-        fields = dict(item.split("=", 1) for item in header[1:].split())
         reader = csv.reader(fh)
-        next(reader)  # column names
-        entries = [(int(i), int(j), float(re), float(im)) for i, j, re, im in reader]
-    return fields, entries
+        next(reader, None)  # column names
+        try:
+            fields = dict(item.split("=", 1) for item in header[1:].split())
+            T, L, P = float(fields["T"]), int(fields["L"]), int(fields["P"])
+            shift = (float(fields.get("t0", 0.0)), float(fields.get("nu0", 0.0)))
+            entries = [(int(i), int(j), float(re), float(im)) for i, j, re, im in reader]
+        except (KeyError, ValueError) as exc:
+            raise InvalidParameters(f"malformed grid file {path}: {exc}") from exc
+    return T, L, P, shift, entries
+
+
+def _grid_entries(entries, shape, path):
+    """Row and column indices and complex values of grid rows.
+
+    Rejects indices outside shape, repeated (i, j) and non-finite values.
+    """
+    a = np.array(entries, dtype=float).reshape(-1, 4)
+    i, j = a[:, 0], a[:, 1]
+    if np.any((i < 0) | (i >= shape[0]) | (j < 0) | (j >= shape[1])):
+        raise InvalidParameters(f"{path}: grid index outside [0, {shape[0]}) x [0, {shape[1]})")
+    i, j = i.astype(int), j.astype(int)
+    if np.unique(i * shape[1] + j).size != i.size:
+        raise InvalidParameters(f"{path}: repeated grid index")
+    if not np.all(np.isfinite(a[:, 2:])):
+        raise InvalidParameters(f"{path}: non-finite grid value")
+    values = np.empty(i.size, dtype=complex)
+    values.real, values.imag = a[:, 2], a[:, 3]
+    return i, j, values
 
 
 def save_spreading(eta, path):
@@ -153,17 +178,13 @@ def save_spreading(eta, path):
 
 
 def load_spreading(path):
-    fields, entries = _read_grid_csv(path)
-    try:
-        T, L, P = float(fields["T"]), int(fields["L"]), int(fields["P"])
-        shift = (float(fields.get("t0", 0.0)), float(fields.get("nu0", 0.0)))
-    except (KeyError, ValueError) as exc:
-        raise InvalidParameters(f"malformed spreading header in {path}: {exc}") from exc
-    mask = np.zeros((L * P, L * P), dtype=bool)
-    values = np.zeros((L * P, L * P), dtype=complex)
-    for i, j, re, im in entries:
-        mask[i, j] = True
-        values[i, j] = complex(re, im)
+    T, L, P, shift, entries = _read_grid_csv(path)
+    shape = (L * P, L * P)
+    i, j, z = _grid_entries(entries, shape, path)
+    mask = np.zeros(shape, dtype=bool)
+    values = np.zeros(shape, dtype=complex)
+    mask[i, j] = True
+    values[i, j] = z
     S = CellSupport(T=T, L=L, P=P, mask=mask, shift=shift)
     return DiscreteSpreadingFunction(support=S, values=values)
 
@@ -176,14 +197,13 @@ def save_zak(Z, T, L, P, path):
 
 
 def load_zak(path):
-    fields, entries = _read_grid_csv(path)
-    try:
-        T, L, P = float(fields["T"]), int(fields["L"]), int(fields["P"])
-    except (KeyError, ValueError) as exc:
-        raise InvalidParameters(f"malformed Zak header in {path}: {exc}") from exc
+    """Zak grid and (T, L, P); the file must hold each of the L*P*P points once."""
+    T, L, P, _, entries = _read_grid_csv(path)
+    if len(entries) != L * P * P:
+        raise InvalidParameters(f"{path}: {len(entries)} rows, expected L*P*P = {L * P * P}")
+    i, j, z = _grid_entries(entries, (L * P, P), path)
     Z = np.zeros((L * P, P), dtype=complex)
-    for i, j, re, im in entries:
-        Z[i, j] = complex(re, im)
+    Z[i, j] = z
     return Z, T, L, P
 
 
@@ -196,27 +216,6 @@ def save_response(resp, path):
         writer.writerow(["i", "re", "im"])
         for i, z in enumerate(resp.samples):
             writer.writerow([i, _fmt(z.real), _fmt(z.imag)])
-
-
-def load_response(path):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise InvalidParameters(f"{path}: missing response header line")
-        fields = dict(item.split("=", 1) for item in header[1:].split())
-        reader = csv.reader(fh)
-        next(reader)
-        samples = np.array([complex(float(re), float(im)) for _, re, im in reader])
-    try:
-        return ChannelResponse(
-            samples=samples,
-            x_step=float(fields["x_step"]),
-            T=float(fields["T"]),
-            L=int(fields["L"]),
-            P=int(fields["P"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise InvalidParameters(f"malformed response header in {path}: {exc}") from exc
 
 
 def support_estimate_dict(est):

@@ -207,17 +207,32 @@ def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):
     else:
         raise InvalidParameters(f"unknown target {target!r}")
 
+    window = _draw_window(
+        L, support, seed, max_draws, lambda c: spark(build_gabor_matrix(c)) == goal
+    )
+    if window is None:
+        raise GenerationFailed(
+            f"no window with spark {goal} found in {max_draws} draws (L={L}, seed={seed})"
+        )
+    return window
+
+
+def _draw_window(L, support, seed, max_draws, accept):
+    """Seeded draws of weights on the first `support` indices until accept(c).
+
+    Moduli are uniform on [1/2, 1] and phases uniform.  Returns the first
+    accepted Window (with its seed and draw count), or None once max_draws
+    draws are spent.
+    """
     rng = np.random.default_rng(seed)
     for draw in range(1, max_draws + 1):
         moduli = rng.uniform(0.5, 1.0, size=support)
         phases = rng.uniform(0.0, 2 * np.pi, size=support)
         c = np.zeros(L, dtype=complex)
         c[:support] = moduli * np.exp(1j * phases)
-        if spark(build_gabor_matrix(c)) == goal:
+        if accept(c):
             return Window(L=L, weights=c, seed=seed, draws=draw)
-    raise GenerationFailed(
-        f"no window with spark {goal} found in {max_draws} draws (L={L}, seed={seed})"
-    )
+    return None
 
 
 def minors_nonzero(G, tol=DEFAULT_TOL):

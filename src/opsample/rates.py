@@ -22,7 +22,8 @@ from .errors import (
     NotIdentifiable,
     SparkTargetUnmet,
 )
-from .gabor import Window, build_gabor_matrix, is_prime
+from .channel import IdentifierTrain
+from .gabor import _draw_window, build_gabor_matrix, is_prime
 from .support import CellSupport, bandwidth, rectify
 
 
@@ -161,34 +162,19 @@ def bunched_window_plan(S, eps, seed=None, max_draws=200, tol=1e-8, modulus_cap=
     class_columns = [
         [q * L_new + m for (q, m) in cls.cells] for cls in report.classes if cls.cells
     ]
-    rng = np.random.default_rng(seed)
-    for draw in range(1, max_draws + 1):
-        c = np.zeros(L_new, dtype=complex)
-        moduli = rng.uniform(0.5, 1.0, size=k)
-        phases = rng.uniform(0.0, 2 * np.pi, size=k)
-        c[:k] = moduli * np.exp(1j * phases)
-        G = build_gabor_matrix(Window(L=L_new, weights=c))
-        ok = True
+
+    def well_conditioned(c):
+        G = build_gabor_matrix(c)
         for cols in class_columns:
             sing = np.linalg.svd(G.entries[:, cols], compute_uv=False)
             if sing[-1] <= tol * sing[0]:
-                ok = False
-                break
-        if ok:
-            break
-    else:
+                return False
+        return True
+
+    window = _draw_window(L_new, k, seed, max_draws, well_conditioned)
+    if window is None:
         raise SparkTargetUnmet(
             f"no bunched window with well-conditioned class blocks in "
             f"{max_draws} draws (L={L_new}, ||c||_0={k})"
         )
-
-    window = Window(L=L_new, weights=c, seed=seed, draws=draw)
-    plan_report = RateReport(
-        rate=k / (S.T * L_new),
-        bandwidth=bandwidth(S),
-        necessary_ok=k / (S.T * L_new) >= bandwidth(S) - S.dnu,
-        area=area,
-        sufficient_margin=target - k / L_new,
-        dead_time_fraction=1.0 - (S.T * k + _memory(S)) / (L_new * S.T),
-    )
-    return window, plan_report
+    return window, rate_report(IdentifierTrain(T=S.T, weights=window), S, eps)

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelResponse, DiscreteSpreadingFunction, inverse_zak, zak_transform
+from .channel import (
+    ChannelResponse,
+    DiscreteSpreadingFunction,
+    _lag_kernel,
+    _unit_phase,
+    _zak_vectors,
+    inverse_zak,
+    zak_transform,
+)
 from .errors import (
     GridMismatch,
     InvalidOverlap,
@@ -43,10 +51,6 @@ __all__ = [
     "recover_eta_smooth",
     "recover_symplectic",
 ]
-
-
-def _unit_phase(numerator, denominator):
-    return np.exp(2j * np.pi * (np.asarray(numerator) % denominator) / denominator)
 
 
 @dataclass(eq=False)
@@ -91,9 +95,10 @@ def left_inverse(G, gamma, omega, tol=DEFAULT_TOL):
     A = G.entries[:, [G.column_index(q, m) for q, m in gamma]]
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     if s[-1] <= tol * s[0]:
+        ratio = s[-1] / s[0] if s[0] > 0 else 0.0  # all-zero columns
         raise RankDeficient(
             f"restricted columns {gamma} are numerically dependent "
-            f"(sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
+            f"(sigma_min/sigma_max = {ratio:.3e})"
         )
     pinv = (Vh.conj().T / s) @ U.conj().T
     q = np.array([cell[0] for cell in gamma])
@@ -123,7 +128,6 @@ def _solve_quasiperiodization(Zgrid, G, S, rect, tol):
     eta_qp = np.zeros((LP, LP), dtype=complex)
     conds = []
     solved = 0
-    p = np.arange(L)[:, None]
     for cls in rect.classes:
         if not cls.cells:
             continue
@@ -131,8 +135,7 @@ def _solve_quasiperiodization(Zgrid, G, S, rect, tol):
         conds.append(inv.condition_number)
         solved += 1
         us, vs = np.nonzero(cls.points)
-        Zv = Zgrid[us[None, :] + p * P, vs[None, :]] * _unit_phase(-(vs[None, :] * p), LP)
-        vals = inv.coefficients @ Zv
+        vals = inv.coefficients @ _zak_vectors(Zgrid, us, vs, L, P)
         for row, (q, m) in enumerate(inv.gamma):
             eta_qp[us + q * P, vs + m * P] = _unit_phase(vs * q, LP) * vals[row]
     return eta_qp, conds, solved
@@ -189,39 +192,18 @@ def recover_eta_known_support(Zgrid, G, S, rect=None, eta_true=None, tol=DEFAULT
 def reconstruct_h_sharp(report):
     """Time-varying impulse response h(x, t) from a recovered eta.
 
-    Cell by cell, applies the cutoff transform
-    Phi_(q,m)(t, s) = dnu * sum_j [cell (q,m) mask] e^{2 pi i nu_j s}
-    to the recovered samples and sums; rows follow the stored t-rows of
-    eta_hat, columns the x-superperiod grid (length L*P^2, step T/P).  The
-    total equals impulse_response of eta_hat row by row.
+    One inverse DFT of the recovered samples along nu gives h(t + d*dt, t)
+    at every lag d; each row is then re-indexed to absolute x.  Rows follow
+    the stored t-rows of eta_hat, columns the x-superperiod grid (length
+    L*P^2, step T/P), so row r equals impulse_response(eta_hat, x, t_r).
     """
     eta = report.eta_hat
     S = eta.support
-    L, P = S.L, S.P
-    LP = L * P
-    N = L * P * P
-    i0, j0 = S.offsets
-    rows, cols = eta.values.shape
-    if cols > N:
-        raise GridMismatch("support mask wider than one nu-superperiod")
-
-    I = i0 + np.arange(rows)
-    J = j0 + np.arange(cols)
-    cell_q = (I % LP) // P
-    cell_m = (J % LP) // P
-
-    h = np.zeros((rows, N), dtype=complex)
-    slots = J % N
-    for q, m in S.cells:
-        sel = (cell_q[:, None] == q) & (cell_m[None, :] == m) & S.mask
-        if not sel.any():
-            continue
-        V = np.zeros((rows, N), dtype=complex)
-        V[:, slots] = np.where(sel, eta.values, 0)
-        h += S.dnu * N * np.fft.ifft(V, axis=1)
-    # h so far is h(t_r + d*dt, t_r) indexed by lag d; re-index to absolute x
+    h = _lag_kernel(eta)
+    N = h.shape[1]
+    I = S.offsets[0] + np.arange(h.shape[0])
     out = np.empty_like(h)
-    for r in range(rows):
+    for r in range(h.shape[0]):
         out[r] = np.roll(h[r], I[r] % N)
     return out
 

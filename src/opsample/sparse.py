@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _zak_vectors
 from .errors import GridMismatch, InvalidParameters, NoConvergence
-from .reconstruct import recover_eta_known_support
+from .reconstruct import _validate_grids, recover_eta_known_support
 from .support import CellSupport, check_identifiable, periodization_count, union_supports
 
 __all__ = [
@@ -138,19 +139,9 @@ def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=0, eta_true=None, gamm
     estimate attached) when the greedy residual stays above tol.
     """
     L, P = R.L, R.P
-    LP = L * P
-    Zgrid = np.asarray(Zgrid, dtype=complex)
-    if Zgrid.shape != (LP, P):
-        raise GridMismatch(f"Zak grid must have shape ({LP}, {P}), got {Zgrid.shape}")
-    if G.L != L:
-        raise GridMismatch(f"G has period {G.L}, domain has L = {L}")
-
-    u = np.repeat(np.arange(P), P)
-    v = np.tile(np.arange(P), P)
-    p = np.arange(L)[:, None]
-    Y = Zgrid[u[None, :] + p * P, v[None, :]] * np.exp(
-        -2j * np.pi * ((v[None, :] * p) % LP) / LP
-    )
+    Zgrid = _validate_grids(Zgrid, G, R)
+    u, v = np.divmod(np.arange(P * P), P)
+    Y = _zak_vectors(Zgrid, u, v, L, P)
 
     candidates = None if len(R.cells) == L * L else R.cells
     est = mmv_omp(

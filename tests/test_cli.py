@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from opsample import cli, formats, presets
+from opsample.errors import InvalidParameters
 from opsample.support import CellSupport
 
 
@@ -242,7 +243,7 @@ def test_exit_codes(workdir, capsys):
     )
     assert code == 2 and "error:" in err
 
-    # 2: usage error (identify without a support and without --unknown-support)
+    # 2: usage error (identify without --support)
     window_path = str(workdir / "w.json")
     run(["gen-window", "--L", "3", "--seed", "7", "--out", window_path], capsys)
     run(
@@ -266,6 +267,51 @@ def test_exit_codes(workdir, capsys):
         capsys,
     )
     assert code == 2
+
+
+def test_bad_grid_csv_exits_4(workdir, capsys):
+    window_path = str(workdir / "w.json")
+    run(["gen-window", "--L", "3", "--seed", "7", "--out", window_path], capsys)
+    zak, eta = workdir / "z.csv", workdir / "eta.csv"
+    run(
+        [
+            "simulate", "--support", str(workdir / "stairs.json"), "--window", window_path,
+            "--seed", "5", "--zak-out", str(zak), "--eta-out", str(eta),
+        ],
+        capsys,
+    )
+    zak_lines = zak.read_text().splitlines(keepends=True)
+    eta_lines = eta.read_text().splitlines(keepends=True)
+
+    def with_row(lines, n, row):
+        return "".join(lines[:n] + [row] + lines[n + 1 :])
+
+    bad_zak = {
+        "index": with_row(zak_lines, 2, "999,0,1,0\n"),
+        "negative": with_row(zak_lines, 2, "-1,0,1,0\n"),
+        "truncated": "".join(zak_lines[:3]),
+        "duplicate": with_row(zak_lines, 3, zak_lines[2]),
+        "nan": with_row(zak_lines, 2, "0,0,nan,0\n"),
+        "inf": with_row(zak_lines, 2, "0,0,1,inf\n"),
+        "short_row": with_row(zak_lines, 2, "0,0,1\n"),
+    }
+    bad_eta = {
+        "index": with_row(eta_lines, 2, "999,0,1,0\n"),
+        "nan": with_row(eta_lines, 2, eta_lines[2].rsplit(",", 1)[0] + ",nan\n"),
+    }
+    base = ["identify", "--window", window_path, "--support", str(workdir / "stairs.json")]
+    cases = [("--zak", text) for text in bad_zak.values()]
+    cases += [("--eta-true", text) for text in bad_eta.values()]
+    for n, (flag, text) in enumerate(cases):
+        path = workdir / f"bad{n}.csv"
+        path.write_text(text)
+        loader = formats.load_zak if flag == "--zak" else formats.load_spreading
+        with pytest.raises(InvalidParameters):
+            loader(str(path))
+        files = {"--zak": str(zak), "--eta-true": str(eta), flag: str(path)}
+        code, _, err = run(base + [x for pair in files.items() for x in pair], capsys)
+        assert code == 4, (flag, text[:80])
+        assert "error:" in err and "Traceback" not in err
 
 
 def test_floats_print_17_digits(workdir, capsys):

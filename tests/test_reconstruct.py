@@ -112,6 +112,13 @@ def test_left_inverse_errors():
         left_inverse(Gd, [(0, 0), (0, 1)], 1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_left_inverse_zero_window_raises_without_warning():
+    G = build_gabor_matrix(Window(L=3, weights=np.zeros(3)))
+    with pytest.raises(RankDeficient, match="sigma_min/sigma_max = 0.000e\\+00"):
+        left_inverse(G, [(0, 0), (1, 2)], 1.0 / 3.0)
+
+
 def test_roundtrip_staircase():
     S = staircase_support(T=1.0, P=8)
     eta, g, G, Z = _roundtrip(S, seed=40)
@@ -174,16 +181,20 @@ def test_recover_validation():
 
 
 def test_h_sharp_matches_impulse_response():
-    S = staircase_support(T=1.0, P=8)
-    eta, g, G, Z = _roundtrip(S, seed=44)
-    report = recover_eta_known_support(Z, G, S, eta_true=eta)
-    h = reconstruct_h_sharp(report)
-    N = S.L * S.P**2
-    xs = np.arange(N) * S.dt
-    i0, _ = S.offsets
-    for r in (0, 7, 12, 23):
-        t = (i0 + r) * S.dt
-        np.testing.assert_allclose(h[r], impulse_response(eta, xs, t), atol=1e-9)
+    shifted = CellSupport(
+        T=1.0, L=3, P=8, cells=staircase_support().cells, shift=(3 / 8, 2 / 24)
+    )
+    for S in (staircase_support(T=1.0, P=8), seven_cell_support(P=8), shifted):
+        eta, g, G, Z = _roundtrip(S, seed=44)
+        report = recover_eta_known_support(Z, G, S, eta_true=eta)
+        h = reconstruct_h_sharp(report)
+        N = S.L * S.P**2
+        xs = np.arange(N) * S.dt
+        i0, _ = S.offsets
+        assert h.shape == (eta.values.shape[0], N)
+        for r in range(h.shape[0]):
+            t = (i0 + r) * S.dt
+            np.testing.assert_allclose(h[r], impulse_response(eta, xs, t), atol=1e-9)
 
 
 def test_h_sharp_point_mass_ridge():
