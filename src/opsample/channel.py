@@ -60,6 +60,38 @@ def _unit_phase(numerator, denominator):
     return np.exp(2j * np.pi * (np.asarray(numerator) % denominator) / denominator)
 
 
+def _chirp_kappa(L, T, a):
+    """Integer kappa = L*T*a = a/Omega; raises if the chirp is off-grid."""
+    kappa = L * T * a
+    if abs(kappa - round(kappa)) > 1e-9:
+        raise NonIntegerChirpPeriod(
+            f"L*T*a = {kappa} is not an integer; the chirped weights are aperiodic on the grid"
+        )
+    return int(round(kappa))
+
+
+def _check_chirp_grid(kappa, L, P):
+    """Period-2L chirped weights (kappa*L odd) keep the response periodic only for even P."""
+    if (kappa * L) % 2 == 1 and P % 2 == 1:
+        raise InvalidParameters("period-2L chirped weights need even P for a periodic response")
+
+
+def _chirp_phase(n, kappa, D):
+    """exp(pi*i*kappa*n^2/D) at integer n, the exponent reduced mod 2D."""
+    n = np.asarray(n)
+    return _unit_phase(kappa * n * n, 2 * D)
+
+
+def _fold_index(S):
+    """Stored subcells (rows, cols) of S with their fold (i, j) onto the
+    (L*P, L*P) fundamental domain and the count k of L*T time translates."""
+    LP = S.L * S.P
+    rows, cols = np.nonzero(S.mask)
+    k, i = np.divmod(S.offsets[0] + rows, LP)
+    j = (S.offsets[1] + cols) % LP
+    return rows, cols, i, j, k
+
+
 @dataclass(eq=False)
 class DiscreteSpreadingFunction:
     """Spreading samples on a support's subcell grid; zero outside the mask."""
@@ -110,17 +142,12 @@ class IdentifierTrain:
 
     @property
     def rate(self):
-        """D(Lambda) = ||c||_0 / (T*L)."""
-        return self.weights.support_size() / (self.T * self.L)
+        """D(Lambda) = ||c||_0 / (T*L), with ||c||_0 the exact count of nonzero weights."""
+        return np.count_nonzero(self.weights.weights) / (self.T * self.L)
 
     def chirp_kappa(self):
         """Integer kappa = L*T*a = a/Omega; raises if the chirp is off-grid."""
-        kappa = self.L * self.T * self.chirp_a
-        if abs(kappa - round(kappa)) > 1e-9:
-            raise NonIntegerChirpPeriod(
-                f"L*T*a = {kappa} is not an integer; the chirped weights are aperiodic on the grid"
-            )
-        return int(round(kappa))
+        return _chirp_kappa(self.L, self.T, self.chirp_a)
 
     @property
     def period(self):
@@ -135,9 +162,7 @@ class IdentifierTrain:
         c = self.weights.weights[np.mod(n, self.L)]
         if kappa == 0:
             return c
-        twoL = 2 * self.L
-        phase = np.exp(1j * np.pi * ((kappa * n * n) % twoL) / self.L)
-        return c * phase
+        return c * _chirp_phase(n, kappa, self.L)
 
 
 @dataclass(eq=False)
@@ -231,10 +256,7 @@ def apply_channel(eta, g):
         raise GridMismatch("train period T does not match the support grid")
     if g.L != S.L:
         raise GridMismatch("train weight period L does not match the support")
-    if g.period == 2 * S.L and S.P % 2 != 0:
-        raise InvalidParameters(
-            "period-2L chirped weights need even P for a periodic response"
-        )
+    _check_chirp_grid(g.chirp_kappa(), S.L, S.P)
 
     L, P = S.L, S.P
     N = L * P * P
@@ -288,18 +310,10 @@ def quasiperiodize(eta):
     of unity on the grid); frequency translates fold without phase.
     """
     S = eta.support
-    L, P = S.L, S.P
-    LP = L * P
-    i0, j0 = S.offsets
+    LP = S.L * S.P
+    rows, cols, i, j, k = _fold_index(S)
     out = np.zeros((LP, LP), dtype=complex)
-    rows, cols = np.nonzero(S.mask)
-    I = i0 + rows
-    J = j0 + cols
-    i = I % LP
-    k = (I - i) // LP
-    j = J % LP
-    contrib = eta.values[rows, cols] * _unit_phase(-j * k, P)
-    np.add.at(out, (i, j), contrib)
+    np.add.at(out, (i, j), eta.values[rows, cols] * _unit_phase(-j * k, S.P))
     return out
 
 

@@ -49,6 +49,10 @@ class _InputError(Exception):
     """A named input file exists but cannot be parsed into the expected object."""
 
 
+class _UsageError(Exception):
+    """A command-line precondition that argparse does not express."""
+
+
 def _load(loader, path):
     try:
         return loader(path)
@@ -65,9 +69,9 @@ def _resolve_seed(args):
     return int(env) if env else None
 
 
-def _require(parser_error, condition, message):
+def _require(condition, message):
     if not condition:
-        parser_error(message)
+        raise _UsageError(message)
 
 
 def cmd_gen_window(args):
@@ -112,10 +116,9 @@ def cmd_rectify(args):
     return 0
 
 
-def cmd_simulate(args, parser_error):
-    _require(parser_error, args.eta or args.support, "--eta or --support is required")
+def cmd_simulate(args):
+    _require(args.eta or args.support, "--eta or --support is required")
     _require(
-        parser_error,
         args.eta or args.eta_seed is not None or _resolve_seed(args) is not None,
         "need --eta, or --eta-seed/--seed to draw one",
     )
@@ -140,14 +143,14 @@ def cmd_simulate(args, parser_error):
     return 0
 
 
-def cmd_identify(args, parser_error):
+def cmd_identify(args):
     Z = _load(formats.load_zak, args.zak)[0]
     window = _load(formats.load_window, args.window)
     G = build_gabor_matrix(window)
     eta_true = _load(formats.load_spreading, args.eta_true) if args.eta_true else None
     S = _load(formats.load_support, args.support)
     if args.smooth:
-        _require(parser_error, args.eps is not None, "--smooth requires --eps")
+        _require(args.eps is not None, "--smooth requires --eps")
         windows = smooth_windows(S.T, S.omega, args.eps, S.P)
         report = recover_eta_smooth(Z, G, S, windows, eta_true=eta_true)
     elif args.symplectic is not None:
@@ -202,10 +205,10 @@ def cmd_recover_support(args):
     return 0
 
 
-def cmd_rates(args, parser_error):
+def cmd_rates(args):
     S = _load(formats.load_support, args.support)
     if args.plan:
-        _require(parser_error, args.eps is not None, "--plan requires --eps")
+        _require(args.eps is not None, "--plan requires --eps")
         window, report = bunched_window_plan(
             S, args.eps, seed=_resolve_seed(args), max_draws=args.max_draws
         )
@@ -214,10 +217,9 @@ def cmd_rates(args, parser_error):
         if args.window_out:
             formats.save_window(window, args.window_out)
     else:
-        _require(parser_error, args.window, "rates without --plan requires --window")
+        _require(args.window, "rates without --plan requires --window")
         window = _load(formats.load_window, args.window)
-        g = IdentifierTrain(T=S.T, weights=window, chirp_a=args.chirp_a)
-        report = rate_report(g, S, eps=args.eps)
+        report = rate_report(IdentifierTrain(T=S.T, weights=window), S, eps=args.eps)
     print(f"rate={_fmt(report.rate)}")
     print(f"bandwidth={_fmt(report.bandwidth)}")
     print(f"necessary_ok={str(report.necessary_ok).lower()}")
@@ -235,8 +237,7 @@ def cmd_verify(args):
     window = _load(formats.load_window, args.window)
     seed = _resolve_seed(args)
     eta = random_spreading(S, seed=seed)
-    g = IdentifierTrain(T=S.T, weights=window, chirp_a=args.chirp_a)
-    response = apply_channel(eta, g)
+    response = apply_channel(eta, IdentifierTrain(T=S.T, weights=window))
     Z = zak_transform(response)
     G = build_gabor_matrix(window)
 
@@ -291,7 +292,7 @@ def build_parser():
     p.add_argument("--eta-out", default=None)
     p.add_argument("--response-out", default=None)
     p.add_argument("--zak-out", default=None)
-    p.set_defaults(func=cmd_simulate, needs_parser=True)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("identify", help="recover the spreading function from a Zak grid")
     p.add_argument("--zak", required=True)
@@ -303,7 +304,7 @@ def build_parser():
     p.add_argument("--eta-true", default=None)
     p.add_argument("--eta-out", default=None)
     p.add_argument("--report-out", default=None)
-    p.set_defaults(func=cmd_identify, needs_parser=True)
+    p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("recover-support", help="joint-sparse support estimation pipeline")
     p.add_argument("--zak", required=True)
@@ -321,19 +322,17 @@ def build_parser():
     p.add_argument("--support", required=True)
     p.add_argument("--window", default=None)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--chirp-a", type=float, default=0.0)
     p.add_argument("--plan", action="store_true")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-draws", type=int, default=200)
     p.add_argument("--window-out", default=None)
     p.add_argument("--report-out", default=None)
-    p.set_defaults(func=cmd_rates, needs_parser=True)
+    p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("verify", help="seeded round trip: simulate, then recover and compare")
     p.add_argument("--support", required=True)
     p.add_argument("--window", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--chirp-a", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_verify)
 
@@ -343,19 +342,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    def usage_error(message):
-        print(f"usage error: {message}", file=sys.stderr)
-        raise SystemExit(2)
-
     try:
-        if getattr(args, "needs_parser", False):
-            return args.func(args, usage_error)
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except (_InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except NUMERICAL_ERRORS as exc:

@@ -29,9 +29,7 @@ def save_window(window, path):
         "weights": [[w.real, w.imag] for w in window.weights],
         "seed": None if window.seed is None else int(window.seed),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(payload, path)
 
 
 def load_window(path):
@@ -94,9 +92,7 @@ def save_support(S, path):
     full = CellSupport(T=S.T, L=S.L, P=S.P, cells=S.cells, shift=S.shift)
     if not np.array_equal(S.mask, full.mask):
         payload["fine_mask_rle"] = _mask_rle(S.mask)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(payload, path)
 
 
 def load_support(path):
@@ -145,6 +141,8 @@ def _read_grid_csv(path):
             entries = [(int(i), int(j), float(re), float(im)) for i, j, re, im in reader]
         except (KeyError, ValueError) as exc:
             raise InvalidParameters(f"malformed grid file {path}: {exc}") from exc
+    if not (np.isfinite(T) and T > 0 and L >= 1 and P >= 1):
+        raise InvalidParameters(f"{path}: grid header needs finite T > 0, L >= 1, P >= 1")
     return T, L, P, shift, entries
 
 

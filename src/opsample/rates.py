@@ -47,9 +47,8 @@ class RateReport:
 
 
 def sampling_rate(g):
-    """D(Lambda) = ||c||_0/(TL), counting weights at the zero tolerance."""
-    c = g.weights.weights
-    return np.count_nonzero(c) / (g.T * g.L)
+    """D(Lambda) = ||c||_0/(TL) of the train g (IdentifierTrain.rate)."""
+    return g.rate
 
 
 def _memory(S):

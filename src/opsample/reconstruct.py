@@ -22,6 +22,10 @@ import numpy as np
 from .channel import (
     ChannelResponse,
     DiscreteSpreadingFunction,
+    _check_chirp_grid,
+    _chirp_kappa,
+    _chirp_phase,
+    _fold_index,
     _lag_kernel,
     _unit_phase,
     _zak_vectors,
@@ -32,7 +36,6 @@ from .errors import (
     GridMismatch,
     InvalidOverlap,
     InvalidParameters,
-    NonIntegerChirpPeriod,
     NotIdentifiable,
     RankDeficient,
     ShearNotRectifiable,
@@ -127,44 +130,32 @@ def _solve_quasiperiodization(Zgrid, G, S, rect, tol):
     LP = L * P
     eta_qp = np.zeros((LP, LP), dtype=complex)
     conds = []
-    solved = 0
     for cls in rect.classes:
         if not cls.cells:
             continue
         inv = left_inverse(G, cls.cells, S.omega, tol=tol)
         conds.append(inv.condition_number)
-        solved += 1
         us, vs = np.nonzero(cls.points)
         vals = inv.coefficients @ _zak_vectors(Zgrid, us, vs, L, P)
         for row, (q, m) in enumerate(inv.gamma):
             eta_qp[us + q * P, vs + m * P] = _unit_phase(vs * q, LP) * vals[row]
-    return eta_qp, conds, solved
+    return eta_qp, conds
 
 
-def _unfold_to_support(eta_qp, S):
-    """Read eta off its quasiperiodization at the stored subcells of S."""
-    LP = S.L * S.P
-    i0, j0 = S.offsets
-    values = np.zeros(S.mask.shape, dtype=complex)
-    rows, cols = np.nonzero(S.mask)
-    I = i0 + rows
-    J = j0 + cols
-    i = I % LP
-    k = (I - i) // LP
-    j = J % LP
-    values[rows, cols] = eta_qp[i, j] * _unit_phase(j * k, S.P)
-    return values
-
-
-def _relative_error(values, eta_true):
-    if eta_true is None:
-        return None
-    truth = eta_true.values if isinstance(eta_true, DiscreteSpreadingFunction) else np.asarray(eta_true)
-    num = np.linalg.norm(values - truth)
-    den = np.linalg.norm(truth)
-    if den == 0:
-        return 0.0 if num == 0 else float("inf")
-    return float(num / den)
+def _report(S, values, eta_true, conds, formula):
+    """ReconstructionReport for values on S, scored against eta_true when given."""
+    error = None
+    if eta_true is not None:
+        truth = eta_true.values if isinstance(eta_true, DiscreteSpreadingFunction) else np.asarray(eta_true)
+        num = np.linalg.norm(values - truth)
+        den = np.linalg.norm(truth)
+        error = float(num / den) if den != 0 else (0.0 if num == 0 else float("inf"))
+    return ReconstructionReport(
+        eta_hat=DiscreteSpreadingFunction(support=S, values=values),
+        relative_l2_error=error,
+        per_class_conditioning=conds,
+        formula=formula,
+    )
 
 
 def recover_eta_known_support(Zgrid, G, S, rect=None, eta_true=None, tol=DEFAULT_TOL):
@@ -179,14 +170,12 @@ def recover_eta_known_support(Zgrid, G, S, rect=None, eta_true=None, tol=DEFAULT
         rect = rectify(S)  # raises NotIdentifiable
     elif not rect.identifiable:
         raise NotIdentifiable("rectification report marks the support non-identifiable")
-    eta_qp, conds, solved = _solve_quasiperiodization(Zgrid, G, S, rect, tol)
-    values = _unfold_to_support(eta_qp, S)
-    return ReconstructionReport(
-        eta_hat=DiscreteSpreadingFunction(support=S, values=values),
-        relative_l2_error=_relative_error(values, eta_true),
-        per_class_conditioning=conds,
-        formula="sharp" if solved <= 1 else "multiclass",
-    )
+    eta_qp, conds = _solve_quasiperiodization(Zgrid, G, S, rect, tol)
+    # unfold: read eta off its quasiperiodization at the stored subcells
+    rows, cols, i, j, k = _fold_index(S)
+    values = np.zeros(S.mask.shape, dtype=complex)
+    values[rows, cols] = eta_qp[i, j] * _unit_phase(j * k, S.P)
+    return _report(S, values, eta_true, conds, "sharp" if len(conds) <= 1 else "multiclass")
 
 
 def reconstruct_h_sharp(report):
@@ -301,18 +290,16 @@ def _blend_weights(S, windows):
 
 
 def recover_eta_smooth(Zgrid, G, S, windows, eta_true=None, tol=DEFAULT_TOL):
-    """Known-support recovery with raised-cosine windows replacing the sharp
-    cutoffs.
+    """Known-support recovery times the raised-cosine window blend.
 
-    The per-class solves are those of the sharp path; each recovered value is
-    then blended as sum over plane cells of r(t - qT) phi_hat(nu - m Omega)
-    times the unfolded quasiperiodization (the same plane value for every
-    overlapping window term), and the output is masked to S.  At grid points
-    the partition of unity makes the blend weight exactly one on S, so the
-    smooth and sharp paths agree; off-grid the windows give the Schwartz-type
-    localization of the continuum formula.
+    recover_eta_known_support gives the unfolded quasiperiodization on S;
+    each value is then weighted by sum over plane cells of
+    r(t - qT) phi_hat(nu - m Omega) (the same plane value for every
+    overlapping window term).  At grid points the partition of unity makes
+    the blend weight exactly one on S, so the smooth and sharp paths agree;
+    off-grid the windows give the Schwartz-type localization of the
+    continuum formula.
     """
-    Zgrid = _validate_grids(Zgrid, G, S)
     if not isinstance(windows, SmoothWindows):
         raise InvalidParameters("windows must come from smooth_windows()")
     if (
@@ -321,23 +308,9 @@ def recover_eta_smooth(Zgrid, G, S, windows, eta_true=None, tol=DEFAULT_TOL):
         or windows.P != S.P
     ):
         raise GridMismatch("windows were built for a different (T, Omega, P) grid")
-    rect = rectify(S)  # raises NotIdentifiable
-    eta_qp, conds, _ = _solve_quasiperiodization(Zgrid, G, S, rect, tol)
-    values = _unfold_to_support(eta_qp, S) * _blend_weights(S, windows)
-    values[~S.mask] = 0
-    return ReconstructionReport(
-        eta_hat=DiscreteSpreadingFunction(support=S, values=values),
-        relative_l2_error=_relative_error(values, eta_true),
-        per_class_conditioning=conds,
-        formula="smooth",
-    )
-
-
-def _chirp_phase(indices, kappa, L, P, sign):
-    """exp(sign * pi i * kappa * idx^2 / (L P^2)) with exact reduction mod 2LP^2."""
-    idx = np.asarray(indices, dtype=np.int64)
-    denom = L * P * P
-    return np.exp(sign * 1j * np.pi * ((kappa * idx * idx) % (2 * denom)) / denom)
+    sharp = recover_eta_known_support(Zgrid, G, S, tol=tol)
+    values = sharp.eta_hat.values * _blend_weights(S, windows)
+    return _report(S, values, eta_true, sharp.per_class_conditioning, "smooth")
 
 
 def recover_symplectic(Zgrid, G, S, a, eta_true=None, tol=DEFAULT_TOL):
@@ -357,18 +330,13 @@ def recover_symplectic(Zgrid, G, S, a, eta_true=None, tol=DEFAULT_TOL):
         raise InvalidParameters(
             "symplectic recovery expects a canonically placed (L*P, L*P) support"
         )
-    kappa_f = L * S.T * a
-    if abs(kappa_f - round(kappa_f)) > 1e-9:
-        raise NonIntegerChirpPeriod(
-            f"L*T*a = {kappa_f} is not an integer; chirp phases leave the grid"
-        )
-    kappa = int(round(kappa_f))
-    if (kappa * L) % 2 == 1 and P % 2 == 1:
-        raise InvalidParameters("period-2L chirped weights need even P")
+    kappa = _chirp_kappa(L, S.T, a)
+    _check_chirp_grid(kappa, L, P)
+    N = L * P * P
 
     # de-chirp the response: multiply by e^{-pi i a x^2 / T} on the x grid
     f = inverse_zak(Zgrid, S.T, L, P)
-    dechirped = f.samples * _chirp_phase(np.arange(L * P * P), kappa, L, P, -1)
+    dechirped = f.samples * _chirp_phase(np.arange(N), kappa, N).conj()
     Zt = zak_transform(
         ChannelResponse(samples=dechirped, x_step=f.x_step, T=S.T, L=L, P=P)
     )
@@ -389,11 +357,5 @@ def recover_symplectic(Zgrid, G, S, a, eta_true=None, tol=DEFAULT_TOL):
 
     # shear back: eta[i, j] = e^{+pi i a t_i^2 / T} eta~[i, (j - kappa i) mod LP]
     values = inner.eta_hat.values[i_idx, (j_idx - kappa * i_idx) % LP]
-    values *= _chirp_phase(np.arange(LP), kappa, L, P, +1)[:, None]
-    values[~S.mask] = 0
-    return ReconstructionReport(
-        eta_hat=DiscreteSpreadingFunction(support=S, values=values),
-        relative_l2_error=_relative_error(values, eta_true),
-        per_class_conditioning=inner.per_class_conditioning,
-        formula="symplectic",
-    )
+    values *= _chirp_phase(np.arange(LP), kappa, N)[:, None]
+    return _report(S, values, eta_true, inner.per_class_conditioning, "symplectic")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _zak_vectors
-from .errors import GridMismatch, InvalidParameters, NoConvergence
+from .errors import GridMismatch, InvalidParameters, NoConvergence, RankDeficient
 from .reconstruct import _validate_grids, recover_eta_known_support
 from .support import CellSupport, check_identifiable, periodization_count, union_supports
 
@@ -74,7 +74,10 @@ def mmv_omp(Y, G, k_max, tol, seed=0, candidates=None, gamma_true=None):
     else:
         cand = np.array(sorted(G.column_index(q, m) for q, m in candidates))
     A = G.entries[:, cand]
-    An = A / np.linalg.norm(A, axis=0)
+    norms = np.linalg.norm(A, axis=0)
+    if not np.all(norms > 0):
+        raise RankDeficient("the dictionary has zero columns (all-zero window)")
+    An = A / norms
 
     def finish(chosen, history):
         gamma_hat = tuple(

@@ -56,8 +56,8 @@ class CellSupport:
     shift: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.T <= 0 or self.L < 1 or self.P < 1:
-            raise InvalidParameters("need T > 0, L >= 1, P >= 1")
+        if not (np.isfinite(self.T) and self.T > 0) or self.L < 1 or self.P < 1:
+            raise InvalidParameters("need finite T > 0, L >= 1, P >= 1")
         t0, nu0 = self.shift
         i0 = t0 / self.dt
         j0 = nu0 / self.dnu

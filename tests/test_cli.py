@@ -11,6 +11,7 @@ import pytest
 
 from opsample import cli, formats, presets
 from opsample.errors import InvalidParameters
+from opsample.gabor import Window
 from opsample.support import CellSupport
 
 
@@ -37,8 +38,7 @@ def test_gen_window_and_spark(workdir, capsys):
     code, out, _ = run(["spark", "--window", out_path, "--matrix-out", matrix_path], capsys)
     assert code == 0
     assert out.strip() == "spark=4"
-    header = open(matrix_path).readline().strip()
-    assert header == "p,q,m,re,im"
+    assert (workdir / "g.csv").read_text().splitlines()[0] == "p,q,m,re,im"
 
 
 def test_rectify_reports_classes(workdir, capsys):
@@ -52,7 +52,7 @@ def test_rectify_reports_classes(workdir, capsys):
     assert lines["identifiable"] == "true"
     assert lines["classes"] == "3"
     assert lines["max_cover"] == "3"
-    report = json.load(open(report_path))
+    report = json.loads((workdir / "rect.json").read_text())
     assert len(report["gamma"]) == 7
 
 
@@ -97,7 +97,7 @@ def test_reruns_are_byte_identical(workdir, capsys):
     ]
     run(base + ["--zak-out", str(workdir / "a.csv")], capsys)
     run(base + ["--zak-out", str(workdir / "b.csv")], capsys)
-    assert open(workdir / "a.csv", "rb").read() == open(workdir / "b.csv", "rb").read()
+    assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
 
 
 def test_env_seed_fallback(workdir, capsys, monkeypatch):
@@ -114,7 +114,7 @@ def test_env_seed_fallback(workdir, capsys, monkeypatch):
         "--zak-out", str(workdir / "b.csv"),
     ]
     run(implicit, capsys)
-    assert open(workdir / "a.csv", "rb").read() == open(workdir / "b.csv", "rb").read()
+    assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
 
 
 def test_recover_support_pipeline(workdir, capsys):
@@ -142,7 +142,7 @@ def test_recover_support_pipeline(workdir, capsys):
     lines = dict(line.split("=", 1) for line in out.strip().splitlines())
     assert json.loads(lines["gamma_hat"]) == [[1, 3], [4, 0]]
     assert float(lines["residual"]) <= 1e-10
-    report = json.load(open(report_path))
+    report = json.loads((workdir / "est.json").read_text())
     assert report["exact_match"] is True
 
 
@@ -170,7 +170,7 @@ def test_recover_support_no_convergence_exits_3(workdir, capsys):
     assert code == 3
     assert "residual=" in out
     assert "error:" in err
-    report = json.load(open(report_path))
+    report = json.loads((workdir / "est.json").read_text())
     assert len(report["gamma_hat"]) == 1
 
 
@@ -258,6 +258,16 @@ def test_exit_codes(workdir, capsys):
     capsys.readouterr()
     assert exc.value.code == 2
 
+    # 2: usage errors argparse does not express are returned, not raised
+    stairs = str(workdir / "stairs.json")
+    for argv in (
+        ["identify", "--zak", str(workdir / "z.csv"), "--window", window_path,
+         "--support", stairs, "--smooth"],
+        ["rates", "--support", stairs, "--plan"],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 2 and "usage error:" in err
+
     # 2: off-grid chirp rate
     code, _, _ = run(
         [
@@ -294,6 +304,8 @@ def test_bad_grid_csv_exits_4(workdir, capsys):
         "nan": with_row(zak_lines, 2, "0,0,nan,0\n"),
         "inf": with_row(zak_lines, 2, "0,0,1,inf\n"),
         "short_row": with_row(zak_lines, 2, "0,0,1\n"),
+        "T_nan": with_row(zak_lines, 0, zak_lines[0].replace("T=1 ", "T=nan ")),
+        "T_inf": with_row(zak_lines, 0, zak_lines[0].replace("T=1 ", "T=inf ")),
     }
     bad_eta = {
         "index": with_row(eta_lines, 2, "999,0,1,0\n"),
@@ -312,6 +324,69 @@ def test_bad_grid_csv_exits_4(workdir, capsys):
         code, _, err = run(base + [x for pair in files.items() for x in pair], capsys)
         assert code == 4, (flag, text[:80])
         assert "error:" in err and "Traceback" not in err
+
+    # recover-support builds its search region from the header's T
+    path = workdir / "bad_header.csv"
+    path.write_text(bad_zak["T_nan"])
+    code, _, err = run(
+        ["recover-support", "--zak", str(path), "--window", window_path, "--kmax", "2"], capsys
+    )
+    assert code == 4
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_recover_support_zero_window_exits_3(workdir, capsys):
+    window_path = str(workdir / "w.json")
+    run(["gen-window", "--L", "3", "--seed", "7", "--out", window_path], capsys)
+    zak = str(workdir / "z.csv")
+    run(
+        [
+            "simulate", "--support", str(workdir / "stairs.json"), "--window", window_path,
+            "--seed", "5", "--zak-out", zak,
+        ],
+        capsys,
+    )
+    zero_path = str(workdir / "zero.json")
+    formats.save_window(Window(L=3, weights=np.zeros(3)), zero_path)
+    code, _, err = run(
+        ["recover-support", "--zak", zak, "--window", zero_path, "--kmax", "2"], capsys
+    )
+    assert code == 3
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_identify_smooth_and_symplectic(workdir, capsys):
+    window_path = str(workdir / "w.json")
+    run(["gen-window", "--L", "3", "--seed", "7", "--out", window_path], capsys)
+    para = str(workdir / "para.json")
+    formats.save_support(presets.sheared_parallelogram_support(), para)
+    a = "0.3333333333333333"  # kappa = L*T*a = 1 on the T = 1, L = 3 grid
+    cases = [
+        (str(workdir / "seven.json"), [], ["--smooth", "--eps", "0.125"], "smooth"),
+        (para, ["--chirp-a", a], ["--symplectic", a], "symplectic"),
+    ]
+    for support, sim_flags, id_flags, formula in cases:
+        zak, eta = str(workdir / "z.csv"), str(workdir / "eta.csv")
+        code, _, _ = run(
+            [
+                "simulate", "--support", support, "--window", window_path, "--seed", "11",
+                "--eta-out", eta, "--zak-out", zak, *sim_flags,
+            ],
+            capsys,
+        )
+        assert code == 0
+        code, out, _ = run(
+            [
+                "identify", "--zak", zak, "--window", window_path, "--support", support,
+                "--eta-true", eta, *id_flags,
+            ],
+            capsys,
+        )
+        assert code == 0
+        lines = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert lines["formula"] == formula
+        assert float(lines["relative_l2_error"]) <= 1e-12
 
 
 def test_floats_print_17_digits(workdir, capsys):

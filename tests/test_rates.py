@@ -38,6 +38,9 @@ def test_sampling_rate_counts_support():
     # a chirp reweights by unimodular phases, same support count
     chirped = IdentifierTrain(T=0.5, weights=g.weights, chirp_a=0.4)
     assert sampling_rate(chirped) == sampling_rate(g)
+    # a tiny weight still counts: the train's own rate is the exact-nonzero count
+    tiny = _train(1.0, [1, 1e-13, 0])
+    assert tiny.rate == sampling_rate(tiny) == pytest.approx(2.0 / 3.0)
 
 
 def test_dense_train_rate_is_L_times_omega():

@@ -9,6 +9,7 @@ from opsample import (
     IdentifierTrain,
     InvalidParameters,
     NoConvergence,
+    RankDeficient,
     Window,
     apply_channel,
     build_gabor_matrix,
@@ -46,6 +47,7 @@ def test_single_cell_single_iteration():
     assert est.converged
 
 
+@pytest.mark.filterwarnings("error")
 def test_validation():
     G = build_gabor_matrix(generate_window(3, seed=72))
     with pytest.raises(GridMismatch):
@@ -56,6 +58,11 @@ def test_validation():
         mmv_omp(np.zeros((3, 2)), G, 4, 1e-9)
     with pytest.raises(InvalidParameters):
         mmv_omp(np.zeros((3, 2)), G, 1, -1.0)
+    # an all-zero window has zero dictionary columns
+    zero = build_gabor_matrix(Window(L=3, weights=np.zeros(3)))
+    for Y in (np.ones((3, 4)), np.zeros((3, 4))):
+        with pytest.raises(RankDeficient):
+            mmv_omp(Y, zero, 1, 1e-9)
 
 
 def test_zero_measurements():

@@ -54,6 +54,12 @@ def test_cell_support_shift_must_be_grid_aligned():
     assert S.offsets == (1, 0)
 
 
+def test_cell_support_rejects_non_finite_T():
+    for T in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(InvalidParameters):
+            CellSupport(T=T, L=2, P=4, cells=((0, 0),))
+
+
 def test_derived_quantities():
     S = CellSupport(T=0.5, L=4, P=8, cells=((0, 0),))
     assert S.omega == pytest.approx(1 / 2.0)
