@@ -63,7 +63,7 @@ def _unit_phase(numerator, denominator):
 def _chirp_kappa(L, T, a):
     """Integer kappa = L*T*a = a/Omega; raises if the chirp is off-grid."""
     kappa = L * T * a
-    if abs(kappa - round(kappa)) > 1e-9:
+    if not (abs(kappa) < np.inf and abs(kappa - round(kappa)) <= 1e-9):  # rejects nan, inf
         raise NonIntegerChirpPeriod(
             f"L*T*a = {kappa} is not an integer; the chirped weights are aperiodic on the grid"
         )
@@ -133,8 +133,8 @@ class IdentifierTrain:
     chirp_a: float = 0.0
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise InvalidParameters("T must be positive")
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise InvalidParameters("T must be finite and positive")
 
     @property
     def L(self):
@@ -143,7 +143,7 @@ class IdentifierTrain:
     @property
     def rate(self):
         """D(Lambda) = ||c||_0 / (T*L), with ||c||_0 the exact count of nonzero weights."""
-        return np.count_nonzero(self.weights.weights) / (self.T * self.L)
+        return self.weights.support_size() / (self.T * self.L)
 
     def chirp_kappa(self):
         """Integer kappa = L*T*a = a/Omega; raises if the chirp is off-grid."""

@@ -3,8 +3,9 @@
 Every run is deterministic given its seed (flag, or the OPSAMPLE_SEED
 environment variable as fallback); re-running a command produces
 byte-identical output files.  Exit codes: 0 success, 2 precondition or usage
-error, 3 numerical failure, 4 I/O failure.  Floating-point output is printed
-with 17 significant digits so values survive a copy-paste round trip.
+error, 3 numerical failure (floating-point overflow included), 4 I/O failure
+or malformed input file.  Floating-point output is printed with 17
+significant digits so values survive a copy-paste round trip.
 """
 
 import argparse
@@ -25,6 +26,7 @@ from .channel import (
 )
 from .errors import (
     GenerationFailed,
+    GridMismatch,
     NoConvergence,
     OpSampleError,
     RankDeficient,
@@ -54,12 +56,19 @@ class _UsageError(Exception):
 
 
 def _load(loader, path):
+    """loader(path); a malformed file or one too large to hold is an input error."""
     try:
         return loader(path)
-    except OSError:
-        raise
-    except (OpSampleError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except OpSampleError as exc:  # the loader names the path
+        raise _InputError(exc) from exc
+    except MemoryError as exc:
         raise _InputError(f"{path}: {exc}") from exc
+
+
+def _require_zak_T(T, S):
+    """The Zak header's T must be the support's (the grid shape pins L and P)."""
+    if T != S.T:
+        raise GridMismatch(f"the Zak grid has T = {_fmt(T)}, the support T = {_fmt(S.T)}")
 
 
 def _resolve_seed(args):
@@ -144,11 +153,12 @@ def cmd_simulate(args):
 
 
 def cmd_identify(args):
-    Z = _load(formats.load_zak, args.zak)[0]
+    Z, T, _, _ = _load(formats.load_zak, args.zak)
     window = _load(formats.load_window, args.window)
     G = build_gabor_matrix(window)
     eta_true = _load(formats.load_spreading, args.eta_true) if args.eta_true else None
     S = _load(formats.load_support, args.support)
+    _require_zak_T(T, S)
     if args.smooth:
         _require(args.eps is not None, "--smooth requires --eps")
         windows = smooth_windows(S.T, S.omega, args.eps, S.P)
@@ -175,6 +185,7 @@ def cmd_recover_support(args):
     G = build_gabor_matrix(window)
     if args.domain:
         R = _load(formats.load_support, args.domain)
+        _require_zak_T(T, R)
     else:
         R = CellSupport(T=T, L=L, P=P, cells=[(q, m) for q in range(L) for m in range(L)])
     eta_true = _load(formats.load_spreading, args.eta_true) if args.eta_true else None
@@ -184,24 +195,20 @@ def cmd_recover_support(args):
             eta_true=eta_true,
             gamma_true=eta_true.support.cells if eta_true else None,
         )
-    except NoConvergence as exc:
-        estimate = getattr(exc, "estimate", None)
-        if estimate is not None:
-            print(f"gamma_hat={json.dumps([list(c) for c in estimate.gamma_hat])}")
-            print(f"residual={_fmt(estimate.residual_history[-1])}")
-            if args.report_out:
-                formats.save_json(formats.support_estimate_dict(estimate), args.report_out)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    estimate = report.support_estimate
+        failure, estimate = None, report.support_estimate
+    except NoConvergence as exc:  # the estimate is still reported
+        failure, estimate = exc, exc.estimate
     print(f"gamma_hat={json.dumps([list(c) for c in estimate.gamma_hat])}")
     print(f"residual={_fmt(estimate.residual_history[-1])}")
+    if args.report_out:
+        formats.save_json(formats.support_estimate_dict(estimate), args.report_out)
+    if failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return 3
     if report.relative_l2_error is not None:
         print(f"relative_l2_error={_fmt(report.relative_l2_error)}")
     if args.eta_out:
         formats.save_spreading(report.eta_hat, args.eta_out)
-    if args.report_out:
-        formats.save_json(formats.support_estimate_dict(estimate), args.report_out)
     return 0
 
 
@@ -213,7 +220,7 @@ def cmd_rates(args):
             S, args.eps, seed=_resolve_seed(args), max_draws=args.max_draws
         )
         print(f"L={window.L}")
-        print(f"support_count={np.count_nonzero(window.weights)}")
+        print(f"support_count={window.support_size()}")
         if args.window_out:
             formats.save_window(window, args.window_out)
     else:
@@ -343,14 +350,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (_InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except NUMERICAL_ERRORS as exc:
+    except (*NUMERICAL_ERRORS, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OpSampleError as exc:

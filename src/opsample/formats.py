@@ -1,25 +1,53 @@
 """File formats shared between the library and the command line.
 
-Windows and supports travel as JSON, grids (spreading functions, Zak
-transforms) and sampled responses as CSV.  Complex entries are written as
-re/im pairs with 17 significant digits so that every file round-trips to the
-exact float it came from, and all writers are deterministic: re-running a
-command produces byte-identical output.
+Windows and supports travel as JSON; grids (spreading functions, Zak
+transforms), sampled responses and Gabor matrices as CSV tables.  One writer
+emits every table: an optional "# key=value" header line, the column names,
+then one row per entry with its integer indices and the re/im pair of its
+complex value at 17 significant digits, so every file round-trips to the exact
+float it came from and re-running a command gives byte-identical output.  One
+reader parses the grid tables.  Every loader parses under one rule: a file
+that cannot be read into the expected object raises InvalidParameters naming
+the file, never a parser's KeyError, ValueError, ... (OSError passes through).
 """
 
-import csv
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
 from .channel import DiscreteSpreadingFunction
-from .errors import InvalidParameters
+from .errors import InvalidParameters, OpSampleError
 from .gabor import Window
 from .support import CellSupport
+
+#: one body row of a grid CSV
+_GRID_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
 
 
 def _fmt(x):
     return f"{float(x):.17g}"
+
+
+@contextmanager
+def _malformed(path, kind):
+    """Parse under one rule: malformed content is an InvalidParameters naming path once."""
+    try:
+        yield
+    except (
+        OpSampleError, KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError
+    ) as exc:
+        raise InvalidParameters(f"malformed {kind} file {path}: {exc}") from exc
+
+
+def _write_table(path, header, names, index, values):
+    """CSV table: optional header line, column names, one index..., re, im row per value."""
+    row = ",".join(["%d"] * len(index) + ["%.17g", "%.17g"]) + "\r\n"
+    columns = [k.tolist() for k in (*index, values.real, values.imag)]
+    with open(path, "w", newline="") as fh:
+        fh.write(f"{header}\n" if header else "")
+        fh.write(",".join(names) + "\r\n")
+        fh.writelines(row % r for r in zip(*columns))
 
 
 def save_window(window, path):
@@ -33,26 +61,16 @@ def save_window(window, path):
 
 
 def load_window(path):
-    with open(path) as fh:
+    with open(path) as fh, _malformed(path, "window"):
         payload = json.load(fh)
-    try:
         weights = np.array([complex(re, im) for re, im in payload["weights"]])
         return Window(L=int(payload["L"]), weights=weights, seed=payload.get("seed"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameters(f"malformed window file {path}: {exc}") from exc
 
 
 def export_gabor_matrix(G, path):
     """GaborMatrix CSV: rows p,q,m,re,im ordered by p, then column q + m*L."""
-    L = G.L
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "q", "m", "re", "im"])
-        for p in range(L):
-            for m in range(L):
-                for q in range(L):
-                    z = G.entries[p, q * L + m]
-                    writer.writerow([p, q, m, _fmt(z.real), _fmt(z.imag)])
+    p, m, q = np.indices((G.L, G.L, G.L)).reshape(3, -1)
+    _write_table(path, None, ["p", "q", "m", "re", "im"], (p, q, m), G.entries[p, q * G.L + m])
 
 
 def _mask_rle(mask):
@@ -68,16 +86,9 @@ def _mask_rle(mask):
 
 def _mask_from_rle(rle, shape):
     runs = [int(r) for r in rle.split(",")] if rle else []
-    flat = np.zeros(int(np.prod(shape)), dtype=bool)
-    pos, bit = 0, 0
-    for run in runs:
-        if bit:
-            flat[pos : pos + run] = True
-        pos += run
-        bit ^= 1
-    if pos != flat.size:
+    if min(runs, default=0) < 0 or sum(runs) != np.prod(shape):
         raise InvalidParameters("mask run lengths do not cover the grid")
-    return flat.reshape(shape)
+    return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(shape)
 
 
 def save_support(S, path):
@@ -96,73 +107,50 @@ def save_support(S, path):
 
 
 def load_support(path):
-    with open(path) as fh:
+    """Support JSON; with a fine mask, the cells must be its folded footprint."""
+    with open(path) as fh, _malformed(path, "support"):
         payload = json.load(fh)
-    try:
-        T = float(payload["T"])
-        L = int(payload["L"])
-        P = int(payload["P"])
+        T, L, P = float(payload["T"]), int(payload["L"]), int(payload["P"])
         shift = tuple(float(x) for x in payload.get("shift", (0.0, 0.0)))
         cells = tuple((int(q), int(m)) for q, m in payload["cells"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameters(f"malformed support file {path}: {exc}") from exc
-    rle = payload.get("fine_mask_rle")
-    if rle is None:
-        return CellSupport(T=T, L=L, P=P, cells=cells, shift=shift)
-    mask = _mask_from_rle(rle, (L * P, L * P))
-    S = CellSupport(T=T, L=L, P=P, mask=mask, shift=shift)
-    if set(S.cells) != set(cells):
-        raise InvalidParameters(f"support file {path}: cells do not match the fine mask")
-    return S
+        rle = payload.get("fine_mask_rle")
+        mask = None if rle is None else _mask_from_rle(rle, (L * P, L * P))
+        return CellSupport(T=T, L=L, P=P, cells=cells, mask=mask, shift=shift)
 
 
-def _write_grid_csv(values, rows, path, header):
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "re", "im"])
-        for i, j in rows:
-            z = values[i, j]
-            writer.writerow([i, j, _fmt(z.real), _fmt(z.imag)])
+def _read_grid_csv(fh, zak):
+    """Header (T, L, P, shift) and checked rows (i, j, values) of a grid CSV.
 
-
-def _read_grid_csv(path):
-    """Header values (T, L, P, shift) and (i, j, re, im) rows of a grid CSV."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise InvalidParameters(f"{path}: missing grid header line")
-        reader = csv.reader(fh)
-        next(reader, None)  # column names
-        try:
-            fields = dict(item.split("=", 1) for item in header[1:].split())
-            T, L, P = float(fields["T"]), int(fields["L"]), int(fields["P"])
-            shift = (float(fields.get("t0", 0.0)), float(fields.get("nu0", 0.0)))
-            entries = [(int(i), int(j), float(re), float(im)) for i, j, re, im in reader]
-        except (KeyError, ValueError) as exc:
-            raise InvalidParameters(f"malformed grid file {path}: {exc}") from exc
-    if not (np.isfinite(T) and T > 0 and L >= 1 and P >= 1):
-        raise InvalidParameters(f"{path}: grid header needs finite T > 0, L >= 1, P >= 1")
-    return T, L, P, shift, entries
-
-
-def _grid_entries(entries, shape, path):
-    """Row and column indices and complex values of grid rows.
-
-    Rejects indices outside shape, repeated (i, j) and non-finite values.
+    Indices lie in the (L*P) x P Zak cell, which a zak file must fill, or else
+    in the (L*P) x (L*P) domain.  Rejects a bad header, short or non-numeric
+    rows, non-integer or out-of-range indices, repeated (i, j) and non-finite
+    values.
     """
-    a = np.array(entries, dtype=float).reshape(-1, 4)
-    i, j = a[:, 0], a[:, 1]
-    if np.any((i < 0) | (i >= shape[0]) | (j < 0) | (j >= shape[1])):
-        raise InvalidParameters(f"{path}: grid index outside [0, {shape[0]}) x [0, {shape[1]})")
-    i, j = i.astype(int), j.astype(int)
-    if np.unique(i * shape[1] + j).size != i.size:
-        raise InvalidParameters(f"{path}: repeated grid index")
-    if not np.all(np.isfinite(a[:, 2:])):
-        raise InvalidParameters(f"{path}: non-finite grid value")
+    header = fh.readline().strip()
+    if not header.startswith("#"):
+        raise InvalidParameters("missing grid header line")
+    fields = dict(item.split("=", 1) for item in header[1:].split())
+    T, L, P = float(fields["T"]), int(fields["L"]), int(fields["P"])
+    shift = (float(fields.get("t0", 0.0)), float(fields.get("nu0", 0.0)))
+    if not (np.isfinite(T) and T > 0 and L >= 1 and P >= 1):
+        raise InvalidParameters("grid header needs finite T > 0, L >= 1, P >= 1")
+    body = fh.readlines()[1:]  # after the column names
+    rows = np.zeros(0, _GRID_ROW)
+    if any(map(str.strip, body)):  # loadtxt warns on a body without rows
+        rows = np.loadtxt(body, dtype=_GRID_ROW, delimiter=",", comments=None, ndmin=1)
+    if zak and rows.size != L * P * P:
+        raise InvalidParameters(f"{rows.size} rows, expected L*P*P = {L * P * P}")
+    n_i, n_j = L * P, P if zak else L * P
+    i, j = rows["i"], rows["j"]
+    if np.any((i < 0) | (i >= n_i) | (j < 0) | (j >= n_j)):
+        raise InvalidParameters(f"grid index outside [0, {n_i}) x [0, {n_j})")
+    if np.unique(i * n_j + j).size != i.size:
+        raise InvalidParameters("repeated grid index")
+    if not (np.all(np.isfinite(rows["re"])) and np.all(np.isfinite(rows["im"]))):
+        raise InvalidParameters("non-finite grid value")
     values = np.empty(i.size, dtype=complex)
-    values.real, values.imag = a[:, 2], a[:, 3]
-    return i, j, values
+    values.real, values.imag = rows["re"], rows["im"]
+    return T, L, P, shift, (i, j, values)
 
 
 def save_spreading(eta, path):
@@ -171,49 +159,41 @@ def save_spreading(eta, path):
     header = (
         f"# T={_fmt(S.T)} L={S.L} P={S.P} t0={_fmt(S.shift[0])} nu0={_fmt(S.shift[1])}"
     )
-    rows = np.argwhere(S.mask)
-    _write_grid_csv(eta.values, rows, path, header)
+    i, j = np.nonzero(S.mask)
+    _write_table(path, header, ["i", "j", "re", "im"], (i, j), eta.values[i, j])
 
 
 def load_spreading(path):
-    T, L, P, shift, entries = _read_grid_csv(path)
-    shape = (L * P, L * P)
-    i, j, z = _grid_entries(entries, shape, path)
-    mask = np.zeros(shape, dtype=bool)
-    values = np.zeros(shape, dtype=complex)
-    mask[i, j] = True
-    values[i, j] = z
-    S = CellSupport(T=T, L=L, P=P, mask=mask, shift=shift)
-    return DiscreteSpreadingFunction(support=S, values=values)
+    with open(path) as fh, _malformed(path, "grid"):
+        T, L, P, shift, (i, j, z) = _read_grid_csv(fh, zak=False)
+        mask = np.zeros((L * P, L * P), dtype=bool)
+        values = np.zeros(mask.shape, dtype=complex)
+        mask[i, j] = True
+        values[i, j] = z
+        S = CellSupport(T=T, L=L, P=P, mask=mask, shift=shift)
+        return DiscreteSpreadingFunction(support=S, values=values)
 
 
 def save_zak(Z, T, L, P, path):
     """Zak grid CSV: dense i,j,re,im over the (L*P) x P fundamental cell."""
-    header = f"# T={_fmt(T)} L={L} P={P}"
-    rows = [(i, j) for i in range(L * P) for j in range(P)]
-    _write_grid_csv(Z, rows, path, header)
+    i, j = np.divmod(np.arange(L * P * P), P)
+    _write_table(path, f"# T={_fmt(T)} L={L} P={P}", ["i", "j", "re", "im"], (i, j), Z[i, j])
 
 
 def load_zak(path):
     """Zak grid and (T, L, P); the file must hold each of the L*P*P points once."""
-    T, L, P, _, entries = _read_grid_csv(path)
-    if len(entries) != L * P * P:
-        raise InvalidParameters(f"{path}: {len(entries)} rows, expected L*P*P = {L * P * P}")
-    i, j, z = _grid_entries(entries, (L * P, P), path)
-    Z = np.zeros((L * P, P), dtype=complex)
-    Z[i, j] = z
-    return Z, T, L, P
+    with open(path) as fh, _malformed(path, "grid"):
+        T, L, P, _, (i, j, z) = _read_grid_csv(fh, zak=True)
+        Z = np.zeros((L * P, P), dtype=complex)
+        Z[i, j] = z
+        return Z, T, L, P
 
 
 def save_response(resp, path):
     """Response CSV: i,re,im with the sample step in the header."""
     header = f"# x_step={_fmt(resp.x_step)} T={_fmt(resp.T)} L={resp.L} P={resp.P}"
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["i", "re", "im"])
-        for i, z in enumerate(resp.samples):
-            writer.writerow([i, _fmt(z.real), _fmt(z.imag)])
+    i = np.arange(resp.samples.size)
+    _write_table(path, header, ["i", "re", "im"], (i,), resp.samples)
 
 
 def support_estimate_dict(est):

@@ -90,14 +90,16 @@ class Window:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=complex)
-        if self.weights.shape != (self.L,):
+        if self.L < 1 or self.weights.shape != (self.L,):
             raise InvalidParameters(
-                f"weights must have shape ({self.L},), got {self.weights.shape}"
+                f"need L >= 1 and weights of shape (L,) = ({self.L},), got {self.weights.shape}"
             )
+        if not np.all(np.isfinite(self.weights)):
+            raise InvalidParameters("weights must be finite")
 
-    def support_size(self, tol=1e-12):
-        """||c||_0 at the zero tolerance."""
-        return int(np.count_nonzero(np.abs(self.weights) > tol))
+    def support_size(self):
+        """||c||_0: the exact count of nonzero weights."""
+        return int(np.count_nonzero(self.weights))
 
 
 @dataclass(eq=False)

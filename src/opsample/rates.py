@@ -67,7 +67,7 @@ def check_necessary(g, S):
 def rate_report(g, S, eps=None):
     """Assemble the full RateReport for an identifier/support pair."""
     rate = sampling_rate(g)
-    count = np.count_nonzero(g.weights.weights)
+    count = g.weights.support_size()
     margin = None if eps is None else S.area * (1.0 + eps) - count / g.L
     return RateReport(
         rate=rate,
@@ -120,7 +120,7 @@ def bunched_window_plan(S, eps, seed=None, max_draws=200, tol=1e-8, modulus_cap=
     Returns the window and a RateReport with the emitted plan's margin and
     dead-time fraction.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise InvalidParameters("the sufficient-rate construction needs eps > 0")
     area = S.area
     if area <= 0:

@@ -146,7 +146,12 @@ def _report(S, values, eta_true, conds, formula):
     """ReconstructionReport for values on S, scored against eta_true when given."""
     error = None
     if eta_true is not None:
-        truth = eta_true.values if isinstance(eta_true, DiscreteSpreadingFunction) else np.asarray(eta_true)
+        E, truth = S, eta_true
+        if isinstance(eta_true, DiscreteSpreadingFunction):
+            E, truth = eta_true.support, eta_true.values
+        truth = np.asarray(truth)
+        if (E.T, E.L, E.P, E.offsets, truth.shape) != (S.T, S.L, S.P, S.offsets, values.shape):
+            raise GridMismatch("eta_true lies on another grid (T, L, P, shift or shape)")
         num = np.linalg.norm(values - truth)
         den = np.linalg.norm(truth)
         error = float(num / den) if den != 0 else (0.0 if num == 0 else float("inf"))
@@ -158,19 +163,16 @@ def _report(S, values, eta_true, conds, formula):
     )
 
 
-def recover_eta_known_support(Zgrid, G, S, rect=None, eta_true=None, tol=DEFAULT_TOL):
+def recover_eta_known_support(Zgrid, G, S, eta_true=None, tol=DEFAULT_TOL):
     """Recover eta on the known support S from the Zak grid of Hg.
 
     Solves one restricted system per rectification class at each base-rectangle
     subcell, unfolds the quasiperiodization, and masks by S.  The formula tag
-    is "sharp" for single-class supports and "multiclass" otherwise.
+    is "sharp" for single-class supports and "multiclass" otherwise.  Raises
+    NotIdentifiable when S violates the fold conditions.
     """
     Zgrid = _validate_grids(Zgrid, G, S)
-    if rect is None:
-        rect = rectify(S)  # raises NotIdentifiable
-    elif not rect.identifiable:
-        raise NotIdentifiable("rectification report marks the support non-identifiable")
-    eta_qp, conds = _solve_quasiperiodization(Zgrid, G, S, rect, tol)
+    eta_qp, conds = _solve_quasiperiodization(Zgrid, G, S, rectify(S), tol)
     # unfold: read eta off its quasiperiodization at the stored subcells
     rows, cols, i, j, k = _fold_index(S)
     values = np.zeros(S.mask.shape, dtype=complex)
@@ -245,7 +247,7 @@ def smooth_windows(T, Omega, eps, P):
     """
     if T <= 0 or Omega <= 0 or P < 1:
         raise InvalidParameters("need T > 0, Omega > 0, P >= 1")
-    if eps <= 0:
+    if not eps > 0:
         raise InvalidParameters("eps must be positive")
     if eps >= min(T, Omega) / 2:
         raise InvalidOverlap(
@@ -347,13 +349,11 @@ def recover_symplectic(Zgrid, G, S, a, eta_true=None, tol=DEFAULT_TOL):
     tilde_mask = S.mask[i_idx, (j_idx + kappa * i_idx) % LP]
     S_tilde = CellSupport(T=S.T, L=L, P=P, mask=tilde_mask)
     try:
-        rect = rectify(S_tilde)
+        inner = recover_eta_known_support(Zt, G, S_tilde, tol=tol)
     except NotIdentifiable as exc:
         raise ShearNotRectifiable(
             f"sheared support admits no (T, L)-rectification: {exc}"
         ) from exc
-
-    inner = recover_eta_known_support(Zt, G, S_tilde, rect, tol=tol)
 
     # shear back: eta[i, j] = e^{+pi i a t_i^2 / T} eta~[i, (j - kappa i) mod LP]
     values = inner.eta_hat.values[i_idx, (j_idx - kappa * i_idx) % LP]

@@ -8,6 +8,9 @@ with the largest summed squared correlation, re-fits jointly by least squares,
 and stops at the iteration cap or once the relative residual drops below tol.
 A full-spark G makes every L columns independent, so any floor(L/2)-sparse
 solution is unique: a zero-residual estimate of that size is the true support.
+The same fact makes an L-cell estimate worthless: any L columns span C^L and
+fit every Z-vector with zero residual, so recover_unknown_support refuses to
+certify one.
 """
 
 from dataclasses import dataclass
@@ -138,8 +141,9 @@ def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=0, eta_true=None, gamm
 
     R bounds the candidate region (its cells form the dictionary); the
     estimated cells are materialized as full cells of R's grid and passed to
-    recover_eta_known_support.  Raises NoConvergence (with the partial
-    estimate attached) when the greedy residual stays above tol.
+    recover_eta_known_support.  Raises NoConvergence (with the estimate
+    attached) when the greedy residual stays above tol or the estimate has L
+    cells, which fit any data.
     """
     L, P = R.L, R.P
     Zgrid = _validate_grids(Zgrid, G, R)
@@ -154,6 +158,11 @@ def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=0, eta_true=None, gamm
         raise NoConvergence(
             f"relative residual {est.residual_history[-1]:.3e} above tol = {tol} "
             f"after {len(est.residual_history)} iterations",
+            estimate=est,
+        )
+    if len(est.gamma_hat) == L:
+        raise NoConvergence(
+            f"the estimate has L = {L} cells, whose columns span C^L and fit any data",
             estimate=est,
         )
     S_hat = CellSupport(T=R.T, L=L, P=P, cells=est.gamma_hat)

@@ -61,35 +61,30 @@ class CellSupport:
         t0, nu0 = self.shift
         i0 = t0 / self.dt
         j0 = nu0 / self.dnu
-        if abs(i0 - round(i0)) > 1e-9 or abs(j0 - round(j0)) > 1e-9:
+        if not all(np.isfinite(x) and abs(x - round(x)) <= 1e-9 for x in (i0, j0)):
             raise InvalidParameters(
-                "shift must be grid-aligned (integer multiples of T/P and Omega/P)"
+                "shift must be finite and grid-aligned (integer multiples of T/P and Omega/P)"
             )
         self._offsets = (int(round(i0)), int(round(j0)))
 
         LP = self.L * self.P
+        declared = None if self.cells is None else tuple(sorted(set(map(tuple, self.cells))))
         if self.mask is None:
-            if self.cells is None:
+            if declared is None:
                 raise InvalidParameters("need cells or a mask")
             self.mask = np.zeros((LP, LP), dtype=bool)
-            for q, m in self.cells:
+            for q, m in declared:
                 if not (0 <= q < self.L and 0 <= m < self.L):
                     raise InvalidParameters(f"cell ({q},{m}) outside [0,{self.L})^2")
                 self.mask[q * self.P : (q + 1) * self.P, m * self.P : (m + 1) * self.P] = True
-            self.cells = tuple(sorted(set(map(tuple, self.cells))))
+            declared = None  # labels of the unshifted mask; the shift may move them
         else:
             self.mask = np.asarray(self.mask, dtype=bool)
             if self.mask.ndim != 2:
                 raise InvalidParameters("mask must be a 2-d boolean grid")
-            derived = self._folded_cells()
-            if self.cells is None:
-                self.cells = derived
-            elif tuple(sorted(set(map(tuple, self.cells)))) != derived:
-                raise InvalidParameters(
-                    "declared cells do not match the mask's folded footprint"
-                )
-            else:
-                self.cells = derived
+        self.cells = self._folded_cells()
+        if declared is not None and declared != self.cells:
+            raise InvalidParameters("declared cells do not match the mask's folded footprint")
 
     # -- derived geometry -------------------------------------------------
 
@@ -116,22 +111,18 @@ class CellSupport:
         return float(self.mask.sum()) / (self.L * self.P**2)
 
     def _folded_cells(self):
-        folded = self.folded_mask()
-        P = self.P
-        out = set()
-        for q in range(self.L):
-            for m in range(self.L):
-                if folded[q * P : (q + 1) * P, m * P : (m + 1) * P].any():
-                    out.add((q, m))
-        return tuple(sorted(out))
+        L, P = self.L, self.P
+        occupied = self.folded_mask().reshape(L, P, L, P).any(axis=(1, 3))
+        return tuple((int(q), int(m)) for q, m in np.argwhere(occupied))
 
     def fold_counts(self, period_i, period_j):
         """Fold the stored mask by (period_i, period_j) subcells, counting multiplicity."""
         i0, j0 = self._offsets
+        if (i0, j0) == (0, 0) and self.mask.shape == (period_i, period_j):
+            return self.mask.astype(int)  # the fold is the identity
         rows, cols = np.nonzero(self.mask)
-        out = np.zeros((period_i, period_j), dtype=int)
-        np.add.at(out, ((i0 + rows) % period_i, (j0 + cols) % period_j), 1)
-        return out
+        flat = (i0 + rows) % period_i * period_j + (j0 + cols) % period_j
+        return np.bincount(flat, minlength=period_i * period_j).reshape(period_i, period_j)
 
     def folded_mask(self):
         """Boolean (L*P, L*P) footprint of the (LT, 1/T)-fold."""
@@ -171,10 +162,19 @@ def periodization_count(S):
     return S.fold_counts(S.P, S.P)
 
 
+def _folds(S):
+    """One (L*P)^2 fold of S: its counts, their (P, P) periodization count, and
+    whether both fold conditions hold."""
+    L, P = S.L, S.P
+    counts = S.fold_counts(L * P, L * P)
+    cover = counts.reshape(L, P, L, P).sum(axis=(0, 2))
+    return counts, cover, bool(counts.max(initial=0) <= 1 and cover.max() <= L)
+
+
 def check_identifiable(S):
     """Conditions for identification by a period-L train: fundamental-domain
     fold plus at most an L-cover of the base rectangle."""
-    return check_fundamental_domain(S) and int(periodization_count(S).max()) <= S.L
+    return _folds(S)[2]
 
 
 def rectify(S):
@@ -184,14 +184,14 @@ def rectify(S):
     of S covers (u + qP, v + mP); subcells sharing a pattern form one class.
     Requires check_identifiable(S).
     """
-    if not check_identifiable(S):
+    counts, cover, identifiable = _folds(S)
+    if not identifiable:
         raise NotIdentifiable(
             "support violates the fold conditions (fundamental domain / L-cover)"
         )
     L, P = S.L, S.P
-    folded = S.folded_mask()
     # occ[u, v, q*L + m] = folded[u + q*P, v + m*P]
-    occ = folded.reshape(L, P, L, P).transpose(1, 3, 0, 2).reshape(P, P, L * L)
+    occ = (counts > 0).reshape(L, P, L, P).transpose(1, 3, 0, 2).reshape(P, P, L * L)
     flat = occ.reshape(P * P, L * L)
     patterns, inverse = np.unique(flat, axis=0, return_inverse=True)
     classes = []
@@ -203,7 +203,7 @@ def rectify(S):
     return RectificationReport(
         gamma=S.cells,
         classes=classes,
-        max_cover=int(periodization_count(S).max()),
+        max_cover=int(cover.max()),
         identifiable=True,
     )
 

@@ -86,6 +86,15 @@ def test_train_rate_and_period():
 
     with pytest.raises(NonIntegerChirpPeriod):
         _train(0.5, [1.0, 0.0, 2.0], chirp_a=0.4).chirp_kappa()
+    for a in (float("nan"), float("inf")):
+        with pytest.raises(NonIntegerChirpPeriod):
+            _train(0.5, [1.0, 0.0, 2.0], chirp_a=a).chirp_kappa()
+
+
+def test_train_rejects_non_finite_T():
+    for T in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(InvalidParameters):
+            _train(T, [1.0, 0.0, 2.0])
 
 
 def test_effective_weights_match_definition():

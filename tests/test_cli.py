@@ -4,10 +4,15 @@ Each test drives cli.main with an argv list and checks printed output, exit
 codes, and the files written.  No subprocesses: main() returns the exit code.
 """
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opsample import cli, formats, presets
 from opsample.errors import InvalidParameters
@@ -268,15 +273,19 @@ def test_exit_codes(workdir, capsys):
         code, _, err = run(argv, capsys)
         assert code == 2 and "usage error:" in err
 
-    # 2: off-grid chirp rate
-    code, _, _ = run(
-        [
-            "simulate", "--support", str(workdir / "stairs.json"), "--window", window_path,
-            "--seed", "5", "--chirp-a", "0.1",
-        ],
-        capsys,
-    )
-    assert code == 2
+    # 2: off-grid or non-finite chirp rate, non-finite eps
+    for argv in (
+        ["simulate", "--support", stairs, "--window", window_path, "--seed", "5",
+         "--chirp-a", "0.1"],
+        ["simulate", "--support", stairs, "--window", window_path, "--seed", "5",
+         "--chirp-a", "nan"],
+        ["identify", "--zak", str(workdir / "z.csv"), "--window", window_path,
+         "--support", stairs, "--smooth", "--eps", "nan"],
+        ["rates", "--support", stairs, "--plan", "--eps", "nan"],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 2, argv
+        assert "error:" in err and "Traceback" not in err
 
 
 def test_bad_grid_csv_exits_4(workdir, capsys):
@@ -325,6 +334,13 @@ def test_bad_grid_csv_exits_4(workdir, capsys):
         assert code == 4, (flag, text[:80])
         assert "error:" in err and "Traceback" not in err
 
+    # a finite value so large that the solve overflows is a numerical failure
+    path = workdir / "huge_value.csv"
+    path.write_text(with_row(zak_lines, 2, "0,0,1.7e308,0\n"))
+    code, _, err = run(base + ["--zak", str(path)], capsys)
+    assert code == 3
+    assert "error:" in err and "Traceback" not in err
+
     # recover-support builds its search region from the header's T
     path = workdir / "bad_header.csv"
     path.write_text(bad_zak["T_nan"])
@@ -333,6 +349,136 @@ def test_bad_grid_csv_exits_4(workdir, capsys):
     )
     assert code == 4
     assert "error:" in err and "Traceback" not in err
+
+
+def test_malformed_json_exits_4_naming_the_file_once(workdir, capsys, monkeypatch):
+    monkeypatch.chdir(workdir)
+    payload = json.loads(Path("stairs.json").read_text())
+    cases = {
+        "rle.json": {**payload, "fine_mask_rle": 5},  # not a run-length string
+        "huge.json": {**payload, "L": 10**7},  # a mask beyond any address space
+    }
+    for name, bad in cases.items():
+        Path(name).write_text(json.dumps(bad))
+        code, _, err = run(["rectify", "--support", name], capsys)
+        assert code == 4, name
+        assert "error:" in err and "Traceback" not in err
+        assert err.count(name) == 1
+
+
+@pytest.mark.parametrize(
+    "zak, argv",
+    [
+        # identify with the Zak grid's own cells at another T
+        ("zak8.csv", ["identify", "--support", "seven_T2.json"]),
+        # recover-support with a search domain at another T
+        ("zak8.csv", ["recover-support", "--kmax", "2", "--domain", "all_T2.json"]),
+        # a P = 8 ground truth against a P = 4 support
+        ("zak4.csv", ["identify", "--support", "stairs_P4.json", "--eta-true", "eta8.csv"]),
+    ],
+    ids=["identify_T", "domain_T", "eta_true_P"],
+)
+def test_grid_mismatch_exits_2(workdir, capsys, monkeypatch, zak, argv):
+    monkeypatch.chdir(workdir)
+    run(["gen-window", "--L", "3", "--seed", "7", "--out", "w.json"], capsys)
+    formats.save_support(presets.seven_cell_support(T=2.0), "seven_T2.json")
+    formats.save_support(presets.staircase_support(P=4), "stairs_P4.json")
+    every_cell = [(q, m) for q in range(3) for m in range(3)]
+    formats.save_support(CellSupport(T=2.0, L=3, cells=every_cell), "all_T2.json")
+    for support, tag in (("seven.json", "8"), ("stairs_P4.json", "4")):
+        code, _, _ = run(
+            [
+                "simulate", "--support", support, "--window", "w.json", "--seed", "5",
+                "--eta-out", f"eta{tag}.csv", "--zak-out", f"zak{tag}.csv",
+            ],
+            capsys,
+        )
+        assert code == 0
+    code, out, err = run([argv[0], "--zak", zak, "--window", "w.json", *argv[1:]], capsys)
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert "relative_l2_error" not in out
+
+
+def test_recover_support_full_estimate_exits_3(workdir, capsys, monkeypatch):
+    # any L = 3 columns of a full-spark G fit every Z-vector: no certificate
+    monkeypatch.chdir(workdir)
+    run(["gen-window", "--L", "3", "--seed", "7", "--out", "w.json"], capsys)
+    run(
+        ["simulate", "--support", "stairs.json", "--window", "w.json", "--seed", "5",
+         "--zak-out", "z.csv"],
+        capsys,
+    )
+    code, out, err = run(
+        ["recover-support", "--zak", "z.csv", "--window", "w.json", "--kmax", "3"], capsys
+    )
+    assert code == 3
+    lines = dict(line.split("=", 1) for line in out.strip().splitlines())
+    assert len(json.loads(lines["gamma_hat"])) == 3
+    assert float(lines["residual"]) <= 1e-10
+    assert "error:" in err
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Small valid inputs (L = 3, P = 4) of every kind, and the command reading each."""
+    d = tmp_path_factory.mktemp("valid")
+    p = {k: str(d / k) for k in ("w.json", "s.json", "z.csv", "eta.csv")}
+    staircase = presets.staircase_support(P=4)
+    # a shifted fine mask, so the file carries shift and fine_mask_rle
+    formats.save_support(
+        CellSupport(T=1.0, L=3, P=4, mask=staircase.mask, shift=(1 / 4, 1 / 12)), p["s.json"]
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen-window", "--L", "3", "--seed", "7", "--out", p["w.json"]]) == 0
+        assert cli.main(
+            [
+                "simulate", "--support", p["s.json"], "--window", p["w.json"], "--seed", "5",
+                "--zak-out", p["z.csv"], "--eta-out", p["eta.csv"],
+            ]
+        ) == 0
+    w, s, z, eta = p["w.json"], p["s.json"], p["z.csv"], p["eta.csv"]
+    commands = {  # each ends with the flag that takes the corrupted file
+        "w.json": ["spark", "--window"],
+        "s.json": ["identify", "--window", w, "--zak", z, "--support"],
+        "z.csv": ["identify", "--window", w, "--support", s, "--eta-true", eta, "--zak"],
+        "eta.csv": ["simulate", "--window", w, "--eta"],
+    }
+    return d, p, commands
+
+
+EDITS = st.tuples(
+    st.sampled_from(["replace", "insert", "delete", "drop line", "repeat line"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from('0123456789,.-en[]"'),
+)
+
+
+def _edit(text, op, pos, char):
+    """One character replaced, inserted or deleted, or one line dropped or repeated."""
+    n = pos % len(text)
+    lines = text.splitlines(keepends=True)
+    k = pos % len(lines)
+    return {
+        "replace": text[:n] + char + text[n + 1 :],
+        "insert": text[:n] + char + text[n:],
+        "delete": text[:n] + text[n + 1 :],
+        "drop line": "".join(lines[:k] + lines[k + 1 :]),
+        "repeat line": "".join(lines[: k + 1] + lines[k:]),
+    }[op]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(kind=st.sampled_from(["w.json", "s.json", "z.csv", "eta.csv"]), edit=EDITS)
+def test_corrupted_file_never_crashes(valid_files, kind, edit):
+    d, paths, commands = valid_files
+    bad = d / f"bad_{kind}"
+    bad.write_text(_edit(Path(paths[kind]).read_text(), *edit))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(commands[kind] + [str(bad)])
+    assert code in (0, 2, 3, 4), (code, edit, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.filterwarnings("error")

@@ -129,6 +129,12 @@ def test_generate_window_records_metadata():
     assert spark(build_gabor_matrix(w)) == 6
 
 
+def test_window_validation():
+    for L, weights in ((0, []), (-1, []), (2, [1.0]), (2, [1.0, np.nan]), (2, [np.inf, 0])):
+        with pytest.raises(InvalidParameters):
+            Window(L=L, weights=np.asarray(weights, dtype=complex))
+
+
 def test_generate_window_spark_k_requires_prime():
     with pytest.raises(NoPrimeInRange):
         generate_window(4, target="spark_k", k=2, seed=0)

@@ -40,6 +40,7 @@ def test_sampling_rate_counts_support():
     assert sampling_rate(chirped) == sampling_rate(g)
     # a tiny weight still counts: the train's own rate is the exact-nonzero count
     tiny = _train(1.0, [1, 1e-13, 0])
+    assert tiny.weights.support_size() == 2
     assert tiny.rate == sampling_rate(tiny) == pytest.approx(2.0 / 3.0)
 
 

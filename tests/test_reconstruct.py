@@ -132,8 +132,7 @@ def test_roundtrip_staircase():
 def test_roundtrip_seven_cell():
     S = seven_cell_support(T=1.0, P=8)
     eta, g, G, Z = _roundtrip(S, seed=41)
-    rect = rectify(S)
-    report = recover_eta_known_support(Z, G, S, rect, eta_true=eta)
+    report = recover_eta_known_support(Z, G, S, eta_true=eta)
     assert report.relative_l2_error <= 1e-9
     assert report.formula == "multiclass"
     assert len(report.per_class_conditioning) == 3
@@ -178,6 +177,11 @@ def test_recover_validation():
         recover_eta_known_support(
             np.zeros((12, 4)), G, stacked_cover_violation(L=3, T=1.0, P=4)
         )
+    # a ground truth on another grid is refused, not broadcast or misaligned
+    other_T = random_spreading(staircase_support(T=2.0, P=4), seed=1)
+    for truth in (other_T, np.zeros((24, 24))):
+        with pytest.raises(GridMismatch):
+            recover_eta_known_support(np.zeros((12, 4)), G, S, eta_true=truth)
 
 
 def test_h_sharp_matches_impulse_response():

@@ -207,6 +207,21 @@ def test_recover_unknown_support_nonconvergence():
     assert est.residual_history[-1] > 1e-10
 
 
+def test_full_estimate_is_not_certified():
+    # any L columns of a full-spark G span C^L: an L-cell fit certifies nothing
+    L, P = 3, 4
+    window = generate_window(L, seed=85)
+    G = build_gabor_matrix(window)
+    S = CellSupport(T=1.0, L=L, P=P, cells=[(0, 0), (1, 0), (2, 1)])
+    _, Z, _ = _measurements(S, window, seed=89)
+    R = CellSupport(T=1.0, L=L, P=P, cells=[(q, m) for q in range(L) for m in range(L)])
+    with pytest.raises(NoConvergence) as exc:
+        recover_unknown_support(Z, G, R, k_max=L, tol=1e-10)
+    est = exc.value.estimate
+    assert len(est.gamma_hat) == L
+    assert est.converged
+
+
 def test_candidate_restriction():
     L, P = 3, 4
     window = generate_window(L, seed=85)

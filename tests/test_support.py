@@ -60,6 +60,24 @@ def test_cell_support_rejects_non_finite_T():
             CellSupport(T=T, L=2, P=4, cells=((0, 0),))
 
 
+def test_cell_support_rejects_non_finite_shift():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for shift in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(InvalidParameters):
+                CellSupport(T=1.0, L=2, P=4, cells=((0, 0),), shift=shift)
+
+
+def test_shifted_cells_are_the_folded_footprint():
+    # cells= label the unshifted mask; the shift moves them onto more cells
+    shift = (3 / 8, 2 / 24)
+    S = CellSupport(T=1.0, L=3, P=8, cells=((0, 0), (1, 0), (2, 1)), shift=shift)
+    same = CellSupport(T=1.0, L=3, P=8, mask=S.mask, shift=shift)
+    assert len(S.cells) == 8
+    assert S.cells == same.cells
+    rep = rectify(S)
+    assert rep.gamma == S.cells == tuple(sorted({c for cls in rep.classes for c in cls.cells}))
+
+
 def test_derived_quantities():
     S = CellSupport(T=0.5, L=4, P=8, cells=((0, 0),))
     assert S.omega == pytest.approx(1 / 2.0)
