@@ -107,6 +107,8 @@ class DiscreteSpreadingFunction:
             )
         if np.any(self.values[~self.support.mask] != 0):
             raise InvalidParameters("values must vanish outside the support mask")
+        if not np.all(np.isfinite(self.values)):
+            raise InvalidParameters("spreading values must be finite")
 
     @property
     def grid_l2(self):
@@ -201,21 +203,19 @@ class SystemSample:
         )
 
 
-def _lag_kernel(eta):
-    """h(t_r + d*dt, t_r) for every stored row r and lag d in [0, L*P^2).
+def _lag_kernel(eta, lags):
+    """h(t_r + d*dt, t_r) for every stored row r at the lags d = n*N/lags, n < lags.
 
-    h[r, d] = dnu * sum_s values[r, s] * exp(2*pi*i*(j0+s)*d/N): place the
-    stored nu-lines at their frequencies and take one exact inverse DFT per row.
+    h[r, n] = dnu * sum_s values[r, s] * exp(2*pi*i*(j0+s)*n/lags), N = L*P^2,
+    lags dividing N: the phase has period lags in j0+s, so the stored nu-lines
+    fold mod lags (colliding lines add) and one exact inverse DFT of that
+    length per row gives every lag.
     """
     S = eta.support
-    N = S.L * S.P * S.P
-    rows, cols = eta.values.shape
-    if cols > N:
-        raise GridMismatch("support mask wider than one nu-superperiod")
-    V = np.zeros((rows, N), dtype=complex)
-    slots = (S.offsets[1] + np.arange(cols)) % N
-    V[:, slots] = eta.values
-    return S.dnu * N * np.fft.ifft(V, axis=1)
+    V = np.zeros((eta.values.shape[0], lags), dtype=complex)
+    slots = (S.offsets[1] + np.arange(eta.values.shape[1])) % lags
+    np.add.at(V, (slice(None), slots), eta.values)
+    return S.dnu * lags * np.fft.ifft(V, axis=1)
 
 
 def _zak_vectors(Zgrid, u, v, L, P):
@@ -245,9 +245,11 @@ def apply_channel(eta, g):
     """Hg on the superperiod grid. Exact: all phases are roots of unity.
 
     The response to the train g = sum_n w_n delta_{nT} is
-    Hg(x) = sum_n w_n h(x, x - nT); on the grid x = k*dt the inner time
-    x - nT hits the stored rows r with r = k - i0 - nP, so each output sample
-    accumulates one term per stored row congruent to k - i0 mod P.
+    Hg(x) = sum_n w_n h(x, x - nT), so it reads h only at lags n*P (in dt).
+    On the grid x = k*dt the inner time x - nT hits stored row r when
+    k = (i0 + r + n*P) mod L*P^2; n runs over one period n < L*P of both h
+    and the weights (whose period L or 2L divides L*P), and every row
+    scatters its L*P terms at once.
     """
     S = eta.support
     if not isinstance(g, IdentifierTrain):
@@ -260,17 +262,11 @@ def apply_channel(eta, g):
 
     L, P = S.L, S.P
     N = L * P * P
-    i0 = S.offsets[0]
-    h_val = _lag_kernel(eta)
-
+    n = np.arange(L * P)
+    h = _lag_kernel(eta, L * P)
+    rows = S.offsets[0] + np.arange(h.shape[0])
     out = np.zeros(N, dtype=complex)
-    for r in range(h_val.shape[0]):
-        k0 = (i0 + r) % P
-        ks = np.arange(k0, N, P)
-        d = ks - (i0 + r)
-        n = d // P
-        w = g.effective_weights(n)
-        out[ks] += w * h_val[r, d % N]
+    np.add.at(out, np.add.outer(rows, n * P) % N, g.effective_weights(n) * h)
     return ChannelResponse(samples=out, x_step=S.dt, T=S.T, L=L, P=P)
 
 
@@ -292,14 +288,16 @@ def zak_transform(f, a=None):
 
 
 def inverse_zak(Z, T, L, P):
-    """Response samples from a Zak grid (exact inverse of zak_transform)."""
+    """Response samples from a Zak grid (exact inverse of zak_transform).
+
+    One DFT along nu gives the P rows of the (P, L*P) superperiod reshape in
+    the order zak_transform gathered them; one gather puts them back.
+    """
     Z = np.asarray(Z, dtype=complex)
     if Z.shape != (L * P, P):
         raise GridMismatch(f"expected Zak grid of shape ({L * P}, {P}), got {Z.shape}")
     F = np.fft.fft(Z, axis=1) / P
-    f2 = np.empty((P, L * P), dtype=complex)
-    for n in range(P):
-        f2[(-n) % P] = F[:, n]
+    f2 = F.T[(-np.arange(P)) % P]
     return ChannelResponse(samples=f2.reshape(-1), x_step=T / P, T=T, L=L, P=P)
 
 

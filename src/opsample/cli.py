@@ -127,17 +127,13 @@ def cmd_rectify(args):
 
 def cmd_simulate(args):
     _require(args.eta or args.support, "--eta or --support is required")
-    _require(
-        args.eta or args.eta_seed is not None or _resolve_seed(args) is not None,
-        "need --eta, or --eta-seed/--seed to draw one",
-    )
+    _require(args.eta or _resolve_seed(args) is not None, "need --eta, or --seed to draw one")
     if args.eta:
         eta = _load(formats.load_spreading, args.eta)
         S = eta.support
     else:
         S = _load(formats.load_support, args.support)
-        eta_seed = args.eta_seed if args.eta_seed is not None else _resolve_seed(args)
-        eta = random_spreading(S, seed=eta_seed)
+        eta = random_spreading(S, seed=_resolve_seed(args))
     window = _load(formats.load_window, args.window)
     g = IdentifierTrain(T=S.T, weights=window, chirp_a=args.chirp_a)
     response = apply_channel(eta, g)
@@ -293,7 +289,6 @@ def build_parser():
     p.add_argument("--support", default=None)
     p.add_argument("--window", required=True)
     p.add_argument("--eta", default=None)
-    p.add_argument("--eta-seed", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--chirp-a", type=float, default=0.0)
     p.add_argument("--eta-out", default=None)

@@ -91,8 +91,16 @@ def _mask_from_rle(rle, shape):
     return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(shape)
 
 
+def _require_file_mask(S):
+    """Support and grid files hold the (L*P, L*P) mask their loaders rebuild."""
+    LP = S.L * S.P
+    if S.mask.shape != (LP, LP):
+        raise InvalidParameters(f"files hold a ({LP}, {LP}) mask, got {S.mask.shape}")
+
+
 def save_support(S, path):
     """Support JSON: T, L, P, cells, optional fine_mask_rle, shift."""
+    _require_file_mask(S)
     payload = {
         "T": S.T,
         "L": int(S.L),
@@ -156,6 +164,7 @@ def _read_grid_csv(fh, zak):
 def save_spreading(eta, path):
     """Spreading CSV: one i,j,re,im row per mask point (base-domain indices)."""
     S = eta.support
+    _require_file_mask(S)
     header = (
         f"# T={_fmt(S.T)} L={S.L} P={S.P} t0={_fmt(S.shift[0])} nu0={_fmt(S.shift[1])}"
     )

@@ -140,38 +140,22 @@ def build_gabor_matrix(window):
     return GaborMatrix(L=L, entries=np.hstack(blocks))
 
 
-def _colex_combinations(n, k):
-    """Subsets of range(n) of size k in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for top in range(k - 1, n):
-        for rest in itertools.combinations(range(top), k - 1):
-            yield rest + (top,)
-
-
-def _first_dependent(entries, k, tol, chunk=2048):
-    """Index tuple of the first (colex) dependent k-column subset, or None."""
-    n = entries.shape[1]
-    gen = _colex_combinations(n, k)
-    while True:
-        batch = list(itertools.islice(gen, chunk))
-        if not batch:
-            return None
-        sub = entries[:, np.asarray(batch)]  # (L, B, k)
-        sub = np.transpose(sub, (1, 0, 2))  # (B, L, k)
+def _has_dependent(entries, k, tol, chunk=2048):
+    """True iff some k-column subset of entries is numerically dependent."""
+    subsets = itertools.combinations(range(entries.shape[1]), k)
+    while batch := list(itertools.islice(subsets, chunk)):
+        sub = np.transpose(entries[:, np.asarray(batch)], (1, 0, 2))  # (B, L, k)
         s = np.linalg.svd(sub, compute_uv=False)
-        dependent = s[:, k - 1] <= tol * s[:, 0]
-        hits = np.nonzero(dependent)[0]
-        if hits.size:
-            return batch[hits[0]]
+        if np.any(s[:, k - 1] <= tol * s[:, 0]):
+            return True
+    return False
 
 
 def spark(G, tol=DEFAULT_TOL):
     """Smallest k such that some k columns of G are dependent; L+1 if none up to size L.
 
-    Exhaustive, iterating subsets in colexicographic order and short-circuiting
-    on the first dependent subset.  Enforces L <= 7; note the enumeration at
+    Exhaustive over the k-column subsets, k = 1, 2, ..., short-circuiting on
+    the first dependent subset.  Enforces L <= 7; note the enumeration at
     L in {6, 7} is combinatorially heavy (up to C(49,7) subsets) and is only
     practical for the small L the rest of the package uses.
     """
@@ -181,7 +165,7 @@ def spark(G, tol=DEFAULT_TOL):
             f"exhaustive spark search is limited to L <= {SPARK_SEARCH_LIMIT}, got L={L}"
         )
     for k in range(1, L + 1):
-        if _first_dependent(G.entries, k, tol) is not None:
+        if _has_dependent(G.entries, k, tol):
             return k
     return L + 1
 

@@ -119,6 +119,8 @@ def _validate_grids(Zgrid, G, S):
     Zgrid = np.asarray(Zgrid, dtype=complex)
     if Zgrid.shape != (L * P, P):
         raise GridMismatch(f"Zak grid must have shape ({L * P}, {P}), got {Zgrid.shape}")
+    if not np.all(np.isfinite(Zgrid)):
+        raise InvalidParameters("Zak grid values must be finite")
     if G.L != L:
         raise GridMismatch(f"G has period {G.L}, support has L = {L}")
     return Zgrid
@@ -190,7 +192,7 @@ def reconstruct_h_sharp(report):
     """
     eta = report.eta_hat
     S = eta.support
-    h = _lag_kernel(eta)
+    h = _lag_kernel(eta, S.L * S.P * S.P)
     N = h.shape[1]
     I = S.offsets[0] + np.arange(h.shape[0])
     out = np.empty_like(h)

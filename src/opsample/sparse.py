@@ -60,6 +60,8 @@ def mmv_omp(Y, G, k_max, tol, seed=0, candidates=None, gamma_true=None):
         Y = Y[:, None]
     if Y.ndim != 2 or Y.shape[0] != L:
         raise GridMismatch(f"Y must have L = {L} rows, got shape {Y.shape}")
+    if not np.all(np.isfinite(Y)):
+        raise InvalidParameters("Y must be finite")
     if not 1 <= k_max <= L:
         raise InvalidParameters(f"k_max must lie in [1, {L}]")
     if tol < 0:

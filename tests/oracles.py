@@ -29,8 +29,7 @@ def gabor_matrix_oracle(c):
 
 
 def spark_oracle(entries, tol=1e-9):
-    """Spark by lexicographic scan with numpy matrix_rank (different order and
-    rank routine than the package's colex/SVD-batch path)."""
+    """Spark by a scan of one subset at a time (the package batches its SVDs)."""
     import itertools
 
     L, n = entries.shape

@@ -53,6 +53,13 @@ def test_spreading_validation():
     with pytest.raises(InvalidParameters):
         DiscreteSpreadingFunction(support=S, values=bad)
 
+    r, s = np.argwhere(S.mask)[0]
+    for x in (np.nan, np.inf):
+        bad = good.values.copy()
+        bad[r, s] = x
+        with pytest.raises(InvalidParameters):
+            DiscreteSpreadingFunction(support=S, values=bad)
+
 
 def test_random_spreading_seeded():
     S = staircase_support(T=0.5, P=4)
@@ -135,16 +142,19 @@ def test_impulse_response_validation():
 
 
 def test_apply_channel_matches_oracle():
-    S = staircase_support(T=1.0, P=4)
-    eta = random_spreading(S, seed=11)
+    # the collision preset's overflow rows wrap the scatter past L*P^2; the
+    # wide mask's nu-lines (more than L*P^2 columns) collide in the fold
+    wide = CellSupport(T=1.0, L=3, P=4, mask=np.ones((6, 3 * 4**2 + 2), dtype=bool))
     g = _train(1.0, [1.0, 0.3 - 0.7j, -0.5])
-    got = apply_channel(eta, g)
-    want = channel_response_oracle(
-        eta.values, S.offsets, S.T, S.L, S.P, g.weights.weights
-    )
-    assert got.samples.shape == (S.L * S.P**2,)
-    assert abs(got.x_step - S.T / S.P) < 1e-15
-    np.testing.assert_allclose(got.samples, want, atol=1e-10)
+    for S in (staircase_support(T=1.0, P=4), translate_collision_support(L=3, T=1.0, P=4), wide):
+        eta = random_spreading(S, seed=11)
+        got = apply_channel(eta, g)
+        want = channel_response_oracle(
+            eta.values, S.offsets, S.T, S.L, S.P, g.weights.weights
+        )
+        assert got.samples.shape == (S.L * S.P**2,)
+        assert abs(got.x_step - S.T / S.P) < 1e-15
+        np.testing.assert_allclose(got.samples, want, atol=1e-10)
 
 
 def test_apply_channel_shifted_support_matches_oracle():
@@ -165,15 +175,15 @@ def test_apply_channel_shifted_support_matches_oracle():
 
 
 def test_apply_channel_chirped_matches_oracle():
-    S = staircase_support(T=1.0, P=4)
-    eta = random_spreading(S, seed=2)
     a = 1.0 / 3.0  # kappa = L*T*a = 1, odd: period 6 needs even P
     g = _train(1.0, [1.0, 0.6j, -0.8], chirp_a=a)
-    got = apply_channel(eta, g)
-    want = channel_response_oracle(
-        eta.values, S.offsets, S.T, S.L, S.P, g.weights.weights, chirp_a=a
-    )
-    np.testing.assert_allclose(got.samples, want, atol=1e-10)
+    for S in (staircase_support(T=1.0, P=4), translate_collision_support(L=3, T=1.0, P=4)):
+        eta = random_spreading(S, seed=2)
+        got = apply_channel(eta, g)
+        want = channel_response_oracle(
+            eta.values, S.offsets, S.T, S.L, S.P, g.weights.weights, chirp_a=a
+        )
+        np.testing.assert_allclose(got.samples, want, atol=1e-10)
 
 
 def test_apply_channel_validation():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsample import cli, formats, presets
+from opsample import cli, formats, presets, random_spreading
 from opsample.errors import InvalidParameters
 from opsample.gabor import Window
 from opsample.support import CellSupport
@@ -231,6 +231,15 @@ def test_verify_round_trip(workdir, capsys):
     assert float(lines["system_identity_residual"]) <= 1e-10
     assert float(lines["round_trip_error"]) <= 1e-9
     assert lines["ok"] == "true"
+
+
+def test_spilling_mask_is_refused_before_writing(tmp_path):
+    S = presets.translate_collision_support(L=3, P=4)  # overflow rows: mask 16 x 12
+    for save, obj in ((formats.save_support, S), (formats.save_spreading, random_spreading(S))):
+        path = tmp_path / "out"
+        with pytest.raises(InvalidParameters):
+            save(obj, str(path))
+        assert not path.exists()
 
 
 def test_exit_codes(workdir, capsys):

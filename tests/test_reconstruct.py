@@ -182,6 +182,12 @@ def test_recover_validation():
     for truth in (other_T, np.zeros((24, 24))):
         with pytest.raises(GridMismatch):
             recover_eta_known_support(np.zeros((12, 4)), G, S, eta_true=truth)
+    # a non-finite Zak sample is refused, not solved into a NaN eta or a warning
+    for x in (np.nan, np.inf):
+        Z = np.zeros((12, 4), dtype=complex)
+        Z[0, 0] = x
+        with pytest.raises(InvalidParameters):
+            recover_eta_known_support(Z, G, S)
 
 
 def test_h_sharp_matches_impulse_response():

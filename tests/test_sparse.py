@@ -63,6 +63,17 @@ def test_validation():
     for Y in (np.ones((3, 4)), np.zeros((3, 4))):
         with pytest.raises(RankDeficient):
             mmv_omp(Y, zero, 1, 1e-9)
+    # non-finite measurements are refused, not reported as a NaN residual
+    R = CellSupport(T=1.0, L=3, P=4, cells=[(q, m) for q in range(3) for m in range(3)])
+    for x in (np.nan, np.inf):
+        Y = np.ones((3, 4), dtype=complex)
+        Y[0, 0] = x
+        with pytest.raises(InvalidParameters):
+            mmv_omp(Y, G, 1, 1e-9)
+        Z = np.zeros((12, 4), dtype=complex)
+        Z[0, 0] = x
+        with pytest.raises(InvalidParameters):
+            recover_unknown_support(Z, G, R, 1, 1e-9)
 
 
 def test_zero_measurements():
