@@ -4,11 +4,13 @@ Every run is deterministic given its seed (flag, or the OPSAMPLE_SEED
 environment variable as fallback); re-running a command produces
 byte-identical output files.  Exit codes: 0 success, 2 precondition or usage
 error, 3 numerical failure (floating-point overflow included), 4 I/O failure
-or malformed input file.  Floating-point output is printed with 17
-significant digits so values survive a copy-paste round trip.
+or malformed input file.  Results print through one rule, _show: key=value
+lines, floats at 17 significant digits so values survive a copy-paste round
+trip.  A --report-out file holds the record behind the printed lines.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -83,13 +85,21 @@ def _require(condition, message):
         raise _UsageError(message)
 
 
+def _show(**fields):
+    """Print key=value lines: floats via _fmt, strings as is, else JSON; skip None."""
+    for key, value in fields.items():
+        if isinstance(value, float):
+            print(f"{key}={_fmt(value)}")
+        elif value is not None:
+            print(f"{key}={value if isinstance(value, str) else json.dumps(value)}")
+
+
 def cmd_gen_window(args):
     target = {"full": "full_spark", "spark_k": "spark_k"}[args.target]
     window = generate_window(
         args.L, target=target, k=args.k, seed=_resolve_seed(args), max_draws=args.max_draws
     )
-    certificate = spark(build_gabor_matrix(window))
-    print(f"spark={certificate}")
+    _show(spark=spark(build_gabor_matrix(window)))
     if args.out:
         formats.save_window(window, args.out)
     return 0
@@ -98,7 +108,7 @@ def cmd_gen_window(args):
 def cmd_spark(args):
     window = _load(formats.load_window, args.window)
     G = build_gabor_matrix(window)
-    print(f"spark={spark(G)}")
+    _show(spark=spark(G))
     if args.matrix_out:
         formats.export_gabor_matrix(G, args.matrix_out)
     return 0
@@ -107,21 +117,16 @@ def cmd_spark(args):
 def cmd_rectify(args):
     S = _load(formats.load_support, args.support)
     report = rectify(S)
-    B = bandwidth(S)
-    print("identifiable=true")
-    print(f"classes={len(report.classes)}")
-    print(f"max_cover={report.max_cover}")
-    print(f"bandwidth={_fmt(B)}")
-    print(f"gamma={json.dumps([list(c) for c in report.gamma])}")
+    record = {
+        "identifiable": True,
+        "classes": [[list(c) for c in cls.cells] for cls in report.classes],
+        "max_cover": int(report.max_cover),
+        "bandwidth": bandwidth(S),
+        "gamma": [list(c) for c in report.gamma],
+    }
+    _show(**{**record, "classes": len(report.classes)})
     if args.report_out:
-        payload = {
-            "identifiable": True,
-            "classes": [[list(c) for c in cls.cells] for cls in report.classes],
-            "max_cover": int(report.max_cover),
-            "bandwidth": B,
-            "gamma": [list(c) for c in report.gamma],
-        }
-        formats.save_json(payload, args.report_out)
+        formats.save_json(record, args.report_out)
     return 0
 
 
@@ -144,7 +149,7 @@ def cmd_simulate(args):
         formats.save_response(response, args.response_out)
     if args.zak_out:
         formats.save_zak(Z, S.T, S.L, S.P, args.zak_out)
-    print(f"response_l2={_fmt(np.linalg.norm(response.samples))}")
+    _show(response_l2=np.linalg.norm(response.samples))
     return 0
 
 
@@ -164,14 +169,15 @@ def cmd_identify(args):
     else:
         report = recover_eta_known_support(Z, G, S, eta_true=eta_true)
 
-    print(f"formula={report.formula}")
-    print(f"gamma={json.dumps([list(c) for c in report.eta_hat.support.cells])}")
-    if report.relative_l2_error is not None:
-        print(f"relative_l2_error={_fmt(report.relative_l2_error)}")
+    gamma = [list(c) for c in report.eta_hat.support.cells]
+    error = report.relative_l2_error
+    record = {"formula": report.formula, "gamma": gamma, "relative_l2_error": error}
+    _show(**record)
     if args.eta_out:
         formats.save_spreading(report.eta_hat, args.eta_out)
     if args.report_out:
-        formats.save_json(formats.reconstruction_report_dict(report), args.report_out)
+        record["per_class_conditioning"] = report.per_class_conditioning
+        formats.save_json(record, args.report_out)
     return 0
 
 
@@ -194,15 +200,14 @@ def cmd_recover_support(args):
         failure, estimate = None, report.support_estimate
     except NoConvergence as exc:  # the estimate is still reported
         failure, estimate = exc, exc.estimate
-    print(f"gamma_hat={json.dumps([list(c) for c in estimate.gamma_hat])}")
-    print(f"residual={_fmt(estimate.residual_history[-1])}")
+    record = dataclasses.asdict(estimate)
+    _show(gamma_hat=record["gamma_hat"], residual=record["residual_history"][-1])
     if args.report_out:
-        formats.save_json(formats.support_estimate_dict(estimate), args.report_out)
+        formats.save_json(record, args.report_out)
     if failure:
         print(f"error: {failure}", file=sys.stderr)
         return 3
-    if report.relative_l2_error is not None:
-        print(f"relative_l2_error={_fmt(report.relative_l2_error)}")
+    _show(relative_l2_error=report.relative_l2_error)
     if args.eta_out:
         formats.save_spreading(report.eta_hat, args.eta_out)
     return 0
@@ -215,23 +220,17 @@ def cmd_rates(args):
         window, report = bunched_window_plan(
             S, args.eps, seed=_resolve_seed(args), max_draws=args.max_draws
         )
-        print(f"L={window.L}")
-        print(f"support_count={window.support_size()}")
+        _show(L=window.L, support_count=window.support_size())
         if args.window_out:
             formats.save_window(window, args.window_out)
     else:
         _require(args.window, "rates without --plan requires --window")
         window = _load(formats.load_window, args.window)
         report = rate_report(IdentifierTrain(T=S.T, weights=window), S, eps=args.eps)
-    print(f"rate={_fmt(report.rate)}")
-    print(f"bandwidth={_fmt(report.bandwidth)}")
-    print(f"necessary_ok={str(report.necessary_ok).lower()}")
-    print(f"area={_fmt(report.area)}")
-    if report.sufficient_margin is not None:
-        print(f"sufficient_margin={_fmt(report.sufficient_margin)}")
-    print(f"dead_time_fraction={_fmt(report.dead_time_fraction)}")
+    record = dataclasses.asdict(report)
+    _show(**record)
     if args.report_out:
-        formats.save_json(formats.rate_report_dict(report), args.report_out)
+        formats.save_json(record, args.report_out)
     return 0
 
 
@@ -252,10 +251,8 @@ def cmd_verify(args):
             residual = max(residual, sample.residual(G))
     report = recover_eta_known_support(Z, G, S, eta_true=eta)
 
-    print(f"system_identity_residual={_fmt(residual)}")
-    print(f"round_trip_error={_fmt(report.relative_l2_error)}")
-    ok = residual <= args.tol and report.relative_l2_error <= args.tol
-    print(f"ok={str(ok).lower()}")
+    ok = bool(residual <= args.tol and report.relative_l2_error <= args.tol)
+    _show(system_identity_residual=residual, round_trip_error=report.relative_l2_error, ok=ok)
     return 0 if ok else 3
 
 

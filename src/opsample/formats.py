@@ -9,6 +9,8 @@ float it came from and re-running a command gives byte-identical output.  One
 reader parses the grid tables.  Every loader parses under one rule: a file
 that cannot be read into the expected object raises InvalidParameters naming
 the file, never a parser's KeyError, ValueError, ... (OSError passes through).
+Reports are built in cli and written by save_json.  A support or grid file
+may declare at most L*P = MAX_LP, checked before any array is built.
 """
 
 import json
@@ -20,6 +22,9 @@ from .channel import DiscreteSpreadingFunction
 from .errors import InvalidParameters, OpSampleError
 from .gabor import Window
 from .support import CellSupport
+
+#: largest L*P a support or grid file may declare (its mask has (L*P)^2 points)
+MAX_LP = 4096
 
 #: one body row of a grid CSV
 _GRID_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
@@ -91,8 +96,14 @@ def _mask_from_rle(rle, shape):
     return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(shape)
 
 
+def _require_grid_size(L, P):
+    if L * P > MAX_LP:
+        raise InvalidParameters(f"L*P = {L * P} exceeds the file limit {MAX_LP}")
+
+
 def _require_file_mask(S):
     """Support and grid files hold the (L*P, L*P) mask their loaders rebuild."""
+    _require_grid_size(S.L, S.P)
     LP = S.L * S.P
     if S.mask.shape != (LP, LP):
         raise InvalidParameters(f"files hold a ({LP}, {LP}) mask, got {S.mask.shape}")
@@ -119,6 +130,7 @@ def load_support(path):
     with open(path) as fh, _malformed(path, "support"):
         payload = json.load(fh)
         T, L, P = float(payload["T"]), int(payload["L"]), int(payload["P"])
+        _require_grid_size(L, P)
         shift = tuple(float(x) for x in payload.get("shift", (0.0, 0.0)))
         cells = tuple((int(q), int(m)) for q, m in payload["cells"])
         rle = payload.get("fine_mask_rle")
@@ -142,6 +154,7 @@ def _read_grid_csv(fh, zak):
     shift = (float(fields.get("t0", 0.0)), float(fields.get("nu0", 0.0)))
     if not (np.isfinite(T) and T > 0 and L >= 1 and P >= 1):
         raise InvalidParameters("grid header needs finite T > 0, L >= 1, P >= 1")
+    _require_grid_size(L, P)
     body = fh.readlines()[1:]  # after the column names
     rows = np.zeros(0, _GRID_ROW)
     if any(map(str.strip, body)):  # loadtxt warns on a body without rows
@@ -185,6 +198,7 @@ def load_spreading(path):
 
 def save_zak(Z, T, L, P, path):
     """Zak grid CSV: dense i,j,re,im over the (L*P) x P fundamental cell."""
+    _require_grid_size(L, P)
     i, j = np.divmod(np.arange(L * P * P), P)
     _write_table(path, f"# T={_fmt(T)} L={L} P={P}", ["i", "j", "re", "im"], (i, j), Z[i, j])
 
@@ -203,46 +217,6 @@ def save_response(resp, path):
     header = f"# x_step={_fmt(resp.x_step)} T={_fmt(resp.T)} L={resp.L} P={resp.P}"
     i = np.arange(resp.samples.size)
     _write_table(path, header, ["i", "re", "im"], (i,), resp.samples)
-
-
-def support_estimate_dict(est):
-    """SupportEstimate JSON payload: gamma_hat, residuals, trial metadata."""
-    return {
-        "gamma_hat": [[int(q), int(m)] for q, m in est.gamma_hat],
-        "residual_history": [float(r) for r in est.residual_history],
-        "exact_match": est.exact_match,
-        "seed": None if est.seed is None else int(est.seed),
-        "k_max": int(est.k_max),
-        "tol": float(est.tol),
-    }
-
-
-def reconstruction_report_dict(report):
-    """ReconstructionReport JSON payload (the eta grid travels as CSV)."""
-    payload = {
-        "gamma": [[int(q), int(m)] for q, m in report.eta_hat.support.cells],
-        "per_class_conditioning": [float(c) for c in report.per_class_conditioning],
-        "relative_l2_error": (
-            None if report.relative_l2_error is None else float(report.relative_l2_error)
-        ),
-        "formula": report.formula,
-    }
-    if report.support_estimate is not None:
-        payload["support_estimate"] = support_estimate_dict(report.support_estimate)
-    return payload
-
-
-def rate_report_dict(report):
-    return {
-        "rate": float(report.rate),
-        "bandwidth": float(report.bandwidth),
-        "necessary_ok": bool(report.necessary_ok),
-        "area": float(report.area),
-        "sufficient_margin": (
-            None if report.sufficient_margin is None else float(report.sufficient_margin)
-        ),
-        "dead_time_fraction": float(report.dead_time_fraction),
-    }
 
 
 def save_json(payload, path):

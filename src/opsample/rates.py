@@ -66,6 +66,8 @@ def check_necessary(g, S):
 
 def rate_report(g, S, eps=None):
     """Assemble the full RateReport for an identifier/support pair."""
+    if eps is not None and not np.isfinite(eps):
+        raise InvalidParameters("eps must be finite")
     rate = sampling_rate(g)
     count = g.weights.support_size()
     margin = None if eps is None else S.area * (1.0 + eps) - count / g.L

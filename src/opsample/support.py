@@ -222,6 +222,8 @@ def jordan_rectification_bound(A, B, U, N, eps, sigma=1.0):
     length U and interior area below sigma - eps, every such L admits a
     (sqrt(L), L)-rectification of the recentred support with |Gamma| <= sigma*L.
     """
+    if not np.all(np.isfinite([A, B, U, N, eps, sigma])):
+        raise InvalidParameters("need finite A, B, U, N, eps and sigma")
     if min(A, B, U, eps) <= 0 or N < 1 or int(N) != N:
         raise InvalidParameters("need A, B, U, eps > 0 and integer N >= 1")
     if not 0 < sigma <= 1:

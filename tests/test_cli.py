@@ -242,6 +242,20 @@ def test_spilling_mask_is_refused_before_writing(tmp_path):
         assert not path.exists()
 
 
+def test_grid_over_max_lp_is_refused_before_writing(tmp_path):
+    L, P = 513, 8  # L*P = 4104 > formats.MAX_LP: the loaders would refuse the file
+    S = CellSupport(T=1.0, L=L, P=P, mask=np.ones((1, 1), dtype=bool))
+    writes = (
+        lambda path: formats.save_support(S, path),
+        lambda path: formats.save_zak(np.zeros((L * P, P)), 1.0, L, P, path),
+    )
+    for write in writes:
+        path = tmp_path / "out"
+        with pytest.raises(InvalidParameters, match="exceeds the file limit"):
+            write(str(path))
+        assert not path.exists()
+
+
 def test_exit_codes(workdir, capsys):
     # 4: file missing / unparseable
     code, _, err = run(["spark", "--window", str(workdir / "missing.json")], capsys)
@@ -291,6 +305,8 @@ def test_exit_codes(workdir, capsys):
         ["identify", "--zak", str(workdir / "z.csv"), "--window", window_path,
          "--support", stairs, "--smooth", "--eps", "nan"],
         ["rates", "--support", stairs, "--plan", "--eps", "nan"],
+        ["rates", "--support", stairs, "--window", window_path, "--eps", "nan"],
+        ["rates", "--support", stairs, "--window", window_path, "--eps", "inf"],
     ):
         code, _, err = run(argv, capsys)
         assert code == 2, argv
@@ -324,10 +340,12 @@ def test_bad_grid_csv_exits_4(workdir, capsys):
         "short_row": with_row(zak_lines, 2, "0,0,1\n"),
         "T_nan": with_row(zak_lines, 0, zak_lines[0].replace("T=1 ", "T=nan ")),
         "T_inf": with_row(zak_lines, 0, zak_lines[0].replace("T=1 ", "T=inf ")),
+        "over_bound": with_row(zak_lines, 0, zak_lines[0].replace("L=3 ", "L=513 ")),
     }
     bad_eta = {
         "index": with_row(eta_lines, 2, "999,0,1,0\n"),
         "nan": with_row(eta_lines, 2, eta_lines[2].rsplit(",", 1)[0] + ",nan\n"),
+        "over_bound": with_row(eta_lines, 0, eta_lines[0].replace("L=3 ", "L=513 ")),
     }
     base = ["identify", "--window", window_path, "--support", str(workdir / "stairs.json")]
     cases = [("--zak", text) for text in bad_zak.values()]
@@ -350,6 +368,12 @@ def test_bad_grid_csv_exits_4(workdir, capsys):
     assert code == 3
     assert "error:" in err and "Traceback" not in err
 
+    # the L*P bound refuses the header before the body is read
+    path = workdir / "over_bound.csv"
+    path.write_text(bad_zak["over_bound"])
+    with pytest.raises(InvalidParameters, match="exceeds the file limit"):
+        formats.load_zak(str(path))
+
     # recover-support builds its search region from the header's T
     path = workdir / "bad_header.csv"
     path.write_text(bad_zak["T_nan"])
@@ -366,6 +390,7 @@ def test_malformed_json_exits_4_naming_the_file_once(workdir, capsys, monkeypatc
     cases = {
         "rle.json": {**payload, "fine_mask_rle": 5},  # not a run-length string
         "huge.json": {**payload, "L": 10**7},  # a mask beyond any address space
+        "over_bound.json": {**payload, "L": 513, "P": 8},  # L*P = 4104 > formats.MAX_LP
     }
     for name, bad in cases.items():
         Path(name).write_text(json.dumps(bad))
@@ -558,3 +583,86 @@ def test_floats_print_17_digits(workdir, capsys):
     value = out.strip().split("=", 1)[1]
     assert float(value) == float(f"{float(value):.17g}")
     assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+@pytest.fixture(scope="module")
+def shape_inputs(tmp_path_factory):
+    """A directory with the windows, supports and grids the output-shape runs read."""
+    d = tmp_path_factory.mktemp("shapes")
+    formats.save_support(presets.seven_cell_support(), str(d / "seven.json"))
+    formats.save_support(CellSupport(T=0.5, L=5, cells=[(1, 3), (4, 0)]), str(d / "two.json"))
+    formats.save_support(CellSupport(T=0.5, L=11, cells=[(2, 5), (7, 1)]), str(d / "two11.json"))
+    setup = [
+        ["gen-window", "--L", "3", "--seed", "7", "--out", "w.json"],
+        ["gen-window", "--L", "5", "--seed", "235", "--out", "w5.json"],
+        ["simulate", "--support", "seven.json", "--window", "w.json", "--seed", "11",
+         "--eta-out", "eta.csv", "--zak-out", "zak.csv"],
+        ["simulate", "--support", "two.json", "--window", "w5.json", "--seed", "3",
+         "--eta-out", "eta5.csv", "--zak-out", "zak5.csv"],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in setup:
+            argv = [str(d / a) if a.endswith((".json", ".csv")) else a for a in argv]
+            assert cli.main(argv) == 0
+    return d
+
+
+SHAPES = {  # argv, the printed keys in order, and the --report-out value types (if any)
+    "gen-window": (["gen-window", "--L", "3", "--seed", "7"], ["spark"], None),
+    "spark": (["spark", "--window", "w.json"], ["spark"], None),
+    "rectify": (
+        ["rectify", "--support", "seven.json"],
+        ["identifiable", "classes", "max_cover", "bandwidth", "gamma"],
+        {"identifiable": bool, "classes": list, "max_cover": int, "bandwidth": float,
+         "gamma": list},
+    ),
+    "simulate": (
+        ["simulate", "--support", "seven.json", "--window", "w.json", "--seed", "11"],
+        ["response_l2"],
+        None,
+    ),
+    "identify": (
+        ["identify", "--zak", "zak.csv", "--window", "w.json", "--support", "seven.json",
+         "--eta-true", "eta.csv"],
+        ["formula", "gamma", "relative_l2_error"],
+        {"formula": str, "gamma": list, "relative_l2_error": float,
+         "per_class_conditioning": list},
+    ),
+    "recover-support": (
+        ["recover-support", "--zak", "zak5.csv", "--window", "w5.json", "--kmax", "2",
+         "--eta-true", "eta5.csv"],
+        ["gamma_hat", "residual", "relative_l2_error"],
+        {"gamma_hat": list, "residual_history": list, "exact_match": bool, "k_max": int,
+         "tol": float, "seed": int},
+    ),
+    "rates": (
+        ["rates", "--support", "seven.json", "--window", "w.json"],
+        ["rate", "bandwidth", "necessary_ok", "area", "dead_time_fraction"],
+        {"rate": float, "bandwidth": float, "necessary_ok": bool, "area": float,
+         "sufficient_margin": type(None), "dead_time_fraction": float},
+    ),
+    "rates_plan": (
+        ["rates", "--support", "two11.json", "--plan", "--eps", "1.5", "--seed", "4"],
+        ["L", "support_count", "rate", "bandwidth", "necessary_ok", "area",
+         "sufficient_margin", "dead_time_fraction"],
+        {"rate": float, "bandwidth": float, "necessary_ok": bool, "area": float,
+         "sufficient_margin": float, "dead_time_fraction": float},
+    ),
+    "verify": (
+        ["verify", "--support", "seven.json", "--window", "w.json", "--seed", "11"],
+        ["system_identity_residual", "round_trip_error", "ok"],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, keys, report", SHAPES.values(), ids=SHAPES.keys())
+def test_output_shapes(shape_inputs, tmp_path, capsys, monkeypatch, argv, keys, report):
+    monkeypatch.chdir(shape_inputs)
+    report_path = tmp_path / "report.json"
+    code, out, _ = run(argv + (["--report-out", str(report_path)] if report else []), capsys)
+    assert code == 0
+    assert [line.split("=", 1)[0] for line in out.splitlines()] == keys
+    if report:
+        payload = json.loads(report_path.read_text())
+        assert {key: type(value) for key, value in payload.items()} == report

@@ -85,6 +85,9 @@ def test_rate_report_fields():
     # memory K = right edge of cell q=1 -> 2T; dead time 1 - (2T + 2T)/(3T)
     assert rep.dead_time_fraction == pytest.approx(1.0 - 4.0 / 3.0)
     assert rate_report(g, S).sufficient_margin is None
+    for eps in (np.nan, np.inf, -np.inf):  # a margin JSON cannot hold
+        with pytest.raises(InvalidParameters):
+            rate_report(g, S, eps=eps)
 
 
 def test_refine_support_preserves_region():

@@ -224,6 +224,12 @@ def test_jordan_bound_matches_oracle_and_validates():
         jordan_rectification_bound(1, 1, 0.04, 1, 1.0, sigma=1.5)
     with pytest.raises(InvalidParameters):
         jordan_rectification_bound(-1, 1, 0.04, 1, 1.0)
+    for k in range(5):  # A, B, U, N, eps: a NaN passes every "<= 0" guard
+        for bad in (np.nan, np.inf):
+            args = [1, 1, 0.04, 1, 1.0]
+            args[k] = bad
+            with pytest.raises(InvalidParameters):
+                jordan_rectification_bound(*args)
 
 
 def test_union_supports():
