@@ -99,7 +99,7 @@ def cmd_gen_window(args):
     window = generate_window(
         args.L, target=target, k=args.k, seed=_resolve_seed(args), max_draws=args.max_draws
     )
-    _show(spark=spark(build_gabor_matrix(window)))
+    _show(spark=args.L + 1 if target == "full_spark" else args.k + 1)  # certified by the draw
     if args.out:
         formats.save_window(window, args.out)
     return 0

@@ -119,7 +119,9 @@ class CellSupport:
         """Fold the stored mask by (period_i, period_j) subcells, counting multiplicity."""
         i0, j0 = self._offsets
         if (i0, j0) == (0, 0) and self.mask.shape == (period_i, period_j):
-            return self.mask.astype(int)  # the fold is the identity
+            counts = self.mask.view(np.uint8)  # the fold is the identity: no copy
+            counts.flags.writeable = False
+            return counts
         rows, cols = np.nonzero(self.mask)
         flat = (i0 + rows) % period_i * period_j + (j0 + cols) % period_j
         return np.bincount(flat, minlength=period_i * period_j).reshape(period_i, period_j)

@@ -163,3 +163,17 @@ def jordan_bound_oracle(A, B, U, N, eps):
         if max(A, B) <= (L - 1) / 2 and 4 * (U / math.sqrt(L) + N / L) <= eps:
             return L
         L += 1
+
+
+def minors_oracle(entries, tol=1e-9):
+    """True iff every square minor has modulus > tol, one minor at a time over
+    all row and column subsets (the package pairs rows with column-0 subsets)."""
+    import itertools
+
+    L, n = entries.shape
+    for r in range(1, L + 1):
+        for rows in itertools.combinations(range(L), r):
+            for cols in itertools.combinations(range(n), r):
+                if abs(np.linalg.det(entries[np.ix_(rows, cols)])) <= tol:
+                    return False
+    return True

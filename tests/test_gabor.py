@@ -18,7 +18,7 @@ from opsample.gabor import (
     translate,
 )
 
-from oracles import gabor_matrix_oracle, spark_oracle
+from oracles import gabor_matrix_oracle, minors_oracle, spark_oracle
 
 
 def test_translate_wraps():
@@ -188,3 +188,79 @@ def test_full_spark_density():
         if spark(build_gabor_matrix(c)) == 4:
             hits += 1
     assert hits >= 19
+
+
+def _structured_windows(L):
+    """Zeros, roots of unity, {-1, 0, 1}, chirps, ones and a delta at period L."""
+    rng = np.random.default_rng(L)
+    p = np.arange(L)
+    yield np.ones(L)
+    yield np.eye(L)[0]
+    for j in range(1, L):
+        yield np.exp(2j * np.pi * j * p / L)  # roots of unity
+        yield np.exp(1j * np.pi * j * p * (p + L % 2) / L)  # chirp
+    for signs in ((1, -1, 0, 1), (1, 0, -1, 0), (0, 1, 1, -1), (-1, -1, 1, 1)):
+        yield np.array(signs[:L], dtype=float)
+    for k in range(1, L + 1):  # zeros: generic weights on k random indices
+        c = np.zeros(L, dtype=complex)
+        c[rng.choice(L, k, replace=False)] = rng.normal(size=k) + 1j * rng.normal(size=k)
+        yield c
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_spark_matches_oracle_on_structured_windows(L):
+    seen = set()
+    for c in _structured_windows(L):
+        G = build_gabor_matrix(np.asarray(c, dtype=complex))
+        value = spark(G)
+        assert value == spark_oracle(G.entries), c
+        seen.add(value)
+    assert seen == set(range(2, L + 2))
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_spark_matches_oracle_near_tolerance(L):
+    # shrinking the last weight toward zero flips the level-L decision near tol,
+    # where an unsound determinant screen would drop a dependent subset
+    rng = np.random.default_rng(40 + L)
+    seen = set()
+    for _ in range(2):
+        base = rng.uniform(0.5, 1, L) * np.exp(2j * np.pi * rng.uniform(size=L))
+        for delta in (1e-7, 3e-9, 1e-9, 3e-10, 1e-12):
+            c = base.copy()
+            c[-1] *= delta
+            G = build_gabor_matrix(c)
+            value = spark(G)
+            assert value == spark_oracle(G.entries), delta
+            seen.add(value)
+    assert L + 1 in seen and len(seen) > 1
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_minors_nonzero_matches_all_columns_oracle(L):
+    rng = np.random.default_rng(60 + L)
+    windows = list(_structured_windows(L))
+    for _ in range(2):
+        windows.append(rng.uniform(0.5, 1, L) * np.exp(2j * np.pi * rng.uniform(size=L)))
+    for c in windows:
+        G = build_gabor_matrix(np.asarray(c, dtype=complex))
+        assert minors_nonzero(G) is minors_oracle(G.entries), c
+
+
+def test_search_refuses_entries_that_are_not_a_gabor_matrix():
+    rng = np.random.default_rng(9)
+    G = GaborMatrix(L=3, entries=rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9)))
+    with pytest.raises(InvalidParameters):
+        spark(G)
+    with pytest.raises(InvalidParameters):
+        minors_nonzero(G)
+    c = rng.normal(size=3) + 1j * rng.normal(size=3)
+    G = GaborMatrix(L=3, entries=gabor_matrix_oracle(c))
+    assert spark(G) == spark_oracle(G.entries)
+    assert minors_nonzero(G) is minors_oracle(G.entries)
+    with pytest.raises(InvalidParameters):  # no column (0, 0) to build G(c) from
+        GaborMatrix(L=0, entries=np.zeros((0, 0)))
+    entries = gabor_matrix_oracle(c)
+    entries[:, 0] = np.nan
+    with pytest.raises(InvalidParameters):
+        GaborMatrix(L=3, entries=entries)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,25 @@ def test_fold_counts_match_oracle():
         np.testing.assert_array_equal(
             S.fold_counts(pi, pj), fold_count_oracle(mask, S.offsets, pi, pj)
         )
+
+
+def test_unshifted_fold_makes_no_widening_copy():
+    S = CellSupport(T=1.0, L=4, P=512, cells=((0, 0), (1, 2), (3, 1)))
+    assert S.mask.shape == (2048, 2048)
+    tracemalloc.start()
+    try:
+        S.folded_mask()
+        fold_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert check_identifiable(S)
+        check_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(fold_peak, check_peak) < 2 * S.mask.nbytes
+    small = CellSupport(T=1.0, L=3, P=4, mask=np.random.default_rng(6).random((12, 12)) < 0.3)
+    np.testing.assert_array_equal(
+        small.fold_counts(12, 12), fold_count_oracle(small.mask, (0, 0), 12, 12)
+    )
 
 
 def test_fundamental_domain_all_cells():
