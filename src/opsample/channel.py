@@ -203,19 +203,20 @@ class SystemSample:
         )
 
 
-def _lag_kernel(eta, lags):
+def _lag_kernel(S, values, lags):
     """h(t_r + d*dt, t_r) for every stored row r at the lags d = n*N/lags, n < lags.
 
     h[r, n] = dnu * sum_s values[r, s] * exp(2*pi*i*(j0+s)*n/lags), N = L*P^2,
     lags dividing N: the phase has period lags in j0+s, so the stored nu-lines
-    fold mod lags (colliding lines add) and one exact inverse DFT of that
-    length per row gives every lag.
+    of S fold mod lags (colliding lines add) and one exact inverse DFT of that
+    length per row, taken in place, gives every lag.
     """
-    S = eta.support
-    V = np.zeros((eta.values.shape[0], lags), dtype=complex)
-    slots = (S.offsets[1] + np.arange(eta.values.shape[1])) % lags
-    np.add.at(V, (slice(None), slots), eta.values)
-    return S.dnu * lags * np.fft.ifft(V, axis=1)
+    V = np.zeros((values.shape[0], lags), dtype=complex)
+    slots = (S.offsets[1] + np.arange(values.shape[1])) % lags
+    np.add.at(V, (slice(None), slots), values)
+    np.fft.ifft(V, axis=1, out=V)
+    V *= S.dnu * lags
+    return V
 
 
 def _zak_vectors(Zgrid, u, v, L, P):
@@ -263,7 +264,7 @@ def apply_channel(eta, g):
     L, P = S.L, S.P
     N = L * P * P
     n = np.arange(L * P)
-    h = _lag_kernel(eta, L * P)
+    h = _lag_kernel(S, eta.values, L * P)
     rows = S.offsets[0] + np.arange(h.shape[0])
     out = np.zeros(N, dtype=complex)
     np.add.at(out, np.add.outer(rows, n * P) % N, g.effective_weights(n) * h)

@@ -96,6 +96,7 @@ def _show(**fields):
 
 def cmd_gen_window(args):
     target = {"full": "full_spark", "spark_k": "spark_k"}[args.target]
+    _require(args.k is None or target == "spark_k", "--k applies only to --target spark_k")
     window = generate_window(
         args.L, target=target, k=args.k, seed=_resolve_seed(args), max_draws=args.max_draws
     )

@@ -185,20 +185,19 @@ def recover_eta_known_support(Zgrid, G, S, eta_true=None, tol=DEFAULT_TOL):
 def reconstruct_h_sharp(report):
     """Time-varying impulse response h(x, t) from a recovered eta.
 
-    One inverse DFT of the recovered samples along nu gives h(t + d*dt, t)
-    at every lag d; each row is then re-indexed to absolute x.  Rows follow
-    the stored t-rows of eta_hat, columns the x-superperiod grid (length
-    L*P^2, step T/P), so row r equals impulse_response(eta_hat, x, t_r).
+    One inverse DFT of the recovered samples along nu gives h(t + d*dt, t) at
+    every lag d.  Row r is moved to absolute x by a phase, not a roll: its
+    samples are first multiplied by exp(-2*pi*i*(j0+s)*I_r/N), I_r = i0 + r,
+    an exact root of unity.  Rows follow the stored t-rows of eta_hat,
+    columns the x-superperiod grid (length N = L*P^2, step T/P), so row r
+    equals impulse_response(eta_hat, x, t_r).
     """
     eta = report.eta_hat
     S = eta.support
-    h = _lag_kernel(eta, S.L * S.P * S.P)
-    N = h.shape[1]
-    I = S.offsets[0] + np.arange(h.shape[0])
-    out = np.empty_like(h)
-    for r in range(h.shape[0]):
-        out[r] = np.roll(h[r], I[r] % N)
-    return out
+    N = S.L * S.P * S.P
+    (i0, j0), (rows, cols) = S.offsets, eta.values.shape
+    origin = _unit_phase(-np.multiply.outer(i0 + np.arange(rows), j0 + np.arange(cols)), N)
+    return _lag_kernel(S, eta.values * origin, N)
 
 
 @dataclass(eq=False)

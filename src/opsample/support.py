@@ -147,7 +147,7 @@ class PartitionClass:
 @dataclass(eq=False)
 class RectificationReport:
     gamma: tuple  # union of active cells
-    classes: list  # PartitionClass entries, deterministic order
+    classes: list  # PartitionClass entries, ascending row-major occupancy patterns (see rectify)
     max_cover: int  # essential supremum of the periodization count
     identifiable: bool
 
@@ -184,7 +184,9 @@ def rectify(S):
 
     Each base subcell (u, v) is occupied by the cells (q, m) whose folded copy
     of S covers (u + qP, v + mP); subcells sharing a pattern form one class.
-    Requires check_identifiable(S).
+    Classes come in ascending lexicographic order of their occupancy patterns,
+    read as bit tuples over the cells in row-major order (q, then m), with
+    False before True.  Requires check_identifiable(S).
     """
     counts, cover, identifiable = _folds(S)
     if not identifiable:
@@ -192,14 +194,15 @@ def rectify(S):
             "support violates the fold conditions (fundamental domain / L-cover)"
         )
     L, P = S.L, S.P
-    # occ[u, v, q*L + m] = folded[u + q*P, v + m*P]
-    occ = (counts > 0).reshape(L, P, L, P).transpose(1, 3, 0, 2).reshape(P, P, L * L)
-    flat = occ.reshape(P * P, L * L)
-    patterns, inverse = np.unique(flat, axis=0, return_inverse=True)
+    # flat[u*P + v, q*L + m] = folded[u + q*P, v + m*P]
+    flat = (counts > 0).reshape(L, P, L, P).transpose(1, 3, 0, 2).reshape(P * P, L * L)
+    # big-endian packing: byte order is bit order, so sorting the keys sorts the patterns
+    packed = np.packbits(flat, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     classes = []
-    for idx in range(patterns.shape[0]):
-        bits = np.nonzero(patterns[idx])[0]
-        cells = tuple((int(b) // L, int(b) % L) for b in bits)
+    for idx, row in enumerate(first):
+        cells = tuple((int(b) // L, int(b) % L) for b in np.flatnonzero(flat[row]))
         points = (inverse == idx).reshape(P, P)
         classes.append(PartitionClass(cells=cells, points=points))
     return RectificationReport(

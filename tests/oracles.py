@@ -74,6 +74,29 @@ def occupancy_oracle(mask, offsets, L, P):
     return occ
 
 
+def rectify_oracle(mask, offsets, L, P):
+    """Rectification classes [(cells, points)] in the documented order.
+
+    Base points are grouped by their occupancy_oracle cell set; the groups are
+    sorted by the bit tuple over the cells (q, m) in row-major order, with
+    False before True.  cells is row-major, points a boolean (P, P) grid.
+    """
+    groups = {}
+    for (u, v), cells in occupancy_oracle(mask, offsets, L, P).items():
+        groups.setdefault(cells, []).append((u, v))
+    ordered = sorted(
+        groups.items(),
+        key=lambda item: tuple((q, m) in item[0] for q in range(L) for m in range(L)),
+    )
+    classes = []
+    for cells, members in ordered:
+        points = np.zeros((P, P), dtype=bool)
+        for u, v in members:
+            points[u, v] = True
+        classes.append((tuple(sorted(cells)), points))
+    return classes
+
+
 def impulse_response_oracle(values, offsets, dnu, x, row):
     """h(x, t_row) = dnu * sum_s values[row, s] * exp(2*pi*i*nu_s*(x - t_row))."""
     i0, j0 = offsets

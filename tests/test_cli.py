@@ -292,6 +292,7 @@ def test_exit_codes(workdir, capsys):
         ["identify", "--zak", str(workdir / "z.csv"), "--window", window_path,
          "--support", stairs, "--smooth"],
         ["rates", "--support", stairs, "--plan"],
+        ["gen-window", "--L", "3", "--k", "7", "--seed", "1"],
     ):
         code, _, err = run(argv, capsys)
         assert code == 2 and "usage error:" in err

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,10 +192,10 @@ def test_recover_validation():
 
 
 def test_h_sharp_matches_impulse_response():
-    shifted = CellSupport(
-        T=1.0, L=3, P=8, cells=staircase_support().cells, shift=(3 / 8, 2 / 24)
-    )
-    for S in (staircase_support(T=1.0, P=8), seven_cell_support(P=8), shifted):
+    cells = staircase_support().cells
+    shifted = CellSupport(T=1.0, L=3, P=8, cells=cells, shift=(3 / 8, 2 / 24))
+    negative = CellSupport(T=1.0, L=3, P=8, cells=cells, shift=(-5 / 8, -3 / 24))
+    for S in (staircase_support(T=1.0, P=8), seven_cell_support(P=8), shifted, negative):
         eta, g, G, Z = _roundtrip(S, seed=44)
         report = recover_eta_known_support(Z, G, S, eta_true=eta)
         h = reconstruct_h_sharp(report)
@@ -226,6 +227,19 @@ def test_h_sharp_point_mass_ridge():
         want = S.dnu * values[r0, s0] * cmath.exp(2j * math.pi * s0 * (k - r0) / N)
         assert abs(h[r0, k] - want) < 1e-12
     assert np.max(np.abs(h[[r for r in range(12) if r != r0]])) == 0
+
+
+def test_h_sharp_allocates_little_beyond_its_output():
+    S = seven_cell_support(P=32)
+    eta, _, G, Z = _roundtrip(S, seed=46)
+    report = recover_eta_known_support(Z, G, S, eta_true=eta)
+    tracemalloc.start()
+    try:
+        h = reconstruct_h_sharp(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * h.nbytes
 
 
 def test_h_sharp_sinc_case():

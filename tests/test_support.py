@@ -22,7 +22,7 @@ from opsample.support import (
     union_supports,
 )
 
-from oracles import fold_count_oracle, jordan_bound_oracle, occupancy_oracle
+from oracles import fold_count_oracle, jordan_bound_oracle, occupancy_oracle, rectify_oracle
 
 
 def test_cell_support_builds_full_cell_mask():
@@ -176,6 +176,43 @@ def test_seven_cell_matches_occupancy_oracle():
     for cls in rep.classes:
         for u, v in zip(*np.nonzero(cls.points)):
             assert occ[(u, v)] == frozenset(cls.cells)
+
+
+def _random_identifiable_mask(rng, L, P):
+    """(L*P)^2 mask whose base points each take one of a few patterns of at
+    most L cells, so the fold conditions hold and classes repeat."""
+    pool = [rng.choice(L * L, size=rng.integers(0, L + 1), replace=False) for _ in range(6)]
+    mask = np.zeros((L * P, L * P), dtype=bool)
+    for u in range(P):
+        for v in range(P):
+            for b in pool[rng.integers(len(pool))]:
+                mask[u + (b // L) * P, v + (b % L) * P] = True
+    return mask
+
+
+def test_rectify_class_order_matches_oracle():
+    rng = np.random.default_rng(91)
+    supports = [
+        CellSupport(T=1.0, L=L, P=P, mask=_random_identifiable_mask(rng, L, P))
+        for L in (1, 2, 3, 5, 9)  # L = 9: 81-bit patterns, keys span bytes with padding
+        for P in (1, 3, 4)
+    ]
+    stairs = staircase_support().cells
+    supports += [
+        CellSupport(T=1.0, L=3, P=8, cells=stairs, shift=(3 / 8, 2 / 24)),
+        CellSupport(T=1.0, L=3, P=8, cells=stairs, shift=(-5 / 8, -3 / 24)),
+        CellSupport(
+            T=1.0, L=5, P=3, mask=_random_identifiable_mask(rng, 5, 3), shift=(-2 / 3, 4 / 15)
+        ),
+        seven_cell_support(),
+        sheared_parallelogram_support(),
+    ]
+    for S in supports:
+        classes = rectify(S).classes
+        want = rectify_oracle(S.mask, S.offsets, S.L, S.P)
+        assert [cls.cells for cls in classes] == [cells for cells, _ in want]
+        for cls, (_, points) in zip(classes, want):
+            np.testing.assert_array_equal(cls.points, points)
 
 
 def test_parallelogram_instance():
