@@ -35,7 +35,7 @@ from .errors import (
     SparkTargetUnmet,
 )
 from .formats import _fmt
-from .gabor import build_gabor_matrix, generate_window, spark
+from .gabor import _check_tol, build_gabor_matrix, generate_window, spark
 from .rates import bunched_window_plan, rate_report
 from .reconstruct import (
     recover_eta_known_support,
@@ -236,6 +236,7 @@ def cmd_rates(args):
 
 
 def cmd_verify(args):
+    _check_tol(args.tol)
     S = _load(formats.load_support, args.support)
     window = _load(formats.load_window, args.window)
     seed = _resolve_seed(args)

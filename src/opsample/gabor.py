@@ -18,13 +18,17 @@ for generic weights, k+1 for weights on their first k indices with L prime.
 The exhaustive searches run over Heisenberg orbits (Lawrence-Pfander-Walnut,
 JFAA 2005; Malikiosis, ACHA 2015): the unitary M^a T^b maps column (q, m) to a
 unimodular multiple of column (q+b, m+a) and only permutes and phases rows, so
-only the C(L^2-1, k-1) column subsets holding column 0 are checked.  At k = L a
+one column subset per translation orbit is checked: about C(L^2-1, k-1)/k of
+the C(L^2, k).  It is the subset holding column 0 whose bitmask sum 1<<col is
+least among its k translates (each moves one member to column 0).  At k = L a
 batched det screens the square subsets: s_k <= tol*s_1 implies |det| = prod
 s_i <= tol*||A||_F^k, so only |det| <= 2*tol*||A||_F^k (the 2 absorbs LU
 rounding) goes on to the SVD and its rule.  Both hold only for a true G(c).
 """
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +55,8 @@ __all__ = [
 #: default relative singular-value threshold for numerical rank decisions
 DEFAULT_TOL = 1e-9
 
-#: exhaustive spark search is C(L^2, k) subsets; enforced ceiling
+#: exhaustive spark search is one subset per translation orbit, about
+#: C(L^2, k)/L^2; enforced ceiling (L^2 <= 49 keeps a bitmask in int64)
 SPARK_SEARCH_LIMIT = 7
 
 #: minor enumeration ceiling
@@ -154,18 +159,44 @@ def _require_gabor(G):
         raise InvalidParameters("entries are not the Gabor matrix G(c) of their column (0, 0)")
 
 
-def _orbit_subsets(n, k):
-    """The k-subsets of range(n) holding 0, in lexicographic order."""
-    return ((0, *rest) for rest in itertools.combinations(range(1, n), k - 1))
+def _check_tol(tol):
+    """Refuse a NaN, infinite or negative tolerance: every comparison with it would lie."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidParameters(f"tol must be finite and nonnegative, got {tol}")
+
+
+@functools.lru_cache(maxsize=None)  # keyed by (L, k): at most 28 tables for L <= 7
+def _orbit_table(L, k):
+    """One k-subset of the L^2 columns per translation orbit, as read-only uint8 rows.
+
+    Row r is the subset holding column 0 whose bitmask is least among its k
+    translates (module docstring); rows come in lexicographic order.
+    """
+    q, m = np.divmod(np.arange(L * L), L)
+    # bit[t, c]: the bit of column c under the translate (q, m) -> (q-q_t, m-m_t) taking t to 0
+    bit = np.left_shift(1, (q - q[:, None]) % L * L + (m - m[:, None]) % L, dtype=np.int64)
+    rest = itertools.combinations(range(1, L * L), k - 1)  # lexicographic
+    total = math.comb(L * L - 1, k - 1)
+    rows = []
+    for start in range(0, total, 4096):
+        B = min(4096, total - start)
+        cols = np.zeros((B, k), dtype=np.uint8)  # column 0, then k-1 others
+        flat = itertools.chain.from_iterable(itertools.islice(rest, B))
+        cols[:, 1:] = np.fromiter(flat, np.uint8, B * (k - 1)).reshape(B, k - 1)
+        masks = bit[cols[:, :, None], cols[:, None, :]].sum(axis=2)  # (B, k), member t at 0
+        rows.append(cols[masks[:, 0] == masks.min(axis=1)])
+    table = np.concatenate(rows)
+    table.flags.writeable = False
+    return table
 
 
 def _has_dependent(entries, k, tol, chunk=2048):
     """True iff some k-column subset of a Gabor matrix is numerically dependent."""
     unit = entries / (np.abs(entries).max() or 1.0)  # the screen neither overflows nor underflows
     sq_norms = np.sum(np.abs(unit) ** 2, axis=0)
-    subsets = _orbit_subsets(entries.shape[1], k)
-    while batch := list(itertools.islice(subsets, chunk)):
-        cols = np.asarray(batch)
+    table = _orbit_table(entries.shape[0], k)
+    for start in range(0, len(table), chunk):
+        cols = table[start : start + chunk]
         if k == entries.shape[0]:  # det screen on the square subsets (module docstring)
             dets = np.abs(np.linalg.det(np.transpose(unit[:, cols], (1, 0, 2))))
             cols = cols[dets <= 2 * tol * sq_norms[cols].sum(axis=1) ** (k / 2)]
@@ -179,15 +210,18 @@ def _has_dependent(entries, k, tol, chunk=2048):
 def spark(G, tol=DEFAULT_TOL):
     """Smallest k such that some k columns of G are dependent; L+1 if none up to size L.
 
-    Orbit search with a det screen (module docstring), k = 1, 2, ..., stopping
-    at the first dependent subset: ~40 ms at L = 5, ~1.5 s at L = 6.  Enforces
-    L <= 7 and refuses entries that are not a Gabor matrix G(c).
+    One subset per translation orbit with a det screen (module docstring),
+    k = 1, 2, ..., stopping at the first dependent subset: ~8 ms at L = 5,
+    ~0.2 s at L = 6 (plus a one-time ~0.4 s table build).  Enforces L <= 7,
+    a finite nonnegative tol, and refuses entries that are not a Gabor matrix
+    G(c).
     """
     L = G.L
     if L > SPARK_SEARCH_LIMIT:
         raise SearchBudgetExceeded(
             f"exhaustive spark search is limited to L <= {SPARK_SEARCH_LIMIT}, got L={L}"
         )
+    _check_tol(tol)
     _require_gabor(G)
     for k in range(1, L + 1):
         if _has_dependent(G.entries, k, tol):
@@ -206,6 +240,8 @@ def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):
     if L < 1:
         raise InvalidParameters("L must be positive")
     if target == "full_spark":
+        if k is not None:
+            raise InvalidParameters("k applies only to the spark_k target")
         support = L
         goal = L + 1
     elif target == "spark_k":
@@ -251,19 +287,20 @@ def minors_nonzero(G, tol=DEFAULT_TOL):
 
     Structurally vanishing minors are exactly zero in floating point up to
     rounding, while generic nonzero minors of unit-scale windows sit many
-    orders of magnitude above the default tolerance.  Column sets hold column 0
-    (module docstring); entries that are not a Gabor matrix G(c) are refused.
+    orders of magnitude above the default tolerance.  One column set per
+    translation orbit and every row set (module docstring); a NaN, infinite or
+    negative tol and entries that are not a Gabor matrix G(c) are refused.
     """
     L = G.L
     if L > MINORS_LIMIT:
         raise SearchBudgetExceeded(
             f"minor enumeration is limited to L <= {MINORS_LIMIT}, got L={L}"
         )
+    _check_tol(tol)
     _require_gabor(G)
     A = G.entries
-    n = A.shape[1]
     for r in range(1, L + 1):
-        col_sets = np.asarray(list(_orbit_subsets(n, r)))
+        col_sets = _orbit_table(L, r)
         for rows in itertools.combinations(range(L), r):
             sub = A[np.asarray(rows)][:, col_sets]  # (r, C, r)
             sub = np.transpose(sub, (1, 0, 2))  # (C, r, r)

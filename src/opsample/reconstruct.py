@@ -40,7 +40,7 @@ from .errors import (
     RankDeficient,
     ShearNotRectifiable,
 )
-from .gabor import DEFAULT_TOL
+from .gabor import DEFAULT_TOL, _check_tol
 from .support import CellSupport, rectify
 
 __all__ = [
@@ -83,13 +83,15 @@ def left_inverse(G, gamma, omega, tol=DEFAULT_TOL):
 
     gamma is reordered row-major (q, then m); the coefficient rows inherit
     that order.  Raises RankDeficient when |Gamma| > L or the restricted
-    matrix is numerically rank-deficient at relative tolerance tol.
+    matrix is numerically rank-deficient at relative tolerance tol (which
+    must be finite and nonnegative).
     """
     gamma = tuple(sorted((int(q), int(m)) for q, m in gamma))
     if not gamma:
         raise InvalidParameters("gamma must contain at least one cell")
     if omega <= 0:
         raise InvalidParameters("omega must be positive")
+    _check_tol(tol)
     L = G.L
     if len(set(gamma)) != len(gamma):
         raise InvalidParameters("gamma contains repeated cells")

@@ -19,6 +19,7 @@ import numpy as np
 
 from .channel import _zak_vectors
 from .errors import GridMismatch, InvalidParameters, NoConvergence, RankDeficient
+from .gabor import _check_tol
 from .reconstruct import _validate_grids, recover_eta_known_support
 from .support import CellSupport, check_identifiable, periodization_count, union_supports
 
@@ -64,8 +65,7 @@ def mmv_omp(Y, G, k_max, tol, seed=0, candidates=None, gamma_true=None):
         raise InvalidParameters("Y must be finite")
     if not 1 <= k_max <= L:
         raise InvalidParameters(f"k_max must lie in [1, {L}]")
-    if tol < 0:
-        raise InvalidParameters("tol must be nonnegative")
+    _check_tol(tol)
 
     limit = 4 * L * L
     if Y.shape[1] > limit:

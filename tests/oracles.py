@@ -42,6 +42,25 @@ def spark_oracle(entries, tol=1e-9):
     return L + 1
 
 
+def orbit_oracle(L, k):
+    """The k-subsets of the L^2 Gabor columns (column q*L + m) partitioned into
+    translation orbits by brute force: a list of sets of sorted tuples."""
+    import itertools
+
+    seen, orbits = set(), []
+    for subset in itertools.combinations(range(L * L), k):
+        if subset in seen:
+            continue
+        orbit = set()
+        for b in range(L):
+            for a in range(L):
+                moved = [((col // L + b) % L) * L + (col % L + a) % L for col in subset]
+                orbit.add(tuple(sorted(moved)))
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
 def fold_count_oracle(mask, offsets, period_i, period_j):
     """Fold the stored boolean mask by (period_i, period_j) in subcell units."""
     i0, j0 = offsets
@@ -190,7 +209,8 @@ def jordan_bound_oracle(A, B, U, N, eps):
 
 def minors_oracle(entries, tol=1e-9):
     """True iff every square minor has modulus > tol, one minor at a time over
-    all row and column subsets (the package pairs rows with column-0 subsets)."""
+    all row and column subsets (the package pairs rows with one column subset
+    per translation orbit)."""
     import itertools
 
     L, n = entries.shape

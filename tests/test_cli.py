@@ -297,7 +297,7 @@ def test_exit_codes(workdir, capsys):
         code, _, err = run(argv, capsys)
         assert code == 2 and "usage error:" in err
 
-    # 2: off-grid or non-finite chirp rate, non-finite eps
+    # 2: off-grid or non-finite chirp rate, non-finite eps or tol
     for argv in (
         ["simulate", "--support", stairs, "--window", window_path, "--seed", "5",
          "--chirp-a", "0.1"],
@@ -308,6 +308,12 @@ def test_exit_codes(workdir, capsys):
         ["rates", "--support", stairs, "--plan", "--eps", "nan"],
         ["rates", "--support", stairs, "--window", window_path, "--eps", "nan"],
         ["rates", "--support", stairs, "--window", window_path, "--eps", "inf"],
+        ["recover-support", "--zak", str(workdir / "z.csv"), "--window", window_path,
+         "--kmax", "2", "--tol", "nan"],
+        ["recover-support", "--zak", str(workdir / "z.csv"), "--window", window_path,
+         "--kmax", "2", "--tol", "inf"],
+        ["verify", "--support", stairs, "--window", window_path, "--seed", "5", "--tol", "nan"],
+        ["verify", "--support", stairs, "--window", window_path, "--seed", "5", "--tol", "inf"],
     ):
         code, _, err = run(argv, capsys)
         assert code == 2, argv

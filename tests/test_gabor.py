@@ -9,6 +9,7 @@ from opsample.errors import (
 )
 from opsample.gabor import (
     GaborMatrix,
+    _orbit_table,
     Window,
     build_gabor_matrix,
     generate_window,
@@ -18,7 +19,7 @@ from opsample.gabor import (
     translate,
 )
 
-from oracles import gabor_matrix_oracle, minors_oracle, spark_oracle
+from oracles import gabor_matrix_oracle, minors_oracle, orbit_oracle, spark_oracle
 
 
 def test_translate_wraps():
@@ -148,6 +149,8 @@ def test_generate_window_spark_k_equals_L_is_full():
 def test_generate_window_bad_target():
     with pytest.raises(InvalidParameters):
         generate_window(3, target="nonsense")
+    with pytest.raises(InvalidParameters):  # k belongs to the spark_k target only
+        generate_window(3, k=7)
 
 
 def test_generate_window_budget_failure():
@@ -245,6 +248,29 @@ def test_minors_nonzero_matches_all_columns_oracle(L):
     for c in windows:
         G = build_gabor_matrix(np.asarray(c, dtype=complex))
         assert minors_nonzero(G) is minors_oracle(G.entries), c
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+def test_orbit_table_holds_one_subset_per_translation_orbit(L):
+    for k in range(1, L + 1):
+        table = _orbit_table(L, k)
+        assert table.dtype == np.uint8 and table.shape[1] == k
+        assert not table.flags.writeable
+        rows = {tuple(int(col) for col in row) for row in table}
+        assert len(rows) == len(table) and all(0 in row for row in rows)
+        orbits = orbit_oracle(L, k)
+        assert [len(orbit & rows) for orbit in orbits] == [1] * len(orbits)
+        assert len(table) == len(orbits)
+
+
+def test_searches_refuse_a_nan_infinite_or_negative_tol():
+    G = build_gabor_matrix(np.ones(3))  # spark 2, which an unchecked NaN or negative tol hides as 4
+    for tol in (np.nan, np.inf, -1.0):
+        with pytest.raises(InvalidParameters):
+            spark(G, tol=tol)
+        with pytest.raises(InvalidParameters):
+            minors_nonzero(G, tol=tol)
+    assert spark(G) == spark_oracle(G.entries) == 2
 
 
 def test_search_refuses_entries_that_are_not_a_gabor_matrix():

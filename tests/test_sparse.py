@@ -56,8 +56,9 @@ def test_validation():
         mmv_omp(np.zeros((3, 2)), G, 0, 1e-9)
     with pytest.raises(InvalidParameters):
         mmv_omp(np.zeros((3, 2)), G, 4, 1e-9)
-    with pytest.raises(InvalidParameters):
-        mmv_omp(np.zeros((3, 2)), G, 1, -1.0)
+    for tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameters):
+            mmv_omp(np.zeros((3, 2)), G, 1, tol)
     # an all-zero window has zero dictionary columns
     zero = build_gabor_matrix(Window(L=3, weights=np.zeros(3)))
     for Y in (np.ones((3, 4)), np.zeros((3, 4))):
