@@ -14,7 +14,7 @@ gabor        finite Gabor system matrices G(c), spark certification, window draw
 support      cell supports, identifiability conditions, (T, L)-rectification
 channel      discrete spreading functions, delta-train responses, Zak transform
 reconstruct  left inverses, known-support recovery, smooth and chirped variants
-sparse       unknown-support recovery by joint-sparse greedy decoding
+sparse       unknown-support recovery by rank-aware joint-sparse decoding
 rates        sampling-rate diagnostics and bunched-window planning
 presets      the worked support instances used throughout tests and demos
 formats      JSON/CSV file formats shared with the command line

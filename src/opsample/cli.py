@@ -74,7 +74,7 @@ def _require_zak_T(T, S):
 
 
 def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("OPSAMPLE_SEED")
     return int(env) if env else None
@@ -194,8 +194,7 @@ def cmd_recover_support(args):
     eta_true = _load(formats.load_spreading, args.eta_true) if args.eta_true else None
     try:
         report = recover_unknown_support(
-            Z, G, R, k_max=args.kmax, tol=args.tol, seed=_resolve_seed(args) or 0,
-            eta_true=eta_true,
+            Z, G, R, k_max=args.kmax, tol=args.tol, eta_true=eta_true,
             gamma_true=eta_true.support.cells if eta_true else None,
         )
         failure, estimate = None, report.support_estimate
@@ -313,7 +312,6 @@ def build_parser():
     p.add_argument("--domain", default=None)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--eta-true", default=None)
     p.add_argument("--eta-out", default=None)
     p.add_argument("--report-out", default=None)

@@ -54,7 +54,7 @@ class NonIntegerChirpPeriod(OpSampleError):
 
 
 class NoConvergence(OpSampleError):
-    """Greedy sparse recovery stopped at k_max above tolerance.
+    """Unknown-support recovery certified nothing: residual above tol, or an L-cell estimate.
 
     Carries the partial estimate so callers can inspect the residual history.
     """

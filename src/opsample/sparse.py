@@ -1,15 +1,16 @@
-"""Unknown-support recovery by joint-sparse greedy decoding.
+"""Unknown-support recovery by rank-aware joint-sparse decoding.
 
 At every base-rectangle subcell the Zak samples satisfy Z_vec = G(c) eta_vec
 with eta_vec supported on the active cells of the (unknown) support.  Stacking
-Z-vectors over grid points gives a multiple-measurement-vector problem with a
-common support: greedy orthogonal matching pursuit picks the dictionary column
-with the largest summed squared correlation, re-fits jointly by least squares,
-and stops at the iteration cap or once the relative residual drops below tol.
-A full-spark G makes every L columns independent, so any floor(L/2)-sparse
-solution is unique: a zero-residual estimate of that size is the true support.
-The same fact makes an L-cell estimate worthless: any L columns span C^L and
-fit every Z-vector with zero residual, so recover_unknown_support refuses to
+Z-vectors over grid points gives a multiple-measurement problem Y = G_Gamma X
+with one support Gamma, unique when |Gamma| < (spark(G) - 1 + rank Y) / 2 (the
+MMV rank bound).  Noiseless data with generic eta at P^2 >= |Gamma| points give
+rank Y = |Gamma|, range(Y) the span of the active columns, so a full-spark G
+(spark L + 1) certifies every support of fewer than L cells.  Rank-aware
+selection (RA-ORMP) finds it: an active column, with the chosen span projected
+out, lies in range(residual), and any other column would make at most L columns
+dependent.  The same full spark makes an L-cell estimate worthless: any L
+columns span C^L and fit every Z-vector, so recover_unknown_support refuses to
 certify one.
 """
 
@@ -38,22 +39,27 @@ class SupportEstimate:
     exact_match: bool  # None when no ground truth was supplied
     k_max: int
     tol: float
-    seed: int
 
     @property
     def converged(self):
         return bool(self.residual_history) and self.residual_history[-1] <= self.tol
 
 
-def mmv_omp(Y, G, k_max, tol, seed=0, candidates=None, gamma_true=None):
+def mmv_omp(Y, G, k_max, tol, candidates=None, gamma_true=None):
     """Estimate the active cell set from stacked Z-vectors.
 
     Y: (L, n) matrix whose columns are Z-vectors at grid points (a single
-    vector is accepted).  candidates optionally restricts the dictionary to a
-    cell subset.  Ties in the correlation score break toward the lowest linear
-    column index; when n exceeds 4L^2 the columns are subsampled by a seeded
-    stride.  Non-convergence is reported through the residual history, never
-    raised.
+    vector is accepted); candidates optionally restricts the dictionary to a
+    cell subset.  Y is compressed exactly to R^H (Y^H = QR: at most L columns,
+    the same range and residual norms).  Each step normalizes the candidates
+    with the chosen span projected out and picks the one with the largest
+    norm in range(residual), spanned by its singular directions above tol
+    times the norm of Y; ties go to the lowest linear column index.  The
+    residual is Y with the chosen span projected out.  Selection stops at
+    k_max, at a relative residual of at most tol, or once every candidate
+    lies within relative distance tol of the chosen span, so no column is
+    picked twice.  Non-convergence is reported through the residual history,
+    never raised.
     """
     L = G.L
     Y = np.asarray(Y, dtype=complex)
@@ -67,22 +73,16 @@ def mmv_omp(Y, G, k_max, tol, seed=0, candidates=None, gamma_true=None):
         raise InvalidParameters(f"k_max must lie in [1, {L}]")
     _check_tol(tol)
 
-    limit = 4 * L * L
-    if Y.shape[1] > limit:
-        rng = np.random.default_rng(seed)
-        stride = Y.shape[1] // limit
-        start = int(rng.integers(Y.shape[1]))
-        Y = Y[:, (start + stride * np.arange(limit)) % Y.shape[1]]
-
     if candidates is None:
         cand = np.arange(L * L)
     else:
         cand = np.array(sorted(G.column_index(q, m) for q, m in candidates))
+        if cand.size == 0:
+            raise InvalidParameters("the candidate set (search domain) has no cells")
     A = G.entries[:, cand]
     norms = np.linalg.norm(A, axis=0)
     if not np.all(norms > 0):
         raise RankDeficient("the dictionary has zero columns (all-zero window)")
-    An = A / norms
 
     def finish(chosen, history):
         gamma_hat = tuple(
@@ -97,23 +97,32 @@ def mmv_omp(Y, G, k_max, tol, seed=0, candidates=None, gamma_true=None):
             exact_match=exact,
             k_max=k_max,
             tol=tol,
-            seed=seed,
         )
 
+    Y = np.linalg.qr(Y.conj().T, mode="r").conj().T  # R^H
     norm_y = np.linalg.norm(Y)
     if norm_y == 0:
         return finish([], [0.0])
 
-    chosen = []
-    history = []
+    chosen, history = [], []
+    basis = np.zeros((L, 0), dtype=complex)  # orthonormal, spans the chosen columns
     residual = Y
     for _ in range(k_max):
-        scores = np.sum(np.abs(An.conj().T @ residual) ** 2, axis=1)
-        scores[chosen] = -1.0
-        chosen.append(int(np.argmax(scores)))
-        sel = A[:, chosen]
-        coef, *_ = np.linalg.lstsq(sel, Y, rcond=None)
-        residual = Y - sel @ coef
+        U, s, _ = np.linalg.svd(residual, full_matrices=False)
+        U = U[:, s > tol * norm_y]  # orthonormal basis of range(residual)
+        proj = A - basis @ (basis.conj().T @ A)
+        proj_norms = np.linalg.norm(proj, axis=0)
+        fresh = proj_norms > tol * norms  # columns that add a direction
+        fresh[chosen] = False
+        if not fresh.any():
+            break
+        scores = np.full(len(cand), -1.0)
+        scores[fresh] = np.linalg.norm(U.conj().T @ proj[:, fresh], axis=0) / proj_norms[fresh]
+        j = int(np.argmax(scores))
+        chosen.append(j)
+        b = proj[:, j] - basis @ (basis.conj().T @ proj[:, j])  # orthogonalized twice
+        basis = np.column_stack([basis, b / np.linalg.norm(b)])
+        residual = Y - basis @ (basis.conj().T @ Y)
         history.append(float(np.linalg.norm(residual) / norm_y))
         if history[-1] <= tol:
             break
@@ -138,14 +147,15 @@ def verify_uniqueness_class(S1, S2, Delta):
     return check_identifiable(union_supports(S1, S2))
 
 
-def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=0, eta_true=None, gamma_true=None):
+def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None, eta_true=None, gamma_true=None):
     """Estimate the support from the Zak grid, then recover eta on it.
 
     R bounds the candidate region (its cells form the dictionary); the
     estimated cells are materialized as full cells of R's grid and passed to
     recover_eta_known_support.  Raises NoConvergence (with the estimate
-    attached) when the greedy residual stays above tol or the estimate has L
-    cells, which fit any data.
+    attached) when the residual stays above tol or the estimate has L cells,
+    which fit any data.  seed is accepted and ignored: the decoder draws
+    nothing.
     """
     L, P = R.L, R.P
     Zgrid = _validate_grids(Zgrid, G, R)
@@ -153,9 +163,7 @@ def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=0, eta_true=None, gamm
     Y = _zak_vectors(Zgrid, u, v, L, P)
 
     candidates = None if len(R.cells) == L * L else R.cells
-    est = mmv_omp(
-        Y, G, k_max, tol, seed=seed, candidates=candidates, gamma_true=gamma_true
-    )
+    est = mmv_omp(Y, G, k_max, tol, candidates=candidates, gamma_true=gamma_true)
     if not est.converged:
         raise NoConvergence(
             f"relative residual {est.residual_history[-1]:.3e} above tol = {tol} "

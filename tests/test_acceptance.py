@@ -177,7 +177,7 @@ def test_criterion_4_identifiability_geometry():
 
 
 def test_criterion_5_unknown_support():
-    """100 noiseless two-cell trials at L=5: at least 95 exact recoveries."""
+    """100 noiseless two-cell trials at L=5: every one an exact recovery."""
     L, P, k = 5, 8, 2
     window = generate_window(L, seed=235)
     G = build_gabor_matrix(window)
@@ -193,7 +193,7 @@ def test_criterion_5_unknown_support():
         eta, Z = _simulate(S, window, eta_seed=5_000 + trial)
         try:
             report = recover_unknown_support(
-                Z, G, R, k_max=k, tol=1e-10, seed=trial, eta_true=eta, gamma_true=cells
+                Z, G, R, k_max=k, tol=1e-10, eta_true=eta, gamma_true=cells
             )
         except NoConvergence:
             failures.append(trial)
@@ -206,7 +206,7 @@ def test_criterion_5_unknown_support():
         assert report.relative_l2_error <= 1e-9
         exact += 1
 
-    assert exact >= 95, f"only {exact}/100 exact (failed trials: {failures})"
+    assert exact == 100, f"only {exact}/100 exact (failed trials: {failures})"
     _ok(5, "unknown support", f"{exact}/100 exact, failures={failures}")
 
 

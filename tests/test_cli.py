@@ -460,6 +460,29 @@ def test_recover_support_full_estimate_exits_3(workdir, capsys, monkeypatch):
     assert "error:" in err
 
 
+def test_recover_support_domain_edge_cases(workdir, capsys, monkeypatch):
+    # an empty search domain is a precondition error; a one-cell domain
+    # offers its cell once, so --kmax 2 stops after one pick
+    monkeypatch.chdir(workdir)
+    run(["gen-window", "--L", "3", "--seed", "7", "--out", "w.json"], capsys)
+    run(
+        ["simulate", "--support", "stairs.json", "--window", "w.json", "--seed", "5",
+         "--zak-out", "z.csv"],
+        capsys,
+    )
+    formats.save_support(CellSupport(T=1.0, L=3, P=8, cells=[]), "empty.json")
+    formats.save_support(CellSupport(T=1.0, L=3, P=8, cells=[(0, 2)]), "one.json")
+    base = ["recover-support", "--zak", "z.csv", "--window", "w.json", "--kmax", "2"]
+    code, out, err = run(base + ["--domain", "empty.json"], capsys)
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+    code, out, err = run(base + ["--domain", "one.json"], capsys)
+    assert code == 3
+    lines = dict(line.split("=", 1) for line in out.strip().splitlines())
+    assert json.loads(lines["gamma_hat"]) == [[0, 2]]
+    assert "error:" in err
+
+
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     """Small valid inputs (L = 3, P = 4) of every kind, and the command reading each."""
@@ -640,7 +663,7 @@ SHAPES = {  # argv, the printed keys in order, and the --report-out value types 
          "--eta-true", "eta5.csv"],
         ["gamma_hat", "residual", "relative_l2_error"],
         {"gamma_hat": list, "residual_history": list, "exact_match": bool, "k_max": int,
-         "tol": float, "seed": int},
+         "tol": float},
     ),
     "rates": (
         ["rates", "--support", "seven.json", "--window", "w.json"],
