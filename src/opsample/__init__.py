@@ -36,7 +36,6 @@ from .errors import (
     SearchBudgetExceeded,
     ShearNotRectifiable,
     SparkTargetUnmet,
-    UnsupportedZakPeriod,
 )
 from .gabor import (
     GaborMatrix,

@@ -35,7 +35,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameters,
     NonIntegerChirpPeriod,
-    UnsupportedZakPeriod,
 )
 from .gabor import Window
 from .support import CellSupport
@@ -164,7 +163,8 @@ class IdentifierTrain:
         c = self.weights.weights[np.mod(n, self.L)]
         if kappa == 0:
             return c
-        return c * _chirp_phase(n, kappa, self.L)
+        # the phase is 2L-periodic in kappa; reducing first keeps kappa*n^2 in int64
+        return c * _chirp_phase(n, kappa % (2 * self.L), self.L)
 
 
 @dataclass(eq=False)
@@ -228,6 +228,8 @@ def _zak_vectors(Zgrid, u, v, L, P):
 
 def impulse_response(eta, x, t):
     """h(x, t) for grid-aligned t (a stored row of eta) and arbitrary x."""
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
+        raise InvalidParameters("x and t must be finite")
     S = eta.support
     i0, j0 = S.offsets
     r_float = np.asarray(t) / S.dt - i0
@@ -271,15 +273,11 @@ def apply_channel(eta, g):
     return ChannelResponse(samples=out, x_step=S.dt, T=S.T, L=L, P=P)
 
 
-def zak_transform(f, a=None):
-    """Zak transform of a ChannelResponse with period a = 1/Omega = L*T.
+def zak_transform(f):
+    """Zak transform of a ChannelResponse with period 1/Omega = L*T.
 
     Returns the (L*P, P) grid Z[i, j] over [0, L*T) x [0, Omega).
     """
-    if a is not None and abs(a - f.L * f.T) > 1e-12 * f.L * f.T:
-        raise UnsupportedZakPeriod(
-            f"only the period a = 1/Omega = L*T = {f.L * f.T} is supported"
-        )
     L, P = f.L, f.P
     f2 = f.samples.reshape(P, L * P)
     gathered = np.empty_like(f2)

@@ -29,10 +29,6 @@ class GridMismatch(OpSampleError):
     """Grids/parameters of two objects that must share a discretization disagree."""
 
 
-class UnsupportedZakPeriod(OpSampleError):
-    """The requested Zak period differs from the one the discrete model supports (1/Omega)."""
-
-
 class IndexOutOfRange(OpSampleError):
     """A base-rectangle grid index lies outside [0, P)."""
 

@@ -3,16 +3,29 @@
 For an identifiable support, every base-rectangle subcell (u, v) sees the
 restricted system Z_vec = A_Gamma @ eta_vec with A_Gamma the Gamma-columns of
 G(c).  A left inverse b of A_Gamma (scaled per cell by (1/Omega) e^{2 pi i qm/L})
-turns each Zak sample vector into quasiperiodization values,
+is computed once per rectification class, and X[q, m, u, v] = (b @ Z_vec)_(q,m)
+at each of the class's subcells.  A stored subcell of S that folds onto
+(u + qP, v + mP) after k time translates by L*T then reads
 
-    eta_qp(u + qP, v + mP) = e^{2 pi i v q/(LP)} (b @ Z_vec)_(q,m),
+    eta = e^{2 pi i v q/(LP)} X[q, m, u, v] e^{2 pi i (v + mP) k/P}.
 
-which unfold to the support with the t-translate phases e^{2 pi i j k / P}.
-The sharp path masks by the support indicator; the smooth path blends with a
-raised-cosine partition of unity (r on the t axis, phi_hat on the nu axis),
-which sums to one exactly at grid points; the symplectic path de-chirps the
-response of a chirped train e^{pi i T a n^2} c_n, recovers on the sheared
-support, and shears back.
+All three known-support formulas are this one solve on the exact grid:
+
+- sharp/multiclass reads eta off X at the stored subcells of S;
+- smooth needs no blend: the raised-cosine partition of unity (r on t,
+  phi_hat on nu) is exactly 1.0 at every grid point, because at most two
+  translates overlap (eps < min(T, Omega)/2), their flanks there are a and
+  1 - a at the same argument, and fl(fl(1 - a) + a) = 1;
+- symplectic de-chirps on the Zak grid.  The chirped train
+  e^{pi i T a n^2} c_n makes e^{-pi i a x^2/T} Hg the response of the sheared
+  channel to the plain train.  With kappa = L*T*a, N = L*P^2 and
+  x = i - n*L*P, the chirp e^{-pi i kappa x^2/N} splits into a row phase, a
+  shift of j by kappa*i and (-1)^{kappa*L*n}, so for i < L*P
+
+      Z~[i, j] = e^{-pi i kappa i^2/N} Z[i, (j + kappa*i + s) mod P],
+
+  with s = P/2 when kappa*L is odd and 0 otherwise; recovery solves on the
+  sheared support and shears back.
 """
 
 from dataclasses import dataclass
@@ -20,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    ChannelResponse,
     DiscreteSpreadingFunction,
     _check_chirp_grid,
     _chirp_kappa,
@@ -29,8 +41,6 @@ from .channel import (
     _lag_kernel,
     _unit_phase,
     _zak_vectors,
-    inverse_zak,
-    zak_transform,
 )
 from .errors import (
     GridMismatch,
@@ -89,8 +99,8 @@ def left_inverse(G, gamma, omega, tol=DEFAULT_TOL):
     gamma = tuple(sorted((int(q), int(m)) for q, m in gamma))
     if not gamma:
         raise InvalidParameters("gamma must contain at least one cell")
-    if omega <= 0:
-        raise InvalidParameters("omega must be positive")
+    if not 0 < omega < np.inf:  # rejects nan
+        raise InvalidParameters("omega must be finite and positive")
     _check_tol(tol)
     L = G.L
     if len(set(gamma)) != len(gamma):
@@ -128,24 +138,6 @@ def _validate_grids(Zgrid, G, S):
     return Zgrid
 
 
-def _solve_quasiperiodization(Zgrid, G, S, rect, tol):
-    """Per-class restricted solves: the recovered eta_qp grid and conditioning."""
-    L, P = S.L, S.P
-    LP = L * P
-    eta_qp = np.zeros((LP, LP), dtype=complex)
-    conds = []
-    for cls in rect.classes:
-        if not cls.cells:
-            continue
-        inv = left_inverse(G, cls.cells, S.omega, tol=tol)
-        conds.append(inv.condition_number)
-        us, vs = np.nonzero(cls.points)
-        vals = inv.coefficients @ _zak_vectors(Zgrid, us, vs, L, P)
-        for row, (q, m) in enumerate(inv.gamma):
-            eta_qp[us + q * P, vs + m * P] = _unit_phase(vs * q, LP) * vals[row]
-    return eta_qp, conds
-
-
 def _report(S, values, eta_true, conds, formula):
     """ReconstructionReport for values on S, scored against eta_true when given."""
     error = None
@@ -171,16 +163,27 @@ def recover_eta_known_support(Zgrid, G, S, eta_true=None, tol=DEFAULT_TOL):
     """Recover eta on the known support S from the Zak grid of Hg.
 
     Solves one restricted system per rectification class at each base-rectangle
-    subcell, unfolds the quasiperiodization, and masks by S.  The formula tag
+    subcell into X[q, m, u, v], then reads eta off X at the stored subcells of S
+    with the two root-of-unity phases of the module docstring.  The formula tag
     is "sharp" for single-class supports and "multiclass" otherwise.  Raises
     NotIdentifiable when S violates the fold conditions.
     """
     Zgrid = _validate_grids(Zgrid, G, S)
-    eta_qp, conds = _solve_quasiperiodization(Zgrid, G, S, rectify(S), tol)
-    # unfold: read eta off its quasiperiodization at the stored subcells
+    L, P = S.L, S.P
+    X = np.zeros((L, L, P, P), dtype=complex)
+    conds = []
+    for cls in rectify(S).classes:
+        if not cls.cells:
+            continue
+        inv = left_inverse(G, cls.cells, S.omega, tol=tol)
+        conds.append(inv.condition_number)
+        us, vs = np.nonzero(cls.points)
+        q, m = np.array(inv.gamma).T[:, :, None]
+        X[q, m, us, vs] = inv.coefficients @ _zak_vectors(Zgrid, us, vs, L, P)
     rows, cols, i, j, k = _fold_index(S)
+    (q, u), (m, v) = np.divmod(i, P), np.divmod(j, P)
     values = np.zeros(S.mask.shape, dtype=complex)
-    values[rows, cols] = eta_qp[i, j] * _unit_phase(j * k, S.P)
+    values[rows, cols] = _unit_phase(v * q, L * P) * X[q, m, u, v] * _unit_phase(j * k, P)
     return _report(S, values, eta_true, conds, "sharp" if len(conds) <= 1 else "multiclass")
 
 
@@ -248,8 +251,8 @@ def smooth_windows(T, Omega, eps, P):
     integer multiple of both grid steps T/P and Omega/P (InvalidParameters
     otherwise, so that all window evaluations the recovery needs are exact).
     """
-    if T <= 0 or Omega <= 0 or P < 1:
-        raise InvalidParameters("need T > 0, Omega > 0, P >= 1")
+    if not (0 < T < np.inf and 0 < Omega < np.inf and P >= 1):  # rejects nan
+        raise InvalidParameters("need finite T > 0, finite Omega > 0, P >= 1")
     if not eps > 0:
         raise InvalidParameters("eps must be positive")
     if eps >= min(T, Omega) / 2:
@@ -272,38 +275,16 @@ def smooth_windows(T, Omega, eps, P):
     )
 
 
-def _blend_weights(S, windows):
-    """Window blend W = (sum_q r(t - qT)) * (sum_m phi_hat(nu - m Omega)) at
-    the stored subcells of S; exactly one on the support by partition of unity."""
-    P = S.P
-    i0, j0 = S.offsets
-    rows, cols = S.mask.shape
-    I = (i0 + np.arange(rows)).astype(float)
-    J = (j0 + np.arange(cols)).astype(float)
-
-    def axis_sum(d, roll):
-        lo = int(np.floor((d.min() - roll / 2) / P)) - 1
-        hi = int(np.ceil((d.max() + roll / 2) / P)) + 1
-        total = np.zeros(d.shape)
-        for q in range(lo, hi + 1):
-            total += _plateau(d - q * P, P, roll)
-        return total
-
-    wt = axis_sum(I, windows.eps_t_units)
-    wn = axis_sum(J, windows.eps_nu_units)
-    return wt[:, None] * wn[None, :]
-
-
 def recover_eta_smooth(Zgrid, G, S, windows, eta_true=None, tol=DEFAULT_TOL):
-    """Known-support recovery times the raised-cosine window blend.
+    """Known-support recovery under the raised-cosine partition of unity.
 
-    recover_eta_known_support gives the unfolded quasiperiodization on S;
-    each value is then weighted by sum over plane cells of
-    r(t - qT) phi_hat(nu - m Omega) (the same plane value for every
-    overlapping window term).  At grid points the partition of unity makes
-    the blend weight exactly one on S, so the smooth and sharp paths agree;
-    off-grid the windows give the Schwartz-type localization of the
-    continuum formula.
+    The smooth formula weights each recovered value by the window sum
+    sum over plane cells of r(t - qT) phi_hat(nu - m Omega).  On the grid that
+    sum is exactly 1.0 (see the module docstring), so the result is
+    recover_eta_known_support's, bit for bit, tagged "smooth"; off-grid the
+    windows give the Schwartz-type localization of the continuum formula.
+    The windows must be the ones smooth_windows builds for S's grid, so that
+    the exact identity is checked, not assumed.
     """
     if not isinstance(windows, SmoothWindows):
         raise InvalidParameters("windows must come from smooth_windows()")
@@ -313,9 +294,12 @@ def recover_eta_smooth(Zgrid, G, S, windows, eta_true=None, tol=DEFAULT_TOL):
         or windows.P != S.P
     ):
         raise GridMismatch("windows were built for a different (T, Omega, P) grid")
-    sharp = recover_eta_known_support(Zgrid, G, S, tol=tol)
-    values = sharp.eta_hat.values * _blend_weights(S, windows)
-    return _report(S, values, eta_true, sharp.per_class_conditioning, "smooth")
+    built = smooth_windows(S.T, S.omega, windows.eps, S.P)
+    if (windows.eps_t_units, windows.eps_nu_units) != (built.eps_t_units, built.eps_nu_units):
+        raise InvalidParameters("window flank widths differ from smooth_windows() for this eps")
+    report = recover_eta_known_support(Zgrid, G, S, eta_true=eta_true, tol=tol)
+    report.formula = "smooth"
+    return report
 
 
 def recover_symplectic(Zgrid, G, S, a, eta_true=None, tol=DEFAULT_TOL):
@@ -324,9 +308,11 @@ def recover_symplectic(Zgrid, G, S, a, eta_true=None, tol=DEFAULT_TOL):
     The identifier g = sum_n c_n e^{pi i T a n^2} delta_{nT} equals the plain
     train conjugated by chirp multiplication, so e^{-pi i a x^2 / T} Hg is the
     response of the sheared channel eta~(t, nu) = e^{-pi i a t^2/T} eta(t, nu + at/T)
-    to the plain train.  The routine de-chirps, recovers eta~ on the sheared
-    support, and shears back.  Needs kappa = L*T*a integer (the shear moves the
-    nu grid by kappa subcells per t step) and a canonically placed support.
+    to the plain train.  The routine de-chirps the Zak grid directly (a row
+    phase and a shift along nu, see the module docstring), recovers eta~ on the
+    sheared support, and shears back.  Needs kappa = L*T*a integer (the shear
+    moves the nu grid by kappa subcells per t step) and a canonically placed
+    support.  Every phase and index depends on kappa only modulo 2*L*P^2.
     """
     L, P = S.L, S.P
     LP = L * P
@@ -335,22 +321,18 @@ def recover_symplectic(Zgrid, G, S, a, eta_true=None, tol=DEFAULT_TOL):
         raise InvalidParameters(
             "symplectic recovery expects a canonically placed (L*P, L*P) support"
         )
-    kappa = _chirp_kappa(L, S.T, a)
-    _check_chirp_grid(kappa, L, P)
     N = L * P * P
+    kappa = _chirp_kappa(L, S.T, a) % (2 * N)  # reduced before any integer array product
+    _check_chirp_grid(kappa, L, P)
+    i = np.arange(LP)[:, None]
+    j = np.arange(LP)[None, :]
 
-    # de-chirp the response: multiply by e^{-pi i a x^2 / T} on the x grid
-    f = inverse_zak(Zgrid, S.T, L, P)
-    dechirped = f.samples * _chirp_phase(np.arange(N), kappa, N).conj()
-    Zt = zak_transform(
-        ChannelResponse(samples=dechirped, x_step=f.x_step, T=S.T, L=L, P=P)
-    )
+    # de-chirp on the Zak grid: a row phase and a shift along nu (module docstring)
+    s = P // 2 if kappa * L % 2 else 0
+    Zt = _chirp_phase(i, kappa, N).conj() * Zgrid[i, (np.arange(P) + kappa * i + s) % P]
 
     # sheared support: mask~[i, j~] = mask[i, (j~ + kappa i) mod LP]
-    i_idx = np.arange(LP)[:, None]
-    j_idx = np.arange(LP)[None, :]
-    tilde_mask = S.mask[i_idx, (j_idx + kappa * i_idx) % LP]
-    S_tilde = CellSupport(T=S.T, L=L, P=P, mask=tilde_mask)
+    S_tilde = CellSupport(T=S.T, L=L, P=P, mask=S.mask[i, (j + kappa * i) % LP])
     try:
         inner = recover_eta_known_support(Zt, G, S_tilde, tol=tol)
     except NotIdentifiable as exc:
@@ -359,6 +341,6 @@ def recover_symplectic(Zgrid, G, S, a, eta_true=None, tol=DEFAULT_TOL):
         ) from exc
 
     # shear back: eta[i, j] = e^{+pi i a t_i^2 / T} eta~[i, (j - kappa i) mod LP]
-    values = inner.eta_hat.values[i_idx, (j_idx - kappa * i_idx) % LP]
-    values *= _chirp_phase(np.arange(LP), kappa, N)[:, None]
+    values = inner.eta_hat.values[i, (j - kappa * i) % LP]
+    values *= _chirp_phase(i, kappa, N)
     return _report(S, values, eta_true, inner.per_class_conditioning, "symplectic")

@@ -15,7 +15,6 @@ from opsample import (
     IndexOutOfRange,
     InvalidParameters,
     NonIntegerChirpPeriod,
-    UnsupportedZakPeriod,
     Window,
     apply_channel,
     assemble_system,
@@ -141,6 +140,25 @@ def test_impulse_response_validation():
         impulse_response(eta, 0.0, -S.dt)
 
 
+@pytest.mark.parametrize("x, t", [(0.0, np.nan), (0.0, np.inf), (np.nan, 0.0)])
+def test_impulse_response_rejects_non_finite(x, t):
+    eta = random_spreading(staircase_support(T=1.0, P=4), seed=3)
+    with pytest.raises(InvalidParameters):
+        impulse_response(eta, np.array([0.5, x]), t)
+
+
+def test_effective_weights_reduce_large_kappa():
+    # the weights depend on kappa mod 2L: a kappa past int64 keeps the bits of its residue
+    c = [1.0 + 0.5j, -0.25, 2.0]
+    n = np.arange(-7, 15)
+    for big in (2.0**51 + 1, 1e300):  # kappa = 3 * big
+        residue = int(3 * big) % 6
+        np.testing.assert_array_equal(
+            _train(1.0, c, chirp_a=big).effective_weights(n),
+            _train(1.0, c, chirp_a=residue / 3).effective_weights(n),
+        )
+
+
 def test_apply_channel_matches_oracle():
     # the collision preset's overflow rows wrap the scatter past L*P^2; the
     # wide mask's nu-lines (more than L*P^2 columns) collide in the fold
@@ -227,17 +245,6 @@ def test_zak_matches_oracle_and_inverts():
 
     # energy: the Zak cell holds P copies of the superperiod energy
     assert abs(np.sum(np.abs(Z) ** 2) - P * np.sum(np.abs(samples) ** 2)) < 1e-9
-
-    with pytest.raises(UnsupportedZakPeriod):
-        zak_transform(f, a=T)  # only a = L*T is meaningful here
-
-
-def test_zak_period_argument():
-    L, P, T = 3, 4, 1.0
-    rng = np.random.default_rng(1)
-    samples = rng.standard_normal(L * P * P) + 0j
-    f = ChannelResponse(samples=samples, x_step=T / P, T=T, L=L, P=P)
-    np.testing.assert_allclose(zak_transform(f, a=L * T), zak_transform(f), atol=0)
 
 
 def test_quasiperiodize_matches_oracle():

@@ -696,3 +696,30 @@ def test_output_shapes(shape_inputs, tmp_path, capsys, monkeypatch, argv, keys, 
     if report:
         payload = json.loads(report_path.read_text())
         assert {key: type(value) for key, value in payload.items()} == report
+
+
+def test_identify_symplectic_huge_chirp_rate(workdir, capsys):
+    # kappa = L*T*a ~ 3e300 is reduced mod 2*L*P^2 before any integer array product
+    window_path = str(workdir / "w.json")
+    run(["gen-window", "--L", "3", "--seed", "7", "--out", window_path], capsys)
+    para = str(workdir / "para.json")
+    formats.save_support(presets.sheared_parallelogram_support(P=4), para)
+    zak, eta = str(workdir / "z.csv"), str(workdir / "eta.csv")
+    code, _, err = run(
+        [
+            "simulate", "--support", para, "--window", window_path, "--seed", "12",
+            "--chirp-a", "1e300", "--eta-out", eta, "--zak-out", zak,
+        ],
+        capsys,
+    )
+    assert code == 0, err
+    code, out, err = run(
+        [
+            "identify", "--zak", zak, "--window", window_path, "--support", para,
+            "--eta-true", eta, "--symplectic", "1e300",
+        ],
+        capsys,
+    )
+    assert code == 0, err
+    lines = dict(line.split("=", 1) for line in out.strip().splitlines())
+    assert float(lines["relative_l2_error"]) <= 1e-12

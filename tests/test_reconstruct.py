@@ -28,7 +28,7 @@ from opsample import (
     zak_transform,
 )
 from opsample.reconstruct import (
-    _blend_weights,
+    _plateau,
     left_inverse,
     recover_eta_known_support,
     recover_eta_smooth,
@@ -114,6 +114,13 @@ def test_left_inverse_errors():
     Gd = build_gabor_matrix(Window(L=3, weights=np.array([1.0, 0, 0])))
     with pytest.raises(RankDeficient):
         left_inverse(Gd, [(0, 0), (0, 1)], 1.0)
+
+
+@pytest.mark.parametrize("omega", [np.nan, np.inf])
+def test_left_inverse_rejects_non_finite_omega(omega):
+    G = build_gabor_matrix(generate_window(3, seed=8))
+    with pytest.raises(InvalidParameters):
+        left_inverse(G, [(0, 0)], omega)
 
 
 @pytest.mark.filterwarnings("error")
@@ -297,11 +304,30 @@ def test_smooth_windows_validation():
         smooth_windows(1.0, 1.0 / 3.0, 1.0 / 24.0, 8)  # dnu-aligned but not dt-aligned
 
 
+@pytest.mark.parametrize(
+    "T, Omega", [(np.nan, 1 / 3), (1.0, np.nan), (np.inf, 1 / 3), (1.0, np.inf)]
+)
+def test_smooth_windows_rejects_non_finite(T, Omega):
+    with pytest.raises(InvalidParameters):
+        smooth_windows(T, Omega, 1 / 24, 8)
+
+
 def test_smooth_blend_is_one_on_support():
+    # in grid units the periodic sum of plateaus is exactly one at every grid
+    # point for every admissible flank width (roll < P/2), which is why the
+    # smooth path returns the sharp values without weighting them
+    for P in range(1, 33):
+        d = np.arange(-3 * P, 4 * P, dtype=float)
+        for roll in range(1, (P + 1) // 2):
+            total = sum(_plateau(d - q * P, P, roll) for q in range(-4, 5))
+            assert np.all(total == 1.0), (P, roll)
     for S in (staircase_support(T=1.0, P=8), seven_cell_support(T=1.0, P=8)):
         w = smooth_windows(S.T, S.omega, 1.0 / 8.0, S.P)
-        W = _blend_weights(S, w)
-        assert np.all(W[S.mask] == 1.0)
+        rows, cols = np.nonzero(S.mask)
+        axes = ((S.offsets[0] + rows, w.eps_t_units), (S.offsets[1] + cols, w.eps_nu_units))
+        for idx, roll in axes:
+            total = sum(_plateau(idx - q * S.P, S.P, roll) for q in range(-1, 2 * S.L + 1))
+            assert np.all(total == 1.0)
 
 
 def test_recover_smooth_roundtrips_and_agrees_with_sharp():
@@ -313,9 +339,7 @@ def test_recover_smooth_roundtrips_and_agrees_with_sharp():
         assert smooth.relative_l2_error <= 1e-9
         assert smooth.formula == "smooth"
         sharp = recover_eta_known_support(Z, G, S, eta_true=eta)
-        assert (
-            np.max(np.abs(smooth.eta_hat.values - sharp.eta_hat.values)) <= 1e-12
-        )
+        np.testing.assert_array_equal(smooth.eta_hat.values, sharp.eta_hat.values)
 
 
 def test_recover_smooth_one_step_equals_sharp():
@@ -335,6 +359,11 @@ def test_recover_smooth_validation():
         recover_eta_smooth(Z, G, S, w_wrong)
     with pytest.raises(InvalidParameters):
         recover_eta_smooth(Z, G, S, None)
+    # hand-built windows whose flank widths are not the ones eps gives
+    w = smooth_windows(S.T, S.omega, S.dt, S.P)
+    w.eps_t_units = 2
+    with pytest.raises(InvalidParameters):
+        recover_eta_smooth(Z, G, S, w)
 
 
 def test_symplectic_zero_shear_reduces_to_plain():
@@ -367,6 +396,22 @@ def test_symplectic_parallelogram_roundtrip():
         / np.max(np.abs(eta.values))
         <= 1e-9
     )
+
+
+def test_symplectic_large_chirp_rate():
+    # every phase and shift depends on kappa = L*T*a only mod 2*L*P^2 = 96, so
+    # a kappa whose kappa*n^2 (5.76e15 + 1) or kappa itself (3e300) leaves
+    # int64 keeps the bits of its residue
+    S = sheared_parallelogram_support(T=1.0, P=4)
+    for a in ((1 + 96 * 6 * 10**13) / 3, 1e300):
+        residue = int(3 * a) % 96
+        eta, g, G, Z = _roundtrip(S, seed=55, chirp_a=a)
+        report = recover_symplectic(Z, G, S, a, eta_true=eta)
+        assert report.relative_l2_error <= 1e-12
+        _, _, _, Z_small = _roundtrip(S, seed=55, chirp_a=residue / 3)
+        np.testing.assert_array_equal(Z, Z_small)
+        small = recover_symplectic(Z_small, G, S, residue / 3)
+        np.testing.assert_array_equal(report.eta_hat.values, small.eta_hat.values)
 
 
 def test_symplectic_validation():
