@@ -35,7 +35,6 @@ from .errors import (
     RankDeficient,
     SearchBudgetExceeded,
     ShearNotRectifiable,
-    SparkTargetUnmet,
 )
 from .gabor import (
     GaborMatrix,

@@ -32,7 +32,6 @@ from .errors import (
     NoConvergence,
     OpSampleError,
     RankDeficient,
-    SparkTargetUnmet,
 )
 from .formats import _fmt
 from .gabor import _check_tol, build_gabor_matrix, generate_window, spark
@@ -46,7 +45,7 @@ from .reconstruct import (
 from .sparse import recover_unknown_support
 from .support import CellSupport, bandwidth, rectify
 
-NUMERICAL_ERRORS = (RankDeficient, NoConvergence, GenerationFailed, SparkTargetUnmet)
+NUMERICAL_ERRORS = (RankDeficient, NoConvergence, GenerationFailed)
 
 
 class _InputError(Exception):

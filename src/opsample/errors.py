@@ -18,7 +18,7 @@ class SearchBudgetExceeded(OpSampleError):
 
 
 class GenerationFailed(OpSampleError):
-    """Random window generation exhausted its draw budget without meeting the target."""
+    """A random window draw (spark target or bunched plan) spent its budget without success."""
 
 
 class NotIdentifiable(OpSampleError):
@@ -62,7 +62,3 @@ class NoConvergence(OpSampleError):
 
 class NoPrimeInRange(OpSampleError):
     """A prime period was required (bunched plans, spark_k targets) but L is not prime."""
-
-
-class SparkTargetUnmet(OpSampleError):
-    """The bunched-window draw loop could not certify the required restricted ranks."""

@@ -20,10 +20,12 @@ JFAA 2005; Malikiosis, ACHA 2015): the unitary M^a T^b maps column (q, m) to a
 unimodular multiple of column (q+b, m+a) and only permutes and phases rows, so
 one column subset per translation orbit is checked: about C(L^2-1, k-1)/k of
 the C(L^2, k).  It is the subset holding column 0 whose bitmask sum 1<<col is
-least among its k translates (each moves one member to column 0).  At k = L a
-batched det screens the square subsets: s_k <= tol*s_1 implies |det| = prod
-s_i <= tol*||A||_F^k, so only |det| <= 2*tol*||A||_F^k (the 2 absorbs LU
-rounding) goes on to the SVD and its rule.  Both hold only for a true G(c).
+least among its k translates (each moves one member to column 0); this holds
+only for a true G(c).  Every column-dependence decision in the package is one
+scale-free rule, _dependent: s_min <= tol*s_1 on the block's singular values.
+Square blocks are first screened by a batched det: s_k <= tol*s_1 implies
+|det| = prod s_i <= tol*||A||_F^k, so only |det| <= 2*tol*||A||_F^k (the 2
+absorbs LU rounding) goes on to the SVD; this holds for any matrix.
 """
 
 import functools
@@ -52,7 +54,7 @@ __all__ = [
     "is_prime",
 ]
 
-#: default relative singular-value threshold for numerical rank decisions
+#: tol of the package's one rank rule, _dependent, which reads it at call time
 DEFAULT_TOL = 1e-9
 
 #: exhaustive spark search is one subset per translation orbit, about
@@ -160,7 +162,7 @@ def _require_gabor(G):
 
 
 def _check_tol(tol):
-    """Refuse a NaN, infinite or negative tolerance: every comparison with it would lie."""
+    """Refuse a NaN, infinite or negative user tolerance: every comparison with it would lie."""
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidParameters(f"tol must be finite and nonnegative, got {tol}")
 
@@ -190,41 +192,43 @@ def _orbit_table(L, k):
     return table
 
 
-def _has_dependent(entries, k, tol, chunk=2048):
-    """True iff some k-column subset of a Gabor matrix is numerically dependent."""
+def _dependent(s):
+    """The rank rule on descending singular values (last axis): s_min <= DEFAULT_TOL*s_max."""
+    return s[..., -1] <= DEFAULT_TOL * s[..., 0]
+
+
+def _has_dependent(entries, k, chunk=2048):
+    """True iff some k-column subset of a Gabor matrix's rows is dependent (_dependent)."""
     unit = entries / (np.abs(entries).max() or 1.0)  # the screen neither overflows nor underflows
     sq_norms = np.sum(np.abs(unit) ** 2, axis=0)
-    table = _orbit_table(entries.shape[0], k)
+    table = _orbit_table(math.isqrt(entries.shape[1]), k)
     for start in range(0, len(table), chunk):
         cols = table[start : start + chunk]
-        if k == entries.shape[0]:  # det screen on the square subsets (module docstring)
+        if k == entries.shape[0]:  # det screen on square blocks (module docstring)
             dets = np.abs(np.linalg.det(np.transpose(unit[:, cols], (1, 0, 2))))
-            cols = cols[dets <= 2 * tol * sq_norms[cols].sum(axis=1) ** (k / 2)]
-        sub = np.transpose(entries[:, cols], (1, 0, 2))  # (B, L, k)
-        s = np.linalg.svd(sub, compute_uv=False)
-        if np.any(s[:, k - 1] <= tol * s[:, 0]):
+            cols = cols[dets <= 2 * DEFAULT_TOL * sq_norms[cols].sum(axis=1) ** (k / 2)]
+        sub = np.transpose(entries[:, cols], (1, 0, 2))  # (B, rows, k)
+        if np.any(_dependent(np.linalg.svd(sub, compute_uv=False))):
             return True
     return False
 
 
-def spark(G, tol=DEFAULT_TOL):
+def spark(G):
     """Smallest k such that some k columns of G are dependent; L+1 if none up to size L.
 
     One subset per translation orbit with a det screen (module docstring),
     k = 1, 2, ..., stopping at the first dependent subset: ~8 ms at L = 5,
-    ~0.2 s at L = 6 (plus a one-time ~0.4 s table build).  Enforces L <= 7,
-    a finite nonnegative tol, and refuses entries that are not a Gabor matrix
-    G(c).
+    ~0.2 s at L = 6 (plus a one-time ~0.4 s table build).  Enforces L <= 7
+    and refuses entries that are not a Gabor matrix G(c).
     """
     L = G.L
     if L > SPARK_SEARCH_LIMIT:
         raise SearchBudgetExceeded(
             f"exhaustive spark search is limited to L <= {SPARK_SEARCH_LIMIT}, got L={L}"
         )
-    _check_tol(tol)
     _require_gabor(G)
     for k in range(1, L + 1):
-        if _has_dependent(G.entries, k, tol):
+        if _has_dependent(G.entries, k):
             return k
     return L + 1
 
@@ -254,23 +258,22 @@ def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):
     else:
         raise InvalidParameters(f"unknown target {target!r}")
 
-    window = _draw_window(
-        L, support, seed, max_draws, lambda c: spark(build_gabor_matrix(c)) == goal
+    return _draw_window(
+        L, support, seed, max_draws, lambda c: spark(build_gabor_matrix(c)) == goal,
+        f"no window with spark {goal} found in {max_draws} draws (L={L}, seed={seed})",
     )
-    if window is None:
-        raise GenerationFailed(
-            f"no window with spark {goal} found in {max_draws} draws (L={L}, seed={seed})"
-        )
-    return window
 
 
-def _draw_window(L, support, seed, max_draws, accept):
+def _draw_window(L, support, seed, max_draws, accept, failure):
     """Seeded draws of weights on the first `support` indices until accept(c).
 
     Moduli are uniform on [1/2, 1] and phases uniform.  Returns the first
-    accepted Window (with its seed and draw count), or None once max_draws
-    draws are spent.
+    accepted Window (with its seed and draw count); raises GenerationFailed
+    with the message failure once max_draws draws are spent, and refuses a
+    budget below one draw.
     """
+    if max_draws < 1:
+        raise InvalidParameters(f"max_draws must be at least 1, got {max_draws}")
     rng = np.random.default_rng(seed)
     for draw in range(1, max_draws + 1):
         moduli = rng.uniform(0.5, 1.0, size=support)
@@ -279,32 +282,25 @@ def _draw_window(L, support, seed, max_draws, accept):
         c[:support] = moduli * np.exp(1j * phases)
         if accept(c):
             return Window(L=L, weights=c, seed=seed, draws=draw)
-    return None
+    raise GenerationFailed(failure)
 
 
-def minors_nonzero(G, tol=DEFAULT_TOL):
-    """True iff every square minor of every size has modulus > tol.
+def minors_nonzero(G):
+    """True iff every square submatrix of every size is nonsingular under the rank rule.
 
-    Structurally vanishing minors are exactly zero in floating point up to
-    rounding, while generic nonzero minors of unit-scale windows sit many
-    orders of magnitude above the default tolerance.  One column set per
-    translation orbit and every row set (module docstring); a NaN, infinite or
-    negative tol and entries that are not a Gabor matrix G(c) are refused.
+    For each row set of size r, the r-column spark search of the module
+    docstring runs on those rows (one column set per translation orbit, det
+    screen, then _dependent), so the answer does not depend on the window's
+    scale.  Entries that are not a Gabor matrix G(c) are refused.
     """
     L = G.L
     if L > MINORS_LIMIT:
         raise SearchBudgetExceeded(
             f"minor enumeration is limited to L <= {MINORS_LIMIT}, got L={L}"
         )
-    _check_tol(tol)
     _require_gabor(G)
-    A = G.entries
-    for r in range(1, L + 1):
-        col_sets = _orbit_table(L, r)
-        for rows in itertools.combinations(range(L), r):
-            sub = A[np.asarray(rows)][:, col_sets]  # (r, C, r)
-            sub = np.transpose(sub, (1, 0, 2))  # (C, r, r)
-            dets = np.linalg.det(sub)
-            if np.any(np.abs(dets) <= tol):
-                return False
-    return True
+    return not any(
+        _has_dependent(G.entries[list(rows)], r)
+        for r in range(1, L + 1)
+        for rows in itertools.combinations(range(L), r)
+    )

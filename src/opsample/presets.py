@@ -17,6 +17,7 @@ All three are L = 3 geometries on the canonical rectangle:
 
 import numpy as np
 
+from .errors import InvalidParameters
 from .support import CellSupport
 
 __all__ = [
@@ -64,8 +65,8 @@ def seven_cell_support(T=1.0, P=8):
 def sheared_parallelogram_support(T=1.0, P=8, shear=1):
     """Band of width Omega along the line nu = a*t with a = shear*Omega,
     wrapped modulo the rectangle; shear must be an integer."""
-    if int(shear) != shear:
-        raise ValueError("shear must be an integer multiple of Omega")
+    if not float(shear).is_integer():
+        raise InvalidParameters(f"shear must be an integer multiple of Omega, got {shear}")
     L = 3
     LP = L * P
     i, j = np.meshgrid(np.arange(LP), np.arange(LP), indexing="ij")

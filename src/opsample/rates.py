@@ -16,14 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidParameters,
-    NoPrimeInRange,
-    NotIdentifiable,
-    SparkTargetUnmet,
-)
+from .errors import InvalidParameters, NoPrimeInRange, NotIdentifiable
 from .channel import IdentifierTrain
-from .gabor import _draw_window, build_gabor_matrix, is_prime
+from .gabor import _dependent, _draw_window, build_gabor_matrix, is_prime
 from .support import CellSupport, bandwidth, rectify
 
 
@@ -112,15 +107,15 @@ def _primes_from(start, stop):
         n += 1
 
 
-def bunched_window_plan(S, eps, seed=None, max_draws=200, tol=1e-8, modulus_cap=None):
+def bunched_window_plan(S, eps, seed=None, max_draws=200, modulus_cap=None):
     """Identifier design for a small support: weights bunched at the period start.
 
     Searches the primes L' >= S.L for the smallest modulus whose T x 1/(TL')
     cell cover Gamma' of S satisfies |Gamma'|/L' < |S|(1+eps), then draws
-    weights supported on the first |Gamma'| indices until every rectification
-    class of the refined support has a well-conditioned column block.
-    Returns the window and a RateReport with the emitted plan's margin and
-    dead-time fraction.
+    weights supported on the first |Gamma'| indices until no rectification
+    class of the refined support has a dependent column block (the rank rule
+    of recovery, gabor._dependent).  Returns the window and a RateReport with
+    the emitted plan's margin and dead-time fraction.
     """
     if not eps > 0:
         raise InvalidParameters("the sufficient-rate construction needs eps > 0")
@@ -166,16 +161,14 @@ def bunched_window_plan(S, eps, seed=None, max_draws=200, tol=1e-8, modulus_cap=
 
     def well_conditioned(c):
         G = build_gabor_matrix(c)
-        for cols in class_columns:
-            sing = np.linalg.svd(G.entries[:, cols], compute_uv=False)
-            if sing[-1] <= tol * sing[0]:
-                return False
-        return True
-
-    window = _draw_window(L_new, k, seed, max_draws, well_conditioned)
-    if window is None:
-        raise SparkTargetUnmet(
-            f"no bunched window with well-conditioned class blocks in "
-            f"{max_draws} draws (L={L_new}, ||c||_0={k})"
+        return not any(
+            _dependent(np.linalg.svd(G.entries[:, cols], compute_uv=False))
+            for cols in class_columns
         )
+
+    window = _draw_window(
+        L_new, k, seed, max_draws, well_conditioned,
+        f"no bunched window with well-conditioned class blocks in "
+        f"{max_draws} draws (L={L_new}, ||c||_0={k})",
+    )
     return window, rate_report(IdentifierTrain(T=S.T, weights=window), S, eps)

@@ -50,7 +50,7 @@ from .errors import (
     RankDeficient,
     ShearNotRectifiable,
 )
-from .gabor import DEFAULT_TOL, _check_tol
+from .gabor import _dependent
 from .support import CellSupport, rectify
 
 __all__ = [
@@ -88,20 +88,19 @@ class ReconstructionReport:
     support_estimate: object = None  # set by the unknown-support pipeline
 
 
-def left_inverse(G, gamma, omega, tol=DEFAULT_TOL):
+def left_inverse(G, gamma, omega):
     """Minimum-norm left inverse of the Gamma-columns of G, scaled per cell.
 
     gamma is reordered row-major (q, then m); the coefficient rows inherit
     that order.  Raises RankDeficient when |Gamma| > L or the restricted
-    matrix is numerically rank-deficient at relative tolerance tol (which
-    must be finite and nonnegative).
+    columns are dependent under the package's one rank rule
+    (gabor._dependent), the rule the spark search and the bunched plan use.
     """
     gamma = tuple(sorted((int(q), int(m)) for q, m in gamma))
     if not gamma:
         raise InvalidParameters("gamma must contain at least one cell")
     if not 0 < omega < np.inf:  # rejects nan
         raise InvalidParameters("omega must be finite and positive")
-    _check_tol(tol)
     L = G.L
     if len(set(gamma)) != len(gamma):
         raise InvalidParameters("gamma contains repeated cells")
@@ -109,7 +108,7 @@ def left_inverse(G, gamma, omega, tol=DEFAULT_TOL):
         raise RankDeficient(f"|Gamma| = {len(gamma)} exceeds the number of rows L = {L}")
     A = G.entries[:, [G.column_index(q, m) for q, m in gamma]]
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    if s[-1] <= tol * s[0]:
+    if _dependent(s):
         ratio = s[-1] / s[0] if s[0] > 0 else 0.0  # all-zero columns
         raise RankDeficient(
             f"restricted columns {gamma} are numerically dependent "
@@ -159,7 +158,7 @@ def _report(S, values, eta_true, conds, formula):
     )
 
 
-def recover_eta_known_support(Zgrid, G, S, eta_true=None, tol=DEFAULT_TOL):
+def recover_eta_known_support(Zgrid, G, S, eta_true=None):
     """Recover eta on the known support S from the Zak grid of Hg.
 
     Solves one restricted system per rectification class at each base-rectangle
@@ -175,7 +174,7 @@ def recover_eta_known_support(Zgrid, G, S, eta_true=None, tol=DEFAULT_TOL):
     for cls in rectify(S).classes:
         if not cls.cells:
             continue
-        inv = left_inverse(G, cls.cells, S.omega, tol=tol)
+        inv = left_inverse(G, cls.cells, S.omega)
         conds.append(inv.condition_number)
         us, vs = np.nonzero(cls.points)
         q, m = np.array(inv.gamma).T[:, :, None]
@@ -275,7 +274,7 @@ def smooth_windows(T, Omega, eps, P):
     )
 
 
-def recover_eta_smooth(Zgrid, G, S, windows, eta_true=None, tol=DEFAULT_TOL):
+def recover_eta_smooth(Zgrid, G, S, windows, eta_true=None):
     """Known-support recovery under the raised-cosine partition of unity.
 
     The smooth formula weights each recovered value by the window sum
@@ -297,12 +296,12 @@ def recover_eta_smooth(Zgrid, G, S, windows, eta_true=None, tol=DEFAULT_TOL):
     built = smooth_windows(S.T, S.omega, windows.eps, S.P)
     if (windows.eps_t_units, windows.eps_nu_units) != (built.eps_t_units, built.eps_nu_units):
         raise InvalidParameters("window flank widths differ from smooth_windows() for this eps")
-    report = recover_eta_known_support(Zgrid, G, S, eta_true=eta_true, tol=tol)
+    report = recover_eta_known_support(Zgrid, G, S, eta_true=eta_true)
     report.formula = "smooth"
     return report
 
 
-def recover_symplectic(Zgrid, G, S, a, eta_true=None, tol=DEFAULT_TOL):
+def recover_symplectic(Zgrid, G, S, a, eta_true=None):
     """Recover eta from the Zak grid of the response to a chirped train.
 
     The identifier g = sum_n c_n e^{pi i T a n^2} delta_{nT} equals the plain
@@ -334,7 +333,7 @@ def recover_symplectic(Zgrid, G, S, a, eta_true=None, tol=DEFAULT_TOL):
     # sheared support: mask~[i, j~] = mask[i, (j~ + kappa i) mod LP]
     S_tilde = CellSupport(T=S.T, L=L, P=P, mask=S.mask[i, (j + kappa * i) % LP])
     try:
-        inner = recover_eta_known_support(Zt, G, S_tilde, tol=tol)
+        inner = recover_eta_known_support(Zt, G, S_tilde)
     except NotIdentifiable as exc:
         raise ShearNotRectifiable(
             f"sheared support admits no (T, L)-rectification: {exc}"

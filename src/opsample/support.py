@@ -17,6 +17,7 @@ subcells sharing the same folded occupancy pattern; each class yields the cell
 set Gamma_j of the restricted linear system the reconstruction module solves.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,6 +227,8 @@ def jordan_rectification_bound(A, B, U, N, eps, sigma=1.0):
     For supports inside [-A, A] x [-B, B] bounded by N Jordan curves of total
     length U and interior area below sigma - eps, every such L admits a
     (sqrt(L), L)-rectification of the recentred support with |Gamma| <= sigma*L.
+    Steps of one from the closed-form real bound settle L; a bound above 2**53,
+    where floats no longer tell L from L + 1, is refused.
     """
     if not np.all(np.isfinite([A, B, U, N, eps, sigma])):
         raise InvalidParameters("need finite A, B, U, N, eps and sigma")
@@ -233,8 +236,19 @@ def jordan_rectification_bound(A, B, U, N, eps, sigma=1.0):
         raise InvalidParameters("need A, B, U, eps > 0 and integer N >= 1")
     if not 0 < sigma <= 1:
         raise InvalidParameters("need 0 < sigma <= 1")
-    L = 1
-    while not (max(A, B) <= (L - 1) / 2 and 4 * (U / np.sqrt(L) + N / L) <= eps):
+    A, B, U, N, eps = map(float, (A, B, U, N, eps))  # overflow gives inf, not a warning
+
+    def fits(L):
+        return max(A, B) <= (L - 1) / 2 and 4 * (U / np.sqrt(L) + N / L) <= eps
+
+    root = 2 * (U + math.sqrt(U * U + N * eps)) / eps  # sqrt(L) at 4(U/sqrt(L) + N/L) = eps
+    L = max(2 * max(A, B) + 1, root * root)
+    if not L <= 2**53:
+        raise InvalidParameters(f"the rectification bound {L:.3g} exceeds 2**53")
+    L = math.ceil(L)
+    while fits(L - 1):  # fits(1) is false, as max(A, B) > 0
+        L -= 1
+    while not fits(L):
         L += 1
     return L
 

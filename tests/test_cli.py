@@ -216,6 +216,20 @@ def test_rates_report_and_plan(workdir, capsys):
     assert out.strip().splitlines()[-1] == "ok=true"
 
 
+def test_a_draw_budget_below_one_exits_2(workdir, capsys):
+    support_path = str(workdir / "two11.json")
+    formats.save_support(CellSupport(T=0.5, L=11, cells=[(2, 5), (7, 1)]), support_path)
+    for argv in (
+        ["gen-window", "--L", "3", "--seed", "7", "--max-draws", "0"],
+        ["gen-window", "--L", "3", "--seed", "7", "--max-draws", "-5"],
+        ["rates", "--support", support_path, "--plan", "--eps", "1.5", "--seed", "4",
+         "--max-draws", "0"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert "max_draws" in err and "Traceback" not in err
+
+
 def test_verify_round_trip(workdir, capsys):
     window_path = str(workdir / "w.json")
     run(["gen-window", "--L", "3", "--seed", "7", "--out", window_path], capsys)

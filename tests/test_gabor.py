@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opsample import gabor
 from opsample.errors import (
     GenerationFailed,
     InvalidParameters,
@@ -153,9 +154,13 @@ def test_generate_window_bad_target():
         generate_window(3, k=7)
 
 
-def test_generate_window_budget_failure():
+def test_generate_window_budget_failure(monkeypatch):
+    for budget in (0, -5):  # no draw to spend: a usage error, not a numerical failure
+        with pytest.raises(InvalidParameters):
+            generate_window(3, seed=0, max_draws=budget)
+    monkeypatch.setattr(gabor, "DEFAULT_TOL", 2.0)  # every block is dependent
     with pytest.raises(GenerationFailed):
-        generate_window(3, seed=0, max_draws=0)
+        generate_window(3, seed=0, max_draws=1)
 
 
 def test_minors_nonzero_generic_L3():
@@ -263,14 +268,25 @@ def test_orbit_table_holds_one_subset_per_translation_orbit(L):
         assert len(table) == len(orbits)
 
 
-def test_searches_refuse_a_nan_infinite_or_negative_tol():
-    G = build_gabor_matrix(np.ones(3))  # spark 2, which an unchecked NaN or negative tol hides as 4
-    for tol in (np.nan, np.inf, -1.0):
-        with pytest.raises(InvalidParameters):
-            spark(G, tol=tol)
-        with pytest.raises(InvalidParameters):
-            minors_nonzero(G, tol=tol)
+def test_spark_of_the_all_ones_window_matches_oracle():
+    G = build_gabor_matrix(np.ones(3))
     assert spark(G) == spark_oracle(G.entries) == 2
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+def test_minors_nonzero_is_scale_free(L):
+    # the rank rule is relative: rescaling the window changes no decision
+    # (an absolute |det| threshold called the L = 5 seed-3 window singular at 1e-2)
+    rng = np.random.default_rng(80 + L)
+    zero = rng.uniform(0.5, 1, L) * np.exp(2j * np.pi * rng.uniform(size=L))
+    zero[L // 2] = 0
+    windows = [generate_window(L, seed=3).weights, np.ones(L), zero]
+    for c in windows:
+        want = minors_nonzero(build_gabor_matrix(c))
+        if L <= 4:
+            assert want is minors_oracle(build_gabor_matrix(c).entries), c
+        for scale in (1e-6, 1e-2, 1e6):
+            assert minors_nonzero(build_gabor_matrix(scale * c)) is want, (c, scale)
 
 
 def test_search_refuses_entries_that_are_not_a_gabor_matrix():

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from opsample import gabor
 from opsample import (
     CellSupport,
+    GenerationFailed,
     IdentifierTrain,
     InvalidParameters,
     NoPrimeInRange,
-    SparkTargetUnmet,
     Window,
     apply_channel,
     bandwidth,
@@ -160,7 +161,7 @@ def test_bunched_plan_regrids_composite_modulus():
     assert rep.sufficient_margin > 0
 
 
-def test_bunched_plan_gates():
+def test_bunched_plan_gates(monkeypatch):
     S = CellSupport(T=1.0, L=5, P=2, cells=[(0, 0), (1, 2), (2, 4), (3, 1)])
     with pytest.raises(InvalidParameters):
         bunched_window_plan(S, eps=0.0)
@@ -169,5 +170,8 @@ def test_bunched_plan_gates():
     small = CellSupport(T=1.0, L=4, P=2, cells=[(0, 0)])
     with pytest.raises(NoPrimeInRange):
         bunched_window_plan(small, eps=0.5, modulus_cap=5)
-    with pytest.raises(SparkTargetUnmet):
-        bunched_window_plan(small, eps=0.5, max_draws=1, tol=2.0)
+    with pytest.raises(InvalidParameters):  # no draw to spend
+        bunched_window_plan(small, eps=0.5, max_draws=0)
+    monkeypatch.setattr(gabor, "DEFAULT_TOL", 2.0)  # every class block is dependent
+    with pytest.raises(GenerationFailed):
+        bunched_window_plan(small, eps=0.5, max_draws=1)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -223,6 +224,9 @@ def test_parallelogram_instance():
     assert counts.max() == 3 and counts.min() == 3
     rep = rectify(S)
     assert len(rep.classes) == 2
+    for shear in (1.5, np.nan, np.inf):  # not an integer multiple of Omega
+        with pytest.raises(InvalidParameters):
+            sheared_parallelogram_support(shear=shear)
     patterns = {cls.cells for cls in rep.classes}
     assert patterns == {((0, 0), (1, 1), (2, 2)), ((0, 1), (1, 2), (2, 0))}
 
@@ -276,6 +280,18 @@ def test_jordan_bound_matches_oracle_and_validates():
     assert jordan_rectification_bound(3, 2, 1.0, 2, 0.5) == jordan_bound_oracle(
         3, 2, 1.0, 2, 0.5
     )
+    for A, B, U, N, eps in itertools.product(
+        (0.1, 1, 3.7), (0.5, 2), (0.01, 0.04, 1.0), (1, 3), (0.25, 1.0, 3.0, 10.0)
+    ):
+        assert jordan_rectification_bound(A, B, U, N, eps) == jordan_bound_oracle(
+            A, B, U, N, eps
+        ), (A, B, U, N, eps)
+    # a loop from L = 1 would take ~1.6e13 steps here
+    assert jordan_rectification_bound(1, 1, 1, 1, 1e-6) == 16000007999999
+    # bounds past 2**53, where floats no longer tell L from L + 1
+    for args in ((1e308, 1, 1, 1, 1), (1, 1, 1e200, 1, 1), (1, 1, 1, 1, 1e-300), (1e30, 1, 1, 1, 1)):
+        with pytest.raises(InvalidParameters):
+            jordan_rectification_bound(*args)
     with pytest.raises(InvalidParameters):
         jordan_rectification_bound(1, 1, 0.04, 1, 1.0, sigma=0.0)
     with pytest.raises(InvalidParameters):
