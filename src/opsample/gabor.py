@@ -26,8 +26,16 @@ scale-free rule, _dependent: s_min <= tol*s_1 on the block's singular values.
 Square blocks are first screened by a batched det: s_k <= tol*s_1 implies
 |det| = prod s_i <= tol*||A||_F^k, so only |det| <= 2*tol*||A||_F^k (the 2
 absorbs LU rounding) goes on to the SVD; this holds for any matrix.
+
+Dependence is monotone in the level k (subset size), so a spark decision reads
+only the levels it needs.  For an L x k block A, k < L, A^H A is a principal
+submatrix of B^H B, B = [A a], so Cauchy interlacing gives s_1(B) >= s_1(A)
+and s_{k+1}(B) <= s_k(A): a k-subset dependent under _dependent makes every
+superset of up to L columns dependent.  Full spark is level L clean, spark k+1
+is level k clean and level k+1 dependent, and other sparks are bisected.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -66,12 +74,7 @@ MINORS_LIMIT = 5
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, int(n**0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def translate(x, q):
@@ -199,38 +202,46 @@ def _dependent(s):
 
 def _has_dependent(entries, k, chunk=2048):
     """True iff some k-column subset of a Gabor matrix's rows is dependent (_dependent)."""
-    unit = entries / (np.abs(entries).max() or 1.0)  # the screen neither overflows nor underflows
+    parts = np.ascontiguousarray(entries).view(float)  # real and imaginary parts
+    # exact power-of-two scale to a largest part in [1/2, 1): screen and SVD never over/underflow
+    unit = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex)
     sq_norms = np.sum(np.abs(unit) ** 2, axis=0)
     table = _orbit_table(math.isqrt(entries.shape[1]), k)
     for start in range(0, len(table), chunk):
         cols = table[start : start + chunk]
-        if k == entries.shape[0]:  # det screen on square blocks (module docstring)
+        if k == entries.shape[0]:  # det screen on square blocks (module docstring), NaN kept
             dets = np.abs(np.linalg.det(np.transpose(unit[:, cols], (1, 0, 2))))
-            cols = cols[dets <= 2 * DEFAULT_TOL * sq_norms[cols].sum(axis=1) ** (k / 2)]
-        sub = np.transpose(entries[:, cols], (1, 0, 2))  # (B, rows, k)
+            cols = cols[~(dets > 2 * DEFAULT_TOL * sq_norms[cols].sum(axis=1) ** (k / 2))]
+        sub = np.transpose(unit[:, cols], (1, 0, 2))  # (B, rows, k)
         if np.any(_dependent(np.linalg.svd(sub, compute_uv=False))):
             return True
     return False
 
 
+def _levels(G):
+    """k -> whether some k columns of G are dependent, once L and G = G(c) are checked."""
+    if G.L > SPARK_SEARCH_LIMIT:
+        raise SearchBudgetExceeded(
+            f"exhaustive spark search is limited to L <= {SPARK_SEARCH_LIMIT}, got L={G.L}"
+        )
+    _require_gabor(G)
+    return functools.partial(_has_dependent, G.entries)
+
+
 def spark(G):
     """Smallest k such that some k columns of G are dependent; L+1 if none up to size L.
 
-    One subset per translation orbit with a det screen (module docstring),
-    k = 1, 2, ..., stopping at the first dependent subset: ~8 ms at L = 5,
-    ~0.2 s at L = 6 (plus a one-time ~0.4 s table build).  Enforces L <= 7
-    and refuses entries that are not a Gabor matrix G(c).
+    One subset per translation orbit with a det screen, level L first, then a
+    bisection of levels 1..L-1 if it is dependent (module docstring): ~3 ms
+    for a full-spark window at L = 5, ~65 ms at L = 6 (plus a one-time ~0.3 s
+    build of the one table it reads).  A zero weight c_p = G[p, 0] zeroes row p
+    of the L columns (0, m), so level L is dependent and is not read.  Enforces
+    L <= 7 and refuses entries that are not a Gabor matrix G(c).
     """
-    L = G.L
-    if L > SPARK_SEARCH_LIMIT:
-        raise SearchBudgetExceeded(
-            f"exhaustive spark search is limited to L <= {SPARK_SEARCH_LIMIT}, got L={L}"
-        )
-    _require_gabor(G)
-    for k in range(1, L + 1):
-        if _has_dependent(G.entries, k):
-            return k
-    return L + 1
+    dependent = _levels(G)
+    if np.all(G.entries[:, 0] != 0) and not dependent(G.L):
+        return G.L + 1
+    return 1 + bisect.bisect_left(range(1, G.L), True, key=dependent)
 
 
 def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):
@@ -247,20 +258,22 @@ def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):
         if k is not None:
             raise InvalidParameters("k applies only to the spark_k target")
         support = L
-        goal = L + 1
     elif target == "spark_k":
         if k is None or not (1 <= k <= L):
             raise InvalidParameters("spark_k target needs 1 <= k <= L")
         if not is_prime(L):
             raise NoPrimeInRange(f"spark_k target requires prime L, got {L}")
         support = k
-        goal = k + 1
     else:
         raise InvalidParameters(f"unknown target {target!r}")
 
+    def accept(c):  # spark == support + 1, read from levels support and support + 1 alone
+        dependent = _levels(build_gabor_matrix(c))
+        return not dependent(support) and (support == L or dependent(support + 1))
+
     return _draw_window(
-        L, support, seed, max_draws, lambda c: spark(build_gabor_matrix(c)) == goal,
-        f"no window with spark {goal} found in {max_draws} draws (L={L}, seed={seed})",
+        L, support, seed, max_draws, accept,
+        f"no window with spark {support + 1} found in {max_draws} draws (L={L}, seed={seed})",
     )
 
 
@@ -268,9 +281,8 @@ def _draw_window(L, support, seed, max_draws, accept, failure):
     """Seeded draws of weights on the first `support` indices until accept(c).
 
     Moduli are uniform on [1/2, 1] and phases uniform.  Returns the first
-    accepted Window (with its seed and draw count); raises GenerationFailed
-    with the message failure once max_draws draws are spent, and refuses a
-    budget below one draw.
+    accepted Window (with its seed and draw count), refuses a budget below one
+    draw and raises GenerationFailed(failure) once it is spent.
     """
     if max_draws < 1:
         raise InvalidParameters(f"max_draws must be at least 1, got {max_draws}")
@@ -288,10 +300,9 @@ def _draw_window(L, support, seed, max_draws, accept, failure):
 def minors_nonzero(G):
     """True iff every square submatrix of every size is nonsingular under the rank rule.
 
-    For each row set of size r, the r-column spark search of the module
-    docstring runs on those rows (one column set per translation orbit, det
-    screen, then _dependent), so the answer does not depend on the window's
-    scale.  Entries that are not a Gabor matrix G(c) are refused.
+    For each row set of size r, the level-r search of the module docstring
+    runs on those rows, so the answer does not depend on the window's scale.
+    Entries that are not a Gabor matrix G(c) are refused.
     """
     L = G.L
     if L > MINORS_LIMIT:

@@ -99,14 +99,6 @@ def refine_support(S, L_new):
     return CellSupport(T=S.T, L=L_new, P=P_new, mask=mask, shift=S.shift)
 
 
-def _primes_from(start, stop):
-    n = max(start, 2)
-    while n <= stop:
-        if is_prime(n):
-            yield n
-        n += 1
-
-
 def bunched_window_plan(S, eps, seed=None, max_draws=200, modulus_cap=None):
     """Identifier design for a small support: weights bunched at the period start.
 
@@ -138,7 +130,7 @@ def bunched_window_plan(S, eps, seed=None, max_draws=200, modulus_cap=None):
         modulus_cap = 2 * max(S.L, int(np.ceil(2 * runs / (area * eps)))) + 2
 
     chosen = None
-    for L_new in _primes_from(S.L, modulus_cap):
+    for L_new in filter(is_prime, range(S.L, modulus_cap + 1)):
         refined = refine_support(S, L_new)
         try:
             report = rectify(refined)
@@ -155,9 +147,7 @@ def bunched_window_plan(S, eps, seed=None, max_draws=200, modulus_cap=None):
     L_new, refined, report = chosen
     k = len(report.gamma)
 
-    class_columns = [
-        [q * L_new + m for (q, m) in cls.cells] for cls in report.classes if cls.cells
-    ]
+    class_columns = [[q * L_new + m for q, m in cls.cells] for cls in report.classes if cls.cells]
 
     def well_conditioned(c):
         G = build_gabor_matrix(c)

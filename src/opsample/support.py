@@ -221,21 +221,20 @@ def bandwidth(S):
     return float(S.mask.sum(axis=1).max()) * S.dnu
 
 
-def jordan_rectification_bound(A, B, U, N, eps, sigma=1.0):
+def jordan_rectification_bound(A, B, U, N, eps):
     """Least L with max(A, B) <= (L-1)/2 and 4(U/sqrt(L) + N/L) <= eps.
 
     For supports inside [-A, A] x [-B, B] bounded by N Jordan curves of total
-    length U and interior area below sigma - eps, every such L admits a
-    (sqrt(L), L)-rectification of the recentred support with |Gamma| <= sigma*L.
-    Steps of one from the closed-form real bound settle L; a bound above 2**53,
-    where floats no longer tell L from L + 1, is refused.
+    length U and interior area below sigma - eps, for any 0 < sigma <= 1, every
+    such L admits a (sqrt(L), L)-rectification of the recentred support with
+    |Gamma| <= sigma*L; the bound itself does not depend on sigma.  Steps of
+    one from the closed-form real bound settle L; a bound above 2**53, where
+    floats no longer tell L from L + 1, is refused.
     """
-    if not np.all(np.isfinite([A, B, U, N, eps, sigma])):
-        raise InvalidParameters("need finite A, B, U, N, eps and sigma")
+    if not np.all(np.isfinite([A, B, U, N, eps])):
+        raise InvalidParameters("need finite A, B, U, N and eps")
     if min(A, B, U, eps) <= 0 or N < 1 or int(N) != N:
         raise InvalidParameters("need A, B, U, eps > 0 and integer N >= 1")
-    if not 0 < sigma <= 1:
-        raise InvalidParameters("need 0 < sigma <= 1")
     A, B, U, N, eps = map(float, (A, B, U, N, eps))  # overflow gives inf, not a warning
 
     def fits(L):

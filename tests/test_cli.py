@@ -46,6 +46,14 @@ def test_gen_window_and_spark(workdir, capsys):
     assert (workdir / "g.csv").read_text().splitlines()[0] == "p,q,m,re,im"
 
 
+def test_spark_at_the_ends_of_the_float_range(workdir, capsys):
+    # the screen's scaling overflowed here: exit 3 ("overflow encountered in divide")
+    path = str(workdir / "tiny.json")
+    formats.save_window(Window(L=3, weights=np.array([1e-320, 2e-320, 0])), path)
+    code, out, err = run(["spark", "--window", path], capsys)
+    assert (code, out.strip(), err) == (0, "spark=3", "")
+
+
 def test_rectify_reports_classes(workdir, capsys):
     report_path = str(workdir / "rect.json")
     code, out, _ = run(

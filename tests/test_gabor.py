@@ -306,3 +306,110 @@ def test_search_refuses_entries_that_are_not_a_gabor_matrix():
     entries[:, 0] = np.nan
     with pytest.raises(InvalidParameters):
         GaborMatrix(L=3, entries=entries)
+
+
+def _spark_by_levels(G):
+    """Reference: the level-by-level scan, levels 1, 2, ..., L in turn."""
+    for k in range(1, G.L + 1):
+        if gabor._has_dependent(G.entries, k):
+            return k
+    return G.L + 1
+
+
+def _windows_of_every_spark(L):
+    """Zero, spark_k draws for each k at prime L, structured and generic windows."""
+    yield np.zeros(L)
+    if gabor.is_prime(L):
+        for k in range(1, L + 1):
+            yield generate_window(L, target="spark_k", k=k, seed=k).weights
+    yield from (c for c in _structured_windows(L) if len(c) == L)  # sign rows stop at 4
+    for seed in range(3):
+        yield generate_window(L, seed=seed).weights
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+def test_spark_by_levels_matches_the_level_scan(L):
+    # level L decides full spark alone, the rest is bisected: same answer as the scan
+    seen = set()
+    for c in _windows_of_every_spark(L):
+        G = build_gabor_matrix(np.asarray(c, dtype=complex))
+        value = spark(G)
+        assert value == _spark_by_levels(G), c
+        if L <= 4:
+            assert value == spark_oracle(G.entries), c
+        seen.add(value)
+        for scale in (2.0**-1060, 1e-300, 1e300):
+            scaled = build_gabor_matrix(scale * np.asarray(c, dtype=complex))
+            assert spark(scaled) == _spark_by_levels(scaled), (c, scale)
+            if scale != 2.0**-1060:  # subnormal weights keep only a few bits
+                assert spark(scaled) == value, (c, scale)
+    assert seen == set(range(1, L + 2))
+
+
+def test_spark_at_the_ends_of_the_float_range():
+    # dividing by the largest |entry| overflowed the screen (NaN dets were dropped) and
+    # the unscaled SVD overflowed: these gave 4, 2, 1 and 2
+    for c, want in (
+        ((1e-320, 2e-320, 0), 3),
+        ((1e308, 1e308, -1e308), 4),
+        ((1.7e308, 1.7e308, -1.7e308), 4),
+        ((1e308, -1e308, 0, 1e308), 4),
+    ):
+        unit = np.array(c) / max(np.abs(c))
+        assert spark_oracle(build_gabor_matrix(unit.astype(complex)).entries) == want
+        assert spark(build_gabor_matrix(np.array(c, dtype=complex))) == want, c
+    w = generate_window(5, seed=3).weights
+    for scale in (2.0**-1060, 1e-300, 1.0, 1e300):
+        assert spark(build_gabor_matrix(scale * w)) == 6, scale
+
+
+def _reference_draw(L, target, k, seed):
+    """generate_window with its acceptance replaced by the level scan."""
+    support = L if target == "full_spark" else k
+
+    def accept(c):
+        return _spark_by_levels(build_gabor_matrix(c)) == support + 1
+
+    return gabor._draw_window(L, support, seed, 200, accept, "reference draw failed")
+
+
+@pytest.mark.parametrize(
+    "L, target, ks",
+    [(2, "full_spark", [None]), (3, "full_spark", [None]), (4, "full_spark", [None]),
+     (5, "full_spark", [None]), (5, "spark_k", [1, 2, 3, 4, 5]), (7, "spark_k", [1, 2, 3])],
+)
+def test_generate_window_matches_the_level_scan_acceptance(L, target, ks):
+    for k in ks:
+        for seed in range(50):
+            got = generate_window(L, target=target, k=k, seed=seed)
+            want = _reference_draw(L, target, k, seed)
+            assert got.weights.tobytes() == want.weights.tobytes(), (k, seed)
+            assert got.draws == want.draws, (k, seed)
+
+
+def test_spark_by_levels_at_L6():
+    w = generate_window(6, seed=0)
+    assert spark(build_gabor_matrix(w)) == 7
+    c = np.zeros(6, dtype=complex)
+    c[:3] = w.weights[:3]
+    G = build_gabor_matrix(c)
+    assert spark(G) == _spark_by_levels(G)
+
+
+def test_spark_decisions_read_only_the_levels_they_name(monkeypatch):
+    requested = []
+    table = gabor._orbit_table
+
+    def recording(L, k):
+        requested.append((L, k))
+        return table(L, k)
+
+    monkeypatch.setattr(gabor, "_orbit_table", recording)
+    bunched = build_gabor_matrix(generate_window(7, target="spark_k", k=2, seed=0))
+    assert set(requested) == {(7, 2), (7, 3)}  # never the (7, 7) table
+    requested.clear()
+    assert spark(bunched) == 3  # its zero weights make level 7 dependent: bisected at once
+    assert (7, 7) not in requested and max(k for _, k in requested) <= 4
+    requested.clear()
+    assert spark(build_gabor_matrix(generate_window(5, seed=0))) == 6
+    assert set(requested) == {(5, 5)}

@@ -293,10 +293,6 @@ def test_jordan_bound_matches_oracle_and_validates():
         with pytest.raises(InvalidParameters):
             jordan_rectification_bound(*args)
     with pytest.raises(InvalidParameters):
-        jordan_rectification_bound(1, 1, 0.04, 1, 1.0, sigma=0.0)
-    with pytest.raises(InvalidParameters):
-        jordan_rectification_bound(1, 1, 0.04, 1, 1.0, sigma=1.5)
-    with pytest.raises(InvalidParameters):
         jordan_rectification_bound(-1, 1, 0.04, 1, 1.0)
     for k in range(5):  # A, B, U, N, eps: a NaN passes every "<= 0" guard
         for bad in (np.nan, np.inf):
