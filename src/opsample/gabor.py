@@ -11,7 +11,10 @@ and the full Gabor system matrix is the L x L^2 block matrix
 Column q*L + m equals M^m T^q c = w^{qm} * T^q M^m c; the pair (q, m) is the
 (time-shift, frequency-shift) cell label shared with the support and
 reconstruction modules.  The rows of G(c) are orthogonal with squared norm
-L*||c||^2 (tight frame), and every column has norm ||c||.
+L*||c||^2 (tight frame), and every column has norm ||c||.  G(c) is one batched
+product matmul(D, W), D[q] = diag(T^q c): each block is the same product D_q @ W
+as a block-by-block build, so the entries are bit-identical to it (an
+elementwise c * W product is not).
 
 Spark is the size of the smallest dependent column subset: L+1 ("full spark")
 for generic weights, k+1 for weights on their first k indices with L prime.
@@ -25,14 +28,21 @@ only for a true G(c).  Every column-dependence decision in the package is one
 scale-free rule, _dependent: s_min <= tol*s_1 on the block's singular values.
 Square blocks are first screened by a batched det: s_k <= tol*s_1 implies
 |det| = prod s_i <= tol*||A||_F^k, so only |det| <= 2*tol*||A||_F^k (the 2
-absorbs LU rounding) goes on to the SVD; this holds for any matrix.
+absorbs LU rounding) goes on to the SVD; this holds for any matrix.  Every
+table row holds column 0 first, so partial pivoting takes the same first pivot,
+the largest |entry| of column 0, in every square block.  That step is taken
+once on the whole matrix and the screen is |pivot * det| of the Schur blocks:
+still LU with partial pivoting under the same 2.  A zero column 0 sends every
+block to the SVD.
 
 Dependence is monotone in the level k (subset size), so a spark decision reads
 only the levels it needs.  For an L x k block A, k < L, A^H A is a principal
 submatrix of B^H B, B = [A a], so Cauchy interlacing gives s_1(B) >= s_1(A)
 and s_{k+1}(B) <= s_k(A): a k-subset dependent under _dependent makes every
-superset of up to L columns dependent.  Full spark is level L clean, spark k+1
-is level k clean and level k+1 dependent, and other sparks are bisected.
+superset of up to L columns dependent.  Full spark is level L clean; other
+sparks are bisected.  Weights on the first k < L indices put the L columns
+(q, m) of one q in rows q..q+k-1 mod L, exact zeros elsewhere, so any k+1 of
+them are dependent under _dependent: spark k+1 is level k clean, k+1 unread.
 """
 
 import bisect
@@ -71,6 +81,9 @@ SPARK_SEARCH_LIMIT = 7
 
 #: minor enumeration ceiling
 MINORS_LIMIT = 5
+
+#: orbit-table rows per batched det and SVD call
+CHUNK = 2048
 
 
 def is_prime(n):
@@ -145,16 +158,16 @@ class GaborMatrix:
 
 
 def build_gabor_matrix(window):
-    """Assemble G(c) = [D_0 W | ... | D_{L-1} W] from a Window or weight vector."""
-    if isinstance(window, Window):
-        c = window.weights
-        L = window.L
-    else:
-        c = np.asarray(window, dtype=complex)
-        L = c.shape[0]
-    W = np.exp(2j * np.pi * np.outer(np.arange(L), np.arange(L)) / L)
-    blocks = [np.diag(translate(c, q)) @ W for q in range(L)]
-    return GaborMatrix(L=L, entries=np.hstack(blocks))
+    """Assemble G(c) = [D_0 W | ... | D_{L-1} W] from a Window or a 1-D numeric vector."""
+    c = np.asarray(window.weights if isinstance(window, Window) else window)
+    if c.ndim != 1 or c.size == 0 or c.dtype.kind not in "biufc":
+        raise InvalidParameters(f"need a non-empty 1-D numeric vector, got {c.dtype} {c.shape}")
+    L = c.shape[0]
+    p = np.arange(L)
+    W = np.exp(2j * np.pi * np.outer(p, p) / L)
+    D = np.zeros((L, L, L), dtype=complex)
+    D[:, p, p] = c[(p - p[:, None]) % L]  # D[q] = diag(T^q c)
+    return GaborMatrix(L=L, entries=np.matmul(D, W).transpose(1, 0, 2).reshape(L, L * L))
 
 
 def _require_gabor(G):
@@ -200,21 +213,26 @@ def _dependent(s):
     return s[..., -1] <= DEFAULT_TOL * s[..., 0]
 
 
-def _has_dependent(entries, k, chunk=2048):
+def _has_dependent(entries, k):
     """True iff some k-column subset of a Gabor matrix's rows is dependent (_dependent)."""
     parts = np.ascontiguousarray(entries).view(float)  # real and imaginary parts
     # exact power-of-two scale to a largest part in [1/2, 1): screen and SVD never over/underflow
     unit = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex)
     sq_norms = np.sum(np.abs(unit) ** 2, axis=0)
     table = _orbit_table(math.isqrt(entries.shape[1]), k)
-    for start in range(0, len(table), chunk):
-        cols = table[start : start + chunk]
-        if k == entries.shape[0]:  # det screen on square blocks (module docstring), NaN kept
-            dets = np.abs(np.linalg.det(np.transpose(unit[:, cols], (1, 0, 2))))
+    p = np.argmax(np.abs(unit[:, 0]))  # first pivot of every square block (module docstring)
+    screen = k == len(unit) and unit[p, 0] != 0
+    if screen:  # that elimination step, taken once on the whole matrix
+        schur = np.delete(unit - np.outer(unit[:, 0] / unit[p, 0], unit[p]), p, axis=0)
+    for start in range(0, len(table), CHUNK):
+        cols = table[start : start + CHUNK]
+        if screen:  # |det| = |pivot * det| of the Schur block, NaN kept
+            dets = np.abs(unit[p, 0] * np.linalg.det(schur[:, cols[:, 1:]].transpose(1, 0, 2)))
             cols = cols[~(dets > 2 * DEFAULT_TOL * sq_norms[cols].sum(axis=1) ** (k / 2))]
-        sub = np.transpose(unit[:, cols], (1, 0, 2))  # (B, rows, k)
-        if np.any(_dependent(np.linalg.svd(sub, compute_uv=False))):
-            return True
+        for batch in (cols[: k * k], cols[k * k :]):  # a few first: low-spark windows stop early
+            sub = np.transpose(unit[:, batch], (1, 0, 2))  # (B, rows, k)
+            if len(batch) and np.any(_dependent(np.linalg.svd(sub, compute_uv=False))):
+                return True
     return False
 
 
@@ -232,11 +250,12 @@ def spark(G):
     """Smallest k such that some k columns of G are dependent; L+1 if none up to size L.
 
     One subset per translation orbit with a det screen, level L first, then a
-    bisection of levels 1..L-1 if it is dependent (module docstring): ~3 ms
-    for a full-spark window at L = 5, ~65 ms at L = 6 (plus a one-time ~0.3 s
-    build of the one table it reads).  A zero weight c_p = G[p, 0] zeroes row p
-    of the L columns (0, m), so level L is dependent and is not read.  Enforces
-    L <= 7 and refuses entries that are not a Gabor matrix G(c).
+    bisection of levels 1..L-1 if it is dependent (module docstring): ~2 ms
+    for a full-spark window at L = 5, ~55 ms at L = 6 (plus a one-time ~0.3 s
+    build of the one table it reads), ~2.5 ms for the all-ones window (spark 2)
+    at L = 5 and 6.  A zero weight c_p = G[p, 0] zeroes row p of the L
+    columns (0, m), so level L is dependent and is not read.  Enforces L <= 7
+    and refuses entries that are not a Gabor matrix G(c).
     """
     dependent = _levels(G)
     if np.all(G.entries[:, 0] != 0) and not dependent(G.L):
@@ -250,7 +269,8 @@ def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):
     target "full_spark": spark L+1.  target "spark_k": weights supported on the
     first k indices with spark k+1; requires 1 <= k <= L and L prime.  Moduli
     are uniform on [1/2, 1] and phases uniform, so the target sets are open and
-    dense and the first draw almost always succeeds.
+    dense and the first draw almost always succeeds.  A draw reads level `support`
+    alone: ~2 ms for full spark at L = 5, ~0.3 ms for k = 2 at L = 7.
     """
     if L < 1:
         raise InvalidParameters("L must be positive")
@@ -267,9 +287,8 @@ def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):
     else:
         raise InvalidParameters(f"unknown target {target!r}")
 
-    def accept(c):  # spark == support + 1, read from levels support and support + 1 alone
-        dependent = _levels(build_gabor_matrix(c))
-        return not dependent(support) and (support == L or dependent(support + 1))
+    def accept(c):  # spark == support + 1 iff level support is clean (module docstring)
+        return not _levels(build_gabor_matrix(c))(support)
 
     return _draw_window(
         L, support, seed, max_draws, accept,

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,38 @@ def test_spark_first_two_indices_L5():
     G = build_gabor_matrix(w)
     assert spark(G) == 3
     assert spark_oracle(G.entries) == 3
+
+
+def _block_by_block(c):
+    """Reference build: one np.diag(T^q c) @ W product per block, side by side."""
+    c = np.asarray(c, dtype=complex)
+    L = len(c)
+    W = np.exp(2j * np.pi * np.outer(np.arange(L), np.arange(L)) / L)
+    return np.hstack([np.diag(translate(c, q)) @ W for q in range(L)])
+
+
+def test_build_is_bit_identical_to_the_block_by_block_product():
+    # an elementwise c * W build moves last bits, and with them --matrix-out and eta files
+    rng = np.random.default_rng(11)
+    for L in range(1, 12):
+        for scale in (2.0**-1060, 1e-300, 1e-6, 1.0, 1e6, 1e300):
+            c = scale * (rng.normal(size=L) + 1j * rng.normal(size=L))
+            c[rng.random(L) < 0.3] = 0  # zero weights
+            for weights in (c, c.real, Window(L=L, weights=c)):
+                want = _block_by_block(getattr(weights, "weights", weights))
+                got = build_gabor_matrix(weights).entries
+                assert got.tobytes() == want.tobytes(), (L, scale)
+    for weights in ([1, 0, 2], [True, False]):  # integer and boolean vectors
+        assert build_gabor_matrix(weights).entries.tobytes() == _block_by_block(weights).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad", [3.0, None, [], ["a", "b"], np.ones((2, 2)), np.ones((1, 3)), [[1, 2]]],
+    ids=["scalar", "none", "empty", "strings", "square", "row", "nested"],
+)
+def test_build_refuses_what_is_not_a_weight_vector(bad):
+    with pytest.raises(InvalidParameters, match="non-empty 1-D numeric vector"):
+        build_gabor_matrix(bad)
 
 
 def test_spark_matches_oracle_on_random_instances():
@@ -406,10 +441,84 @@ def test_spark_decisions_read_only_the_levels_they_name(monkeypatch):
 
     monkeypatch.setattr(gabor, "_orbit_table", recording)
     bunched = build_gabor_matrix(generate_window(7, target="spark_k", k=2, seed=0))
-    assert set(requested) == {(7, 2), (7, 3)}  # never the (7, 7) table
+    assert set(requested) == {(7, 2)}  # level k alone: never (7, 3), never the (7, 7) table
     requested.clear()
     assert spark(bunched) == 3  # its zero weights make level 7 dependent: bisected at once
     assert (7, 7) not in requested and max(k for _, k in requested) <= 4
     requested.clear()
     assert spark(build_gabor_matrix(generate_window(5, seed=0))) == 6
     assert set(requested) == {(5, 5)}
+
+
+@pytest.mark.parametrize("L", [2, 3, 5, 7])
+def test_spark_k_draws_are_dependent_at_level_k_plus_1(L):
+    # generate_window accepts a spark_k draw from level k alone (module docstring);
+    # _draw_window with a budget of one is the first draw it judges for each seed.
+    # At L = 7, k = 6 would build the (7, 7) table (~13 s); k = L - 1 is covered below 7.
+    for k in range(1, min(L, 6)):
+        for seed in range(50):
+            c = gabor._draw_window(L, k, seed, 1, lambda c: True, "").weights
+            assert gabor._has_dependent(build_gabor_matrix(c).entries, k + 1), (k, seed)
+
+
+def _screen_survivors(entries, k):
+    """Every block _has_dependent sends to the SVD (as bytes), with its early stop off."""
+    survivors = set()
+    svd = np.linalg.svd
+
+    def recording(a, compute_uv):
+        survivors.update(block.tobytes() for block in a)
+        return svd(a, compute_uv=compute_uv)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", recording)
+        patch.setattr(gabor, "_dependent", lambda s: np.zeros(s.shape[:-1], dtype=bool))
+        assert not gabor._has_dependent(entries, k)
+    return survivors
+
+
+def _table_blocks(entries, k):
+    """All blocks of the (L, k) table and the ones the rank rule calls dependent (as bytes)."""
+    parts = np.ascontiguousarray(entries).view(float)  # the power-of-two scale it searches at
+    unit = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex)
+    blocks = np.transpose(unit[:, _orbit_table(math.isqrt(entries.shape[1]), k)], (1, 0, 2))
+    dependent = gabor._dependent(np.linalg.svd(blocks, compute_uv=False))
+    return {b.tobytes() for b in blocks}, {b.tobytes() for b in blocks[dependent]}
+
+
+def _screen_windows(L):
+    """Generic, all-ones, near-tolerance, zero, tiny, chirp and half-zero windows."""
+    rng = np.random.default_rng(100 + L)
+    p = np.arange(L)
+    generic = rng.uniform(0.5, 1, L) * np.exp(2j * np.pi * rng.uniform(size=L))
+    yield from (generic, np.ones(L))
+    for delta in (1e-9, 3e-10):  # the last weight shrunk to the tolerance
+        yield np.concatenate([generic[:-1], delta * generic[-1:]])
+    yield from (np.zeros(L), 1e-300 * generic)
+    yield np.exp(1j * np.pi * p * (p + L % 2) / L)  # chirp
+    yield np.where(p < (L + 1) // 2, 0, generic)  # zero pivots on row subsets
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_det_screen_keeps_every_dependent_block(L):
+    # the shared-pivot screen may pass a block the SVD clears, never drop one it flags;
+    # the row subsets are the minors_nonzero searches, and a zero column 0 skips the screen
+    windows, every = _screen_windows(L), [range(L)]
+    if L <= gabor.MINORS_LIMIT:
+        every = [rows for r in range(1, L + 1) for rows in itertools.combinations(range(L), r)]
+    else:  # the (6, 6) table has 54k blocks: generic, all-ones, near-tolerance and zero
+        windows = itertools.islice(windows, 5)
+    seen = {"dependent": 0, "cleared": 0, "no pivot": 0}
+    for c in windows:
+        G = build_gabor_matrix(np.asarray(c, dtype=complex))
+        for rows in every:
+            entries = G.entries[list(rows)]
+            survivors = _screen_survivors(entries, len(rows))
+            blocks, dependent = _table_blocks(entries, len(rows))
+            assert dependent <= survivors <= blocks, (c, rows)
+            if not np.any(entries[:, 0]):
+                assert survivors == blocks, (c, rows)
+                seen["no pivot"] += 1
+            seen["dependent"] += bool(dependent)
+            seen["cleared"] += len(survivors) < len(blocks)
+    assert min(seen.values()) > 0, seen
