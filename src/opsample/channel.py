@@ -24,8 +24,15 @@ are finite sums, and for every base point (t, nu) the vectors
 
 satisfy Z_vec = G(c) * eta_vec exactly (all phases are roots of unity computed
 from integer-reduced exponents, so the identity holds to rounding error).
+
+The grid kernels are table lookups, in-order scatter-adds and FFTs: every
+grid phase is read from one cached table of roots of unity (_unit_phase),
+every scatter is one bincount pass per real part (_scatter_add), and the lag
+kernel folds nu-lines by slice additions in the order of s.  Each gives the
+bits of the direct exponential or element-by-element scatter it replaces.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +61,37 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=16)
+def _roots(d):
+    """The d-th roots of unity exp(2*pi*i*k/d), k < d, as a read-only table."""
+    table = np.exp(2j * np.pi * np.arange(d) / d)
+    table.flags.writeable = False
+    return table
+
+
 def _unit_phase(numerator, denominator):
-    """exp(2*pi*i*numerator/denominator) with the exponent reduced mod denominator."""
-    return np.exp(2j * np.pi * (np.asarray(numerator) % denominator) / denominator)
+    """exp(2*pi*i*numerator/denominator) for integer numerators, the exponent
+    reduced mod denominator: the bits of that np.exp, read from _roots."""
+    return _roots(denominator)[np.asarray(numerator) % denominator]
+
+
+def _scatter_add(shape, flat_index, values):
+    """Zeros of the given shape with values added at flat_index in index order:
+    the bits of an element-by-element add, as bincount sums re and im apart."""
+    size = int(np.prod(shape))
+    flat_index = np.ravel(flat_index)
+    values = np.ravel(values)
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(flat_index, weights=values.real, minlength=size)
+    out.imag = np.bincount(flat_index, weights=values.imag, minlength=size)
+    return out.reshape(shape)
+
+
+def _l2_norm(x):
+    """Euclidean norm by one numpy sum of re^2 + im^2: unlike np.linalg.norm's
+    BLAS dot products, its bits do not depend on the BLAS thread count."""
+    x = np.asarray(x)
+    return float(np.sqrt(np.sum(x.real**2 + x.imag**2)))
 
 
 def _chirp_kappa(L, T, a):
@@ -120,7 +155,9 @@ def random_spreading(S, seed=None):
     """Complex standard-normal samples on the active subcells of S."""
     rng = np.random.default_rng(seed)
     shape = S.mask.shape
-    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    values = np.empty(shape, dtype=complex)  # the bits of a + 1j*b, without 1j*b
+    values.real = rng.standard_normal(shape)
+    values.imag = rng.standard_normal(shape)
     values[~S.mask] = 0
     return DiscreteSpreadingFunction(support=S, values=values)
 
@@ -204,18 +241,25 @@ class SystemSample:
 
 
 def _lag_kernel(S, values, lags):
-    """h(t_r + d*dt, t_r) for every stored row r at the lags d = n*N/lags, n < lags.
+    """h(t_r + d*dt, t_r) / (dnu*lags) for every stored row r at the lags
+    d = n*N/lags, n < lags.
 
-    h[r, n] = dnu * sum_s values[r, s] * exp(2*pi*i*(j0+s)*n/lags), N = L*P^2,
-    lags dividing N: the phase has period lags in j0+s, so the stored nu-lines
-    of S fold mod lags (colliding lines add) and one exact inverse DFT of that
-    length per row, taken in place, gives every lag.
+    Returns (1/lags) * sum_s values[r, s] * exp(2*pi*i*(j0+s)*n/lags),
+    N = L*P^2, lags dividing N: the phase has period lags in j0+s, so the
+    stored nu-lines of S fold mod lags and one exact inverse DFT of that length
+    per row, taken in place, gives every lag.  The lines fold by slice
+    additions, split where j0+s wraps, so colliding lines add in the order of
+    s.  The caller applies the scale dnu*lags where it is cheapest.
     """
-    V = np.zeros((values.shape[0], lags), dtype=complex)
-    slots = (S.offsets[1] + np.arange(values.shape[1])) % lags
-    np.add.at(V, (slice(None), slots), values)
+    rows, cols = values.shape
+    V = np.zeros((rows, lags), dtype=complex)
+    s = 0
+    while s < cols:
+        k = (S.offsets[1] + s) % lags
+        n = min(lags - k, cols - s)
+        V[:, k : k + n] += values[:, s : s + n]
+        s += n
     np.fft.ifft(V, axis=1, out=V)
-    V *= S.dnu * lags
     return V
 
 
@@ -267,9 +311,9 @@ def apply_channel(eta, g):
     N = L * P * P
     n = np.arange(L * P)
     h = _lag_kernel(S, eta.values, L * P)
+    h *= S.dnu * (L * P)
     rows = S.offsets[0] + np.arange(h.shape[0])
-    out = np.zeros(N, dtype=complex)
-    np.add.at(out, np.add.outer(rows, n * P) % N, g.effective_weights(n) * h)
+    out = _scatter_add(N, np.add.outer(rows, n * P) % N, g.effective_weights(n) * h)
     return ChannelResponse(samples=out, x_step=S.dt, T=S.T, L=L, P=P)
 
 
@@ -309,9 +353,7 @@ def quasiperiodize(eta):
     S = eta.support
     LP = S.L * S.P
     rows, cols, i, j, k = _fold_index(S)
-    out = np.zeros((LP, LP), dtype=complex)
-    np.add.at(out, (i, j), eta.values[rows, cols] * _unit_phase(-j * k, S.P))
-    return out
+    return _scatter_add((LP, LP), i * LP + j, eta.values[rows, cols] * _unit_phase(-j * k, S.P))
 
 
 def assemble_system(eta_qp, Zgrid, G, t, nu, T):

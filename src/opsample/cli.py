@@ -20,6 +20,7 @@ import numpy as np
 from . import formats
 from .channel import (
     IdentifierTrain,
+    _l2_norm,
     apply_channel,
     assemble_system,
     quasiperiodize,
@@ -149,7 +150,7 @@ def cmd_simulate(args):
         formats.save_response(response, args.response_out)
     if args.zak_out:
         formats.save_zak(Z, S.T, S.L, S.P, args.zak_out)
-    _show(response_l2=np.linalg.norm(response.samples))
+    _show(response_l2=_l2_norm(response.samples))
     return 0
 
 

@@ -38,6 +38,7 @@ from .channel import (
     _chirp_kappa,
     _chirp_phase,
     _fold_index,
+    _l2_norm,
     _lag_kernel,
     _unit_phase,
     _zak_vectors,
@@ -147,9 +148,9 @@ def _report(S, values, eta_true, conds, formula):
         truth = np.asarray(truth)
         if (E.T, E.L, E.P, E.offsets, truth.shape) != (S.T, S.L, S.P, S.offsets, values.shape):
             raise GridMismatch("eta_true lies on another grid (T, L, P, shift or shape)")
-        num = np.linalg.norm(values - truth)
-        den = np.linalg.norm(truth)
-        error = float(num / den) if den != 0 else (0.0 if num == 0 else float("inf"))
+        num = _l2_norm(values - truth)
+        den = _l2_norm(truth)
+        error = num / den if den != 0 else (0.0 if num == 0 else float("inf"))
     return ReconstructionReport(
         eta_hat=DiscreteSpreadingFunction(support=S, values=values),
         relative_l2_error=error,
@@ -192,16 +193,20 @@ def reconstruct_h_sharp(report):
     One inverse DFT of the recovered samples along nu gives h(t + d*dt, t) at
     every lag d.  Row r is moved to absolute x by a phase, not a roll: its
     samples are first multiplied by exp(-2*pi*i*(j0+s)*I_r/N), I_r = i0 + r,
-    an exact root of unity.  Rows follow the stored t-rows of eta_hat,
-    columns the x-superperiod grid (length N = L*P^2, step T/P), so row r
-    equals impulse_response(eta_hat, x, t_r).
+    an exact root of unity read from the one table.  The scale dnu*N rides on
+    that (rows, cols) origin phase, so h is a zero fill, the folded lines and
+    one in-place inverse DFT, with no further pass over the output.  Rows
+    follow the stored t-rows of eta_hat, columns the x-superperiod grid
+    (length N = L*P^2, step T/P), so row r equals impulse_response(eta_hat, x, t_r).
     """
     eta = report.eta_hat
     S = eta.support
     N = S.L * S.P * S.P
     (i0, j0), (rows, cols) = S.offsets, eta.values.shape
     origin = _unit_phase(-np.multiply.outer(i0 + np.arange(rows), j0 + np.arange(cols)), N)
-    return _lag_kernel(S, eta.values * origin, N)
+    origin *= S.dnu * N
+    origin *= eta.values
+    return _lag_kernel(S, origin, N)
 
 
 @dataclass(eq=False)

@@ -25,6 +25,7 @@ from opsample import (
     random_spreading,
     zak_transform,
 )
+from opsample.channel import _fold_index, _lag_kernel, _scatter_add, _unit_phase
 from opsample.presets import staircase_support, translate_collision_support
 
 from oracles import (
@@ -70,6 +71,93 @@ def test_random_spreading_seeded():
     # [TRIVIAL] grid L2 uses the subcell area T*Omega/P^2
     expected = math.sqrt(np.sum(np.abs(a.values) ** 2) * S.dt * S.dnu)
     assert abs(a.grid_l2 - expected) < 1e-15
+
+
+def _bits(a):
+    return np.atleast_1d(np.asarray(a, dtype=complex)).view(np.uint64)
+
+
+def test_random_spreading_draw_is_bit_identical_to_a_plus_ib():
+    S = staircase_support(T=1.0, P=16)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        want = rng.standard_normal(S.mask.shape) + 1j * rng.standard_normal(S.mask.shape)
+        want[~S.mask] = 0
+        np.testing.assert_array_equal(_bits(random_spreading(S, seed=seed).values), _bits(want))
+
+
+def test_unit_phase_is_bit_identical_to_the_direct_exponential():
+    N = 3 * 64**2
+    rng = np.random.default_rng(0)
+    for d in (*range(1, 65), 192, 12288, 2 * N):
+        # negative numerators, 0-d numerators and 2-d grids reduce to the same entries
+        for num in (
+            rng.integers(-5 * d, 5 * d, size=40),
+            np.asarray(-d - 1),
+            np.asarray(7 * d + 3),
+            -np.multiply.outer(np.arange(-3, 9), np.arange(5, 16)),
+        ):
+            want = np.exp(2j * np.pi * (num % d) / d)
+            got = _unit_phase(num, d)
+            assert np.shape(got) == np.shape(want)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_unit_phase_returns_a_copy_of_the_table():
+    a = _unit_phase(np.arange(6), 6)
+    a *= 2.0
+    np.testing.assert_array_equal(_bits(_unit_phase(np.arange(6), 6)),
+                                  _bits(np.exp(2j * np.pi * np.arange(6) / 6)))
+
+
+def _add_at(shape, index, values):
+    out = np.zeros(shape, dtype=complex)
+    np.add.at(out, index, values)
+    return out
+
+
+def test_scatter_add_is_bit_identical_to_add_at_on_colliding_indices():
+    # the apply_channel pattern at L=3, P=8: P extra rows make row r and r + P
+    # land on one sample for lags n and n - 1
+    L, P = 3, 8
+    N, n = L * P * P, np.arange(L * P)
+    rows = 5 + np.arange(L * P + P)
+    index = np.add.outer(rows, n * P) % N
+    rng = np.random.default_rng(1)
+    values = rng.standard_normal(index.shape) + 1j * rng.standard_normal(index.shape)
+    assert len(np.unique(index)) < index.size
+    np.testing.assert_array_equal(_bits(_scatter_add(N, index, values)),
+                                  _bits(_add_at(N, index, values)))
+
+    # quasiperiodize on a shifted support whose time translates fold onto one subcell
+    base = translate_collision_support(L=3, T=1.0, P=4)
+    S = CellSupport(T=1.0, L=3, P=4, mask=base.mask, shift=(-5 * base.dt, 7 * base.dnu))
+    eta = random_spreading(S, seed=4)
+    rows, cols, i, j, k = _fold_index(S)
+    LP = S.L * S.P
+    assert len(np.unique(i * LP + j)) < i.size
+    terms = eta.values[rows, cols] * _unit_phase(-j * k, S.P)
+    want = _add_at((LP, LP), (i, j), terms)
+    np.testing.assert_array_equal(_bits(quasiperiodize(eta)), _bits(want))
+
+
+def test_lag_kernel_folds_lines_as_add_at_does():
+    L, P = 3, 4
+    LP, N = L * P, L * P * P
+    base = staircase_support(T=1.0, P=P)
+    shifted = CellSupport(T=1.0, L=L, P=P, cells=base.cells, shift=(2 * base.dt, 9 * base.dnu))
+    # more nu-lines than L*P^2: lines collide, and the fold wraps at either length
+    wide = CellSupport(T=1.0, L=L, P=P, mask=np.ones((5, N + 5), dtype=bool),
+                       shift=(0.0, 7 * base.dnu))
+    for S, lengths in ((shifted, (LP,)), (wide, (LP, N))):
+        values = random_spreading(S, seed=3).values
+        for lags in lengths:
+            assert S.offsets[1] + values.shape[1] > lags
+            V = _add_at((values.shape[0], lags),
+                        (slice(None), (S.offsets[1] + np.arange(values.shape[1])) % lags),
+                        values)
+            np.testing.assert_array_equal(_bits(_lag_kernel(S, values, lags)),
+                                          _bits(np.fft.ifft(V, axis=1)))
 
 
 def test_train_rate_and_period():

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface.
 
 Each test drives cli.main with an argv list and checks printed output, exit
-codes, and the files written.  No subprocesses: main() returns the exit code.
+codes, and the files written; main() returns the exit code.  Only the BLAS
+thread-count test runs the program as child processes, since the thread
+count is fixed when numpy loads.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,13 +109,69 @@ def test_simulate_identify_round_trip(workdir, capsys):
 def test_reruns_are_byte_identical(workdir, capsys):
     window_path = str(workdir / "w.json")
     run(["gen-window", "--L", "3", "--seed", "7", "--out", window_path], capsys)
-    base = [
-        "simulate", "--support", str(workdir / "stairs.json"), "--window", window_path,
-        "--seed", "5",
-    ]
-    run(base + ["--zak-out", str(workdir / "a.csv")], capsys)
-    run(base + ["--zak-out", str(workdir / "b.csv")], capsys)
-    assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
+    para = str(workdir / "para.json")
+    formats.save_support(presets.sheared_parallelogram_support(), para)
+    a = "0.3333333333333333"  # kappa = 1
+
+    def outputs(tag):
+        d = workdir / tag
+        d.mkdir()
+        printed = []
+        for support, flags in ((str(workdir / "stairs.json"), []), (para, ["--chirp-a", a])):
+            name = Path(support).stem
+            printed.append(run(
+                [
+                    "simulate", "--support", support, "--window", window_path, "--seed", "5",
+                    "--eta-out", str(d / f"{name}_eta.csv"),
+                    "--zak-out", str(d / f"{name}_zak.csv"),
+                    "--response-out", str(d / f"{name}_resp.csv"),
+                    *flags,
+                ],
+                capsys,
+            ))
+        printed.append(run(
+            [
+                "identify", "--zak", str(d / "para_zak.csv"), "--window", window_path,
+                "--support", para, "--symplectic", a, "--eta-true", str(d / "para_eta.csv"),
+                "--eta-out", str(d / "para_hat.csv"), "--report-out", str(d / "report.json"),
+            ],
+            capsys,
+        ))
+        assert all(code == 0 for code, _, _ in printed)
+        return printed, {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+    first, second = outputs("a"), outputs("b")
+    assert len(first[1]) == 8
+    assert first == second
+
+
+def test_printed_norms_do_not_depend_on_blas_threads(tmp_path):
+    # at P=64 np.linalg.norm's threaded dot product moved the last printed digits
+    formats.save_support(presets.seven_cell_support(P=64), str(tmp_path / "seven.json"))
+    path = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+
+    def outputs(threads):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        d = tmp_path / f"t{threads}"
+        d.mkdir()
+        stdout = []
+        for argv in (
+            ["gen-window", "--L", "3", "--seed", "7", "--out", "w.json"],
+            ["simulate", "--support", "../seven.json", "--window", "w.json", "--seed", "11",
+             "--eta-out", "eta.csv", "--zak-out", "zak.csv"],
+            ["identify", "--zak", "zak.csv", "--window", "w.json", "--support", "../seven.json",
+             "--eta-true", "eta.csv", "--report-out", "report.json"],
+        ):
+            proc = subprocess.run([sys.executable, "-m", "opsample.cli", *argv], cwd=d, env=env,
+                                  capture_output=True, text=True, check=True)
+            stdout.append(proc.stdout)
+        return stdout, (d / "report.json").read_bytes()
+
+    one, two = outputs(1), outputs(2)
+    assert "relative_l2_error" in one[0][2]
+    assert one == two
 
 
 def test_env_seed_fallback(workdir, capsys, monkeypatch):
