@@ -30,9 +30,12 @@ grid phase is read from one cached table of roots of unity (_unit_phase),
 every scatter is one bincount pass per real part (_scatter_add), and the lag
 kernel folds nu-lines by slice additions in the order of s.  Each gives the
 bits of the direct exponential or element-by-element scatter it replaces.
+apply_channel folds and scatters only the mask rows that hold an active
+subcell; the other rows would add only +-0 terms.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +47,7 @@ from .errors import (
     NonIntegerChirpPeriod,
 )
 from .gabor import Window
-from .support import CellSupport
+from .support import CellSupport, _mask_indices
 
 __all__ = [
     "DiscreteSpreadingFunction",
@@ -76,9 +79,9 @@ def _unit_phase(numerator, denominator):
 
 
 def _scatter_add(shape, flat_index, values):
-    """Zeros of the given shape with values added at flat_index in index order:
-    the bits of an element-by-element add, as bincount sums re and im apart."""
-    size = int(np.prod(shape))
+    """Zeros of the given shape (a tuple) with values added at flat_index in index
+    order: the bits of an element-by-element add, as bincount sums re and im apart."""
+    size = math.prod(shape)
     flat_index = np.ravel(flat_index)
     values = np.ravel(values)
     out = np.empty(size, dtype=complex)
@@ -120,7 +123,7 @@ def _fold_index(S):
     """Stored subcells (rows, cols) of S with their fold (i, j) onto the
     (L*P, L*P) fundamental domain and the count k of L*T time translates."""
     LP = S.L * S.P
-    rows, cols = np.nonzero(S.mask)
+    rows, cols = _mask_indices(S.mask)
     k, i = np.divmod(S.offsets[0] + rows, LP)
     j = (S.offsets[1] + cols) % LP
     return rows, cols, i, j, k
@@ -139,9 +142,9 @@ class DiscreteSpreadingFunction:
             raise GridMismatch(
                 f"values shape {self.values.shape} does not match mask {self.support.mask.shape}"
             )
-        if np.any(self.values[~self.support.mask] != 0):
+        if self.values[~self.support.mask].any():  # NaN is truthy, -0.0 is not
             raise InvalidParameters("values must vanish outside the support mask")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise InvalidParameters("spreading values must be finite")
 
     @property
@@ -295,8 +298,10 @@ def apply_channel(eta, g):
     Hg(x) = sum_n w_n h(x, x - nT), so it reads h only at lags n*P (in dt).
     On the grid x = k*dt the inner time x - nT hits stored row r when
     k = (i0 + r + n*P) mod L*P^2; n runs over one period n < L*P of both h
-    and the weights (whose period L or 2L divides L*P), and every row
-    scatters its L*P terms at once.
+    and the weights (whose period L or 2L divides L*P).  Only the rows that
+    hold an active subcell are folded, transformed and scattered, each its
+    L*P terms at once: any other row's terms are +-0, and adding them to a
+    bincount sum, which starts at +0.0 and is never -0.0, changes no bit.
     """
     S = eta.support
     if not isinstance(g, IdentifierTrain):
@@ -310,10 +315,12 @@ def apply_channel(eta, g):
     L, P = S.L, S.P
     N = L * P * P
     n = np.arange(L * P)
-    h = _lag_kernel(S, eta.values, L * P)
+    rows = np.flatnonzero(S.mask.any(axis=1))  # the rows with an active subcell
+    values = eta.values if rows.size == len(S.mask) else eta.values[rows]  # all active: no copy
+    h = _lag_kernel(S, values, L * P)
     h *= S.dnu * (L * P)
-    rows = S.offsets[0] + np.arange(h.shape[0])
-    out = _scatter_add(N, np.add.outer(rows, n * P) % N, g.effective_weights(n) * h)
+    index = np.add.outer(S.offsets[0] + rows, n * P) % N
+    out = _scatter_add((N,), index, g.effective_weights(n) * h)
     return ChannelResponse(samples=out, x_step=S.dt, T=S.T, L=L, P=P)
 
 

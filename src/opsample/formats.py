@@ -21,7 +21,7 @@ import numpy as np
 from .channel import DiscreteSpreadingFunction
 from .errors import InvalidParameters, OpSampleError
 from .gabor import Window
-from .support import CellSupport
+from .support import CellSupport, _mask_indices
 
 #: largest L*P a support or grid file may declare (its mask has (L*P)^2 points)
 MAX_LP = 4096
@@ -165,7 +165,8 @@ def _read_grid_csv(fh, zak):
     i, j = rows["i"], rows["j"]
     if np.any((i < 0) | (i >= n_i) | (j < 0) | (j >= n_j)):
         raise InvalidParameters(f"grid index outside [0, {n_i}) x [0, {n_j})")
-    if np.unique(i * n_j + j).size != i.size:
+    flat = np.sort(i * n_j + j)  # np.unique would import numpy.ma, ~20 ms per process
+    if np.any(flat[1:] == flat[:-1]):
         raise InvalidParameters("repeated grid index")
     if not (np.all(np.isfinite(rows["re"])) and np.all(np.isfinite(rows["im"]))):
         raise InvalidParameters("non-finite grid value")
@@ -181,7 +182,7 @@ def save_spreading(eta, path):
     header = (
         f"# T={_fmt(S.T)} L={S.L} P={S.P} t0={_fmt(S.shift[0])} nu0={_fmt(S.shift[1])}"
     )
-    i, j = np.nonzero(S.mask)
+    i, j = _mask_indices(S.mask)
     _write_table(path, header, ["i", "j", "re", "im"], (i, j), eta.values[i, j])
 
 

@@ -40,9 +40,11 @@ only the levels it needs.  For an L x k block A, k < L, A^H A is a principal
 submatrix of B^H B, B = [A a], so Cauchy interlacing gives s_1(B) >= s_1(A)
 and s_{k+1}(B) <= s_k(A): a k-subset dependent under _dependent makes every
 superset of up to L columns dependent.  Full spark is level L clean; other
-sparks are bisected.  Weights on the first k < L indices put the L columns
-(q, m) of one q in rows q..q+k-1 mod L, exact zeros elsewhere, so any k+1 of
-them are dependent under _dependent: spark k+1 is level k clean, k+1 unread.
+sparks are bisected.  Nonzero weights inside a cyclic run of r < L indices
+s..s+r-1 put the L columns (q, m) of one q in rows q+s..q+s+r-1 mod L, exact
+zeros elsewhere, so any r+1 of them are dependent under _dependent: the
+spark is at most r+1, and only levels 1..r need reading.  For weights on the
+first k indices, r = k: spark k+1 is level k clean, k+1 unread.
 """
 
 import bisect
@@ -246,6 +248,16 @@ def _levels(G):
     return functools.partial(_has_dependent, G.entries)
 
 
+def _run_length(c):
+    """Length r of the shortest cyclic run of indices holding every nonzero of c
+    (0 when c is zero, len(c) when no entry is zero)."""
+    nonzero = np.flatnonzero(c)
+    if nonzero.size == 0:
+        return 0
+    gaps = np.diff(nonzero, append=nonzero[0] + len(c))  # cyclically consecutive nonzeros
+    return len(c) - int(gaps.max()) + 1
+
+
 def spark(G):
     """Smallest k such that some k columns of G are dependent; L+1 if none up to size L.
 
@@ -253,14 +265,16 @@ def spark(G):
     bisection of levels 1..L-1 if it is dependent (module docstring): ~2 ms
     for a full-spark window at L = 5, ~55 ms at L = 6 (plus a one-time ~0.3 s
     build of the one table it reads), ~2.5 ms for the all-ones window (spark 2)
-    at L = 5 and 6.  A zero weight c_p = G[p, 0] zeroes row p of the L
-    columns (0, m), so level L is dependent and is not read.  Enforces L <= 7
-    and refuses entries that are not a Gabor matrix G(c).
+    at L = 5 and 6.  Weights c = G[:, 0] whose nonzeros fit a cyclic run of
+    r < L indices make level r+1 dependent, so level L is not read and only
+    levels 1..r are bisected.  Enforces L <= 7 and refuses entries that are
+    not a Gabor matrix G(c).
     """
     dependent = _levels(G)
-    if np.all(G.entries[:, 0] != 0) and not dependent(G.L):
+    r = _run_length(G.entries[:, 0])
+    if r == G.L and not dependent(G.L):
         return G.L + 1
-    return 1 + bisect.bisect_left(range(1, G.L), True, key=dependent)
+    return 1 + bisect.bisect_left(range(1, min(r, G.L - 1) + 1), True, key=dependent)
 
 
 def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):

@@ -99,7 +99,7 @@ def refine_support(S, L_new):
     return CellSupport(T=S.T, L=L_new, P=P_new, mask=mask, shift=S.shift)
 
 
-def bunched_window_plan(S, eps, seed=None, max_draws=200, modulus_cap=None):
+def bunched_window_plan(S, eps, seed=None, max_draws=200):
     """Identifier design for a small support: weights bunched at the period start.
 
     Searches the primes L' >= S.L for the smallest modulus whose T x 1/(TL')
@@ -120,14 +120,13 @@ def bunched_window_plan(S, eps, seed=None, max_draws=200, modulus_cap=None):
             f"|S|(1+eps) = {target:.6g} must be strictly below 1"
         )
 
-    if modulus_cap is None:
-        # |Gamma'| <= |S|*L' + 2*(nu-runs), so the cover ratio drops below the
-        # target once L' > 2*runs/(|S|*eps); double it for a prime to exist.
-        runs = 0
-        for q in range(S.L):
-            col = S.mask[q * S.P : (q + 1) * S.P].any(axis=0)
-            runs += int(np.count_nonzero(np.diff(col.astype(int)) == 1) + col[0])
-        modulus_cap = 2 * max(S.L, int(np.ceil(2 * runs / (area * eps)))) + 2
+    # |Gamma'| <= |S|*L' + 2*(nu-runs), so the cover ratio drops below the
+    # target once L' > 2*runs/(|S|*eps); double it for a prime to exist.
+    runs = 0
+    for q in range(S.L):
+        col = S.mask[q * S.P : (q + 1) * S.P].any(axis=0)
+        runs += int(np.count_nonzero(np.diff(col.astype(int)) == 1) + col[0])
+    modulus_cap = 2 * max(S.L, int(np.ceil(2 * runs / (area * eps)))) + 2
 
     chosen = None
     for L_new in filter(is_prime, range(S.L, modulus_cap + 1)):
@@ -139,7 +138,7 @@ def bunched_window_plan(S, eps, seed=None, max_draws=200, modulus_cap=None):
         if len(report.gamma) / L_new < target:
             chosen = (L_new, refined, report)
             break
-    if chosen is None:
+    if chosen is None:  # a guard: the cap above is set so that some prime fits
         raise NoPrimeInRange(
             f"no prime modulus in [{S.L}, {modulus_cap}] brings the cell cover "
             f"below |S|(1+eps) = {target:.6g}"

@@ -116,8 +116,7 @@ def left_inverse(G, gamma, omega):
             f"(sigma_min/sigma_max = {ratio:.3e})"
         )
     pinv = (Vh.conj().T / s) @ U.conj().T
-    q = np.array([cell[0] for cell in gamma])
-    m = np.array([cell[1] for cell in gamma])
+    q, m = np.array(gamma).T
     scale = (1.0 / omega) * _unit_phase(q * m, L)
     return LeftInverse(
         gamma=gamma,
@@ -131,7 +130,7 @@ def _validate_grids(Zgrid, G, S):
     Zgrid = np.asarray(Zgrid, dtype=complex)
     if Zgrid.shape != (L * P, P):
         raise GridMismatch(f"Zak grid must have shape ({L * P}, {P}), got {Zgrid.shape}")
-    if not np.all(np.isfinite(Zgrid)):
+    if not np.isfinite(Zgrid).all():
         raise InvalidParameters("Zak grid values must be finite")
     if G.L != L:
         raise GridMismatch(f"G has period {G.L}, support has L = {L}")
@@ -180,10 +179,10 @@ def recover_eta_known_support(Zgrid, G, S, eta_true=None):
         us, vs = np.nonzero(cls.points)
         q, m = np.array(inv.gamma).T[:, :, None]
         X[q, m, us, vs] = inv.coefficients @ _zak_vectors(Zgrid, us, vs, L, P)
-    rows, cols, i, j, k = _fold_index(S)
+    _, _, i, j, k = _fold_index(S)
     (q, u), (m, v) = np.divmod(i, P), np.divmod(j, P)
     values = np.zeros(S.mask.shape, dtype=complex)
-    values[rows, cols] = _unit_phase(v * q, L * P) * X[q, m, u, v] * _unit_phase(j * k, P)
+    values[S.mask] = _unit_phase(v * q, L * P) * X[q, m, u, v] * _unit_phase(j * k, P)
     return _report(S, values, eta_true, conds, "sharp" if len(conds) <= 1 else "multiclass")
 
 

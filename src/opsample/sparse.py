@@ -67,7 +67,7 @@ def mmv_omp(Y, G, k_max, tol, candidates=None, gamma_true=None):
         Y = Y[:, None]
     if Y.ndim != 2 or Y.shape[0] != L:
         raise GridMismatch(f"Y must have L = {L} rows, got shape {Y.shape}")
-    if not np.all(np.isfinite(Y)):
+    if not np.isfinite(Y).all():
         raise InvalidParameters("Y must be finite")
     if not 1 <= k_max <= L:
         raise InvalidParameters(f"k_max must lie in [1, {L}]")
@@ -81,7 +81,7 @@ def mmv_omp(Y, G, k_max, tol, candidates=None, gamma_true=None):
             raise InvalidParameters("the candidate set (search domain) has no cells")
     A = G.entries[:, cand]
     norms = np.linalg.norm(A, axis=0)
-    if not np.all(norms > 0):
+    if not (norms > 0).all():
         raise RankDeficient("the dictionary has zero columns (all-zero window)")
 
     def finish(chosen, history):
@@ -107,21 +107,27 @@ def mmv_omp(Y, G, k_max, tol, candidates=None, gamma_true=None):
     chosen, history = [], []
     basis = np.zeros((L, 0), dtype=complex)  # orthonormal, spans the chosen columns
     residual = Y
+    proj, proj_norms = A, norms  # the first step has no span to project out
+    fresh = norms > tol * norms  # columns that add a direction
     for _ in range(k_max):
         U, s, _ = np.linalg.svd(residual, full_matrices=False)
         U = U[:, s > tol * norm_y]  # orthonormal basis of range(residual)
-        proj = A - basis @ (basis.conj().T @ A)
-        proj_norms = np.linalg.norm(proj, axis=0)
-        fresh = proj_norms > tol * norms  # columns that add a direction
-        fresh[chosen] = False
+        if chosen:
+            basis_h = basis.conj().T
+            proj = A - basis @ (basis_h @ A)
+            proj_norms = np.linalg.norm(proj, axis=0)
+            fresh = proj_norms > tol * norms
+            fresh[chosen] = False
         if not fresh.any():
             break
         scores = np.full(len(cand), -1.0)
         scores[fresh] = np.linalg.norm(U.conj().T @ proj[:, fresh], axis=0) / proj_norms[fresh]
-        j = int(np.argmax(scores))
-        chosen.append(j)
-        b = proj[:, j] - basis @ (basis.conj().T @ proj[:, j])  # orthogonalized twice
+        j = int(scores.argmax())
+        b = proj[:, j]
+        if chosen:
+            b = b - basis @ (basis_h @ b)  # orthogonalized twice
         basis = np.column_stack([basis, b / np.linalg.norm(b)])
+        chosen.append(j)
         residual = Y - basis @ (basis.conj().T @ Y)
         history.append(float(np.linalg.norm(residual) / norm_y))
         if history[-1] <= tol:

@@ -38,6 +38,12 @@ __all__ = [
 ]
 
 
+def _mask_indices(mask):
+    """np.nonzero of a 2-d mask from one flat pass: the same (rows, cols), and
+    several times faster than np.nonzero on masks of a few thousand points."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
 @dataclass(eq=False)
 class CellSupport:
     """A spreading support at cell/subcell granularity.
@@ -47,6 +53,12 @@ class CellSupport:
     footprint.  mask: boolean subcell grid, default (L*P, L*P); larger grids
     mark lattice translates.  shift: grid-aligned origin (t0, nu0) of the
     mask's [0, 0] subcell relative to the canonical rectangle.
+
+    Built from cells alone, the mask fills each labelled cell, and after
+    construction cells holds the folded footprint as sorted, distinct pairs of
+    Python ints.  With a zero shift the fold is the identity, so the declared
+    labels are that footprint and are taken as they are (converted to int);
+    a nonzero shift or an explicit mask re-folds the mask.
     """
 
     T: float
@@ -78,6 +90,9 @@ class CellSupport:
                 if not (0 <= q < self.L and 0 <= m < self.L):
                     raise InvalidParameters(f"cell ({q},{m}) outside [0,{self.L})^2")
                 self.mask[q * self.P : (q + 1) * self.P, m * self.P : (m + 1) * self.P] = True
+            if self._offsets == (0, 0):  # the fold is the identity: the labels are the cells
+                self.cells = tuple((int(q), int(m)) for q, m in declared)
+                return
             declared = None  # labels of the unshifted mask; the shift may move them
         else:
             self.mask = np.asarray(self.mask, dtype=bool)
@@ -123,7 +138,7 @@ class CellSupport:
             counts = self.mask.view(np.uint8)  # the fold is the identity: no copy
             counts.flags.writeable = False
             return counts
-        rows, cols = np.nonzero(self.mask)
+        rows, cols = _mask_indices(self.mask)
         flat = (i0 + rows) % period_i * period_j + (j0 + cols) % period_j
         return np.bincount(flat, minlength=period_i * period_j).reshape(period_i, period_j)
 
@@ -203,7 +218,7 @@ def rectify(S):
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     classes = []
     for idx, row in enumerate(first):
-        cells = tuple((int(b) // L, int(b) % L) for b in np.flatnonzero(flat[row]))
+        cells = tuple(divmod(b, L) for b in np.flatnonzero(flat[row]).tolist())
         points = (inverse == idx).reshape(P, P)
         classes.append(PartitionClass(cells=cells, points=points))
     return RectificationReport(

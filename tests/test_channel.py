@@ -19,6 +19,7 @@ from opsample import (
     apply_channel,
     assemble_system,
     build_gabor_matrix,
+    generate_window,
     impulse_response,
     inverse_zak,
     quasiperiodize,
@@ -48,16 +49,21 @@ def test_spreading_validation():
     with pytest.raises(GridMismatch):
         DiscreteSpreadingFunction(support=S, values=np.zeros((3, 3)))
 
-    bad = np.zeros(S.mask.shape, dtype=complex)
-    bad[~S.mask] = 1.0
-    with pytest.raises(InvalidParameters):
-        DiscreteSpreadingFunction(support=S, values=bad)
-
-    r, s = np.argwhere(S.mask)[0]
-    for x in (np.nan, np.inf):
+    r, s = np.argwhere(~S.mask)[0]
+    for x in (1.0, 1e-300j, np.nan, complex(0, np.nan), np.inf):  # nonzero or NaN outside
         bad = good.values.copy()
         bad[r, s] = x
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(InvalidParameters, match="vanish outside"):
+            DiscreteSpreadingFunction(support=S, values=bad)
+    zeros = good.values.copy()
+    zeros[~S.mask] = complex(-0.0, -0.0)  # -0.0 vanishes
+    DiscreteSpreadingFunction(support=S, values=zeros)
+
+    r, s = np.argwhere(S.mask)[0]
+    for x in (np.nan, np.inf, complex(1, -np.inf), complex(np.nan, 0)):  # non-finite inside
+        bad = good.values.copy()
+        bad[r, s] = x
+        with pytest.raises(InvalidParameters, match="finite"):
             DiscreteSpreadingFunction(support=S, values=bad)
 
 
@@ -126,7 +132,7 @@ def test_scatter_add_is_bit_identical_to_add_at_on_colliding_indices():
     rng = np.random.default_rng(1)
     values = rng.standard_normal(index.shape) + 1j * rng.standard_normal(index.shape)
     assert len(np.unique(index)) < index.size
-    np.testing.assert_array_equal(_bits(_scatter_add(N, index, values)),
+    np.testing.assert_array_equal(_bits(_scatter_add((N,), index, values)),
                                   _bits(_add_at(N, index, values)))
 
     # quasiperiodize on a shifted support whose time translates fold onto one subcell
@@ -290,6 +296,41 @@ def test_apply_channel_chirped_matches_oracle():
             eta.values, S.offsets, S.T, S.L, S.P, g.weights.weights, chirp_a=a
         )
         np.testing.assert_allclose(got.samples, want, atol=1e-10)
+
+
+def _apply_channel_every_row(eta, g):
+    """Dense-row reference: every stored row folds and scatters, active or not."""
+    S = eta.support
+    L, P = S.L, S.P
+    N, n = L * P * P, np.arange(L * P)
+    h = _lag_kernel(S, eta.values, L * P)
+    h *= S.dnu * (L * P)
+    rows = S.offsets[0] + np.arange(h.shape[0])
+    return _scatter_add((N,), np.add.outer(rows, n * P) % N, g.effective_weights(n) * h)
+
+
+def test_apply_channel_skips_empty_rows_without_changing_a_bit():
+    rng = np.random.default_rng(17)
+    for L in (2, 3, 4, 5):
+        P = 4
+        window = generate_window(L, seed=L)
+        for trial in range(6):
+            # fewer than L cells leave some mask rows empty
+            cells = [divmod(int(c), L) for c in rng.choice(L * L, rng.integers(1, L), False)]
+            i0, j0 = (0, 0) if trial == 0 else rng.integers(-2 * L * P, 2 * L * P, size=2)
+            S = CellSupport(T=1.0, L=L, P=P, cells=cells, shift=(i0 / P, j0 / (L * P)))
+            assert not S.mask.any(axis=1).all()
+            eta = random_spreading(S, seed=trial)
+            eta.values[~S.mask] = complex(-0.0, -0.0)  # empty rows of -0.0 add nothing either
+            for kappa in (0, 1, 2):  # plain and chirped trains
+                g = IdentifierTrain(T=1.0, weights=window, chirp_a=kappa / L)
+                got = apply_channel(eta, g).samples
+                assert got.tobytes() == _apply_channel_every_row(eta, g).tobytes(), (L, trial)
+    # overflow rows of a lattice translate
+    S = translate_collision_support(L=3, T=1.0, P=4)
+    eta = random_spreading(S, seed=3)
+    g = _train(1.0, [1.0, 0.3 - 0.7j, -0.5])
+    assert apply_channel(eta, g).samples.tobytes() == _apply_channel_every_row(eta, g).tobytes()
 
 
 def test_apply_channel_validation():

@@ -174,6 +174,23 @@ def test_printed_norms_do_not_depend_on_blas_threads(tmp_path):
     assert one == two
 
 
+def test_grid_loaders_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (~20 ms in each CLI child); the repeated-index check must not
+    formats.save_spreading(random_spreading(presets.staircase_support(P=4), seed=1),
+                           str(tmp_path / "eta.csv"))
+    formats.save_zak(np.ones((12, 4), dtype=complex), 1.0, 3, 4, str(tmp_path / "zak.csv"))
+    path = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = (
+        "import sys; from opsample import formats; "
+        "formats.load_zak('zak.csv'); formats.load_spreading('eta.csv'); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_env_seed_fallback(workdir, capsys, monkeypatch):
     window_path = str(workdir / "w.json")
     run(["gen-window", "--L", "3", "--seed", "7", "--out", window_path], capsys)
@@ -435,6 +452,7 @@ def test_bad_grid_csv_exits_4(workdir, capsys):
     bad_eta = {
         "index": with_row(eta_lines, 2, "999,0,1,0\n"),
         "nan": with_row(eta_lines, 2, eta_lines[2].rsplit(",", 1)[0] + ",nan\n"),
+        "duplicate": with_row(eta_lines, 3, eta_lines[2]),
         "over_bound": with_row(eta_lines, 0, eta_lines[0].replace("L=3 ", "L=513 ")),
     }
     base = ["identify", "--window", window_path, "--support", str(workdir / "stairs.json")]
@@ -450,6 +468,13 @@ def test_bad_grid_csv_exits_4(workdir, capsys):
         code, _, err = run(base + [x for pair in files.items() for x in pair], capsys)
         assert code == 4, (flag, text[:80])
         assert "error:" in err and "Traceback" not in err
+
+    for flag, text in (("--zak", bad_zak["duplicate"]), ("--eta-true", bad_eta["duplicate"])):
+        path = workdir / "repeated.csv"
+        path.write_text(text)
+        loader = formats.load_zak if flag == "--zak" else formats.load_spreading
+        with pytest.raises(InvalidParameters, match="repeated grid index"):
+            loader(str(path))
 
     # a finite value so large that the solve overflows is a numerical failure
     path = workdir / "huge_value.csv"

@@ -448,6 +448,31 @@ def test_spark_decisions_read_only_the_levels_they_name(monkeypatch):
     requested.clear()
     assert spark(build_gabor_matrix(generate_window(5, seed=0))) == 6
     assert set(requested) == {(5, 5)}
+    # weights on 4 consecutive indices make level 5 dependent: levels 5 and 6 stay unread
+    four = build_gabor_matrix(generate_window(7, target="spark_k", k=4, seed=0))
+    requested.clear()
+    assert spark(four) == 5
+    assert requested and max(k for _, k in requested) <= 4
+    # the same run wrapped around index 0 caps the bisection the same way
+    requested.clear()
+    assert spark(build_gabor_matrix(np.roll(four.entries[:, 0], 5))) == 5
+    assert max(k for _, k in requested) <= 4
+
+
+@pytest.mark.parametrize("L", [2, 3, 5])
+def test_spark_capped_by_the_run_of_nonzero_weights_matches_oracle(L):
+    # nonzeros in a cyclic run of r < L indices: only levels 1..r are bisected
+    for k in range(1, L):
+        for seed in range(2):
+            c = generate_window(L, target="spark_k", k=k, seed=seed).weights
+            for shift in (0, L - 1):  # the shifted run wraps around index 0
+                G = build_gabor_matrix(np.roll(c, shift))
+                assert gabor._run_length(G.entries[:, 0]) == k
+                assert spark(G) == spark_oracle(G.entries) == k + 1, (k, seed, shift)
+    c = np.zeros(L, dtype=complex)
+    assert gabor._run_length(c) == 0 and spark(build_gabor_matrix(c)) == 1
+    c[[0, L - 1]] = 1.0  # a run of 2 across the wrap
+    assert gabor._run_length(c) == min(2, L)
 
 
 @pytest.mark.parametrize("L", [2, 3, 5, 7])

@@ -9,7 +9,6 @@ from opsample import (
     GenerationFailed,
     IdentifierTrain,
     InvalidParameters,
-    NoPrimeInRange,
     Window,
     apply_channel,
     bandwidth,
@@ -168,8 +167,6 @@ def test_bunched_plan_gates(monkeypatch):
     with pytest.raises(InvalidParameters):
         bunched_window_plan(S, eps=0.3)  # 0.8 * 1.3 >= 1
     small = CellSupport(T=1.0, L=4, P=2, cells=[(0, 0)])
-    with pytest.raises(NoPrimeInRange):
-        bunched_window_plan(small, eps=0.5, modulus_cap=5)
     with pytest.raises(InvalidParameters):  # no draw to spend
         bunched_window_plan(small, eps=0.5, max_draws=0)
     monkeypatch.setattr(gabor, "DEFAULT_TOL", 2.0)  # every class block is dependent

@@ -81,6 +81,28 @@ def test_shifted_cells_are_the_folded_footprint():
     assert rep.gamma == S.cells == tuple(sorted({c for cls in rep.classes for c in cls.cells}))
 
 
+def test_cell_built_labels_are_the_folded_footprint():
+    # with a zero shift the declared labels are taken as the cells; a shift re-folds
+    L, P = 4, 3
+    omega = 1.0 / L
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        cells = [divmod(int(c), L) for c in rng.choice(L * L, rng.integers(1, L * L), False)]
+        as_numpy = [(np.int64(q), np.intp(m)) for q, m in cells]
+        for labels in (cells, np.array(cells), as_numpy, cells[::-1] + cells):
+            for i0, j0 in ((0, 0), (1, -5), (-7, 2), (L * P, 0)):
+                shift = (i0 / P, j0 * omega / P)
+                S = CellSupport(T=1.0, L=L, P=P, cells=labels, shift=shift)
+                assert S.cells == CellSupport(T=1.0, L=L, P=P, mask=S.mask, shift=shift).cells
+                assert all(type(x) is int for cell in S.cells for x in cell)
+    S = CellSupport(T=1.0, L=2, P=2, cells=[(True, False), (0, True), (1, 0)])
+    assert S.cells == ((0, 1), (1, 0))
+    assert all(type(x) is int for cell in S.cells for x in cell)
+    for labels in ([(2, 0)], np.array([[0, -1]])):
+        with pytest.raises(InvalidParameters, match="outside"):
+            CellSupport(T=1.0, L=2, P=2, cells=labels)
+
+
 def test_derived_quantities():
     S = CellSupport(T=0.5, L=4, P=8, cells=((0, 0),))
     assert S.omega == pytest.approx(1 / 2.0)
