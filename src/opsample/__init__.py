@@ -41,7 +41,6 @@ from .gabor import (
     Window,
     build_gabor_matrix,
     generate_window,
-    minors_nonzero,
     modulate,
     spark,
     translate,
@@ -51,12 +50,9 @@ from .support import (
     PartitionClass,
     RectificationReport,
     bandwidth,
-    check_fundamental_domain,
     check_identifiable,
-    jordan_rectification_bound,
     periodization_count,
     rectify,
-    union_supports,
 )
 from .channel import (
     ChannelResponse,
@@ -86,15 +82,12 @@ from .sparse import (
     SupportEstimate,
     mmv_omp,
     recover_unknown_support,
-    verify_uniqueness_class,
 )
 from .rates import (
     RateReport,
     bunched_window_plan,
-    check_necessary,
     rate_report,
     refine_support,
-    sampling_rate,
 )
 
 __version__ = "0.1.0"

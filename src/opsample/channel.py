@@ -147,12 +147,6 @@ class DiscreteSpreadingFunction:
         if not np.isfinite(self.values).all():
             raise InvalidParameters("spreading values must be finite")
 
-    @property
-    def grid_l2(self):
-        """Grid L2 norm with the subcell area weight."""
-        cell_area = self.support.dt * self.support.dnu
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * cell_area))
-
 
 def random_spreading(S, seed=None):
     """Complex standard-normal samples on the active subcells of S."""

@@ -132,12 +132,13 @@ def cmd_rectify(args):
 
 
 def cmd_simulate(args):
-    _require(args.eta or args.support, "--eta or --support is required")
-    _require(args.eta or _resolve_seed(args) is not None, "need --eta, or --seed to draw one")
     if args.eta:
+        _require(args.support is None and args.seed is None, "--eta takes no --support or --seed")
         eta = _load(formats.load_spreading, args.eta)
         S = eta.support
     else:
+        _require(args.support, "--eta or --support is required")
+        _require(_resolve_seed(args) is not None, "need --eta, or --seed to draw one")
         S = _load(formats.load_support, args.support)
         eta = random_spreading(S, seed=_resolve_seed(args))
     window = _load(formats.load_window, args.window)
@@ -155,6 +156,8 @@ def cmd_simulate(args):
 
 
 def cmd_identify(args):
+    _require(not (args.smooth and args.symplectic is not None), "--smooth excludes --symplectic")
+    _require(args.smooth == (args.eps is not None), "--smooth requires --eps, which only it reads")
     Z, T, _, _ = _load(formats.load_zak, args.zak)
     window = _load(formats.load_window, args.window)
     G = build_gabor_matrix(window)
@@ -162,7 +165,6 @@ def cmd_identify(args):
     S = _load(formats.load_support, args.support)
     _require_zak_T(T, S)
     if args.smooth:
-        _require(args.eps is not None, "--smooth requires --eps")
         windows = smooth_windows(S.T, S.omega, args.eps, S.P)
         report = recover_eta_smooth(Z, G, S, windows, eta_true=eta_true)
     elif args.symplectic is not None:
@@ -217,6 +219,7 @@ def cmd_rates(args):
     S = _load(formats.load_support, args.support)
     if args.plan:
         _require(args.eps is not None, "--plan requires --eps")
+        _require(args.window is None, "--plan draws its own window and takes no --window")
         window, report = bunched_window_plan(
             S, args.eps, seed=_resolve_seed(args), max_draws=args.max_draws
         )
@@ -225,6 +228,7 @@ def cmd_rates(args):
             formats.save_window(window, args.window_out)
     else:
         _require(args.window, "rates without --plan requires --window")
+        _require(args.seed is None and args.window_out is None, "--seed, --window-out need --plan")
         window = _load(formats.load_window, args.window)
         report = rate_report(IdentifierTrain(T=S.T, weights=window), S, eps=args.eps)
     record = dataclasses.asdict(report)

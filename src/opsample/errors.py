@@ -14,7 +14,7 @@ class InvalidParameters(OpSampleError):
 
 
 class SearchBudgetExceeded(OpSampleError):
-    """A combinatorial search (spark, minors) would exceed the enforced size limit."""
+    """A combinatorial search (spark) would exceed the enforced size limit."""
 
 
 class GenerationFailed(OpSampleError):

@@ -70,8 +70,6 @@ __all__ = [
     "build_gabor_matrix",
     "spark",
     "generate_window",
-    "minors_nonzero",
-    "is_prime",
 ]
 
 #: tol of the package's one rank rule, _dependent, which reads it at call time
@@ -80,9 +78,6 @@ DEFAULT_TOL = 1e-9
 #: exhaustive spark search is one subset per translation orbit, about
 #: C(L^2, k)/L^2; enforced ceiling (L^2 <= 49 keeps a bitmask in int64)
 SPARK_SEARCH_LIMIT = 7
-
-#: minor enumeration ceiling
-MINORS_LIMIT = 5
 
 #: orbit-table rows per batched det and SVD call
 CHUNK = 2048
@@ -154,9 +149,6 @@ class GaborMatrix:
         if not (0 <= q < L and 0 <= m < L):
             raise InvalidParameters(f"cell ({q},{m}) outside [0,{L})^2")
         return q * L + m
-
-    def column(self, q, m):
-        return self.entries[:, self.column_index(q, m)]
 
 
 def build_gabor_matrix(window):
@@ -328,23 +320,3 @@ def _draw_window(L, support, seed, max_draws, accept, failure):
         if accept(c):
             return Window(L=L, weights=c, seed=seed, draws=draw)
     raise GenerationFailed(failure)
-
-
-def minors_nonzero(G):
-    """True iff every square submatrix of every size is nonsingular under the rank rule.
-
-    For each row set of size r, the level-r search of the module docstring
-    runs on those rows, so the answer does not depend on the window's scale.
-    Entries that are not a Gabor matrix G(c) are refused.
-    """
-    L = G.L
-    if L > MINORS_LIMIT:
-        raise SearchBudgetExceeded(
-            f"minor enumeration is limited to L <= {MINORS_LIMIT}, got L={L}"
-        )
-    _require_gabor(G)
-    return not any(
-        _has_dependent(G.entries[list(rows)], r)
-        for r in range(1, L + 1)
-        for rows in itertools.combinations(range(L), r)
-    )

@@ -21,6 +21,8 @@ from .channel import IdentifierTrain
 from .gabor import _dependent, _draw_window, build_gabor_matrix, is_prime
 from .support import CellSupport, bandwidth, rectify
 
+__all__ = ["RateReport", "rate_report", "refine_support", "bunched_window_plan"]
+
 
 @dataclass
 class RateReport:
@@ -41,11 +43,6 @@ class RateReport:
     dead_time_fraction: float
 
 
-def sampling_rate(g):
-    """D(Lambda) = ||c||_0/(TL) of the train g (IdentifierTrain.rate)."""
-    return g.rate
-
-
 def _memory(S):
     """K: right edge of the t-support, so every eta(., nu) lives in [0, K]."""
     occupied = np.flatnonzero(S.mask.any(axis=1))
@@ -54,22 +51,16 @@ def _memory(S):
     return (S.offsets[0] + occupied[-1] + 1) * S.dt
 
 
-def check_necessary(g, S):
-    """Necessary rate bound D >= B(S), with one subcell height of slack."""
-    return sampling_rate(g) >= bandwidth(S) - S.dnu
-
-
 def rate_report(g, S, eps=None):
     """Assemble the full RateReport for an identifier/support pair."""
     if eps is not None and not np.isfinite(eps):
         raise InvalidParameters("eps must be finite")
-    rate = sampling_rate(g)
     count = g.weights.support_size()
     margin = None if eps is None else S.area * (1.0 + eps) - count / g.L
     return RateReport(
-        rate=rate,
+        rate=g.rate,
         bandwidth=bandwidth(S),
-        necessary_ok=check_necessary(g, S),
+        necessary_ok=g.rate >= bandwidth(S) - S.dnu,
         area=S.area,
         sufficient_margin=margin,
         dead_time_fraction=1.0 - (g.T * count + _memory(S)) / (g.L * g.T),

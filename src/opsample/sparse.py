@@ -22,12 +22,11 @@ from .channel import _zak_vectors
 from .errors import GridMismatch, InvalidParameters, NoConvergence, RankDeficient
 from .gabor import _check_tol
 from .reconstruct import _validate_grids, recover_eta_known_support
-from .support import CellSupport, check_identifiable, periodization_count, union_supports
+from .support import CellSupport
 
 __all__ = [
     "SupportEstimate",
     "mmv_omp",
-    "verify_uniqueness_class",
     "recover_unknown_support",
 ]
 
@@ -133,24 +132,6 @@ def mmv_omp(Y, G, k_max, tol, candidates=None, gamma_true=None):
         if history[-1] <= tol:
             break
     return finish(chosen, history)
-
-
-def verify_uniqueness_class(S1, S2, Delta):
-    """Certify that two supports cannot be confused by one identifier.
-
-    Both supports must meet the density hypothesis (periodization count at
-    most Delta*L with Delta < 1/2 + 1/(2L)); the certificate then reduces to
-    identifiability of the union (the difference of two channels supported on
-    S1 and S2 is supported on S1 union S2).  Returns False whenever the
-    hypothesis fails or the union is not identifiable.
-    """
-    L = S1.L
-    if not 0 < Delta < 0.5 + 1.0 / (2 * L):
-        return False
-    cap = Delta * L + 1e-12
-    if periodization_count(S1).max() > cap or periodization_count(S2).max() > cap:
-        return False
-    return check_identifiable(union_supports(S1, S2))
 
 
 def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None, eta_true=None, gamma_true=None):

@@ -17,24 +17,20 @@ subcells sharing the same folded occupancy pattern; each class yields the cell
 set Gamma_j of the restricted linear system the reconstruction module solves.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidParameters, NotIdentifiable
+from .errors import InvalidParameters, NotIdentifiable
 
 __all__ = [
     "CellSupport",
     "PartitionClass",
     "RectificationReport",
-    "check_fundamental_domain",
     "periodization_count",
     "check_identifiable",
     "rectify",
     "bandwidth",
-    "jordan_rectification_bound",
-    "union_supports",
 ]
 
 
@@ -165,13 +161,6 @@ class RectificationReport:
     gamma: tuple  # union of active cells
     classes: list  # PartitionClass entries, ascending row-major occupancy patterns (see rectify)
     max_cover: int  # essential supremum of the periodization count
-    identifiable: bool
-
-
-def check_fundamental_domain(S):
-    """True iff the (LT, 1/T)-periodization of S covers nothing twice."""
-    LP = S.L * S.P
-    return bool(S.fold_counts(LP, LP).max(initial=0) <= 1)
 
 
 def periodization_count(S):
@@ -221,12 +210,7 @@ def rectify(S):
         cells = tuple(divmod(b, L) for b in np.flatnonzero(flat[row]).tolist())
         points = (inverse == idx).reshape(P, P)
         classes.append(PartitionClass(cells=cells, points=points))
-    return RectificationReport(
-        gamma=S.cells,
-        classes=classes,
-        max_cover=int(cover.max()),
-        identifiable=True,
-    )
+    return RectificationReport(gamma=S.cells, classes=classes, max_cover=int(cover.max()))
 
 
 def bandwidth(S):
@@ -234,55 +218,3 @@ def bandwidth(S):
     if not S.mask.any():
         return 0.0
     return float(S.mask.sum(axis=1).max()) * S.dnu
-
-
-def jordan_rectification_bound(A, B, U, N, eps):
-    """Least L with max(A, B) <= (L-1)/2 and 4(U/sqrt(L) + N/L) <= eps.
-
-    For supports inside [-A, A] x [-B, B] bounded by N Jordan curves of total
-    length U and interior area below sigma - eps, for any 0 < sigma <= 1, every
-    such L admits a (sqrt(L), L)-rectification of the recentred support with
-    |Gamma| <= sigma*L; the bound itself does not depend on sigma.  Steps of
-    one from the closed-form real bound settle L; a bound above 2**53, where
-    floats no longer tell L from L + 1, is refused.
-    """
-    if not np.all(np.isfinite([A, B, U, N, eps])):
-        raise InvalidParameters("need finite A, B, U, N and eps")
-    if min(A, B, U, eps) <= 0 or N < 1 or int(N) != N:
-        raise InvalidParameters("need A, B, U, eps > 0 and integer N >= 1")
-    A, B, U, N, eps = map(float, (A, B, U, N, eps))  # overflow gives inf, not a warning
-
-    def fits(L):
-        return max(A, B) <= (L - 1) / 2 and 4 * (U / np.sqrt(L) + N / L) <= eps
-
-    root = 2 * (U + math.sqrt(U * U + N * eps)) / eps  # sqrt(L) at 4(U/sqrt(L) + N/L) = eps
-    L = max(2 * max(A, B) + 1, root * root)
-    if not L <= 2**53:
-        raise InvalidParameters(f"the rectification bound {L:.3g} exceeds 2**53")
-    L = math.ceil(L)
-    while fits(L - 1):  # fits(1) is false, as max(A, B) > 0
-        L -= 1
-    while not fits(L):
-        L += 1
-    return L
-
-
-def union_supports(S1, S2):
-    """Union of two supports sharing a discretization (T, L, P)."""
-    if (S1.T, S1.L, S1.P) != (S2.T, S2.L, S2.P):
-        raise GridMismatch("supports must share T, L, P")
-    i1, j1 = S1.offsets
-    i2, j2 = S2.offsets
-    i0, j0 = min(i1, i2), min(j1, j2)
-    rows = max(i1 + S1.mask.shape[0], i2 + S2.mask.shape[0]) - i0
-    cols = max(j1 + S1.mask.shape[1], j2 + S2.mask.shape[1]) - j0
-    mask = np.zeros((rows, cols), dtype=bool)
-    mask[i1 - i0 : i1 - i0 + S1.mask.shape[0], j1 - j0 : j1 - j0 + S1.mask.shape[1]] |= S1.mask
-    mask[i2 - i0 : i2 - i0 + S2.mask.shape[0], j2 - j0 : j2 - j0 + S2.mask.shape[1]] |= S2.mask
-    return CellSupport(
-        T=S1.T,
-        L=S1.L,
-        P=S1.P,
-        mask=mask,
-        shift=(i0 * S1.dt, j0 * S1.dnu),
-    )

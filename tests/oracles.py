@@ -197,26 +197,3 @@ def periodized_band_kernel(u, T, P):
     [0, Omega) with L = 1 (dnu = Omega/P = 1/(T*P))."""
     dnu = 1.0 / (T * P)
     return dnu * sum(cmath.exp(2j * math.pi * j * dnu * u) for j in range(P))
-
-
-def jordan_bound_oracle(A, B, U, N, eps):
-    L = 1
-    while True:
-        if max(A, B) <= (L - 1) / 2 and 4 * (U / math.sqrt(L) + N / L) <= eps:
-            return L
-        L += 1
-
-
-def minors_oracle(entries, tol=1e-9):
-    """True iff every square minor has modulus > tol, one minor at a time over
-    all row and column subsets (the package pairs rows with one column subset
-    per translation orbit)."""
-    import itertools
-
-    L, n = entries.shape
-    for r in range(1, L + 1):
-        for rows in itertools.combinations(range(L), r):
-            for cols in itertools.combinations(range(n), r):
-                if abs(np.linalg.det(entries[np.ix_(rows, cols)])) <= tol:
-                    return False
-    return True

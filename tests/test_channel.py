@@ -74,9 +74,6 @@ def test_random_spreading_seeded():
     np.testing.assert_array_equal(a.values, b.values)
     assert np.all(a.values[~S.mask] == 0)
     assert np.any(a.values[S.mask] != 0)
-    # [TRIVIAL] grid L2 uses the subcell area T*Omega/P^2
-    expected = math.sqrt(np.sum(np.abs(a.values) ** 2) * S.dt * S.dnu)
-    assert abs(a.grid_l2 - expected) < 1e-15
 
 
 def _bits(a):

@@ -377,7 +377,7 @@ def test_exit_codes(workdir, capsys):
     run(
         [
             "simulate", "--support", str(workdir / "stairs.json"), "--window", window_path,
-            "--seed", "5", "--zak-out", str(workdir / "z.csv"),
+            "--seed", "5", "--zak-out", str(workdir / "z.csv"), "--eta-out", str(workdir / "e.csv"),
         ],
         capsys,
     )
@@ -386,16 +386,28 @@ def test_exit_codes(workdir, capsys):
     capsys.readouterr()
     assert exc.value.code == 2
 
-    # 2: usage errors argparse does not express are returned, not raised
+    # 2: usage errors argparse does not express, and flags the chosen mode never reads,
+    # are returned, not raised, before any file is read or written
     stairs = str(workdir / "stairs.json")
+    identify = ["identify", "--zak", str(workdir / "z.csv"), "--window", window_path,
+                "--support", stairs]
+    simulate = ["simulate", "--eta", str(workdir / "e.csv"), "--window", window_path]
+    window_out = workdir / "x.json"
     for argv in (
-        ["identify", "--zak", str(workdir / "z.csv"), "--window", window_path,
-         "--support", stairs, "--smooth"],
+        [*identify, "--smooth"],
+        [*identify, "--smooth", "--eps", "0.125", "--symplectic", "1"],
+        [*identify, "--eps", "5"],
+        [*simulate, "--seed", "99"],
+        [*simulate, "--support", str(workdir / "missing.json")],
         ["rates", "--support", stairs, "--plan"],
+        ["rates", "--support", stairs, "--plan", "--eps", "0.5", "--window", window_path],
+        ["rates", "--support", stairs, "--window", window_path, "--seed", "1"],
+        ["rates", "--support", stairs, "--window", window_path, "--window-out", str(window_out)],
         ["gen-window", "--L", "3", "--k", "7", "--seed", "1"],
     ):
-        code, _, err = run(argv, capsys)
-        assert code == 2 and "usage error:" in err
+        code, out, err = run(argv, capsys)
+        assert code == 2 and "usage error:" in err and out == "", argv
+    assert not window_out.exists()
 
     # 2: off-grid or non-finite chirp rate, non-finite eps or tol
     for argv in (

@@ -17,13 +17,12 @@ from opsample.gabor import (
     Window,
     build_gabor_matrix,
     generate_window,
-    minors_nonzero,
     modulate,
     spark,
     translate,
 )
 
-from oracles import gabor_matrix_oracle, minors_oracle, orbit_oracle, spark_oracle
+from oracles import gabor_matrix_oracle, orbit_oracle, spark_oracle
 
 
 def test_translate_wraps():
@@ -65,7 +64,7 @@ def test_matrix_matches_oracle_and_phase_relation():
     for q in range(L):
         for m in range(L):
             expected = np.exp(2j * np.pi * q * m / L) * translate(modulate(c, m), q)
-            np.testing.assert_allclose(G.column(q, m), expected, atol=1e-13)
+            np.testing.assert_allclose(G.entries[:, G.column_index(q, m)], expected, atol=1e-13)
 
 
 def test_column_norms_and_tight_frame():
@@ -198,30 +197,6 @@ def test_generate_window_budget_failure(monkeypatch):
         generate_window(3, seed=0, max_draws=1)
 
 
-def test_minors_nonzero_generic_L3():
-    w = generate_window(3, seed=2)
-    assert minors_nonzero(build_gabor_matrix(w)) is True
-
-
-def test_minors_nonzero_zero_entry():
-    G = build_gabor_matrix(np.array([1.0, 0.0, 1.0], dtype=complex))
-    assert minors_nonzero(G) is False
-
-
-def test_minors_vanish_for_nonprime_L4():
-    # L = 4 is the smallest non-prime period; some minor always vanishes
-    rng = np.random.default_rng(123)
-    for _ in range(3):
-        c = rng.uniform(0.5, 1, 4) * np.exp(2j * np.pi * rng.uniform(size=4))
-        assert minors_nonzero(build_gabor_matrix(c)) is False
-
-
-def test_minors_limit():
-    G = GaborMatrix(L=6, entries=np.ones((6, 36), dtype=complex))
-    with pytest.raises(SearchBudgetExceeded):
-        minors_nonzero(G)
-
-
 def test_full_spark_density():
     # engineering proxy for density: 20 seeded draws at L=3 all full spark
     hits = 0
@@ -279,17 +254,6 @@ def test_spark_matches_oracle_near_tolerance(L):
     assert L + 1 in seen and len(seen) > 1
 
 
-@pytest.mark.parametrize("L", [2, 3, 4])
-def test_minors_nonzero_matches_all_columns_oracle(L):
-    rng = np.random.default_rng(60 + L)
-    windows = list(_structured_windows(L))
-    for _ in range(2):
-        windows.append(rng.uniform(0.5, 1, L) * np.exp(2j * np.pi * rng.uniform(size=L)))
-    for c in windows:
-        G = build_gabor_matrix(np.asarray(c, dtype=complex))
-        assert minors_nonzero(G) is minors_oracle(G.entries), c
-
-
 @pytest.mark.parametrize("L", [2, 3, 4, 5])
 def test_orbit_table_holds_one_subset_per_translation_orbit(L):
     for k in range(1, L + 1):
@@ -308,33 +272,14 @@ def test_spark_of_the_all_ones_window_matches_oracle():
     assert spark(G) == spark_oracle(G.entries) == 2
 
 
-@pytest.mark.parametrize("L", [2, 3, 4, 5])
-def test_minors_nonzero_is_scale_free(L):
-    # the rank rule is relative: rescaling the window changes no decision
-    # (an absolute |det| threshold called the L = 5 seed-3 window singular at 1e-2)
-    rng = np.random.default_rng(80 + L)
-    zero = rng.uniform(0.5, 1, L) * np.exp(2j * np.pi * rng.uniform(size=L))
-    zero[L // 2] = 0
-    windows = [generate_window(L, seed=3).weights, np.ones(L), zero]
-    for c in windows:
-        want = minors_nonzero(build_gabor_matrix(c))
-        if L <= 4:
-            assert want is minors_oracle(build_gabor_matrix(c).entries), c
-        for scale in (1e-6, 1e-2, 1e6):
-            assert minors_nonzero(build_gabor_matrix(scale * c)) is want, (c, scale)
-
-
 def test_search_refuses_entries_that_are_not_a_gabor_matrix():
     rng = np.random.default_rng(9)
     G = GaborMatrix(L=3, entries=rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9)))
     with pytest.raises(InvalidParameters):
         spark(G)
-    with pytest.raises(InvalidParameters):
-        minors_nonzero(G)
     c = rng.normal(size=3) + 1j * rng.normal(size=3)
     G = GaborMatrix(L=3, entries=gabor_matrix_oracle(c))
     assert spark(G) == spark_oracle(G.entries)
-    assert minors_nonzero(G) is minors_oracle(G.entries)
     with pytest.raises(InvalidParameters):  # no column (0, 0) to build G(c) from
         GaborMatrix(L=0, entries=np.zeros((0, 0)))
     entries = gabor_matrix_oracle(c)
@@ -527,9 +472,9 @@ def _screen_windows(L):
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
 def test_det_screen_keeps_every_dependent_block(L):
     # the shared-pivot screen may pass a block the SVD clears, never drop one it flags;
-    # the row subsets are the minors_nonzero searches, and a zero column 0 skips the screen
+    # every row subset is searched at its own size, and a zero column 0 skips the screen
     windows, every = _screen_windows(L), [range(L)]
-    if L <= gabor.MINORS_LIMIT:
+    if L <= 5:
         every = [rows for r in range(1, L + 1) for rows in itertools.combinations(range(L), r)]
     else:  # the (6, 6) table has 54k blocks: generic, all-ones, near-tolerance and zero
         windows = itertools.islice(windows, 5)

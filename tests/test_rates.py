@@ -14,13 +14,11 @@ from opsample import (
     bandwidth,
     build_gabor_matrix,
     bunched_window_plan,
-    check_necessary,
     generate_window,
     random_spreading,
     rate_report,
     recover_eta_known_support,
     refine_support,
-    sampling_rate,
     zak_transform,
 )
 
@@ -30,18 +28,18 @@ def _train(T, weights):
 
 
 def test_sampling_rate_counts_support():
-    assert sampling_rate(_train(1.0, [1, 1, 1])) == 1.0
-    assert sampling_rate(_train(1.0, [1, 0, 0])) == pytest.approx(1.0 / 3.0)
+    assert _train(1.0, [1, 1, 1]).rate == 1.0
+    assert _train(1.0, [1, 0, 0]).rate == pytest.approx(1.0 / 3.0)
     # scaling the nonzero weights never moves the rate
     g = _train(0.5, [2.0, 0, 1j, 0, 0.25])
-    assert sampling_rate(g) == sampling_rate(_train(0.5, [14.0, 0, 7j, 0, 1.75]))
+    assert g.rate == _train(0.5, [14.0, 0, 7j, 0, 1.75]).rate
     # a chirp reweights by unimodular phases, same support count
     chirped = IdentifierTrain(T=0.5, weights=g.weights, chirp_a=0.4)
-    assert sampling_rate(chirped) == sampling_rate(g)
+    assert chirped.rate == g.rate
     # a tiny weight still counts: the train's own rate is the exact-nonzero count
     tiny = _train(1.0, [1, 1e-13, 0])
     assert tiny.weights.support_size() == 2
-    assert tiny.rate == sampling_rate(tiny) == pytest.approx(2.0 / 3.0)
+    assert tiny.rate == pytest.approx(2.0 / 3.0)
 
 
 def test_dense_train_rate_is_L_times_omega():
@@ -49,7 +47,7 @@ def test_dense_train_rate_is_L_times_omega():
     L, T = 3, 1.0
     omega = 1.0 / (L * T)
     g = IdentifierTrain(T=T, weights=generate_window(L, seed=30))
-    assert sampling_rate(g) == pytest.approx(3 * omega)
+    assert g.rate == pytest.approx(3 * omega)
 
 
 def test_check_necessary():
@@ -59,18 +57,18 @@ def test_check_necessary():
     S = CellSupport(T=T, L=L, P=P, cells=[(0, 0), (0, 1), (2, 2)])
     assert bandwidth(S) == pytest.approx(2 * omega)
     dense = IdentifierTrain(T=T, weights=generate_window(L, seed=31))
-    assert check_necessary(dense, S)
+    assert rate_report(dense, S).necessary_ok
 
     # full-height column: B(S) = 1/T; a single delta per period falls short
     tall = CellSupport(T=T, L=L, P=P, cells=[(1, 0), (1, 1), (1, 2)])
-    assert not check_necessary(_train(T, [1, 0, 0]), tall)
+    assert not rate_report(_train(T, [1, 0, 0]), tall).necessary_ok
 
     # time-invariant channel: one subcell row of nu-extent, B at the grid floor
     mask = np.zeros((L * P, L * P), dtype=bool)
     mask[:, 0] = True
     flat = CellSupport(T=T, L=L, P=P, mask=mask)
     assert bandwidth(flat) == pytest.approx(flat.dnu)
-    assert check_necessary(_train(T, [1]), flat)
+    assert rate_report(_train(T, [1]), flat).necessary_ok
 
 
 def test_rate_report_fields():

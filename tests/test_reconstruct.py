@@ -78,7 +78,7 @@ def test_left_inverse_rank_one():
     G = build_gabor_matrix(generate_window(3, seed=6))
     omega = 0.5
     inv = left_inverse(G, [(0, 0)], omega)
-    col = G.column(0, 0)
+    col = G.entries[:, G.column_index(0, 0)]
     want = (1 / omega) * col.conj() / np.linalg.norm(col) ** 2
     np.testing.assert_allclose(inv.coefficients[0], want, atol=1e-12)
     assert abs(inv.condition_number - 1.0) < 1e-12

@@ -19,7 +19,7 @@ from opsample import (
     random_spreading,
     zak_transform,
 )
-from opsample.sparse import mmv_omp, recover_unknown_support, verify_uniqueness_class
+from opsample.sparse import mmv_omp, recover_unknown_support
 from opsample.channel import DiscreteSpreadingFunction
 
 
@@ -245,26 +245,6 @@ def test_weak_cell_is_found():
         Z = zak_transform(apply_channel(eta, IdentifierTrain(T=1.0, weights=window)))
         report = recover_unknown_support(Z, G, R, k_max=3, tol=1e-10, gamma_true=cells)
         assert report.support_estimate.exact_match, trial
-
-
-def test_verify_uniqueness_class():
-    # disjoint single cells: union is a trivial 2-cover
-    A = CellSupport(T=1.0, L=3, P=4, cells=[(0, 0)])
-    B = CellSupport(T=1.0, L=3, P=4, cells=[(2, 1)])
-    assert verify_uniqueness_class(A, B, 1.0 / 3.0)
-
-    # same cell twice, one copy shifted a full t-superperiod: the union
-    # violates the fundamental-domain condition though each side is fine alone
-    D = CellSupport(T=1.0, L=3, P=4, cells=[(0, 0)], shift=(3.0, 0.0))
-    assert not verify_uniqueness_class(A, D, 1.0 / 3.0)
-
-    # stacked covers: each side needs Delta*L >= 3, past the theorem's range
-    L = 5
-    S1 = CellSupport(T=1.0, L=L, P=4, cells=[(0, 0), (1, 0), (2, 0)])
-    S2 = CellSupport(T=1.0, L=L, P=4, cells=[(0, 1), (1, 1), (2, 1)])
-    assert not verify_uniqueness_class(S1, S2, 0.5)
-    # the boundary Delta = 1/2 + 1/(2L) itself is excluded
-    assert not verify_uniqueness_class(S1, S2, 0.5 + 1.0 / (2 * L))
 
 
 def test_recover_unknown_support_end_to_end():

@@ -1,10 +1,9 @@
-import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from opsample.errors import GridMismatch, InvalidParameters, NotIdentifiable
+from opsample.errors import InvalidParameters, NotIdentifiable
 from opsample.presets import (
     seven_cell_support,
     sheared_parallelogram_support,
@@ -15,15 +14,12 @@ from opsample.presets import (
 from opsample.support import (
     CellSupport,
     bandwidth,
-    check_fundamental_domain,
     check_identifiable,
-    jordan_rectification_bound,
     periodization_count,
     rectify,
-    union_supports,
 )
 
-from oracles import fold_count_oracle, jordan_bound_oracle, occupancy_oracle, rectify_oracle
+from oracles import fold_count_oracle, occupancy_oracle, rectify_oracle
 
 
 def test_cell_support_builds_full_cell_mask():
@@ -144,14 +140,14 @@ def test_unshifted_fold_makes_no_widening_copy():
 def test_fundamental_domain_all_cells():
     for L in (2, 3):
         S = CellSupport(T=1.0, L=L, P=4, cells=tuple((q, m) for q in range(L) for m in range(L)))
-        assert check_fundamental_domain(S) is True
+        assert S.fold_counts(S.L * S.P, S.L * S.P).max() <= 1
         assert periodization_count(S).min() == L * L
         assert periodization_count(S).max() == L * L
 
 
 def test_fundamental_domain_overflow_collision():
     S = translate_collision_support()
-    assert check_fundamental_domain(S) is False
+    assert S.fold_counts(S.L * S.P, S.L * S.P).max() > 1
     assert check_identifiable(S) is False
 
 
@@ -163,7 +159,7 @@ def test_single_cell_counts():
 
 def test_staircase_identifiable_single_class():
     S = staircase_support()
-    assert check_fundamental_domain(S) is True
+    assert S.fold_counts(S.L * S.P, S.L * S.P).max() <= 1
     assert check_identifiable(S) is True
     rep = rectify(S)
     assert rep.gamma == ((0, 0), (1, 0), (2, 1))
@@ -255,7 +251,7 @@ def test_parallelogram_instance():
 
 def test_cover_violation_rejected():
     S = stacked_cover_violation()
-    assert check_fundamental_domain(S) is True
+    assert S.fold_counts(S.L * S.P, S.L * S.P).max() <= 1
     assert periodization_count(S).max() == 4
     assert check_identifiable(S) is False
     with pytest.raises(NotIdentifiable):
@@ -292,42 +288,3 @@ def test_shifted_support_counts_are_translation_invariant():
         np.sort(periodization_count(shifted), axis=None),
     )
     assert check_identifiable(shifted) is True
-
-
-def test_jordan_bound_matches_oracle_and_validates():
-    assert jordan_rectification_bound(1, 1, 0.04, 1, 1.0) == jordan_bound_oracle(
-        1, 1, 0.04, 1, 1.0
-    )
-    assert jordan_rectification_bound(1, 1, 0.04, 1, 1.0) == 5
-    assert jordan_rectification_bound(3, 2, 1.0, 2, 0.5) == jordan_bound_oracle(
-        3, 2, 1.0, 2, 0.5
-    )
-    for A, B, U, N, eps in itertools.product(
-        (0.1, 1, 3.7), (0.5, 2), (0.01, 0.04, 1.0), (1, 3), (0.25, 1.0, 3.0, 10.0)
-    ):
-        assert jordan_rectification_bound(A, B, U, N, eps) == jordan_bound_oracle(
-            A, B, U, N, eps
-        ), (A, B, U, N, eps)
-    # a loop from L = 1 would take ~1.6e13 steps here
-    assert jordan_rectification_bound(1, 1, 1, 1, 1e-6) == 16000007999999
-    # bounds past 2**53, where floats no longer tell L from L + 1
-    for args in ((1e308, 1, 1, 1, 1), (1, 1, 1e200, 1, 1), (1, 1, 1, 1, 1e-300), (1e30, 1, 1, 1, 1)):
-        with pytest.raises(InvalidParameters):
-            jordan_rectification_bound(*args)
-    with pytest.raises(InvalidParameters):
-        jordan_rectification_bound(-1, 1, 0.04, 1, 1.0)
-    for k in range(5):  # A, B, U, N, eps: a NaN passes every "<= 0" guard
-        for bad in (np.nan, np.inf):
-            args = [1, 1, 0.04, 1, 1.0]
-            args[k] = bad
-            with pytest.raises(InvalidParameters):
-                jordan_rectification_bound(*args)
-
-
-def test_union_supports():
-    S1 = CellSupport(T=1.0, L=3, P=4, cells=((0, 0),))
-    S2 = CellSupport(T=1.0, L=3, P=4, cells=((1, 1),))
-    U = union_supports(S1, S2)
-    assert U.cells == ((0, 0), (1, 1))
-    with pytest.raises(GridMismatch):
-        union_supports(S1, CellSupport(T=2.0, L=3, P=4, cells=((0, 0),)))
