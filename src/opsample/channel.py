@@ -120,13 +120,13 @@ def _chirp_phase(n, kappa, D):
 
 
 def _fold_index(S):
-    """Stored subcells (rows, cols) of S with their fold (i, j) onto the
-    (L*P, L*P) fundamental domain and the count k of L*T time translates."""
+    """The fold of S's mask onto the (L*P, L*P) fundamental domain, one table
+    per axis: row r folds onto row i[r] after k[r] time translates by L*T,
+    column c onto column j[c]; a stored subcell reads no divmod of its own."""
     LP = S.L * S.P
-    rows, cols = _mask_indices(S.mask)
-    k, i = np.divmod(S.offsets[0] + rows, LP)
-    j = (S.offsets[1] + cols) % LP
-    return rows, cols, i, j, k
+    rows, cols = S.mask.shape
+    k, i = np.divmod(S.offsets[0] + np.arange(rows), LP)
+    return k, i, (S.offsets[1] + np.arange(cols)) % LP
 
 
 @dataclass(eq=False)
@@ -156,7 +156,10 @@ def random_spreading(S, seed=None):
     values.real = rng.standard_normal(shape)
     values.imag = rng.standard_normal(shape)
     values[~S.mask] = 0
-    return DiscreteSpreadingFunction(support=S, values=values)
+    # finite and zero off the mask by construction: skip __post_init__'s re-scan
+    eta = object.__new__(DiscreteSpreadingFunction)
+    eta.support, eta.values = S, values
+    return eta
 
 
 @dataclass(eq=False)
@@ -353,8 +356,11 @@ def quasiperiodize(eta):
     """
     S = eta.support
     LP = S.L * S.P
-    rows, cols, i, j, k = _fold_index(S)
-    return _scatter_add((LP, LP), i * LP + j, eta.values[rows, cols] * _unit_phase(-j * k, S.P))
+    k, i, j = _fold_index(S)
+    rows, cols = _mask_indices(S.mask)
+    k, j = k[rows], j[cols]
+    terms = eta.values[rows, cols] * _unit_phase(-j * k, S.P)
+    return _scatter_add((LP, LP), (i * LP)[rows] + j, terms)
 
 
 def assemble_system(eta_qp, Zgrid, G, t, nu, T):

@@ -1,10 +1,12 @@
 """Command-line front end: scriptable experiments over stable file formats.
 
 Every run is deterministic given its seed (flag, or the OPSAMPLE_SEED
-environment variable as fallback); re-running a command produces
-byte-identical output files.  Exit codes: 0 success, 2 precondition or usage
-error, 3 numerical failure (floating-point overflow included), 4 I/O failure
-or malformed input file.  Results print through one rule, _show: key=value
+environment variable as fallback); re-running a command at a fixed BLAS
+thread count produces byte-identical output files.  Across thread counts,
+recover-support's residual can move in its last bits: sparse.mmv_omp takes
+np.linalg.qr of the (P^2, L) Z-vector matrix.  Exit codes: 0 success, 2
+precondition or usage error, 3 numerical failure (floating-point overflow
+included), 4 I/O failure or malformed input file.  Results print through one rule, _show: key=value
 lines, floats at 17 significant digits so values survive a copy-paste round
 trip.  A --report-out file holds the record behind the printed lines.
 """

@@ -39,12 +39,14 @@ Dependence is monotone in the level k (subset size), so a spark decision reads
 only the levels it needs.  For an L x k block A, k < L, A^H A is a principal
 submatrix of B^H B, B = [A a], so Cauchy interlacing gives s_1(B) >= s_1(A)
 and s_{k+1}(B) <= s_k(A): a k-subset dependent under _dependent makes every
-superset of up to L columns dependent.  Full spark is level L clean; other
-sparks are bisected.  Nonzero weights inside a cyclic run of r < L indices
-s..s+r-1 put the L columns (q, m) of one q in rows q+s..q+s+r-1 mod L, exact
-zeros elsewhere, so any r+1 of them are dependent under _dependent: the
-spark is at most r+1, and only levels 1..r need reading.  For weights on the
-first k indices, r = k: spark k+1 is level k clean, k+1 unread.
+superset of up to L columns dependent.  Level 2 (a small table) is read
+first: dependent, it is spark 2, since level 1 is dependent only for c = 0.
+Full spark is level L clean; other sparks are bisected.  Nonzero weights
+inside a cyclic run of r < L indices s..s+r-1 put the L columns (q, m) of
+one q in rows q+s..q+s+r-1 mod L, exact zeros elsewhere, so any r+1 of them
+are dependent under _dependent: the spark is at most r+1, and only levels
+1..r need reading.  For weights on the first k indices, r = k: spark k+1 is
+level k clean, k+1 unread.
 """
 
 import bisect
@@ -253,20 +255,23 @@ def _run_length(c):
 def spark(G):
     """Smallest k such that some k columns of G are dependent; L+1 if none up to size L.
 
-    One subset per translation orbit with a det screen, level L first, then a
-    bisection of levels 1..L-1 if it is dependent (module docstring): ~2 ms
-    for a full-spark window at L = 5, ~55 ms at L = 6 (plus a one-time ~0.3 s
-    build of the one table it reads), ~2.5 ms for the all-ones window (spark 2)
-    at L = 5 and 6.  Weights c = G[:, 0] whose nonzeros fit a cyclic run of
-    r < L indices make level r+1 dependent, so level L is not read and only
-    levels 1..r are bisected.  Enforces L <= 7 and refuses entries that are
-    not a Gabor matrix G(c).
+    One subset per translation orbit with a det screen: level 2, then level L,
+    then a bisection of levels 3..L-1 if L is dependent (module docstring):
+    ~2 ms for a full-spark window at L = 5, ~55 ms at L = 6 (plus a one-time
+    ~0.3 s table build), ~0.2 ms for a spark-2 window such as all ones at any
+    L.  Weights c = G[:, 0] whose nonzeros fit a cyclic run of r < L indices
+    make level r+1 dependent, so level L is not read and only levels up to r
+    are; level 2 goes first only when 2 < r.  Enforces L <= 7 and refuses
+    entries that are not a Gabor matrix G(c).
     """
     dependent = _levels(G)
     r = _run_length(G.entries[:, 0])
+    if 2 < r and dependent(2):  # c != 0, so no column is zero
+        return 2
     if r == G.L and not dependent(G.L):
         return G.L + 1
-    return 1 + bisect.bisect_left(range(1, min(r, G.L - 1) + 1), True, key=dependent)
+    levels = range(1, min(r, G.L - 1) + 1)  # a clean level 2 leaves 1 and 2 clean
+    return 1 + bisect.bisect_left(levels, True, lo=2 if 2 < r else 0, key=dependent)
 
 
 def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):

@@ -52,7 +52,7 @@ from .errors import (
     ShearNotRectifiable,
 )
 from .gabor import _dependent
-from .support import CellSupport, rectify
+from .support import CellSupport, _mask_indices, rectify
 
 __all__ = [
     "LeftInverse",
@@ -163,26 +163,32 @@ def recover_eta_known_support(Zgrid, G, S, eta_true=None):
 
     Solves one restricted system per rectification class at each base-rectangle
     subcell into X[q, m, u, v], then reads eta off X at the stored subcells of S
-    with the two root-of-unity phases of the module docstring.  The formula tag
-    is "sharp" for single-class supports and "multiclass" otherwise.  Raises
-    NotIdentifiable when S violates the fold conditions.
+    with the two root-of-unity phases of the module docstring.  The fold is
+    taken once per mask row (k, q, u) and column (m, v), and a stored
+    subcell's flat index into X is its row's part plus its column's.  The
+    formula tag is "sharp" for single-class supports and "multiclass"
+    otherwise.  Raises NotIdentifiable when S violates the fold conditions.
     """
     Zgrid = _validate_grids(Zgrid, G, S)
     L, P = S.L, S.P
-    X = np.zeros((L, L, P, P), dtype=complex)
+    X = np.zeros((L * L, P * P), dtype=complex)  # X[q*L + m, u*P + v]
     conds = []
     for cls in rectify(S).classes:
         if not cls.cells:
             continue
         inv = left_inverse(G, cls.cells, S.omega)
         conds.append(inv.condition_number)
-        us, vs = np.nonzero(cls.points)
-        q, m = np.array(inv.gamma).T[:, :, None]
-        X[q, m, us, vs] = inv.coefficients @ _zak_vectors(Zgrid, us, vs, L, P)
-    _, _, i, j, k = _fold_index(S)
+        points = np.flatnonzero(cls.points)
+        z = _zak_vectors(Zgrid, *np.divmod(points, P), L, P)
+        q, m = np.array(inv.gamma).T
+        X[(q * L + m)[:, None], points] = inv.coefficients @ z
+    k, i, j = _fold_index(S)
     (q, u), (m, v) = np.divmod(i, P), np.divmod(j, P)
+    rows, cols = _mask_indices(S.mask)
+    flat = (q * (L * P * P) + u * P)[rows] + (m * (P * P) + v)[cols]
+    q, k, v, j = q[rows], k[rows], v[cols], j[cols]
     values = np.zeros(S.mask.shape, dtype=complex)
-    values[S.mask] = _unit_phase(v * q, L * P) * X[q, m, u, v] * _unit_phase(j * k, P)
+    values[S.mask] = _unit_phase(v * q, L * P) * X.ravel()[flat] * _unit_phase(j * k, P)
     return _report(S, values, eta_true, conds, "sharp" if len(conds) <= 1 else "multiclass")
 
 

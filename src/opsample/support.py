@@ -192,13 +192,23 @@ def rectify(S):
     Classes come in ascending lexicographic order of their occupancy patterns,
     read as bit tuples over the cells in row-major order (q, then m), with
     False before True.  Requires check_identifiable(S).
+
+    A union of at most L whole cells (zero offsets, an (L*P, L*P) mask whose
+    P x P blocks are each constant) is one class, read off the mask without a
+    fold: every base point sees the occupied cells, max_cover = their number.
     """
+    L, P = S.L, S.P
+    if S.offsets == (0, 0) and S.mask.shape == (L * P, L * P):
+        corners = S.mask[::P, ::P]
+        cells = tuple(divmod(b, L) for b in np.flatnonzero(corners).tolist())
+        if len(cells) <= L and (S.mask.reshape(L, P, L, P) == corners[:, None, :, None]).all():
+            one = PartitionClass(cells=cells, points=np.ones((P, P), dtype=bool))
+            return RectificationReport(gamma=S.cells, classes=[one], max_cover=len(cells))
     counts, cover, identifiable = _folds(S)
     if not identifiable:
         raise NotIdentifiable(
             "support violates the fold conditions (fundamental domain / L-cover)"
         )
-    L, P = S.L, S.P
     # flat[u*P + v, q*L + m] = folded[u + q*P, v + m*P]
     flat = (counts > 0).reshape(L, P, L, P).transpose(1, 3, 0, 2).reshape(P * P, L * L)
     # big-endian packing: byte order is bit order, so sorting the keys sorts the patterns

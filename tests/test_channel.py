@@ -136,7 +136,9 @@ def test_scatter_add_is_bit_identical_to_add_at_on_colliding_indices():
     base = translate_collision_support(L=3, T=1.0, P=4)
     S = CellSupport(T=1.0, L=3, P=4, mask=base.mask, shift=(-5 * base.dt, 7 * base.dnu))
     eta = random_spreading(S, seed=4)
-    rows, cols, i, j, k = _fold_index(S)
+    k, i, j = _fold_index(S)
+    rows, cols = np.nonzero(S.mask)
+    k, i, j = k[rows], i[rows], j[cols]
     LP = S.L * S.P
     assert len(np.unique(i * LP + j)) < i.size
     terms = eta.values[rows, cols] * _unit_phase(-j * k, S.P)

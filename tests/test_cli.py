@@ -112,6 +112,10 @@ def test_reruns_are_byte_identical(workdir, capsys):
     para = str(workdir / "para.json")
     formats.save_support(presets.sheared_parallelogram_support(), para)
     a = "0.3333333333333333"  # kappa = 1
+    window5 = str(workdir / "w5.json")
+    run(["gen-window", "--L", "5", "--seed", "235", "--out", window5], capsys)
+    two = str(workdir / "two.json")
+    formats.save_support(CellSupport(T=0.5, L=5, cells=[(1, 3), (4, 0)]), two)
 
     def outputs(tag):
         d = workdir / tag
@@ -137,11 +141,25 @@ def test_reruns_are_byte_identical(workdir, capsys):
             ],
             capsys,
         ))
+        # the unknown-support decoder: its estimate, eta file and report
+        printed.append(run(
+            ["simulate", "--support", two, "--window", window5, "--seed", "3",
+             "--zak-out", str(d / "two_zak.csv")],
+            capsys,
+        ))
+        printed.append(run(
+            [
+                "recover-support", "--zak", str(d / "two_zak.csv"), "--window", window5,
+                "--kmax", "2", "--eta-out", str(d / "two_hat.csv"),
+                "--report-out", str(d / "two_report.json"),
+            ],
+            capsys,
+        ))
         assert all(code == 0 for code, _, _ in printed)
         return printed, {p.name: p.read_bytes() for p in sorted(d.iterdir())}
 
     first, second = outputs("a"), outputs("b")
-    assert len(first[1]) == 8
+    assert len(first[1]) == 11
     assert first == second
 
 

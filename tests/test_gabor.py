@@ -392,7 +392,11 @@ def test_spark_decisions_read_only_the_levels_they_name(monkeypatch):
     assert (7, 7) not in requested and max(k for _, k in requested) <= 4
     requested.clear()
     assert spark(build_gabor_matrix(generate_window(5, seed=0))) == 6
-    assert set(requested) == {(5, 5)}
+    assert set(requested) == {(5, 2), (5, 5)}  # level 2 first, then level L
+    # a dependent level 2 is spark 2: the all-ones window never builds the (7, 7) table
+    requested.clear()
+    assert spark(build_gabor_matrix(np.ones(7))) == 2
+    assert requested and max(k for _, k in requested) <= 2
     # weights on 4 consecutive indices make level 5 dependent: levels 5 and 6 stay unread
     four = build_gabor_matrix(generate_window(7, target="spark_k", k=4, seed=0))
     requested.clear()

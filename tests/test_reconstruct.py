@@ -27,6 +27,7 @@ from opsample import (
     rectify,
     zak_transform,
 )
+from opsample.channel import _unit_phase, _zak_vectors
 from opsample.reconstruct import (
     _plateau,
     left_inverse,
@@ -41,6 +42,7 @@ from opsample.presets import (
     sheared_parallelogram_support,
     staircase_support,
     stacked_cover_violation,
+    translate_collision_support,
 )
 
 from oracles import periodized_band_kernel
@@ -165,6 +167,43 @@ def test_roundtrip_shifted_and_overflowing():
     eta, g, G, Z = _roundtrip(S, seed=43)
     report = recover_eta_known_support(Z, G, S, eta_true=eta)
     assert report.relative_l2_error <= 1e-9
+
+
+def _four_d_read_off(Zgrid, G, S):
+    """The known-support solve with X[q, m, u, v] and a per-subcell fold:
+    a reference for the per-axis fold tables' bits."""
+    L, P, LP = S.L, S.P, S.L * S.P
+    X = np.zeros((L, L, P, P), dtype=complex)
+    for cls in rectify(S).classes:
+        if cls.cells:
+            inv = left_inverse(G, cls.cells, S.omega)
+            us, vs = np.nonzero(cls.points)
+            q, m = np.array(inv.gamma).T[:, :, None]
+            X[q, m, us, vs] = inv.coefficients @ _zak_vectors(Zgrid, us, vs, L, P)
+    rows, cols = np.nonzero(S.mask)
+    k, i = np.divmod(S.offsets[0] + rows, LP)
+    j = (S.offsets[1] + cols) % LP
+    (q, u), (m, v) = np.divmod(i, P), np.divmod(j, P)
+    values = np.zeros(S.mask.shape, dtype=complex)
+    values[S.mask] = _unit_phase(v * q, LP) * X[q, m, u, v] * _unit_phase(j * k, P)
+    return values
+
+
+def test_fold_tables_read_off_the_bits_of_the_four_d_gather():
+    P = 8
+    collision = translate_collision_support(P=P)
+    translate = collision.mask.copy()
+    translate[:P] = False  # the L*T translate of cell (0, 0) alone: k = 1 on every row
+    stairs = staircase_support(P=P)
+    for S in (
+        CellSupport(T=1.0, L=3, P=P, mask=translate),
+        CellSupport(T=1.0, L=3, P=P, mask=stairs.mask, shift=(-5 * stairs.dt, 7 * stairs.dnu)),
+        sheared_parallelogram_support(P=P),
+        seven_cell_support(P=P),
+    ):
+        eta, g, G, Z = _roundtrip(S, seed=61)
+        got = recover_eta_known_support(Z, G, S).eta_hat.values
+        assert got.tobytes() == _four_d_read_off(Z, G, S).tobytes()
 
 
 def test_zero_response_gives_zero_eta():

@@ -1,8 +1,10 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from opsample import support
 from opsample.errors import InvalidParameters, NotIdentifiable
 from opsample.presets import (
     seven_cell_support,
@@ -209,6 +211,35 @@ def _random_identifiable_mask(rng, L, P):
     return mask
 
 
+def _whole_cell_supports():
+    """Every set of at most L whole cells at L=3, P=4 (the empty set included)
+    and seeded sets at L=5, P=16."""
+    sets = [(3, 4, c) for n in range(4) for c in itertools.combinations(range(9), n)]
+    rng = np.random.default_rng(19)
+    sets += [(5, 16, rng.choice(25, size=rng.integers(0, 6), replace=False)) for _ in range(8)]
+    return [CellSupport(T=1.0, L=L, P=P, cells=[divmod(int(b), L) for b in c]) for L, P, c in sets]
+
+
+def _near_whole_cell_supports():
+    """Whole cells one step from the one-class rule: a subcell removed, a shift
+    by one subcell, and (L*P + P, L*P) masks, spilled and not."""
+    L, P = 3, 4
+    LP = L * P
+    whole = CellSupport(T=1.0, L=L, P=P, cells=((0, 1), (1, 0)))
+    dented = whole.mask.copy()
+    dented[P + 1, 2] = False  # one subcell of cell (1, 0) removed
+    spilled = np.zeros((LP + P, LP), dtype=bool)
+    spilled[:LP] = whole.mask
+    spilled[LP:, :P] = True  # the L*T translate of the empty cell (0, 0)
+    return [
+        CellSupport(T=1.0, L=L, P=P, mask=dented),
+        CellSupport(T=1.0, L=L, P=P, mask=whole.mask, shift=(whole.dt, 0.0)),
+        CellSupport(T=1.0, L=L, P=P, mask=whole.mask, shift=(0.0, -whole.dnu)),
+        CellSupport(T=1.0, L=L, P=P, mask=spilled),
+        CellSupport(T=1.0, L=L, P=P, mask=np.vstack([whole.mask, np.zeros((P, LP), dtype=bool)])),
+    ]
+
+
 def test_rectify_class_order_matches_oracle():
     rng = np.random.default_rng(91)
     supports = [
@@ -226,12 +257,36 @@ def test_rectify_class_order_matches_oracle():
         seven_cell_support(),
         sheared_parallelogram_support(),
     ]
+    supports += _whole_cell_supports() + _near_whole_cell_supports()
     for S in supports:
-        classes = rectify(S).classes
+        rep = rectify(S)
         want = rectify_oracle(S.mask, S.offsets, S.L, S.P)
-        assert [cls.cells for cls in classes] == [cells for cells, _ in want]
-        for cls, (_, points) in zip(classes, want):
+        assert [cls.cells for cls in rep.classes] == [cells for cells, _ in want]
+        for cls, (_, points) in zip(rep.classes, want):
             np.testing.assert_array_equal(cls.points, points)
+        assert rep.max_cover == periodization_count(S).max()
+        assert rep.gamma == S.cells
+
+
+def test_whole_cell_supports_are_one_class_without_a_fold(monkeypatch):
+    folded = []
+    folds = support._folds
+    monkeypatch.setattr(support, "_folds", lambda S: folded.append(S) or folds(S))
+    whole = _whole_cell_supports()
+    assert len(whole) == 130 + 8
+    for S in whole:
+        (one,) = rectify(S).classes
+        assert one.cells == S.cells and one.points.all()
+        assert all(type(x) is int for cell in one.cells for x in cell)
+    assert folded == []
+    near = _near_whole_cell_supports()
+    for S in near:
+        rectify(S)
+    assert folded == near
+    too_many = CellSupport(T=1.0, L=3, P=4, cells=((0, 0), (0, 1), (1, 0), (2, 2)))
+    with pytest.raises(NotIdentifiable):  # L + 1 whole cells: the general path's one raise
+        rectify(too_many)
+    assert folded[-1] is too_many
 
 
 def test_parallelogram_instance():
