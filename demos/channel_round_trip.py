@@ -21,7 +21,7 @@ from opsample import (
     reconstruct_h_sharp,
     recover_eta_known_support,
     recover_eta_smooth,
-    smooth_windows,
+    relative_l2_error,
     zak_transform,
 )
 
@@ -38,13 +38,12 @@ def main():
     print(f"response: {response.samples.size} samples on [0, {S.L * S.P * S.T:g})")
 
     G = build_gabor_matrix(window)
-    report = recover_eta_known_support(Z, G, S, eta_true=eta)
-    print(f"per-class recovery: error {report.relative_l2_error:.3e}, "
+    report = recover_eta_known_support(Z, G, S)
+    print(f"per-class recovery: error {relative_l2_error(report.eta_hat, eta):.3e}, "
           f"conditioning {max(report.per_class_conditioning):.2f}")
 
-    windows = smooth_windows(S.T, S.omega, 0.125, S.P)
-    smooth = recover_eta_smooth(Z, G, S, windows, eta_true=eta)
-    print(f"smooth-window recovery: error {smooth.relative_l2_error:.3e}")
+    smooth = recover_eta_smooth(Z, G, S, 0.125)
+    print(f"smooth-window recovery: error {relative_l2_error(smooth.eta_hat, eta):.3e}")
 
     h_hat = reconstruct_h_sharp(report)
     x = np.arange(h_hat.shape[1]) * S.dt

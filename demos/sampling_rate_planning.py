@@ -21,6 +21,7 @@ from opsample import (
     rate_report,
     recover_eta_known_support,
     refine_support,
+    relative_l2_error,
     zak_transform,
 )
 import numpy as np
@@ -50,8 +51,9 @@ def main():
     refined = refine_support(two, window.L)
     eta = random_spreading(refined, seed=9)
     Z = zak_transform(apply_channel(eta, IdentifierTrain(T=refined.T, weights=window)))
-    rec = recover_eta_known_support(Z, build_gabor_matrix(window), refined, eta_true=eta)
-    print(f"  round trip with the planned window: error {rec.relative_l2_error:.3e}")
+    rec = recover_eta_known_support(Z, build_gabor_matrix(window), refined)
+    error = relative_l2_error(rec.eta_hat, eta)
+    print(f"  round trip with the planned window: error {error:.3e}")
 
 
 if __name__ == "__main__":

@@ -65,6 +65,7 @@ from .channel import (
     inverse_zak,
     quasiperiodize,
     random_spreading,
+    relative_l2_error,
     zak_transform,
 )
 from .reconstruct import (

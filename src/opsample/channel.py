@@ -55,6 +55,7 @@ __all__ = [
     "ChannelResponse",
     "SystemSample",
     "random_spreading",
+    "relative_l2_error",
     "impulse_response",
     "apply_channel",
     "zak_transform",
@@ -160,6 +161,22 @@ def random_spreading(S, seed=None):
     eta = object.__new__(DiscreteSpreadingFunction)
     eta.support, eta.values = S, values
     return eta
+
+
+def relative_l2_error(estimate, truth):
+    """||estimate - truth|| / ||truth|| by BLAS-free sums (_l2_norm); 0.0 when both vanish,
+    inf when only truth does.  truth is a DiscreteSpreadingFunction or samples on the
+    estimate's grid; GridMismatch when it lies on another (T, L, P, shift or shape)."""
+    S, values = estimate.support, estimate.values
+    E = S
+    if isinstance(truth, DiscreteSpreadingFunction):
+        E, truth = truth.support, truth.values
+    truth = np.asarray(truth)
+    if (E.T, E.L, E.P, E.offsets, truth.shape) != (S.T, S.L, S.P, S.offsets, values.shape):
+        raise GridMismatch("eta_true lies on another grid (T, L, P, shift or shape)")
+    num = _l2_norm(values - truth)
+    den = _l2_norm(truth)
+    return num / den if den != 0 else (0.0 if num == 0 else float("inf"))
 
 
 @dataclass(eq=False)

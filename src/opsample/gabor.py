@@ -232,12 +232,16 @@ def _has_dependent(entries, k):
     return False
 
 
+def _check_search_limit(L):
+    if L > SPARK_SEARCH_LIMIT:
+        raise SearchBudgetExceeded(
+            f"exhaustive spark search is limited to L <= {SPARK_SEARCH_LIMIT}, got L={L}"
+        )
+
+
 def _levels(G):
     """k -> whether some k columns of G are dependent, once L and G = G(c) are checked."""
-    if G.L > SPARK_SEARCH_LIMIT:
-        raise SearchBudgetExceeded(
-            f"exhaustive spark search is limited to L <= {SPARK_SEARCH_LIMIT}, got L={G.L}"
-        )
+    _check_search_limit(G.L)
     _require_gabor(G)
     return functools.partial(_has_dependent, G.entries)
 
@@ -297,6 +301,7 @@ def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):
         support = k
     else:
         raise InvalidParameters(f"unknown target {target!r}")
+    _check_search_limit(L)  # before any draw builds G(c), an L^3 tensor
 
     def accept(c):  # spark == support + 1 iff level support is clean (module docstring)
         return not _levels(build_gabor_matrix(c))(support)

@@ -26,6 +26,9 @@ All three known-support formulas are this one solve on the exact grid:
 
   with s = P/2 when kappa*L is odd and 0 otherwise; recovery solves on the
   sheared support and shears back.
+
+A recovery returns what it recovered and takes no ground truth: scoring an
+estimate against a known eta is channel.relative_l2_error.
 """
 
 from dataclasses import dataclass
@@ -38,7 +41,6 @@ from .channel import (
     _chirp_kappa,
     _chirp_phase,
     _fold_index,
-    _l2_norm,
     _lag_kernel,
     _unit_phase,
     _zak_vectors,
@@ -83,7 +85,6 @@ class LeftInverse:
 @dataclass(eq=False)
 class ReconstructionReport:
     eta_hat: DiscreteSpreadingFunction
-    relative_l2_error: float  # None when no ground truth was supplied
     per_class_conditioning: list
     formula: str
     support_estimate: object = None  # set by the unknown-support pipeline
@@ -137,28 +138,7 @@ def _validate_grids(Zgrid, G, S):
     return Zgrid
 
 
-def _report(S, values, eta_true, conds, formula):
-    """ReconstructionReport for values on S, scored against eta_true when given."""
-    error = None
-    if eta_true is not None:
-        E, truth = S, eta_true
-        if isinstance(eta_true, DiscreteSpreadingFunction):
-            E, truth = eta_true.support, eta_true.values
-        truth = np.asarray(truth)
-        if (E.T, E.L, E.P, E.offsets, truth.shape) != (S.T, S.L, S.P, S.offsets, values.shape):
-            raise GridMismatch("eta_true lies on another grid (T, L, P, shift or shape)")
-        num = _l2_norm(values - truth)
-        den = _l2_norm(truth)
-        error = num / den if den != 0 else (0.0 if num == 0 else float("inf"))
-    return ReconstructionReport(
-        eta_hat=DiscreteSpreadingFunction(support=S, values=values),
-        relative_l2_error=error,
-        per_class_conditioning=conds,
-        formula=formula,
-    )
-
-
-def recover_eta_known_support(Zgrid, G, S, eta_true=None):
+def recover_eta_known_support(Zgrid, G, S):
     """Recover eta on the known support S from the Zak grid of Hg.
 
     Solves one restricted system per rectification class at each base-rectangle
@@ -189,7 +169,8 @@ def recover_eta_known_support(Zgrid, G, S, eta_true=None):
     q, k, v, j = q[rows], k[rows], v[cols], j[cols]
     values = np.zeros(S.mask.shape, dtype=complex)
     values[S.mask] = _unit_phase(v * q, L * P) * X.ravel()[flat] * _unit_phase(j * k, P)
-    return _report(S, values, eta_true, conds, "sharp" if len(conds) <= 1 else "multiclass")
+    eta_hat = DiscreteSpreadingFunction(support=S, values=values)
+    return ReconstructionReport(eta_hat, conds, "sharp" if len(conds) <= 1 else "multiclass")
 
 
 def reconstruct_h_sharp(report):
@@ -284,34 +265,24 @@ def smooth_windows(T, Omega, eps, P):
     )
 
 
-def recover_eta_smooth(Zgrid, G, S, windows, eta_true=None):
-    """Known-support recovery under the raised-cosine partition of unity.
+def recover_eta_smooth(Zgrid, G, S, eps):
+    """Known-support recovery under the raised-cosine partition of unity of flank eps.
 
     The smooth formula weights each recovered value by the window sum
     sum over plane cells of r(t - qT) phi_hat(nu - m Omega).  On the grid that
     sum is exactly 1.0 (see the module docstring), so the result is
     recover_eta_known_support's, bit for bit, tagged "smooth"; off-grid the
     windows give the Schwartz-type localization of the continuum formula.
-    The windows must be the ones smooth_windows builds for S's grid, so that
-    the exact identity is checked, not assumed.
+    eps is checked by building smooth_windows(S.T, S.omega, eps, S.P), so it
+    must be one the exact identity holds for.
     """
-    if not isinstance(windows, SmoothWindows):
-        raise InvalidParameters("windows must come from smooth_windows()")
-    if (
-        abs(windows.T - S.T) > 1e-12 * S.T
-        or abs(windows.omega - S.omega) > 1e-12 * S.omega
-        or windows.P != S.P
-    ):
-        raise GridMismatch("windows were built for a different (T, Omega, P) grid")
-    built = smooth_windows(S.T, S.omega, windows.eps, S.P)
-    if (windows.eps_t_units, windows.eps_nu_units) != (built.eps_t_units, built.eps_nu_units):
-        raise InvalidParameters("window flank widths differ from smooth_windows() for this eps")
-    report = recover_eta_known_support(Zgrid, G, S, eta_true=eta_true)
+    smooth_windows(S.T, S.omega, eps, S.P)
+    report = recover_eta_known_support(Zgrid, G, S)
     report.formula = "smooth"
     return report
 
 
-def recover_symplectic(Zgrid, G, S, a, eta_true=None):
+def recover_symplectic(Zgrid, G, S, a):
     """Recover eta from the Zak grid of the response to a chirped train.
 
     The identifier g = sum_n c_n e^{pi i T a n^2} delta_{nT} equals the plain
@@ -352,4 +323,6 @@ def recover_symplectic(Zgrid, G, S, a, eta_true=None):
     # shear back: eta[i, j] = e^{+pi i a t_i^2 / T} eta~[i, (j - kappa i) mod LP]
     values = inner.eta_hat.values[i, (j - kappa * i) % LP]
     values *= _chirp_phase(i, kappa, N)
-    return _report(S, values, eta_true, inner.per_class_conditioning, "symplectic")
+    inner.eta_hat = DiscreteSpreadingFunction(support=S, values=values)
+    inner.formula = "symplectic"
+    return inner

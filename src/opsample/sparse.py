@@ -11,7 +11,8 @@ selection (RA-ORMP) finds it: an active column, with the chosen span projected
 out, lies in range(residual), and any other column would make at most L columns
 dependent.  The same full spark makes an L-cell estimate worthless: any L
 columns span C^L and fit every Z-vector, so recover_unknown_support refuses to
-certify one.
+certify one.  Neither takes a ground truth: a caller that knows one compares
+gamma_hat with its cells and scores eta_hat with channel.relative_l2_error.
 """
 
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ __all__ = [
 class SupportEstimate:
     gamma_hat: tuple
     residual_history: list
-    exact_match: bool  # None when no ground truth was supplied
     k_max: int
     tol: float
 
@@ -44,7 +44,7 @@ class SupportEstimate:
         return bool(self.residual_history) and self.residual_history[-1] <= self.tol
 
 
-def mmv_omp(Y, G, k_max, tol, candidates=None, gamma_true=None):
+def mmv_omp(Y, G, k_max, tol, candidates=None):
     """Estimate the active cell set from stacked Z-vectors.
 
     Y: (L, n) matrix whose columns are Z-vectors at grid points (a single
@@ -84,19 +84,8 @@ def mmv_omp(Y, G, k_max, tol, candidates=None, gamma_true=None):
         raise RankDeficient("the dictionary has zero columns (all-zero window)")
 
     def finish(chosen, history):
-        gamma_hat = tuple(
-            sorted((int(cand[c]) // L, int(cand[c]) % L) for c in chosen)
-        )
-        exact = None
-        if gamma_true is not None:
-            exact = set(gamma_hat) == {(int(q), int(m)) for q, m in gamma_true}
-        return SupportEstimate(
-            gamma_hat=gamma_hat,
-            residual_history=history,
-            exact_match=exact,
-            k_max=k_max,
-            tol=tol,
-        )
+        gamma_hat = tuple(sorted((int(cand[c]) // L, int(cand[c]) % L) for c in chosen))
+        return SupportEstimate(gamma_hat, history, k_max, tol)
 
     Y = np.linalg.qr(Y.conj().T, mode="r").conj().T  # R^H
     norm_y = np.linalg.norm(Y)
@@ -134,7 +123,7 @@ def mmv_omp(Y, G, k_max, tol, candidates=None, gamma_true=None):
     return finish(chosen, history)
 
 
-def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None, eta_true=None, gamma_true=None):
+def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None):
     """Estimate the support from the Zak grid, then recover eta on it.
 
     R bounds the candidate region (its cells form the dictionary); the
@@ -150,7 +139,7 @@ def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None, eta_true=None, g
     Y = _zak_vectors(Zgrid, u, v, L, P)
 
     candidates = None if len(R.cells) == L * L else R.cells
-    est = mmv_omp(Y, G, k_max, tol, candidates=candidates, gamma_true=gamma_true)
+    est = mmv_omp(Y, G, k_max, tol, candidates=candidates)
     if not est.converged:
         raise NoConvergence(
             f"relative residual {est.residual_history[-1]:.3e} above tol = {tol} "
@@ -163,6 +152,6 @@ def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None, eta_true=None, g
             estimate=est,
         )
     S_hat = CellSupport(T=R.T, L=L, P=P, cells=est.gamma_hat)
-    report = recover_eta_known_support(Zgrid, G, S_hat, eta_true=eta_true)
+    report = recover_eta_known_support(Zgrid, G, S_hat)
     report.support_estimate = est
     return report

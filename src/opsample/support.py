@@ -67,6 +67,8 @@ class CellSupport:
     def __post_init__(self):
         if not (np.isfinite(self.T) and self.T > 0) or self.L < 1 or self.P < 1:
             raise InvalidParameters("need finite T > 0, L >= 1, P >= 1")
+        if not all(0 < x < np.inf for x in (self.omega, self.dt, self.dnu)):  # T near 0 or inf
+            raise InvalidParameters("Omega = 1/(L*T), T/P and Omega/P must be finite and positive")
         t0, nu0 = self.shift
         i0 = t0 / self.dt
         j0 = nu0 / self.dnu

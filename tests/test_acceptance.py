@@ -18,6 +18,7 @@ from opsample.channel import (
     impulse_response,
     quasiperiodize,
     random_spreading,
+    relative_l2_error,
     zak_transform,
 )
 from opsample.errors import NoConvergence, NotIdentifiable
@@ -28,7 +29,6 @@ from opsample.reconstruct import (
     recover_eta_known_support,
     recover_eta_smooth,
     recover_symplectic,
-    smooth_windows,
 )
 from opsample.sparse import recover_unknown_support
 from opsample.support import (
@@ -89,16 +89,15 @@ def test_criterion_2_round_trip():
 
     for S in (presets.staircase_support(), presets.seven_cell_support()):
         rect = rectify(S)
-        windows = smooth_windows(S.T, S.omega, 0.125, S.P)
         for draw in range(10):
             eta, Z = _simulate(S, window, eta_seed=500 + draw)
             scale = np.linalg.norm(eta.values)
 
-            report = recover_eta_known_support(Z, G, S, eta_true=eta)
-            worst["multiclass"] = max(worst["multiclass"], report.relative_l2_error)
+            report = recover_eta_known_support(Z, G, S)
+            worst["multiclass"] = max(worst["multiclass"], relative_l2_error(report.eta_hat, eta))
 
-            smooth = recover_eta_smooth(Z, G, S, windows, eta_true=eta)
-            worst["smooth"] = max(worst["smooth"], smooth.relative_l2_error)
+            smooth = recover_eta_smooth(Z, G, S, 0.125)
+            worst["smooth"] = max(worst["smooth"], relative_l2_error(smooth.eta_hat, eta))
 
             h_hat = reconstruct_h_sharp(report)
             x = np.arange(h_hat.shape[1]) * S.dt
@@ -192,18 +191,15 @@ def test_criterion_5_unknown_support():
         S = CellSupport(T=1.0, L=L, P=P, cells=cells)
         eta, Z = _simulate(S, window, eta_seed=5_000 + trial)
         try:
-            report = recover_unknown_support(
-                Z, G, R, k_max=k, tol=1e-10, eta_true=eta, gamma_true=cells
-            )
+            report = recover_unknown_support(Z, G, R, k_max=k, tol=1e-10)
         except NoConvergence:
             failures.append(trial)
             continue
         est = report.support_estimate
         # a zero-residual stop must have found the true support
         assert est.residual_history[-1] <= 1e-10
-        assert est.exact_match, f"trial {trial}: zero residual on wrong support"
-        assert set(est.gamma_hat) == set(cells)
-        assert report.relative_l2_error <= 1e-9
+        assert set(est.gamma_hat) == set(cells), f"trial {trial}: zero residual on wrong support"
+        assert relative_l2_error(report.eta_hat, eta) <= 1e-9
         exact += 1
 
     assert exact == 100, f"only {exact}/100 exact (failed trials: {failures})"
@@ -222,14 +218,15 @@ def test_criterion_6_symplectic():
 
     eta = random_spreading(S, seed=60)
     Z_chirp = zak_transform(apply_channel(eta, g))
-    sym = recover_symplectic(Z_chirp, G, S, a, eta_true=eta)
-    assert sym.relative_l2_error <= 1e-9
+    sym = recover_symplectic(Z_chirp, G, S, a)
+    sym_error = relative_l2_error(sym.eta_hat, eta)
+    assert sym_error <= 1e-9
 
     rect = rectify(S)
     assert len(rect.classes) == 2
     Z_plain = zak_transform(apply_channel(eta, IdentifierTrain(T=S.T, weights=window)))
-    axis = recover_eta_known_support(Z_plain, G, S, eta_true=eta)
-    assert axis.relative_l2_error <= 1e-9
+    axis = recover_eta_known_support(Z_plain, G, S)
+    assert relative_l2_error(axis.eta_hat, eta) <= 1e-9
 
     agreement = np.linalg.norm(sym.eta_hat.values - axis.eta_hat.values) / np.linalg.norm(
         eta.values
@@ -238,7 +235,7 @@ def test_criterion_6_symplectic():
     _ok(
         6,
         "symplectic",
-        f"round trip {sym.relative_l2_error:.3e}, axis-aligned (2 classes) agreement {agreement:.3e}",
+        f"round trip {sym_error:.3e}, axis-aligned (2 classes) agreement {agreement:.3e}",
     )
 
 
@@ -271,7 +268,7 @@ def test_criterion_7_classical_embedding():
 
     Z = zak_transform(response)
     G_ones = build_gabor_matrix(ones)
-    report = recover_eta_known_support(Z, G_ones, S_mult, eta_true=eta)
+    report = recover_eta_known_support(Z, G_ones, S_mult)
     m_rec = impulse_response(report.eta_hat, x, 0.0)
     err_mult = np.linalg.norm(m_rec - m_interp) / np.linalg.norm(m_interp)
     assert err_mult <= 1e-9
@@ -292,8 +289,8 @@ def test_criterion_7_classical_embedding():
 
     window = generate_window(L, seed=7)
     Z2 = zak_transform(apply_channel(eta_conv, IdentifierTrain(T=T, weights=window)))
-    rec = recover_eta_known_support(Z2, build_gabor_matrix(window), S_conv, eta_true=eta_conv)
-    err_conv = rec.relative_l2_error
+    rec = recover_eta_known_support(Z2, build_gabor_matrix(window), S_conv)
+    err_conv = relative_l2_error(rec.eta_hat, eta_conv)
     assert err_conv <= 1e-9
 
     _ok(
@@ -341,12 +338,13 @@ def test_criterion_8_rates():
 
     refined = refine_support(two, planned.L)
     eta, Z = _simulate(refined, planned, eta_seed=9)
-    rec = recover_eta_known_support(Z, build_gabor_matrix(planned), refined, eta_true=eta)
-    assert rec.relative_l2_error <= 1e-9
+    rec = recover_eta_known_support(Z, build_gabor_matrix(planned), refined)
+    rec_error = relative_l2_error(rec.eta_hat, eta)
+    assert rec_error <= 1e-9
     _ok(
         8,
         "rates",
         f"rate {report.rate:.4f} vs B {report.bandwidth:.4f}; sub-bandwidth flagged; "
         f"bunched ||c||_0/L = {density:.3f} < {two.area * (1 + eps):.3f}, "
-        f"round trip {rec.relative_l2_error:.3e}",
+        f"round trip {rec_error:.3e}",
     )

@@ -24,6 +24,7 @@ from opsample import (
     inverse_zak,
     quasiperiodize,
     random_spreading,
+    relative_l2_error,
     zak_transform,
 )
 from opsample.channel import _fold_index, _lag_kernel, _scatter_add, _unit_phase
@@ -65,6 +66,31 @@ def test_spreading_validation():
         bad[r, s] = x
         with pytest.raises(InvalidParameters, match="finite"):
             DiscreteSpreadingFunction(support=S, values=bad)
+
+
+def test_relative_l2_error_refuses_another_grid():
+    S = staircase_support(T=1.0, P=4)
+    estimate = random_spreading(S, seed=2)
+    shifted = CellSupport(T=1.0, L=3, P=4, cells=S.cells, shift=(S.dt, 0.0))
+    # a ground truth on another grid is refused, not broadcast or misaligned
+    other_T = random_spreading(staircase_support(T=2.0, P=4), seed=1)
+    for truth in (other_T, np.zeros((24, 24))):
+        with pytest.raises(GridMismatch):
+            relative_l2_error(estimate, truth)
+    for truth in (random_spreading(shifted, seed=1), random_spreading(staircase_support(P=8))):
+        with pytest.raises(GridMismatch, match="another grid"):
+            relative_l2_error(estimate, truth)
+
+
+def test_relative_l2_error_values():
+    S = staircase_support(T=1.0, P=4)
+    eta = random_spreading(S, seed=2)
+    zero = DiscreteSpreadingFunction(support=S, values=np.zeros(S.mask.shape))
+    assert relative_l2_error(zero, zero) == 0.0  # both vanish
+    assert relative_l2_error(eta, zero) == float("inf")  # only the truth vanishes
+    assert relative_l2_error(eta, eta.values) == 0.0  # bare samples on the estimate's grid
+    half = DiscreteSpreadingFunction(support=S, values=eta.values / 2)
+    assert relative_l2_error(half, eta) == 0.5
 
 
 def test_random_spreading_seeded():

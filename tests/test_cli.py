@@ -209,21 +209,20 @@ def test_grid_loaders_do_not_import_numpy_ma(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
-def test_env_seed_fallback(workdir, capsys, monkeypatch):
+def test_env_seed_is_ignored(workdir, capsys, monkeypatch):
+    # --seed is the one way to seed a draw: OPSAMPLE_SEED does not stand in for it
     window_path = str(workdir / "w.json")
     run(["gen-window", "--L", "3", "--seed", "7", "--out", window_path], capsys)
-    explicit = [
-        "simulate", "--support", str(workdir / "stairs.json"), "--window", window_path,
-        "--seed", "5", "--zak-out", str(workdir / "a.csv"),
-    ]
-    run(explicit, capsys)
-    monkeypatch.setenv("OPSAMPLE_SEED", "5")
-    implicit = [
-        "simulate", "--support", str(workdir / "stairs.json"), "--window", window_path,
-        "--zak-out", str(workdir / "b.csv"),
-    ]
-    run(implicit, capsys)
-    assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
+    for value in ("5", "abc"):
+        monkeypatch.setenv("OPSAMPLE_SEED", value)
+        implicit = [
+            "simulate", "--support", str(workdir / "stairs.json"), "--window", window_path,
+            "--zak-out", str(workdir / "b.csv"),
+        ]
+        code, out, err = run(implicit, capsys)
+        assert (code, out) == (2, ""), value
+        assert "usage error:" in err and "--seed" in err
+    assert not (workdir / "b.csv").exists()
 
 
 def test_recover_support_pipeline(workdir, capsys):
@@ -422,6 +421,11 @@ def test_exit_codes(workdir, capsys):
         ["rates", "--support", stairs, "--window", window_path, "--seed", "1"],
         ["rates", "--support", stairs, "--window", window_path, "--window-out", str(window_out)],
         ["gen-window", "--L", "3", "--k", "7", "--seed", "1"],
+        # a negative seed, in every seeded command
+        ["gen-window", "--L", "3", "--seed", "-1"],
+        ["simulate", "--support", stairs, "--window", window_path, "--seed", "-1"],
+        ["rates", "--support", stairs, "--plan", "--eps", "0.5", "--seed", "-1"],
+        ["verify", "--support", stairs, "--window", window_path, "--seed", "-2"],
     ):
         code, out, err = run(argv, capsys)
         assert code == 2 and "usage error:" in err and out == "", argv
@@ -543,6 +547,21 @@ def test_malformed_json_exits_4_naming_the_file_once(workdir, capsys, monkeypatc
         assert code == 4, name
         assert "error:" in err and "Traceback" not in err
         assert err.count(name) == 1
+
+
+def test_support_with_an_infinite_omega_exits_4(workdir, capsys, monkeypatch):
+    # T = 1e-320 is finite and positive, but Omega = 1/(L*T) is inf
+    monkeypatch.chdir(workdir)
+    run(["gen-window", "--L", "3", "--seed", "7", "--out", "w.json"], capsys)
+    payload = json.loads(Path("stairs.json").read_text())
+    Path("tiny_T.json").write_text(json.dumps({**payload, "T": 1e-320}))
+    for argv in (
+        ["rectify", "--support", "tiny_T.json"],
+        ["simulate", "--support", "tiny_T.json", "--window", "w.json", "--seed", "5"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (4, ""), argv
+        assert "tiny_T.json" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -155,6 +155,15 @@ def test_spark_search_limit():
         spark(G)
 
 
+def test_generate_window_refuses_the_search_limit_before_building(monkeypatch):
+    builds = []
+    monkeypatch.setattr(gabor, "build_gabor_matrix", lambda c: builds.append(c))
+    for L, target, k in ((8, "full_spark", None), (11, "spark_k", 2)):
+        with pytest.raises(SearchBudgetExceeded):
+            generate_window(L, target=target, k=k, seed=0)
+    assert builds == []
+
+
 def test_generate_window_records_metadata():
     w = generate_window(5, seed=1)
     assert isinstance(w, Window)

@@ -17,6 +17,7 @@ from opsample import (
     build_gabor_matrix,
     generate_window,
     random_spreading,
+    relative_l2_error,
     zak_transform,
 )
 from opsample.sparse import mmv_omp, recover_unknown_support
@@ -140,8 +141,8 @@ def test_half_sparse_recovery_rate():
         cells = [(int(c) // L, int(c) % L) for c in picks]
         S = CellSupport(T=1.0, L=L, P=P, cells=cells)
         _, _, Y = _measurements(S, window, seed=1000 + trial)
-        est = mmv_omp(Y, G, k_max=2, tol=1e-10, gamma_true=cells)
-        if est.exact_match:
+        est = mmv_omp(Y, G, k_max=2, tol=1e-10)
+        if set(est.gamma_hat) == set(cells):
             exact += 1
         if est.converged and len(est.gamma_hat) <= L // 2:
             assert set(est.gamma_hat) == set(cells)
@@ -165,11 +166,11 @@ def test_near_full_sparsity_rate():
         cells = [(int(c) // L, int(c) % L) for c in picks]
         S = CellSupport(T=1.0, L=L, P=P, cells=cells)
         _, _, Y = _measurements(S, window, seed=2000 + trial)
-        est = mmv_omp(Y, G, k_max=L - 1, tol=1e-10, gamma_true=cells)
-        assert est.exact_match == (set(est.gamma_hat) == set(cells))
+        est = mmv_omp(Y, G, k_max=L - 1, tol=1e-10)
+        exact_match = set(est.gamma_hat) == set(cells)
         hist = est.residual_history
         assert all(hist[i + 1] <= hist[i] + 1e-12 for i in range(len(hist) - 1))
-        if est.exact_match:
+        if exact_match:
             assert est.converged
             exact += 1
         else:
@@ -220,10 +221,10 @@ def test_every_support_below_L_cells_is_certified(L, P, T, seeds, data):
         with pytest.raises(NoConvergence):
             recover_unknown_support(Z, G, R, k_max=k, tol=1e-10)
         return
-    report = recover_unknown_support(Z, G, R, k_max=k, tol=1e-10, eta_true=eta, gamma_true=cells)
-    assert report.support_estimate.exact_match
+    report = recover_unknown_support(Z, G, R, k_max=k, tol=1e-10)
+    assert set(report.support_estimate.gamma_hat) == set(cells)
     assert set(report.eta_hat.support.cells) == set(cells)
-    assert report.relative_l2_error <= 1e-12
+    assert relative_l2_error(report.eta_hat, eta) <= 1e-12
 
 
 def test_weak_cell_is_found():
@@ -243,8 +244,8 @@ def test_weak_cell_is_found():
         values[q * P : (q + 1) * P, m * P : (m + 1) * P] *= 1e-8
         eta = DiscreteSpreadingFunction(support=S, values=values)
         Z = zak_transform(apply_channel(eta, IdentifierTrain(T=1.0, weights=window)))
-        report = recover_unknown_support(Z, G, R, k_max=3, tol=1e-10, gamma_true=cells)
-        assert report.support_estimate.exact_match, trial
+        report = recover_unknown_support(Z, G, R, k_max=3, tol=1e-10)
+        assert set(report.support_estimate.gamma_hat) == set(cells), trial
 
 
 def test_recover_unknown_support_end_to_end():
@@ -255,11 +256,9 @@ def test_recover_unknown_support_end_to_end():
     S = CellSupport(T=0.5, L=L, P=P, cells=cells)
     eta, Z, _ = _measurements(S, window, seed=82)
     R = CellSupport(T=0.5, L=L, P=P, cells=[(q, m) for q in range(L) for m in range(L)])
-    report = recover_unknown_support(
-        Z, G, R, k_max=2, tol=1e-10, eta_true=eta, gamma_true=cells
-    )
-    assert report.support_estimate.exact_match
-    assert report.relative_l2_error <= 1e-9
+    report = recover_unknown_support(Z, G, R, k_max=2, tol=1e-10)
+    assert set(report.support_estimate.gamma_hat) == set(cells)
+    assert relative_l2_error(report.eta_hat, eta) <= 1e-9
     assert set(report.eta_hat.support.cells) == set(cells)
 
 
@@ -322,8 +321,6 @@ def test_k_subdivided_class_structure():
     eta = DiscreteSpreadingFunction(support=S, values=values)
     Z = zak_transform(apply_channel(eta, IdentifierTrain(T=1.0, weights=window)))
     R = CellSupport(T=1.0, L=L, P=P, cells=[(q, m) for q in range(L) for m in range(L)])
-    report = recover_unknown_support(
-        Z, G, R, k_max=2, tol=1e-10, eta_true=values, gamma_true=[(1, 2), (3, 0)]
-    )
-    assert report.support_estimate.exact_match
-    assert report.relative_l2_error <= 1e-9
+    report = recover_unknown_support(Z, G, R, k_max=2, tol=1e-10)
+    assert set(report.support_estimate.gamma_hat) == {(1, 2), (3, 0)}
+    assert relative_l2_error(report.eta_hat, values) <= 1e-9

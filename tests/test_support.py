@@ -61,6 +61,13 @@ def test_cell_support_rejects_non_finite_T():
             CellSupport(T=T, L=2, P=4, cells=((0, 0),))
 
 
+def test_cell_support_rejects_an_infinite_or_vanishing_grid():
+    # T itself finite and positive, but Omega = 1/(L*T) or a grid step is not
+    for T, L, P in ((1e-320, 3, 8), (1e308, 3, 8), (5e-324, 1, 2)):
+        with pytest.raises(InvalidParameters, match="Omega"):
+            CellSupport(T=T, L=L, P=P, cells=((0, 0),))
+
+
 def test_cell_support_rejects_non_finite_shift():
     for bad in (float("nan"), float("inf"), -float("inf")):
         for shift in ((bad, 0.0), (0.0, bad)):
