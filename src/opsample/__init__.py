@@ -27,6 +27,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidOverlap,
     InvalidParameters,
+    MalformedFile,
     NoConvergence,
     NonIntegerChirpPeriod,
     NoPrimeInRange,

@@ -98,6 +98,11 @@ def _l2_norm(x):
     return float(np.sqrt(np.sum(x.real**2 + x.imag**2)))
 
 
+def _dot_norm(x):
+    """np.linalg.norm of each C-contiguous last-axis vector, bit for bit: re and im dots."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
 def _chirp_kappa(L, T, a):
     """Integer kappa = L*T*a = a/Omega; raises if the chirp is off-grid."""
     kappa = L * T * a
@@ -243,18 +248,18 @@ class ChannelResponse:
 
 @dataclass(eq=False)
 class SystemSample:
-    """The restricted linear system at one base point: z = G(c) @ eta_vec."""
+    """The restricted linear systems z = G(c) @ eta_vec at one base point or an array of
+    them: z is (L, *points) and eta_vec (L*L, *points), each vector on axis 0."""
 
-    t_index: int
-    nu_index: int
     z: np.ndarray
     eta_vec: np.ndarray
 
     def residual(self, G):
-        return float(
-            np.linalg.norm(self.z - G.entries @ self.eta_vec)
-            / (1.0 + np.linalg.norm(self.eta_vec))
-        )
+        """Largest ||z - G @ eta_vec|| / (1 + ||eta_vec||) over the points, each point with the
+        bits of that expression alone: one matrix-vector product and _dot_norm per point."""
+        z, eta = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (self.z, self.eta_vec))
+        d = z - np.matmul(G.entries, eta[..., None])[..., 0]
+        return float(np.max(_dot_norm(d) / (1.0 + _dot_norm(eta))))
 
 
 def _lag_kernel(S, values, lags):
@@ -381,11 +386,12 @@ def quasiperiodize(eta):
 
 
 def assemble_system(eta_qp, Zgrid, G, t, nu, T):
-    """Build (z, eta_vec) at base point (t, nu) in subcell indices.
+    """Build (z, eta_vec) at base points (t, nu) in subcell indices: two integers, or
+    index arrays that broadcast together, whose points stack after the vector axis.
 
     eta_qp: (L*P, L*P) quasiperiodization grid; Zgrid: (L*P, P) Zak grid of the
     response; T fixes the physical scaling Omega = 1/(L*T).  The SystemSample
-    satisfies z = G(c) @ eta_vec exactly for matching inputs.
+    satisfies z = G(c) @ eta_vec exactly at every point for matching inputs.
     """
     L = G.L
     eta_qp = np.asarray(eta_qp)
@@ -395,16 +401,11 @@ def assemble_system(eta_qp, Zgrid, G, t, nu, T):
     P = eta_qp.shape[0] // L
     if Zgrid.shape != (L * P, P):
         raise GridMismatch(f"Zak grid must have shape ({L * P}, {P})")
-    if not (0 <= t < P and 0 <= nu < P):
-        raise IndexOutOfRange(f"base point ({t},{nu}) outside [0,{P})^2")
+    t, nu = np.broadcast_arrays(t, nu)
+    if not np.all((0 <= t) & (t < P) & (0 <= nu) & (nu < P)):
+        raise IndexOutOfRange(f"a base point (t, nu) lies outside [0,{P})^2")
 
     omega = 1.0 / (T * L)
-    LP = L * P
-    z = _zak_vectors(Zgrid, t, nu, L, P)
-    q, m = np.divmod(np.arange(L * L), L)
-    eta_vec = (
-        omega
-        * eta_qp[t + q * P, nu + m * P]
-        * _unit_phase(-(nu * q + q * m * P), LP)
-    )
-    return SystemSample(t_index=t, nu_index=nu, z=z, eta_vec=eta_vec)
+    q, m = np.divmod(np.arange(L * L).reshape((-1,) + (1,) * t.ndim), L)
+    eta_vec = omega * eta_qp[t + q * P, nu + m * P] * _unit_phase(-(nu * q + q * m * P), L * P)
+    return SystemSample(z=_zak_vectors(Zgrid, t, nu, L, P), eta_vec=eta_vec)

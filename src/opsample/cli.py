@@ -1,16 +1,17 @@
 """Command-line front end: scriptable experiments over stable file formats.
 
-Every run is deterministic given its --seed, a non-negative integer (no
-environment variable stands in for it); re-running a command at a fixed BLAS
-thread count produces byte-identical output files.  Across thread counts,
-recover-support's residual can move in its last bits: sparse.mmv_omp takes
-np.linalg.qr of the (P^2, L) Z-vector matrix.  Exit codes: 0 success, 2
-precondition or usage error, 3 numerical failure (floating-point overflow
-included), 4 I/O failure or malformed input file.  Results print through one rule, _show: key=value
-lines, floats at 17 significant digits so values survive a copy-paste round
-trip.  A --report-out file holds the record behind the printed lines.  The
-library's recoveries take no ground truth: identify, recover-support and
-verify score against one here, through channel.relative_l2_error.
+Every command that draws at random (gen-window, simulate without --eta,
+rates --plan, verify) requires --seed, a non-negative integer; no environment
+variable stands in for it.  Re-running a command at a fixed BLAS thread count
+gives byte-identical output files.  Across thread counts, recover-support's
+residual can move in its last bits: sparse.mmv_omp takes np.linalg.qr of the
+(P^2, L) Z-vector matrix.  Exit codes: 0 success, 2 precondition or usage
+error, 3 numerical failure (floating-point overflow included), 4 I/O failure or
+a malformed input file (errors.MalformedFile).  Results print through one rule,
+_show: key=value lines, floats at 17 significant digits so values survive a
+copy-paste round trip.  A --report-out file holds the record behind the printed
+lines.  The library's recoveries take no ground truth: identify,
+recover-support and verify score against one here, via relative_l2_error.
 """
 
 import argparse
@@ -34,6 +35,7 @@ from .channel import (
 from .errors import (
     GenerationFailed,
     GridMismatch,
+    MalformedFile,
     NoConvergence,
     OpSampleError,
     RankDeficient,
@@ -52,22 +54,8 @@ from .support import CellSupport, bandwidth, rectify
 NUMERICAL_ERRORS = (RankDeficient, NoConvergence, GenerationFailed)
 
 
-class _InputError(Exception):
-    """A named input file exists but cannot be parsed into the expected object."""
-
-
 class _UsageError(Exception):
     """A command-line precondition that argparse does not express."""
-
-
-def _load(loader, path):
-    """loader(path); a malformed file or one too large to hold is an input error."""
-    try:
-        return loader(path)
-    except OpSampleError as exc:  # the loader names the path
-        raise _InputError(exc) from exc
-    except MemoryError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
 
 
 def _require_zak_T(T, S):
@@ -91,6 +79,7 @@ def _show(**fields):
 
 
 def cmd_gen_window(args):
+    _require(args.seed is not None, "gen-window draws its window: --seed is required")
     target = {"full": "full_spark", "spark_k": "spark_k"}[args.target]
     _require(args.k is None or target == "spark_k", "--k applies only to --target spark_k")
     window = generate_window(
@@ -103,7 +92,7 @@ def cmd_gen_window(args):
 
 
 def cmd_spark(args):
-    window = _load(formats.load_window, args.window)
+    window = formats.load_window(args.window)
     G = build_gabor_matrix(window)
     _show(spark=spark(G))
     if args.matrix_out:
@@ -112,7 +101,7 @@ def cmd_spark(args):
 
 
 def cmd_rectify(args):
-    S = _load(formats.load_support, args.support)
+    S = formats.load_support(args.support)
     report = rectify(S)
     record = {
         "identifiable": True,
@@ -130,14 +119,14 @@ def cmd_rectify(args):
 def cmd_simulate(args):
     if args.eta:
         _require(args.support is None and args.seed is None, "--eta takes no --support or --seed")
-        eta = _load(formats.load_spreading, args.eta)
+        eta = formats.load_spreading(args.eta)
         S = eta.support
     else:
         _require(args.support, "--eta or --support is required")
         _require(args.seed is not None, "need --eta, or --seed to draw one")
-        S = _load(formats.load_support, args.support)
+        S = formats.load_support(args.support)
         eta = random_spreading(S, seed=args.seed)
-    window = _load(formats.load_window, args.window)
+    window = formats.load_window(args.window)
     g = IdentifierTrain(T=S.T, weights=window, chirp_a=args.chirp_a)
     response = apply_channel(eta, g)
     Z = zak_transform(response)
@@ -154,11 +143,11 @@ def cmd_simulate(args):
 def cmd_identify(args):
     _require(not (args.smooth and args.symplectic is not None), "--smooth excludes --symplectic")
     _require(args.smooth == (args.eps is not None), "--smooth requires --eps, which only it reads")
-    Z, T, _, _ = _load(formats.load_zak, args.zak)
-    window = _load(formats.load_window, args.window)
+    Z, T, _, _ = formats.load_zak(args.zak)
+    window = formats.load_window(args.window)
     G = build_gabor_matrix(window)
-    eta_true = _load(formats.load_spreading, args.eta_true) if args.eta_true else None
-    S = _load(formats.load_support, args.support)
+    eta_true = formats.load_spreading(args.eta_true) if args.eta_true else None
+    S = formats.load_support(args.support)
     _require_zak_T(T, S)
     if args.smooth:
         report = recover_eta_smooth(Z, G, S, args.eps)
@@ -180,15 +169,15 @@ def cmd_identify(args):
 
 
 def cmd_recover_support(args):
-    Z, T, L, P = _load(formats.load_zak, args.zak)
-    window = _load(formats.load_window, args.window)
+    Z, T, L, P = formats.load_zak(args.zak)
+    window = formats.load_window(args.window)
     G = build_gabor_matrix(window)
     if args.domain:
-        R = _load(formats.load_support, args.domain)
+        R = formats.load_support(args.domain)
         _require_zak_T(T, R)
     else:
         R = CellSupport(T=T, L=L, P=P, cells=[(q, m) for q in range(L) for m in range(L)])
-    eta_true = _load(formats.load_spreading, args.eta_true) if args.eta_true else None
+    eta_true = formats.load_spreading(args.eta_true) if args.eta_true else None
     try:
         report = recover_unknown_support(Z, G, R, k_max=args.kmax, tol=args.tol)
         failure, estimate = None, report.support_estimate
@@ -211,10 +200,11 @@ def cmd_recover_support(args):
 
 
 def cmd_rates(args):
-    S = _load(formats.load_support, args.support)
+    S = formats.load_support(args.support)
     if args.plan:
         _require(args.eps is not None, "--plan requires --eps")
         _require(args.window is None, "--plan draws its own window and takes no --window")
+        _require(args.seed is not None, "--plan draws its window: --seed is required")
         window, report = bunched_window_plan(
             S, args.eps, seed=args.seed, max_draws=args.max_draws
         )
@@ -224,7 +214,7 @@ def cmd_rates(args):
     else:
         _require(args.window, "rates without --plan requires --window")
         _require(args.seed is None and args.window_out is None, "--seed, --window-out need --plan")
-        window = _load(formats.load_window, args.window)
+        window = formats.load_window(args.window)
         report = rate_report(IdentifierTrain(T=S.T, weights=window), S, eps=args.eps)
     record = dataclasses.asdict(report)
     _show(**record)
@@ -234,20 +224,17 @@ def cmd_rates(args):
 
 
 def cmd_verify(args):
+    _require(args.seed is not None, "verify draws its eta: --seed is required")
     _check_tol(args.tol)
-    S = _load(formats.load_support, args.support)
-    window = _load(formats.load_window, args.window)
+    S = formats.load_support(args.support)
+    window = formats.load_window(args.window)
     eta = random_spreading(S, seed=args.seed)
     response = apply_channel(eta, IdentifierTrain(T=S.T, weights=window))
     Z = zak_transform(response)
     G = build_gabor_matrix(window)
 
-    eta_qp = quasiperiodize(eta)
-    residual = 0.0
-    for t in range(S.P):
-        for nu in range(S.P):
-            sample = assemble_system(eta_qp, Z, G, t, nu, S.T)
-            residual = max(residual, sample.residual(G))
+    t, nu = np.indices((S.P, S.P))
+    residual = assemble_system(quasiperiodize(eta), Z, G, t, nu, S.T).residual(G)
     error = relative_l2_error(recover_eta_known_support(Z, G, S).eta_hat, eta)
 
     ok = bool(residual <= args.tol and error <= args.tol)
@@ -346,7 +333,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (_InputError, OSError) as exc:
+    except (MalformedFile, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (*NUMERICAL_ERRORS, FloatingPointError) as exc:

@@ -1,7 +1,8 @@
 """Exception types raised across the package.
 
 Every error that a caller can act on derives from OpSampleError; the CLI maps
-subclasses onto its exit codes (precondition/usage vs. numerical failure).
+subclasses onto its exit codes: MalformedFile (an input file) 4, a numerical
+failure (RankDeficient, NoConvergence, GenerationFailed) 3, any other 2.
 """
 
 
@@ -11,6 +12,10 @@ class OpSampleError(Exception):
 
 class InvalidParameters(OpSampleError):
     """An argument violates a documented precondition."""
+
+
+class MalformedFile(InvalidParameters):
+    """An input file cannot be read into the expected object (the loaders in formats)."""
 
 
 class SearchBudgetExceeded(OpSampleError):

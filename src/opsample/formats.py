@@ -7,8 +7,9 @@ then one row per entry with its integer indices and the re/im pair of its
 complex value at 17 significant digits, so every file round-trips to the exact
 float it came from and re-running a command gives byte-identical output.  One
 reader parses the grid tables.  Every loader parses under one rule: a file
-that cannot be read into the expected object raises InvalidParameters naming
-the file, never a parser's KeyError, ValueError, ... (OSError passes through).
+that cannot be read into the expected object, or is too large to hold, raises
+MalformedFile naming the file, never a parser's KeyError, ValueError, ... or a
+MemoryError (OSError passes through).
 Reports are built in cli and written by save_json.  A support or grid file
 may declare at most L*P = MAX_LP, checked before any array is built.
 """
@@ -19,7 +20,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .channel import DiscreteSpreadingFunction
-from .errors import InvalidParameters, OpSampleError
+from .errors import InvalidParameters, MalformedFile, OpSampleError
 from .gabor import Window
 from .support import CellSupport, _mask_indices
 
@@ -36,13 +37,12 @@ def _fmt(x):
 
 @contextmanager
 def _malformed(path, kind):
-    """Parse under one rule: malformed content is an InvalidParameters naming path once."""
+    """Parse under one rule: malformed content is a MalformedFile naming path once."""
     try:
         yield
-    except (
-        OpSampleError, KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError
-    ) as exc:
-        raise InvalidParameters(f"malformed {kind} file {path}: {exc}") from exc
+    except (OpSampleError, KeyError, TypeError, ValueError, AttributeError, IndexError,
+            OverflowError, MemoryError) as exc:
+        raise MalformedFile(f"malformed {kind} file {path}: {exc}") from exc
 
 
 def _write_table(path, header, names, index, values):

@@ -31,6 +31,7 @@ A recovery returns what it recovered and takes no ground truth: scoring an
 estimate against a known eta is channel.relative_l2_error.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,7 +244,7 @@ def smooth_windows(T, Omega, eps, P):
     """
     if not (0 < T < np.inf and 0 < Omega < np.inf and P >= 1):  # rejects nan
         raise InvalidParameters("need finite T > 0, finite Omega > 0, P >= 1")
-    if not eps > 0:
+    if not (isinstance(eps, numbers.Real) and eps > 0):  # None would raise a TypeError at >
         raise InvalidParameters("eps must be positive")
     if eps >= min(T, Omega) / 2:
         raise InvalidOverlap(

@@ -429,19 +429,24 @@ def test_quasiperiodize_negative_shift():
     )
 
 
-def _check_system_identity(S, seed, tol=1e-10):
+def _identity_system(S, seed):
+    """(eta_qp, Z, G) for a random eta on S probed with a random unimodular window."""
     eta = random_spreading(S, seed=seed)
     c = np.exp(2j * np.pi * np.random.default_rng(seed + 1).random(S.L))
     g = _train(S.T, c)
-    G = build_gabor_matrix(g.weights)
-    Z = zak_transform(apply_channel(eta, g))
-    eta_qp = quasiperiodize(eta)
-    worst = 0.0
-    for t in range(S.P):
-        for nu in range(S.P):
-            sample = assemble_system(eta_qp, Z, G, t, nu, S.T)
-            worst = max(worst, sample.residual(G))
+    return quasiperiodize(eta), zak_transform(apply_channel(eta, g)), build_gabor_matrix(g.weights)
+
+
+def _check_system_identity(S, seed, tol=1e-10):
+    eta_qp, Z, G = _identity_system(S, seed)
+    t, nu = np.indices((S.P, S.P))
+    worst = assemble_system(eta_qp, Z, G, t, nu, S.T).residual(G)
     assert worst <= tol, f"system identity residual {worst}"
+
+
+def _shifted_staircase():
+    base = staircase_support(T=0.5, P=4)
+    return CellSupport(T=0.5, L=3, P=4, cells=base.cells, shift=(1.0, -2 * base.dnu))
 
 
 def test_system_identity_staircase():
@@ -449,14 +454,49 @@ def test_system_identity_staircase():
 
 
 def test_system_identity_shifted():
-    base = staircase_support(T=0.5, P=4)
-    S = CellSupport(T=0.5, L=3, P=4, cells=base.cells, shift=(1.0, -2 * base.dnu))
-    _check_system_identity(S, seed=200)
+    _check_system_identity(_shifted_staircase(), seed=200)
 
 
 def test_system_identity_without_injectivity():
     # the identity is algebraic: it holds even when the support is too big to invert
     _check_system_identity(translate_collision_support(L=3, T=1.0, P=4), seed=300)
+
+
+@pytest.mark.parametrize(
+    "make_support",
+    [
+        lambda: staircase_support(T=1.0, P=8),
+        _shifted_staircase,
+        lambda: translate_collision_support(L=3, T=1.0, P=4),
+        lambda: CellSupport(T=1.0, L=2, P=6, cells=[(0, 1), (1, 0)]),
+        lambda: CellSupport(T=0.5, L=5, P=4, cells=[(q, 2 * q % 5) for q in range(5)]),
+    ],
+    ids=["staircase", "shifted", "collision", "L2", "L5"],
+)
+def test_batched_system_is_the_per_point_system(make_support):
+    # index arrays give each point the bits of its own scalar call, a scalar call's
+    # residual has the bits of the unbatched np.linalg.norm formula, and the batched
+    # residual is the largest per-point residual, bit for bit
+    S = make_support()
+    eta_qp, Z, G = _identity_system(S, seed=400 + S.L)
+    t, nu = np.indices((S.P, S.P))
+    batch = assemble_system(eta_qp, Z, G, t, nu, S.T)
+    assert batch.z.shape == (S.L, S.P, S.P) and batch.eta_vec.shape == (S.L**2, S.P, S.P)
+    worst = 0.0
+    for u in range(S.P):
+        for v in range(S.P):
+            single = assemble_system(eta_qp, Z, G, u, v, S.T)
+            np.testing.assert_array_equal(batch.z[:, u, v], single.z)
+            np.testing.assert_array_equal(batch.eta_vec[:, u, v], single.eta_vec)
+            r = np.linalg.norm(single.z - G.entries @ single.eta_vec)
+            assert single.residual(G) == r / (1.0 + np.linalg.norm(single.eta_vec))
+            worst = max(worst, single.residual(G))
+    assert batch.residual(G) == worst
+    # a flat list of points, and a scalar broadcast against an array, agree too
+    flat = assemble_system(eta_qp, Z, G, t.ravel()[::-1], nu.ravel()[::-1], S.T)
+    assert flat.residual(G) == worst
+    row = assemble_system(eta_qp, Z, G, 1, np.arange(S.P), S.T)
+    np.testing.assert_array_equal(row.z, batch.z[:, 1])
 
 
 def test_assemble_system_validation():
@@ -472,6 +512,13 @@ def test_assemble_system_validation():
         assemble_system(qp, Z, G, 0, -1, S.T)
     with pytest.raises(GridMismatch):
         assemble_system(qp[:-1, :-1], Z, G, 0, 0, S.T)
+    # one out-of-range entry refuses the whole index array
+    t, nu = np.indices((4, 4))
+    for bad_t, bad_nu in ((4, 0), (0, 4), (-1, 0), (0, -1)):
+        t2, nu2 = t.copy(), nu.copy()
+        t2[2, 3], nu2[2, 3] = bad_t, bad_nu
+        with pytest.raises(IndexOutOfRange):
+            assemble_system(qp, Z, G, t2, nu2, S.T)
 
 
 def test_convolution_channel_response_is_periodized_kernel():

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsample import cli, formats, presets, random_spreading
-from opsample.errors import InvalidParameters
+from opsample.errors import InvalidParameters, MalformedFile
 from opsample.gabor import Window
 from opsample.support import CellSupport
 
@@ -426,6 +426,10 @@ def test_exit_codes(workdir, capsys):
         ["simulate", "--support", stairs, "--window", window_path, "--seed", "-1"],
         ["rates", "--support", stairs, "--plan", "--eps", "0.5", "--seed", "-1"],
         ["verify", "--support", stairs, "--window", window_path, "--seed", "-2"],
+        # a missing seed, in every command that draws
+        ["gen-window", "--L", "3", "--out", str(window_out)],
+        ["rates", "--support", stairs, "--plan", "--eps", "0.5", "--window-out", str(window_out)],
+        ["verify", "--support", stairs, "--window", window_path],
     ):
         code, out, err = run(argv, capsys)
         assert code == 2 and "usage error:" in err and out == "", argv
@@ -543,10 +547,23 @@ def test_malformed_json_exits_4_naming_the_file_once(workdir, capsys, monkeypatc
     }
     for name, bad in cases.items():
         Path(name).write_text(json.dumps(bad))
+        with pytest.raises(MalformedFile):
+            formats.load_support(name)
         code, _, err = run(["rectify", "--support", name], capsys)
         assert code == 4, name
         assert "error:" in err and "Traceback" not in err
         assert err.count(name) == 1
+
+    # a file too large to hold is malformed too, named once
+    def out_of_memory(**_):
+        raise MemoryError("cannot allocate the mask")
+
+    monkeypatch.setattr(formats, "CellSupport", out_of_memory)
+    with pytest.raises(MalformedFile, match="cannot allocate"):
+        formats.load_support("stairs.json")
+    code, out, err = run(["rectify", "--support", "stairs.json"], capsys)
+    assert (code, out) == (4, "")
+    assert err.count("stairs.json") == 1 and "Traceback" not in err
 
 
 def test_support_with_an_infinite_omega_exits_4(workdir, capsys, monkeypatch):

@@ -361,6 +361,9 @@ def test_smooth_windows_validation():
         smooth_windows(1.0, 1.0 / 3.0, 0.0, 8)
     with pytest.raises(InvalidParameters):
         smooth_windows(1.0, 1.0 / 3.0, 1.0 / 24.0, 8)  # dnu-aligned but not dt-aligned
+    for eps in (None, "0.125"):  # not a number: refused, not a bare TypeError
+        with pytest.raises(InvalidParameters):
+            smooth_windows(1.0, 1.0 / 3.0, eps, 8)
 
 
 @pytest.mark.parametrize(
