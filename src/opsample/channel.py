@@ -387,7 +387,8 @@ def quasiperiodize(eta):
 
 def assemble_system(eta_qp, Zgrid, G, t, nu, T):
     """Build (z, eta_vec) at base points (t, nu) in subcell indices: two integers, or
-    index arrays that broadcast together, whose points stack after the vector axis.
+    integer index arrays that broadcast together, whose points stack after the
+    vector axis.  A float or bool base point is refused (InvalidParameters).
 
     eta_qp: (L*P, L*P) quasiperiodization grid; Zgrid: (L*P, P) Zak grid of the
     response; T fixes the physical scaling Omega = 1/(L*T).  The SystemSample
@@ -402,6 +403,8 @@ def assemble_system(eta_qp, Zgrid, G, t, nu, T):
     if Zgrid.shape != (L * P, P):
         raise GridMismatch(f"Zak grid must have shape ({L * P}, {P})")
     t, nu = np.broadcast_arrays(t, nu)
+    if t.dtype.kind not in "iu" or nu.dtype.kind not in "iu":
+        raise InvalidParameters(f"base points (t, nu) must be integers, not {t.dtype}, {nu.dtype}")
     if not np.all((0 <= t) & (t < P) & (0 <= nu) & (nu < P)):
         raise IndexOutOfRange(f"a base point (t, nu) lies outside [0,{P})^2")
 

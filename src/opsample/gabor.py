@@ -26,14 +26,22 @@ the C(L^2, k).  It is the subset holding column 0 whose bitmask sum 1<<col is
 least among its k translates (each moves one member to column 0); this holds
 only for a true G(c).  Every column-dependence decision in the package is one
 scale-free rule, _dependent: s_min <= tol*s_1 on the block's singular values.
-Square blocks are first screened by a batched det: s_k <= tol*s_1 implies
-|det| = prod s_i <= tol*||A||_F^k, so only |det| <= 2*tol*||A||_F^k (the 2
-absorbs LU rounding) goes on to the SVD; this holds for any matrix.  Every
-table row holds column 0 first, so partial pivoting takes the same first pivot,
-the largest |entry| of column 0, in every square block.  That step is taken
-once on the whole matrix and the screen is |pivot * det| of the Schur blocks:
-still LU with partial pivoting under the same 2.  A zero column 0 sends every
-block to the SVD.
+Square blocks are first screened by determinant: s_k <= tol*s_1 implies
+|det A| = prod s_i <= tol*||A||_F^k for any matrix, so only
+|det| <= 2*tol*||A||_F^k goes on to the SVD.  Every table row holds column 0
+first, and the first elimination step, pivoting on the largest |entry| of
+column 0, is taken once on the whole matrix: |det A| = |pivot * det B| for the
+block's m x m Schur block B, m = k-1, and det B is one cofactor expansion
+batched over the table rows (_column_dets).  The 2 is sound: every multiplier
+has |l_i| <= 1, so ||b_j|| <= (1+sqrt(m))*||a_j||, and the expansion's rounding
+error is at most gamma_n * per(|B|) <= gamma_n * m^(m/2) * prod ||b_j||, with
+gamma_n = n*u/(1-n*u), u = 2^-53 and n = 13m + m(m-1)/2 roundings on any one
+term (10 per Schur entry, 3 per complex product, 1 per sum).  With
+|pivot| <= ||a_0|| and AM-GM over the k column norms, the error on
+|pivot * det B| is at most
+gamma_n * (1+sqrt(m))^m * (m/k)^(m/2) * k^(-1/2) * ||A||_F^k, ~4e-12*||A||_F^k
+at m = 6: far below tol*||A||_F^k.  A zero column 0 sends every block to the
+SVD.
 
 Dependence is monotone in the level k (subset size), so a spark decision reads
 only the levels it needs.  For an L x k block A, k < L, A^H A is a principal
@@ -81,12 +89,19 @@ DEFAULT_TOL = 1e-9
 #: C(L^2, k)/L^2; enforced ceiling (L^2 <= 49 keeps a bitmask in int64)
 SPARK_SEARCH_LIMIT = 7
 
-#: orbit-table rows per batched det and SVD call
-CHUNK = 2048
+#: orbit-table rows per determinant screen and batched SVD call: the (5, 5)
+#: table's 2130 rows fit one chunk, and the screen's (CHUNK,) complex vectors
+#: stay at 64 KiB (8192 rows ran slower at L = 6)
+CHUNK = 4096
 
 
 def is_prime(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _is_integer(x):
+    """A Python or numpy integer; bool is refused."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def translate(x, q):
@@ -209,6 +224,46 @@ def _dependent(s):
     return s[..., -1] <= DEFAULT_TOL * s[..., 0]
 
 
+@functools.lru_cache(maxsize=None)  # keyed by m <= 6
+def _cofactor_terms(m):
+    """Per level r = 1..m, the Laplace terms of every r-subset S of range(m).
+
+    Subsets come in lexicographic order; subset S holds one term per position
+    i: (i odd, S[i], index of S without S[i] in level r-1).
+    """
+    levels, index = [], {(): 0}
+    for r in range(1, m + 1):
+        subsets = list(itertools.combinations(range(m), r))
+        levels.append(tuple(
+            tuple((i % 2, c, index[S[:i] + S[i + 1 :]]) for i, c in enumerate(S)) for S in subsets
+        ))
+        index = {S: n for n, S in enumerate(subsets)}
+    return tuple(levels)
+
+
+def _column_dets(M, cols):
+    """det M[:, cols[b]] for every row b of a (B, m) column table, M of m rows.
+
+    Cofactor expansion: level r holds the minors of the last r rows of M on every
+    r-subset of the m column positions, each the alternating sum of row m-r's
+    entries times level r-1 minors (along the minor's first row).  Every product
+    and sum runs over the B rows at once: no (B, m, m) blocks, pivots or
+    divisions, and a NaN entry makes its determinant NaN.
+    """
+    m = len(M)
+    minors = [np.ones(len(cols), dtype=M.dtype)]  # level 0: the empty minor
+    for r, level in enumerate(_cofactor_terms(m), start=1):
+        row = M[m - r][cols.T]  # (m, B): row m-r at each column position
+        nxt = []
+        for (_, c, sub), *rest in level:
+            acc = row[c] * minors[sub]
+            for odd, c, sub in rest:
+                (np.subtract if odd else np.add)(acc, row[c] * minors[sub], out=acc)
+            nxt.append(acc)
+        minors = nxt
+    return minors[0]
+
+
 def _has_dependent(entries, k):
     """True iff some k-column subset of a Gabor matrix's rows is dependent (_dependent)."""
     parts = np.ascontiguousarray(entries).view(float)  # real and imaginary parts
@@ -223,7 +278,7 @@ def _has_dependent(entries, k):
     for start in range(0, len(table), CHUNK):
         cols = table[start : start + CHUNK]
         if screen:  # |det| = |pivot * det| of the Schur block, NaN kept
-            dets = np.abs(unit[p, 0] * np.linalg.det(schur[:, cols[:, 1:]].transpose(1, 0, 2)))
+            dets = np.abs(unit[p, 0] * _column_dets(schur, cols[:, 1:]))
             cols = cols[~(dets > 2 * DEFAULT_TOL * sq_norms[cols].sum(axis=1) ** (k / 2))]
         for batch in (cols[: k * k], cols[k * k :]):  # a few first: low-spark windows stop early
             sub = np.transpose(unit[:, batch], (1, 0, 2))  # (B, rows, k)
@@ -261,8 +316,8 @@ def spark(G):
 
     One subset per translation orbit with a det screen: level 2, then level L,
     then a bisection of levels 3..L-1 if L is dependent (module docstring):
-    ~2 ms for a full-spark window at L = 5, ~55 ms at L = 6 (plus a one-time
-    ~0.3 s table build), ~0.2 ms for a spark-2 window such as all ones at any
+    ~0.6 ms for a full-spark window at L = 5, ~20 ms at L = 6 (plus a one-time
+    ~0.2 s table build), ~0.1 ms for a spark-2 window such as all ones at any
     L.  Weights c = G[:, 0] whose nonzeros fit a cyclic run of r < L indices
     make level r+1 dependent, so level L is not read and only levels up to r
     are; level 2 goes first only when 2 < r.  Enforces L <= 7 and refuses
@@ -285,17 +340,17 @@ def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):
     first k indices with spark k+1; requires 1 <= k <= L and L prime.  Moduli
     are uniform on [1/2, 1] and phases uniform, so the target sets are open and
     dense and the first draw almost always succeeds.  A draw reads level `support`
-    alone: ~2 ms for full spark at L = 5, ~0.3 ms for k = 2 at L = 7.
+    alone: ~0.5 ms for full spark at L = 5, ~0.2 ms for k = 2 at L = 7.
     """
-    if L < 1:
-        raise InvalidParameters("L must be positive")
+    if not (_is_integer(L) and L >= 1):
+        raise InvalidParameters(f"L must be a positive integer, got {L!r}")
     if target == "full_spark":
         if k is not None:
             raise InvalidParameters("k applies only to the spark_k target")
         support = L
     elif target == "spark_k":
-        if k is None or not (1 <= k <= L):
-            raise InvalidParameters("spark_k target needs 1 <= k <= L")
+        if not (_is_integer(k) and 1 <= k <= L):
+            raise InvalidParameters(f"spark_k target needs an integer 1 <= k <= L, got k={k!r}")
         if not is_prime(L):
             raise NoPrimeInRange(f"spark_k target requires prime L, got {L}")
         support = k
@@ -316,11 +371,15 @@ def _draw_window(L, support, seed, max_draws, accept, failure):
     """Seeded draws of weights on the first `support` indices until accept(c).
 
     Moduli are uniform on [1/2, 1] and phases uniform.  Returns the first
-    accepted Window (with its seed and draw count), refuses a budget below one
-    draw and raises GenerationFailed(failure) once it is spent.
+    accepted Window (with its seed and draw count), refuses a budget that is not
+    an integer of at least one draw and a seed that is neither None nor a
+    nonnegative integer, and raises GenerationFailed(failure) once the budget
+    is spent.
     """
-    if max_draws < 1:
-        raise InvalidParameters(f"max_draws must be at least 1, got {max_draws}")
+    if not (_is_integer(max_draws) and max_draws >= 1):
+        raise InvalidParameters(f"max_draws must be an integer of at least 1, got {max_draws!r}")
+    if not (seed is None or _is_integer(seed) and seed >= 0):
+        raise InvalidParameters(f"seed must be None or a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     for draw in range(1, max_draws + 1):
         moduli = rng.uniform(0.5, 1.0, size=support)

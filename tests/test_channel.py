@@ -521,6 +521,25 @@ def test_assemble_system_validation():
             assemble_system(qp, Z, G, t2, nu2, S.T)
 
 
+def test_assemble_system_refuses_non_integer_base_points():
+    # a float index used to fail in numpy's indexing, and True passed as index 1
+    S = staircase_support(T=1.0, P=4)
+    eta = random_spreading(S, seed=1)
+    g = _train(1.0, [1.0, 1.0, 1.0])
+    G = build_gabor_matrix(g.weights)
+    Z = zak_transform(apply_channel(eta, g))
+    qp = quasiperiodize(eta)
+    t, nu = np.indices((4, 4))
+    for bad_t, bad_nu in (
+        (1.5, 0), (0, 1.5), (1.0, 0), (True, 0), (0, True), (np.True_, 2),
+        (t.astype(float), nu), (t, nu.astype(float)), (t > 1, nu), (t, [0.0, 1.0, 2.0, 3.0]),
+    ):
+        with pytest.raises(InvalidParameters, match="must be integers"):
+            assemble_system(qp, Z, G, bad_t, bad_nu, S.T)
+    for good_t, good_nu in ((np.int32(1), np.uint8(2)), (t.astype(np.int16), nu.astype(np.uint16))):
+        assert assemble_system(qp, Z, G, good_t, good_nu, S.T).residual(G) < 1e-12
+
+
 def test_convolution_channel_response_is_periodized_kernel():
     # eta = kappa(t) x delta(nu): with c = (1, 0, ..., 0) the response is the
     # L*T-periodization of the impulse response, scaled by dnu

@@ -174,10 +174,29 @@ def test_generate_window_records_metadata():
     assert spark(build_gabor_matrix(w)) == 6
 
 
-def test_window_validation():
+def test_window_validation(monkeypatch):
     for L, weights in ((0, []), (-1, []), (2, [1.0]), (2, [1.0, np.nan]), (2, [np.inf, 0])):
         with pytest.raises(InvalidParameters):
             Window(L=L, weights=np.asarray(weights, dtype=complex))
+    # Python and numpy integers are accepted, and give the same draw
+    want = generate_window(3, seed=1, max_draws=5)
+    got = generate_window(np.int64(3), seed=np.uint32(1), max_draws=np.int16(5))
+    assert got.weights.tobytes() == want.weights.tobytes() and got.draws == want.draws
+    # a float, bool or negative argument is refused before any draw reaches G(c)
+    builds = []
+    monkeypatch.setattr(gabor, "build_gabor_matrix", lambda c: builds.append(c))
+    bad = [
+        dict(L=5.0), dict(L=True), dict(L="5"),
+        dict(L=5, target="spark_k", k=2.0), dict(L=5, target="spark_k", k=True),
+        dict(L=5, max_draws=2.5), dict(L=5, max_draws=True),
+        dict(L=5, seed=-1), dict(L=5, seed=1.5), dict(L=5, seed=True), dict(L=5, seed="1"),
+    ]
+    for kwargs in bad:
+        with pytest.raises(InvalidParameters):
+            generate_window(**kwargs)
+    with pytest.raises(InvalidParameters):  # the bunched plan draws through the same gate
+        gabor._draw_window(3, 2, -1, 5, lambda c: True, "")
+    assert builds == []
 
 
 def test_generate_window_spark_k_requires_prime():
@@ -505,3 +524,68 @@ def test_det_screen_keeps_every_dependent_block(L):
             seen["dependent"] += bool(dependent)
             seen["cleared"] += len(survivors) < len(blocks)
     assert min(seen.values()) > 0, seen
+
+
+def _random_blocks(rng, m, n=40, B=300):
+    """A random complex m x n matrix and a (B, m) table of distinct column positions."""
+    M = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    cols = np.array([rng.choice(n, m, replace=False) for _ in range(B)], dtype=np.uint8)
+    return M, cols.reshape(B, m)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])
+def test_column_dets_match_numpy_det(m):
+    # m = 6 is the (7, 7) table's Schur block, which no spark test builds
+    rng = np.random.default_rng(500 + m)
+    M, cols = _random_blocks(rng, m)
+    blocks = M[:, cols].transpose(1, 0, 2)
+    want = np.linalg.det(blocks)
+    hadamard = np.prod(np.linalg.norm(blocks, axis=1), axis=1)  # >= |det|
+    got = gabor._column_dets(M, cols)
+    assert got.shape == (len(cols),)
+    assert np.all(np.abs(got - want) <= 1e-14 * hadamard), m
+    # near-singular: column n-1 is a combination of columns 0..m-2 plus a 1e-12 part,
+    # and every block holds those m columns in its own order
+    if m >= 2:
+        M[:, -1] = M[:, : m - 1] @ rng.normal(size=m - 1) + 1e-12 * M[:, -1]
+        members = np.array([*range(m - 1), M.shape[1] - 1], dtype=np.uint8)
+        cols = np.array([rng.permutation(members) for _ in cols])
+        blocks = M[:, cols].transpose(1, 0, 2)
+        hadamard = np.prod(np.linalg.norm(blocks, axis=1), axis=1)
+        got = gabor._column_dets(M, cols)
+        assert np.all(np.abs(got - np.linalg.det(blocks)) <= 1e-14 * hadamard), m
+        assert np.all(np.abs(got) <= 1e-10 * hadamard), m
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_column_dets_of_zero_and_nan_columns(m):
+    # a zero column gives an exact 0; a NaN entry gives NaN, which the screen keeps
+    rng = np.random.default_rng(600 + m)
+    M, cols = _random_blocks(rng, m, B=50)
+    M[:, 0] = 0
+    M[rng.integers(m), 1] = np.nan
+    dets = gabor._column_dets(M, cols)
+    for b, row in enumerate(cols):
+        if 1 in row:
+            assert np.isnan(dets[b]), (m, row)
+        elif 0 in row:
+            assert dets[b] == 0, (m, row)
+        else:
+            assert np.isfinite(dets[b]) and dets[b] != 0, (m, row)
+    assert {0, 1} <= set(cols.ravel().tolist())
+
+
+def _screen_rounding_constant(m):
+    """C with |computed - exact| <= C * ||A||_F^k for |pivot * det B| (module docstring)."""
+    k, n, u = m + 1, 13 * m + m * (m - 1) // 2, 2.0**-53
+    gamma = n * u / (1 - n * u)
+    return gamma * (1 + math.sqrt(m)) ** m * (m / k) ** (m / 2) * k**-0.5
+
+
+def test_det_screen_rounding_stays_below_the_tolerance():
+    # the screen's 2*tol*||A||_F^k threshold drops no dependent block while the
+    # expansion's rounding bound is below tol*||A||_F^k; it is ~4e-12 at L = 7 and
+    # first exceeds DEFAULT_TOL at L = 11, so a higher search limit must revisit it
+    for L in range(1, gabor.SPARK_SEARCH_LIMIT + 1):
+        assert _screen_rounding_constant(L - 1) < gabor.DEFAULT_TOL, L
+    assert _screen_rounding_constant(6) == pytest.approx(4.14e-12, rel=1e-2)
