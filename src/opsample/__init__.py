@@ -19,77 +19,16 @@ rates        sampling-rate diagnostics and bunched-window planning
 presets      the worked support instances used throughout tests and demos
 formats      JSON/CSV file formats shared with the command line
 cli          scriptable front end (`opsample <subcommand>`)
+
+The package namespace is each module's __all__ from gabor to rates, plus errors.
 """
 
-from .errors import (
-    GenerationFailed,
-    GridMismatch,
-    IndexOutOfRange,
-    InvalidOverlap,
-    InvalidParameters,
-    MalformedFile,
-    NoConvergence,
-    NonIntegerChirpPeriod,
-    NoPrimeInRange,
-    NotIdentifiable,
-    OpSampleError,
-    RankDeficient,
-    SearchBudgetExceeded,
-    ShearNotRectifiable,
-)
-from .gabor import (
-    GaborMatrix,
-    Window,
-    build_gabor_matrix,
-    generate_window,
-    modulate,
-    spark,
-    translate,
-)
-from .support import (
-    CellSupport,
-    PartitionClass,
-    RectificationReport,
-    bandwidth,
-    check_identifiable,
-    periodization_count,
-    rectify,
-)
-from .channel import (
-    ChannelResponse,
-    DiscreteSpreadingFunction,
-    IdentifierTrain,
-    SystemSample,
-    apply_channel,
-    assemble_system,
-    impulse_response,
-    inverse_zak,
-    quasiperiodize,
-    random_spreading,
-    relative_l2_error,
-    zak_transform,
-)
-from .reconstruct import (
-    LeftInverse,
-    ReconstructionReport,
-    SmoothWindows,
-    left_inverse,
-    reconstruct_h_sharp,
-    recover_eta_known_support,
-    recover_eta_smooth,
-    recover_symplectic,
-    smooth_windows,
-)
-from .sparse import (
-    SupportEstimate,
-    mmv_omp,
-    recover_unknown_support,
-)
-from .rates import (
-    RateReport,
-    bunched_window_plan,
-    rate_report,
-    refine_support,
-)
+from .errors import *
+from .gabor import *
+from .support import *
+from .channel import *
+from .reconstruct import *
+from .sparse import *
+from .rates import *
 
 __version__ = "0.1.0"

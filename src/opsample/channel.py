@@ -46,8 +46,8 @@ from .errors import (
     InvalidParameters,
     NonIntegerChirpPeriod,
 )
-from .gabor import Window
-from .support import CellSupport, _mask_indices
+from .gabor import Window, _check_seed
+from .support import CellSupport, _fold_index, _mask_indices
 
 __all__ = [
     "DiscreteSpreadingFunction",
@@ -125,16 +125,6 @@ def _chirp_phase(n, kappa, D):
     return _unit_phase(kappa * n * n, 2 * D)
 
 
-def _fold_index(S):
-    """The fold of S's mask onto the (L*P, L*P) fundamental domain, one table
-    per axis: row r folds onto row i[r] after k[r] time translates by L*T,
-    column c onto column j[c]; a stored subcell reads no divmod of its own."""
-    LP = S.L * S.P
-    rows, cols = S.mask.shape
-    k, i = np.divmod(S.offsets[0] + np.arange(rows), LP)
-    return k, i, (S.offsets[1] + np.arange(cols)) % LP
-
-
 @dataclass(eq=False)
 class DiscreteSpreadingFunction:
     """Spreading samples on a support's subcell grid; zero outside the mask."""
@@ -155,7 +145,8 @@ class DiscreteSpreadingFunction:
 
 
 def random_spreading(S, seed=None):
-    """Complex standard-normal samples on the active subcells of S."""
+    """Complex standard-normal samples on the active subcells of S (seed: None or int >= 0)."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     shape = S.mask.shape
     values = np.empty(shape, dtype=complex)  # the bits of a + 1j*b, without 1j*b
@@ -228,10 +219,9 @@ class IdentifierTrain:
 
 @dataclass(eq=False)
 class ChannelResponse:
-    """Hg sampled on one superperiod [0, P*L*T) at step x_step = T/P."""
+    """Hg sampled on one superperiod [0, P*L*T) at step x_step = T/P (derived, not stored)."""
 
     samples: np.ndarray
-    x_step: float
     T: float
     L: int
     P: int
@@ -242,8 +232,10 @@ class ChannelResponse:
             raise GridMismatch(
                 f"expected {self.L * self.P**2} samples, got {self.samples.shape}"
             )
-        if abs(self.x_step - self.T / self.P) > 1e-12 * self.x_step:
-            raise GridMismatch("x_step must equal T/P")
+
+    @property
+    def x_step(self):
+        return self.T / self.P
 
 
 @dataclass(eq=False)
@@ -340,7 +332,7 @@ def apply_channel(eta, g):
     h *= S.dnu * (L * P)
     index = np.add.outer(S.offsets[0] + rows, n * P) % N
     out = _scatter_add((N,), index, g.effective_weights(n) * h)
-    return ChannelResponse(samples=out, x_step=S.dt, T=S.T, L=L, P=P)
+    return ChannelResponse(samples=out, T=S.T, L=L, P=P)
 
 
 def zak_transform(f):
@@ -367,7 +359,7 @@ def inverse_zak(Z, T, L, P):
         raise GridMismatch(f"expected Zak grid of shape ({L * P}, {P}), got {Z.shape}")
     F = np.fft.fft(Z, axis=1) / P
     f2 = F.T[(-np.arange(P)) % P]
-    return ChannelResponse(samples=f2.reshape(-1), x_step=T / P, T=T, L=L, P=P)
+    return ChannelResponse(samples=f2.reshape(-1), T=T, L=L, P=P)
 
 
 def quasiperiodize(eta):
@@ -391,9 +383,12 @@ def assemble_system(eta_qp, Zgrid, G, t, nu, T):
     vector axis.  A float or bool base point is refused (InvalidParameters).
 
     eta_qp: (L*P, L*P) quasiperiodization grid; Zgrid: (L*P, P) Zak grid of the
-    response; T fixes the physical scaling Omega = 1/(L*T).  The SystemSample
-    satisfies z = G(c) @ eta_vec exactly at every point for matching inputs.
+    response; T fixes the physical scaling Omega = 1/(L*T) and must be finite
+    and positive (InvalidParameters).  The SystemSample satisfies
+    z = G(c) @ eta_vec exactly at every point for matching inputs.
     """
+    if not (np.isfinite(T) and T > 0):
+        raise InvalidParameters("T must be finite and positive")
     L = G.L
     eta_qp = np.asarray(eta_qp)
     Zgrid = np.asarray(Zgrid)

@@ -9,7 +9,9 @@ float it came from and re-running a command gives byte-identical output.  One
 reader parses the grid tables.  Every loader parses under one rule: a file
 that cannot be read into the expected object, or is too large to hold, raises
 MalformedFile naming the file, never a parser's KeyError, ValueError, ... or a
-MemoryError (OSError passes through).
+MemoryError (OSError passes through).  Integer JSON fields (L, P, cell labels,
+a window's seed) are read by one rule, _json_int: a nonnegative JSON integer,
+never a float or bool truncated to one.
 Reports are built in cli and written by save_json.  A support or grid file
 may declare at most L*P = MAX_LP, checked before any array is built.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from .channel import DiscreteSpreadingFunction
 from .errors import InvalidParameters, MalformedFile, OpSampleError
-from .gabor import Window
+from .gabor import Window, _is_integer
 from .support import CellSupport, _mask_indices
 
 #: largest L*P a support or grid file may declare (its mask has (L*P)^2 points)
@@ -43,6 +45,14 @@ def _malformed(path, kind):
     except (OpSampleError, KeyError, TypeError, ValueError, AttributeError, IndexError,
             OverflowError, MemoryError) as exc:
         raise MalformedFile(f"malformed {kind} file {path}: {exc}") from exc
+
+
+def _json_int(value, name, nullable=False):
+    """An integer field of a JSON file (L, P, a cell label, a seed): a nonnegative
+    JSON integer, not a bool, float or string; null only where nullable."""
+    if not (nullable and value is None or _is_integer(value) and value >= 0):
+        raise InvalidParameters(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
 
 
 def _write_table(path, header, names, index, values):
@@ -69,7 +79,8 @@ def load_window(path):
     with open(path) as fh, _malformed(path, "window"):
         payload = json.load(fh)
         weights = np.array([complex(re, im) for re, im in payload["weights"]])
-        return Window(L=int(payload["L"]), weights=weights, seed=payload.get("seed"))
+        seed = _json_int(payload.get("seed"), "seed", nullable=True)
+        return Window(L=_json_int(payload["L"], "L"), weights=weights, seed=seed)
 
 
 def export_gabor_matrix(G, path):
@@ -129,10 +140,10 @@ def load_support(path):
     """Support JSON; with a fine mask, the cells must be its folded footprint."""
     with open(path) as fh, _malformed(path, "support"):
         payload = json.load(fh)
-        T, L, P = float(payload["T"]), int(payload["L"]), int(payload["P"])
+        T, L, P = float(payload["T"]), _json_int(payload["L"], "L"), _json_int(payload["P"], "P")
         _require_grid_size(L, P)
         shift = tuple(float(x) for x in payload.get("shift", (0.0, 0.0)))
-        cells = tuple((int(q), int(m)) for q, m in payload["cells"])
+        cells = tuple((_json_int(q, "label"), _json_int(m, "label")) for q, m in payload["cells"])
         rle = payload.get("fine_mask_rle")
         mask = None if rle is None else _mask_from_rle(rle, (L * P, L * P))
         return CellSupport(T=T, L=L, P=P, cells=cells, mask=mask, shift=shift)

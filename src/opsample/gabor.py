@@ -89,9 +89,9 @@ DEFAULT_TOL = 1e-9
 #: C(L^2, k)/L^2; enforced ceiling (L^2 <= 49 keeps a bitmask in int64)
 SPARK_SEARCH_LIMIT = 7
 
-#: orbit-table rows per determinant screen and batched SVD call: the (5, 5)
-#: table's 2130 rows fit one chunk, and the screen's (CHUNK,) complex vectors
-#: stay at 64 KiB (8192 rows ran slower at L = 6)
+#: subsets per orbit-table build pass; table rows per det screen and batched SVD
+#: call: the (5, 5) table's 2130 rows fit one chunk, and the screen's (CHUNK,)
+#: complex vectors stay at 64 KiB (8192 rows ran slower at L = 6)
 CHUNK = 4096
 
 
@@ -102,6 +102,12 @@ def is_prime(n):
 def _is_integer(x):
     """A Python or numpy integer; bool is refused."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_seed(seed):
+    """Refuse an RNG seed that is neither None nor a nonnegative integer."""
+    if not (seed is None or _is_integer(seed) and seed >= 0):
+        raise InvalidParameters(f"seed must be None or a nonnegative integer, got {seed!r}")
 
 
 def translate(x, q):
@@ -132,9 +138,9 @@ class Window:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=complex)
-        if self.L < 1 or self.weights.shape != (self.L,):
+        if not (_is_integer(self.L) and self.L >= 1) or self.weights.shape != (self.L,):
             raise InvalidParameters(
-                f"need L >= 1 and weights of shape (L,) = ({self.L},), got {self.weights.shape}"
+                f"need integer L >= 1 and weights of shape ({self.L},), got {self.weights.shape}"
             )
         if not np.all(np.isfinite(self.weights)):
             raise InvalidParameters("weights must be finite")
@@ -153,9 +159,9 @@ class GaborMatrix:
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
-        if self.L < 1 or self.entries.shape != (self.L, self.L * self.L):
+        if not (_is_integer(self.L) and self.L >= 1) or self.entries.shape != (self.L, self.L**2):
             raise InvalidParameters(
-                f"need L >= 1 and entries of shape (L, L^2), got {self.entries.shape}, L={self.L}"
+                f"need integer L >= 1 and (L, L^2) entries, got {self.entries.shape}, L={self.L!r}"
             )
         if not np.all(np.isfinite(self.entries)):
             raise InvalidParameters("entries must be finite")
@@ -207,8 +213,8 @@ def _orbit_table(L, k):
     rest = itertools.combinations(range(1, L * L), k - 1)  # lexicographic
     total = math.comb(L * L - 1, k - 1)
     rows = []
-    for start in range(0, total, 4096):
-        B = min(4096, total - start)
+    for start in range(0, total, CHUNK):
+        B = min(CHUNK, total - start)
         cols = np.zeros((B, k), dtype=np.uint8)  # column 0, then k-1 others
         flat = itertools.chain.from_iterable(itertools.islice(rest, B))
         cols[:, 1:] = np.fromiter(flat, np.uint8, B * (k - 1)).reshape(B, k - 1)
@@ -294,13 +300,6 @@ def _check_search_limit(L):
         )
 
 
-def _levels(G):
-    """k -> whether some k columns of G are dependent, once L and G = G(c) are checked."""
-    _check_search_limit(G.L)
-    _require_gabor(G)
-    return functools.partial(_has_dependent, G.entries)
-
-
 def _run_length(c):
     """Length r of the shortest cyclic run of indices holding every nonzero of c
     (0 when c is zero, len(c) when no entry is zero)."""
@@ -323,7 +322,9 @@ def spark(G):
     are; level 2 goes first only when 2 < r.  Enforces L <= 7 and refuses
     entries that are not a Gabor matrix G(c).
     """
-    dependent = _levels(G)
+    _check_search_limit(G.L)
+    _require_gabor(G)
+    dependent = functools.partial(_has_dependent, G.entries)
     r = _run_length(G.entries[:, 0])
     if 2 < r and dependent(2):  # c != 0, so no column is zero
         return 2
@@ -340,7 +341,8 @@ def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):
     first k indices with spark k+1; requires 1 <= k <= L and L prime.  Moduli
     are uniform on [1/2, 1] and phases uniform, so the target sets are open and
     dense and the first draw almost always succeeds.  A draw reads level `support`
-    alone: ~0.5 ms for full spark at L = 5, ~0.2 ms for k = 2 at L = 7.
+    of the G(c) it built (no Gabor check): ~0.5 ms for full spark at L = 5,
+    ~0.2 ms for k = 2 at L = 7.
     """
     if not (_is_integer(L) and L >= 1):
         raise InvalidParameters(f"L must be a positive integer, got {L!r}")
@@ -359,7 +361,7 @@ def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):
     _check_search_limit(L)  # before any draw builds G(c), an L^3 tensor
 
     def accept(c):  # spark == support + 1 iff level support is clean (module docstring)
-        return not _levels(build_gabor_matrix(c))(support)
+        return not _has_dependent(build_gabor_matrix(c).entries, support)
 
     return _draw_window(
         L, support, seed, max_draws, accept,
@@ -378,8 +380,7 @@ def _draw_window(L, support, seed, max_draws, accept, failure):
     """
     if not (_is_integer(max_draws) and max_draws >= 1):
         raise InvalidParameters(f"max_draws must be an integer of at least 1, got {max_draws!r}")
-    if not (seed is None or _is_integer(seed) and seed >= 0):
-        raise InvalidParameters(f"seed must be None or a nonnegative integer, got {seed!r}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     for draw in range(1, max_draws + 1):
         moduli = rng.uniform(0.5, 1.0, size=support)

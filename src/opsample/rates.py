@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidParameters, NoPrimeInRange, NotIdentifiable
 from .channel import IdentifierTrain
-from .gabor import _dependent, _draw_window, build_gabor_matrix, is_prime
+from .gabor import _dependent, _draw_window, _is_integer, build_gabor_matrix, is_prime
 from .support import CellSupport, bandwidth, rectify
 
 __all__ = ["RateReport", "rate_report", "refine_support", "bunched_window_plan"]
@@ -68,7 +68,7 @@ def rate_report(g, S, eps=None):
 
 
 def refine_support(S, L_new):
-    """Re-express S on the grid with modulus L_new >= S.L and the same T.
+    """Re-express S on the grid with integer modulus L_new >= S.L and the same T.
 
     The new system keeps the cell width T but shrinks the cell height to
     Omega' = 1/(T*L_new); with P' = S.L*P subcells the old pixel boundaries
@@ -76,10 +76,10 @@ def refine_support(S, L_new):
     exactly.  The support then sits inside the first S.L cell columns of the
     larger fundamental domain, where no periodization folds can collide.
     """
+    if not (_is_integer(L_new) and L_new >= S.L):
+        raise InvalidParameters(f"the refined modulus must be an integer >= S.L, got {L_new!r}")
     if L_new == S.L:
         return S
-    if L_new < S.L:
-        raise InvalidParameters("the refined modulus cannot be smaller than S.L")
     N, P = S.L, S.P
     P_new = N * P
     # old pixel (i, j) covers the same region as the N x L_new block of new

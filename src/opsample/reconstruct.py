@@ -41,7 +41,6 @@ from .channel import (
     _check_chirp_grid,
     _chirp_kappa,
     _chirp_phase,
-    _fold_index,
     _lag_kernel,
     _unit_phase,
     _zak_vectors,
@@ -55,7 +54,7 @@ from .errors import (
     ShearNotRectifiable,
 )
 from .gabor import _dependent
-from .support import CellSupport, _mask_indices, rectify
+from .support import CellSupport, _fold_index, _mask_indices, rectify
 
 __all__ = [
     "LeftInverse",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import _zak_vectors
 from .errors import GridMismatch, InvalidParameters, NoConvergence, RankDeficient
-from .gabor import _check_tol
+from .gabor import _check_tol, _is_integer
 from .reconstruct import _validate_grids, recover_eta_known_support
 from .support import CellSupport
 
@@ -68,8 +68,8 @@ def mmv_omp(Y, G, k_max, tol, candidates=None):
         raise GridMismatch(f"Y must have L = {L} rows, got shape {Y.shape}")
     if not np.isfinite(Y).all():
         raise InvalidParameters("Y must be finite")
-    if not 1 <= k_max <= L:
-        raise InvalidParameters(f"k_max must lie in [1, {L}]")
+    if not (_is_integer(k_max) and 1 <= k_max <= L):
+        raise InvalidParameters(f"k_max must be an integer in [1, {L}], got {k_max!r}")
     _check_tol(tol)
 
     if candidates is None:

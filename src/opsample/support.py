@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters, NotIdentifiable
+from .gabor import _is_integer
 
 __all__ = [
     "CellSupport",
@@ -38,6 +39,16 @@ def _mask_indices(mask):
     """np.nonzero of a 2-d mask from one flat pass: the same (rows, cols), and
     several times faster than np.nonzero on masks of a few thousand points."""
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _fold_index(S):
+    """The fold of S's mask onto the (L*P, L*P) fundamental domain, one table
+    per axis: row r folds onto row i[r] after k[r] time translates by L*T,
+    column c onto column j[c]; a stored subcell reads no divmod of its own."""
+    LP = S.L * S.P
+    rows, cols = S.mask.shape
+    k, i = np.divmod(S.offsets[0] + np.arange(rows), LP)
+    return k, i, (S.offsets[1] + np.arange(cols)) % LP
 
 
 @dataclass(eq=False)
@@ -65,8 +76,9 @@ class CellSupport:
     shift: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if not (np.isfinite(self.T) and self.T > 0) or self.L < 1 or self.P < 1:
-            raise InvalidParameters("need finite T > 0, L >= 1, P >= 1")
+        if not (np.isfinite(self.T) and self.T > 0 and _is_integer(self.L) and self.L >= 1
+                and _is_integer(self.P) and self.P >= 1):
+            raise InvalidParameters("need finite T > 0, integer L >= 1 and integer P >= 1")
         if not all(0 < x < np.inf for x in (self.omega, self.dt, self.dnu)):  # T near 0 or inf
             raise InvalidParameters("Omega = 1/(L*T), T/P and Omega/P must be finite and positive")
         t0, nu0 = self.shift
@@ -129,21 +141,21 @@ class CellSupport:
         occupied = self.folded_mask().reshape(L, P, L, P).any(axis=(1, 3))
         return tuple((int(q), int(m)) for q, m in np.argwhere(occupied))
 
-    def fold_counts(self, period_i, period_j):
-        """Fold the stored mask by (period_i, period_j) subcells, counting multiplicity."""
-        i0, j0 = self._offsets
-        if (i0, j0) == (0, 0) and self.mask.shape == (period_i, period_j):
+    def fold_counts(self):
+        """Fold the mask onto (L*P, L*P) by _fold_index's per-axis tables, counting
+        multiplicity (a read-only uint8 view of the mask if the fold is the identity)."""
+        LP = self.L * self.P
+        if self._offsets == (0, 0) and self.mask.shape == (LP, LP):
             counts = self.mask.view(np.uint8)  # the fold is the identity: no copy
             counts.flags.writeable = False
             return counts
+        _, i, j = _fold_index(self)
         rows, cols = _mask_indices(self.mask)
-        flat = (i0 + rows) % period_i * period_j + (j0 + cols) % period_j
-        return np.bincount(flat, minlength=period_i * period_j).reshape(period_i, period_j)
+        return np.bincount((i * LP)[rows] + j[cols], minlength=LP * LP).reshape(LP, LP)
 
     def folded_mask(self):
         """Boolean (L*P, L*P) footprint of the (LT, 1/T)-fold."""
-        LP = self.L * self.P
-        return self.fold_counts(LP, LP) > 0
+        return self.fold_counts() > 0
 
 
 @dataclass(eq=False)
@@ -167,16 +179,16 @@ class RectificationReport:
 
 def periodization_count(S):
     """Integer (P, P) grid: how many (kT, l*Omega)-translates of S cover each
-    base-rectangle subcell."""
-    return S.fold_counts(S.P, S.P)
+    base-rectangle subcell, summed from the (L*P, L*P) fold (int64)."""
+    return _folds(S)[1]
 
 
 def _folds(S):
-    """One (L*P)^2 fold of S: its counts, their (P, P) periodization count, and
-    whether both fold conditions hold."""
+    """One (L*P)^2 fold of S: its counts, their (P, P) periodization count (int64),
+    and whether both fold conditions hold."""
     L, P = S.L, S.P
-    counts = S.fold_counts(L * P, L * P)
-    cover = counts.reshape(L, P, L, P).sum(axis=(0, 2))
+    counts = S.fold_counts()
+    cover = counts.reshape(L, P, L, P).sum(axis=(0, 2), dtype=np.int64)
     return counts, cover, bool(counts.max(initial=0) <= 1 and cover.max() <= L)
 
 

@@ -27,8 +27,9 @@ from opsample import (
     relative_l2_error,
     zak_transform,
 )
-from opsample.channel import _fold_index, _lag_kernel, _scatter_add, _unit_phase
+from opsample.channel import _lag_kernel, _scatter_add, _unit_phase
 from opsample.presets import staircase_support, translate_collision_support
+from opsample.support import _fold_index
 
 from oracles import (
     channel_response_oracle,
@@ -98,6 +99,10 @@ def test_random_spreading_seeded():
     a = random_spreading(S, seed=7)
     b = random_spreading(S, seed=7)
     np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(random_spreading(S, seed=np.uint32(7)).values, a.values)
+    for seed in (-1, 1.5, True, "7"):  # the window draws' seed rule
+        with pytest.raises(InvalidParameters, match="seed must be None or a nonnegative"):
+            random_spreading(S, seed=seed)
     assert np.all(a.values[~S.mask] == 0)
     assert np.any(a.values[S.mask] != 0)
 
@@ -290,7 +295,7 @@ def test_apply_channel_matches_oracle():
             eta.values, S.offsets, S.T, S.L, S.P, g.weights.weights
         )
         assert got.samples.shape == (S.L * S.P**2,)
-        assert abs(got.x_step - S.T / S.P) < 1e-15
+        assert got.x_step == S.T / S.P
         np.testing.assert_allclose(got.samples, want, atol=1e-10)
 
 
@@ -390,12 +395,13 @@ def test_zak_matches_oracle_and_inverts():
     L, P, T = 2, 4, 0.75
     rng = np.random.default_rng(9)
     samples = rng.standard_normal(L * P * P) + 1j * rng.standard_normal(L * P * P)
-    f = ChannelResponse(samples=samples, x_step=T / P, T=T, L=L, P=P)
+    f = ChannelResponse(samples=samples, T=T, L=L, P=P)
     Z = zak_transform(f)
     np.testing.assert_allclose(Z, zak_oracle(samples, L, P), atol=1e-12)
 
     back = inverse_zak(Z, T, L, P)
     np.testing.assert_allclose(back.samples, samples, atol=1e-12)
+    assert f.x_step == back.x_step == T / P
 
     # energy: the Zak cell holds P copies of the superperiod energy
     assert abs(np.sum(np.abs(Z) ** 2) - P * np.sum(np.abs(samples) ** 2)) < 1e-9
@@ -512,6 +518,10 @@ def test_assemble_system_validation():
         assemble_system(qp, Z, G, 0, -1, S.T)
     with pytest.raises(GridMismatch):
         assemble_system(qp[:-1, :-1], Z, G, 0, 0, S.T)
+    # T sets Omega = 1/(L*T): 0 divided by zero, -1 fit a wrong system, nan gave NaN vectors
+    for T in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParameters, match="T must be finite and positive"):
+            assemble_system(qp, Z, G, 0, 0, T)
     # one out-of-range entry refuses the whole index array
     t, nu = np.indices((4, 4))
     for bad_t, bad_nu in ((4, 0), (0, 4), (-1, 0), (0, -1)):

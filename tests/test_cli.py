@@ -544,6 +544,14 @@ def test_malformed_json_exits_4_naming_the_file_once(workdir, capsys, monkeypatc
         "rle.json": {**payload, "fine_mask_rle": 5},  # not a run-length string
         "huge.json": {**payload, "L": 10**7},  # a mask beyond any address space
         "over_bound.json": {**payload, "L": 513, "P": 8},  # L*P = 4104 > formats.MAX_LP
+        # integer fields are JSON integers: no float or bool is truncated to one
+        "L_float.json": {**payload, "L": 3.7},
+        "L_integral_float.json": {**payload, "L": 3.0},
+        "P_float.json": {**payload, "P": 8.9},
+        "L_bool.json": {**payload, "L": True},
+        "P_string.json": {**payload, "P": "8"},
+        "cell_float.json": {**payload, "cells": [[0.5, 0], [1, 0], [2, 1]]},
+        "cell_bool.json": {**payload, "cells": [[False, False], [1, 0], [2, 1]]},
     }
     for name, bad in cases.items():
         Path(name).write_text(json.dumps(bad))
@@ -553,6 +561,27 @@ def test_malformed_json_exits_4_naming_the_file_once(workdir, capsys, monkeypatc
         assert code == 4, name
         assert "error:" in err and "Traceback" not in err
         assert err.count(name) == 1
+
+    run(["gen-window", "--L", "3", "--seed", "7", "--out", "w.json"], capsys)
+    window = json.loads(Path("w.json").read_text())
+    assert window["seed"] == 7 and formats.load_window("w.json").seed == 7
+    Path("w_null.json").write_text(json.dumps({**window, "seed": None}))
+    assert formats.load_window("w_null.json").seed is None
+    cases = {
+        "w_L_float.json": {**window, "L": 3.5},
+        "w_L_integral_float.json": {**window, "L": 3.0},
+        "w_L_bool.json": {**window, "L": True},
+        "w_seed_negative.json": {**window, "seed": -1},
+        "w_seed_float.json": {**window, "seed": 7.5},
+        "w_seed_bool.json": {**window, "seed": True},
+    }
+    for name, bad in cases.items():
+        Path(name).write_text(json.dumps(bad))
+        with pytest.raises(MalformedFile):
+            formats.load_window(name)
+        code, out, err = run(["spark", "--window", name], capsys)
+        assert (code, out) == (4, ""), name
+        assert "Traceback" not in err and err.count(name) == 1
 
     # a file too large to hold is malformed too, named once
     def out_of_memory(**_):

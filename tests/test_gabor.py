@@ -164,6 +164,32 @@ def test_generate_window_refuses_the_search_limit_before_building(monkeypatch):
     assert builds == []
 
 
+def test_generate_window_builds_one_gabor_matrix_per_draw(monkeypatch):
+    # accept() reads the G(c) it built; only spark re-checks a caller's matrix
+    builds = []
+    build = gabor.build_gabor_matrix
+
+    def counting(c):
+        builds.append(c)
+        return build(c)
+
+    monkeypatch.setattr(gabor, "build_gabor_matrix", counting)
+    for L, target, k in ((5, "full_spark", None), (7, "spark_k", 2), (3, "spark_k", 3)):
+        builds.clear()
+        w = generate_window(L, target=target, k=k, seed=4)
+        assert len(builds) == w.draws
+    monkeypatch.setattr(gabor, "DEFAULT_TOL", 2.0)  # every draw fails: one build each
+    builds.clear()
+    with pytest.raises(GenerationFailed):
+        generate_window(3, seed=0, max_draws=3)
+    assert len(builds) == 3
+    monkeypatch.undo()
+    G = build_gabor_matrix(w)
+    G.entries[1, 4] += 1e-6  # no longer the G(c) of its column (0, 0)
+    with pytest.raises(InvalidParameters, match="not the Gabor matrix"):
+        spark(G)
+
+
 def test_generate_window_records_metadata():
     w = generate_window(5, seed=1)
     assert isinstance(w, Window)
@@ -175,9 +201,14 @@ def test_generate_window_records_metadata():
 
 
 def test_window_validation(monkeypatch):
-    for L, weights in ((0, []), (-1, []), (2, [1.0]), (2, [1.0, np.nan]), (2, [np.inf, 0])):
+    for L, weights in ((0, []), (-1, []), (2, [1.0]), (2, [1.0, np.nan]), (2, [np.inf, 0]),
+                       (3.0, [1, 1, 1]), (True, [1]), (np.float64(2), [1, 1])):
         with pytest.raises(InvalidParameters):
             Window(L=L, weights=np.asarray(weights, dtype=complex))
+    for L in (3.0, np.float64(3)):  # a float L would pass the shape test as (3.0, 9.0)
+        with pytest.raises(InvalidParameters):
+            GaborMatrix(L=L, entries=np.ones((3, 9)))
+    assert Window(L=np.int8(2), weights=[1, 1]).L == 2
     # Python and numpy integers are accepted, and give the same draw
     want = generate_window(3, seed=1, max_draws=5)
     got = generate_window(np.int64(3), seed=np.uint32(1), max_draws=np.int16(5))

@@ -101,6 +101,10 @@ def test_refine_support_preserves_region():
     assert refine_support(S, 3) is S
     with pytest.raises(InvalidParameters):
         refine_support(S, 2)
+    for L_new in (3.0, 5.0, True, np.float64(7)):
+        with pytest.raises(InvalidParameters, match="must be an integer"):
+            refine_support(S, L_new)
+    assert refine_support(S, np.int64(7)).mask.tobytes() == R.mask.tobytes()
 
 
 def test_bunched_plan_small_strip():

@@ -59,6 +59,10 @@ def test_validation():
         mmv_omp(np.zeros((3, 2)), G, 0, 1e-9)
     with pytest.raises(InvalidParameters):
         mmv_omp(np.zeros((3, 2)), G, 4, 1e-9)
+    for k_max in (1.5, 2.0, True, "2"):  # an integer in [1, L] only
+        with pytest.raises(InvalidParameters, match="k_max must be an integer"):
+            mmv_omp(np.zeros((3, 2)), G, k_max, 1e-9)
+    assert mmv_omp(np.ones((3, 2)), G, np.int64(2), 1e-9).k_max == 2
     for tol in (-1.0, np.nan, np.inf):
         with pytest.raises(InvalidParameters):
             mmv_omp(np.zeros((3, 2)), G, 1, tol)

@@ -61,6 +61,14 @@ def test_cell_support_rejects_non_finite_T():
             CellSupport(T=T, L=2, P=4, cells=((0, 0),))
 
 
+def test_cell_support_takes_integer_L_and_P():
+    for L, P in ((2.0, 4), (2, 4.0), (True, 4), (2, True), (np.float64(2), 4), (2, "4")):
+        with pytest.raises(InvalidParameters, match="integer L >= 1 and integer P >= 1"):
+            CellSupport(T=1.0, L=L, P=P, cells=((0, 0),))
+    S = CellSupport(T=1.0, L=np.int64(2), P=np.uint8(4), cells=((0, 0),))
+    assert S.mask.shape == (8, 8)
+
+
 def test_cell_support_rejects_an_infinite_or_vanishing_grid():
     # T itself finite and positive, but Omega = 1/(L*T) or a grid step is not
     for T, L, P in ((1e-320, 3, 8), (1e308, 3, 8), (5e-324, 1, 2)):
@@ -119,12 +127,16 @@ def test_derived_quantities():
 def test_fold_counts_match_oracle():
     rng = np.random.default_rng(5)
     mask = rng.random((13, 17)) < 0.3
-    # odd extent plus negative/positive offsets
-    S = CellSupport(T=1.0, L=3, P=4, mask=mask, shift=(-2 * 0.25, 3 * (1 / 12.0)))
-    for pi, pj in ((4, 4), (12, 12), (5, 7)):
+    # odd extent plus negative/positive offsets, then an identity fold (a uint8 view)
+    shifted = CellSupport(T=1.0, L=3, P=4, mask=mask, shift=(-2 * 0.25, 3 * (1 / 12.0)))
+    plain = CellSupport(T=1.0, L=3, P=4, mask=rng.random((12, 12)) < 0.3)
+    for S in (shifted, plain):
         np.testing.assert_array_equal(
-            S.fold_counts(pi, pj), fold_count_oracle(mask, S.offsets, pi, pj)
+            S.fold_counts(), fold_count_oracle(S.mask, S.offsets, 12, 12)
         )
+        count = periodization_count(S)
+        assert count.dtype == np.int64
+        np.testing.assert_array_equal(count, fold_count_oracle(S.mask, S.offsets, 4, 4))
 
 
 def test_unshifted_fold_makes_no_widening_copy():
@@ -142,21 +154,21 @@ def test_unshifted_fold_makes_no_widening_copy():
     assert max(fold_peak, check_peak) < 2 * S.mask.nbytes
     small = CellSupport(T=1.0, L=3, P=4, mask=np.random.default_rng(6).random((12, 12)) < 0.3)
     np.testing.assert_array_equal(
-        small.fold_counts(12, 12), fold_count_oracle(small.mask, (0, 0), 12, 12)
+        small.fold_counts(), fold_count_oracle(small.mask, (0, 0), 12, 12)
     )
 
 
 def test_fundamental_domain_all_cells():
     for L in (2, 3):
         S = CellSupport(T=1.0, L=L, P=4, cells=tuple((q, m) for q in range(L) for m in range(L)))
-        assert S.fold_counts(S.L * S.P, S.L * S.P).max() <= 1
+        assert S.fold_counts().max() <= 1
         assert periodization_count(S).min() == L * L
         assert periodization_count(S).max() == L * L
 
 
 def test_fundamental_domain_overflow_collision():
     S = translate_collision_support()
-    assert S.fold_counts(S.L * S.P, S.L * S.P).max() > 1
+    assert S.fold_counts().max() > 1
     assert check_identifiable(S) is False
 
 
@@ -168,7 +180,7 @@ def test_single_cell_counts():
 
 def test_staircase_identifiable_single_class():
     S = staircase_support()
-    assert S.fold_counts(S.L * S.P, S.L * S.P).max() <= 1
+    assert S.fold_counts().max() <= 1
     assert check_identifiable(S) is True
     rep = rectify(S)
     assert rep.gamma == ((0, 0), (1, 0), (2, 1))
@@ -313,7 +325,7 @@ def test_parallelogram_instance():
 
 def test_cover_violation_rejected():
     S = stacked_cover_violation()
-    assert S.fold_counts(S.L * S.P, S.L * S.P).max() <= 1
+    assert S.fold_counts().max() <= 1
     assert periodization_count(S).max() == 4
     assert check_identifiable(S) is False
     with pytest.raises(NotIdentifiable):
