@@ -6,7 +6,9 @@ problem over the L^2 Gabor columns.  On noiseless data the Z-vectors span
 exactly the active columns, and a full-spark window makes every other column
 stand outside that span; rank-aware selection (project out the chosen
 columns, pick the one lying in the residual's range, repeat) therefore finds
-and certifies every support of fewer than L cells by its zero residual.
+every support of fewer than L cells.  The decoder certifies a zero-residual
+estimate of k cells from data of rank r only under the MMV rank bound: level
+2k - min(r, k) + 1 of G must be clean, so an L-cell fit is never certified.
 """
 
 import numpy as np

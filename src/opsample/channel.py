@@ -342,10 +342,7 @@ def zak_transform(f):
     """
     L, P = f.L, f.P
     f2 = f.samples.reshape(P, L * P)
-    gathered = np.empty_like(f2)
-    gathered[0] = f2[0]
-    gathered[1:] = f2[:0:-1]
-    return (P * np.fft.ifft(gathered, axis=0)).T
+    return (P * np.fft.ifft(f2[(-np.arange(P)) % P], axis=0)).T
 
 
 def inverse_zak(Z, T, L, P):

@@ -82,9 +82,7 @@ def cmd_gen_window(args):
     _require(args.seed is not None, "gen-window draws its window: --seed is required")
     target = {"full": "full_spark", "spark_k": "spark_k"}[args.target]
     _require(args.k is None or target == "spark_k", "--k applies only to --target spark_k")
-    window = generate_window(
-        args.L, target=target, k=args.k, seed=args.seed, max_draws=args.max_draws
-    )
+    window = generate_window(args.L, target=target, k=args.k, seed=args.seed)
     _show(spark=args.L + 1 if target == "full_spark" else args.k + 1)  # certified by the draw
     if args.out:
         formats.save_window(window, args.out)
@@ -205,9 +203,7 @@ def cmd_rates(args):
         _require(args.eps is not None, "--plan requires --eps")
         _require(args.window is None, "--plan draws its own window and takes no --window")
         _require(args.seed is not None, "--plan draws its window: --seed is required")
-        window, report = bunched_window_plan(
-            S, args.eps, seed=args.seed, max_draws=args.max_draws
-        )
+        window, report = bunched_window_plan(S, args.eps, seed=args.seed)
         _show(L=window.L, support_count=window.support_size())
         if args.window_out:
             formats.save_window(window, args.window_out)
@@ -254,7 +250,6 @@ def build_parser():
     p.add_argument("--target", choices=["full", "spark_k"], default="full")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-draws", type=int, default=200)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen_window)
 
@@ -308,7 +303,6 @@ def build_parser():
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--plan", action="store_true")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-draws", type=int, default=200)
     p.add_argument("--window-out", default=None)
     p.add_argument("--report-out", default=None)
     p.set_defaults(func=cmd_rates)

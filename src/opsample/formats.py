@@ -55,6 +55,13 @@ def _json_int(value, name, nullable=False):
     return value
 
 
+def _json_float(value, name):
+    """A real JSON field (T, a shift entry, a weight's re or im): an int or float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidParameters(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _write_table(path, header, names, index, values):
     """CSV table: optional header line, column names, one index..., re, im row per value."""
     row = ",".join(["%d"] * len(index) + ["%.17g", "%.17g"]) + "\r\n"
@@ -78,7 +85,8 @@ def save_window(window, path):
 def load_window(path):
     with open(path) as fh, _malformed(path, "window"):
         payload = json.load(fh)
-        weights = np.array([complex(re, im) for re, im in payload["weights"]])
+        weights = np.array([complex(_json_float(re, "a weight"), _json_float(im, "a weight"))
+                            for re, im in payload["weights"]])
         seed = _json_int(payload.get("seed"), "seed", nullable=True)
         return Window(L=_json_int(payload["L"], "L"), weights=weights, seed=seed)
 
@@ -140,9 +148,10 @@ def load_support(path):
     """Support JSON; with a fine mask, the cells must be its folded footprint."""
     with open(path) as fh, _malformed(path, "support"):
         payload = json.load(fh)
-        T, L, P = float(payload["T"]), _json_int(payload["L"], "L"), _json_int(payload["P"], "P")
+        T = _json_float(payload["T"], "T")
+        L, P = _json_int(payload["L"], "L"), _json_int(payload["P"], "P")
         _require_grid_size(L, P)
-        shift = tuple(float(x) for x in payload.get("shift", (0.0, 0.0)))
+        shift = tuple(_json_float(x, "shift") for x in payload.get("shift", (0.0, 0.0)))
         cells = tuple((_json_int(q, "label"), _json_int(m, "label")) for q, m in payload["cells"])
         rle = payload.get("fine_mask_rle")
         mask = None if rle is None else _mask_from_rle(rle, (L * P, L * P))

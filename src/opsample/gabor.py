@@ -94,6 +94,9 @@ SPARK_SEARCH_LIMIT = 7
 #: complex vectors stay at 64 KiB (8192 rows ran slower at L = 6)
 CHUNK = 4096
 
+#: seeded draws a window generator spends before it raises GenerationFailed
+MAX_DRAWS = 200
+
 
 def is_prime(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
@@ -187,9 +190,8 @@ def build_gabor_matrix(window):
     return GaborMatrix(L=L, entries=np.matmul(D, W).transpose(1, 0, 2).reshape(L, L * L))
 
 
-def _require_gabor(G):
-    """Refuse entries that are not G(c) for c = their column (0, 0)."""
-    A = G.entries
+def _require_gabor(A):
+    """Refuse entries A that are not G(c) for c = their column (0, 0)."""
     if np.abs(A - build_gabor_matrix(A[:, 0]).entries).max() > 1e-12 * np.abs(A).max():
         raise InvalidParameters("entries are not the Gabor matrix G(c) of their column (0, 0)")
 
@@ -293,6 +295,13 @@ def _has_dependent(entries, k):
     return False
 
 
+@functools.lru_cache(maxsize=64)  # _has_dependent keyed by G's bytes: entries can change in place
+def _level_dependent(entries, L, k):
+    A = np.frombuffer(entries, dtype=complex).reshape(L, L * L)
+    _require_gabor(A)  # the orbit search holds only for a true G(c)
+    return _has_dependent(A, k)
+
+
 def _check_search_limit(L):
     if L > SPARK_SEARCH_LIMIT:
         raise SearchBudgetExceeded(
@@ -323,7 +332,7 @@ def spark(G):
     entries that are not a Gabor matrix G(c).
     """
     _check_search_limit(G.L)
-    _require_gabor(G)
+    _require_gabor(G.entries)
     dependent = functools.partial(_has_dependent, G.entries)
     r = _run_length(G.entries[:, 0])
     if 2 < r and dependent(2):  # c != 0, so no column is zero
@@ -334,15 +343,15 @@ def spark(G):
     return 1 + bisect.bisect_left(levels, True, lo=2 if 2 < r else 0, key=dependent)
 
 
-def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):
+def generate_window(L, target="full_spark", k=None, seed=None):
     """Draw random weights until the spark target is met.
 
     target "full_spark": spark L+1.  target "spark_k": weights supported on the
     first k indices with spark k+1; requires 1 <= k <= L and L prime.  Moduli
     are uniform on [1/2, 1] and phases uniform, so the target sets are open and
-    dense and the first draw almost always succeeds.  A draw reads level `support`
-    of the G(c) it built (no Gabor check): ~0.5 ms for full spark at L = 5,
-    ~0.2 ms for k = 2 at L = 7.
+    dense and the first draw almost always succeeds; MAX_DRAWS failed draws
+    raise GenerationFailed.  A draw reads level `support` of the G(c) it built
+    (no Gabor check): ~0.5 ms for full spark at L = 5, ~0.2 ms for k = 2 at L = 7.
     """
     if not (_is_integer(L) and L >= 1):
         raise InvalidParameters(f"L must be a positive integer, got {L!r}")
@@ -364,25 +373,22 @@ def generate_window(L, target="full_spark", k=None, seed=None, max_draws=200):
         return not _has_dependent(build_gabor_matrix(c).entries, support)
 
     return _draw_window(
-        L, support, seed, max_draws, accept,
-        f"no window with spark {support + 1} found in {max_draws} draws (L={L}, seed={seed})",
+        L, support, seed, accept,
+        f"no window with spark {support + 1} found in {MAX_DRAWS} draws (L={L}, seed={seed})",
     )
 
 
-def _draw_window(L, support, seed, max_draws, accept, failure):
+def _draw_window(L, support, seed, accept, failure):
     """Seeded draws of weights on the first `support` indices until accept(c).
 
     Moduli are uniform on [1/2, 1] and phases uniform.  Returns the first
-    accepted Window (with its seed and draw count), refuses a budget that is not
-    an integer of at least one draw and a seed that is neither None nor a
-    nonnegative integer, and raises GenerationFailed(failure) once the budget
-    is spent.
+    accepted Window (with its seed and draw count), refuses a seed that is
+    neither None nor a nonnegative integer, and raises
+    GenerationFailed(failure) once MAX_DRAWS draws are spent.
     """
-    if not (_is_integer(max_draws) and max_draws >= 1):
-        raise InvalidParameters(f"max_draws must be an integer of at least 1, got {max_draws!r}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    for draw in range(1, max_draws + 1):
+    for draw in range(1, MAX_DRAWS + 1):
         moduli = rng.uniform(0.5, 1.0, size=support)
         phases = rng.uniform(0.0, 2 * np.pi, size=support)
         c = np.zeros(L, dtype=complex)

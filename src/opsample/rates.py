@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidParameters, NoPrimeInRange, NotIdentifiable
 from .channel import IdentifierTrain
-from .gabor import _dependent, _draw_window, _is_integer, build_gabor_matrix, is_prime
+from .gabor import MAX_DRAWS, _dependent, _draw_window, _is_integer, build_gabor_matrix, is_prime
 from .support import CellSupport, bandwidth, rectify
 
 __all__ = ["RateReport", "rate_report", "refine_support", "bunched_window_plan"]
@@ -90,7 +90,7 @@ def refine_support(S, L_new):
     return CellSupport(T=S.T, L=L_new, P=P_new, mask=mask, shift=S.shift)
 
 
-def bunched_window_plan(S, eps, seed=None, max_draws=200):
+def bunched_window_plan(S, eps, seed=None):
     """Identifier design for a small support: weights bunched at the period start.
 
     Searches the primes L' >= S.L for the smallest modulus whose T x 1/(TL')
@@ -119,22 +119,18 @@ def bunched_window_plan(S, eps, seed=None, max_draws=200):
         runs += int(np.count_nonzero(np.diff(col.astype(int)) == 1) + col[0])
     modulus_cap = 2 * max(S.L, int(np.ceil(2 * runs / (area * eps)))) + 2
 
-    chosen = None
     for L_new in filter(is_prime, range(S.L, modulus_cap + 1)):
-        refined = refine_support(S, L_new)
         try:
-            report = rectify(refined)
+            report = rectify(refine_support(S, L_new))
         except NotIdentifiable:
             continue
         if len(report.gamma) / L_new < target:
-            chosen = (L_new, refined, report)
             break
-    if chosen is None:  # a guard: the cap above is set so that some prime fits
+    else:  # a guard: the cap above is set so that some prime fits
         raise NoPrimeInRange(
             f"no prime modulus in [{S.L}, {modulus_cap}] brings the cell cover "
             f"below |S|(1+eps) = {target:.6g}"
         )
-    L_new, refined, report = chosen
     k = len(report.gamma)
 
     class_columns = [[q * L_new + m for q, m in cls.cells] for cls in report.classes if cls.cells]
@@ -147,8 +143,8 @@ def bunched_window_plan(S, eps, seed=None, max_draws=200):
         )
 
     window = _draw_window(
-        L_new, k, seed, max_draws, well_conditioned,
+        L_new, k, seed, well_conditioned,
         f"no bunched window with well-conditioned class blocks in "
-        f"{max_draws} draws (L={L_new}, ||c||_0={k})",
+        f"{MAX_DRAWS} draws (L={L_new}, ||c||_0={k})",
     )
     return window, rate_report(IdentifierTrain(T=S.T, weights=window), S, eps)

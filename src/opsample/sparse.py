@@ -9,19 +9,20 @@ rank Y = |Gamma|, range(Y) the span of the active columns, so a full-spark G
 (spark L + 1) certifies every support of fewer than L cells.  Rank-aware
 selection (RA-ORMP) finds it: an active column, with the chosen span projected
 out, lies in range(residual), and any other column would make at most L columns
-dependent.  The same full spark makes an L-cell estimate worthless: any L
-columns span C^L and fit every Z-vector, so recover_unknown_support refuses to
-certify one.  Neither takes a ground truth: a caller that knows one compares
-gamma_hat with its cells and scores eta_hat with channel.relative_l2_error.
+dependent.  recover_unknown_support certifies only what the bound proves, level
+s = 2|Gamma| - min(r, |Gamma|) + 1 <= L of G clean (r = rank Y), so an L-cell
+estimate never passes; a search domain reads the full G, whose spark is at most
+its sub-dictionary's.  Neither takes a ground truth: a caller that knows one
+compares gamma_hat with its cells and scores eta_hat with channel.relative_l2_error.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import gabor
 from .channel import _zak_vectors
 from .errors import GridMismatch, InvalidParameters, NoConvergence, RankDeficient
-from .gabor import _check_tol, _is_integer
 from .reconstruct import _validate_grids, recover_eta_known_support
 from .support import CellSupport
 
@@ -36,6 +37,7 @@ __all__ = [
 class SupportEstimate:
     gamma_hat: tuple
     residual_history: list
+    rank: int  # r: singular values of Y above gabor.DEFAULT_TOL times the largest
     k_max: int
     tol: float
 
@@ -68,9 +70,9 @@ def mmv_omp(Y, G, k_max, tol, candidates=None):
         raise GridMismatch(f"Y must have L = {L} rows, got shape {Y.shape}")
     if not np.isfinite(Y).all():
         raise InvalidParameters("Y must be finite")
-    if not (_is_integer(k_max) and 1 <= k_max <= L):
+    if not (gabor._is_integer(k_max) and 1 <= k_max <= L):
         raise InvalidParameters(f"k_max must be an integer in [1, {L}], got {k_max!r}")
-    _check_tol(tol)
+    gabor._check_tol(tol)
 
     if candidates is None:
         cand = np.arange(L * L)
@@ -83,44 +85,42 @@ def mmv_omp(Y, G, k_max, tol, candidates=None):
     if not (norms > 0).all():
         raise RankDeficient("the dictionary has zero columns (all-zero window)")
 
-    def finish(chosen, history):
+    def finish(chosen, history, rank):
         gamma_hat = tuple(sorted((int(cand[c]) // L, int(cand[c]) % L) for c in chosen))
-        return SupportEstimate(gamma_hat, history, k_max, tol)
+        return SupportEstimate(gamma_hat, history, rank, k_max, tol)
 
     Y = np.linalg.qr(Y.conj().T, mode="r").conj().T  # R^H
     norm_y = np.linalg.norm(Y)
     if norm_y == 0:
-        return finish([], [0.0])
+        return finish([], [0.0], 0)
 
     chosen, history = [], []
     basis = np.zeros((L, 0), dtype=complex)  # orthonormal, spans the chosen columns
     residual = Y
-    proj, proj_norms = A, norms  # the first step has no span to project out
-    fresh = norms > tol * norms  # columns that add a direction
     for _ in range(k_max):
         U, s, _ = np.linalg.svd(residual, full_matrices=False)
+        if not chosen:  # the residual is Y: its rank under the one rank rule
+            rank = int(np.count_nonzero(s > gabor.DEFAULT_TOL * s[0]))
         U = U[:, s > tol * norm_y]  # orthonormal basis of range(residual)
-        if chosen:
-            basis_h = basis.conj().T
-            proj = A - basis @ (basis_h @ A)
-            proj_norms = np.linalg.norm(proj, axis=0)
-            fresh = proj_norms > tol * norms
-            fresh[chosen] = False
+        basis_h = basis.conj().T
+        proj = A - basis @ (basis_h @ A)  # A itself while no column is chosen
+        proj_norms = np.linalg.norm(proj, axis=0)
+        fresh = proj_norms > tol * norms  # columns that add a direction
+        fresh[chosen] = False
         if not fresh.any():
             break
         scores = np.full(len(cand), -1.0)
         scores[fresh] = np.linalg.norm(U.conj().T @ proj[:, fresh], axis=0) / proj_norms[fresh]
         j = int(scores.argmax())
         b = proj[:, j]
-        if chosen:
-            b = b - basis @ (basis_h @ b)  # orthogonalized twice
+        b = b - basis @ (basis_h @ b)  # orthogonalized twice
         basis = np.column_stack([basis, b / np.linalg.norm(b)])
         chosen.append(j)
         residual = Y - basis @ (basis.conj().T @ Y)
         history.append(float(np.linalg.norm(residual) / norm_y))
         if history[-1] <= tol:
             break
-    return finish(chosen, history)
+    return finish(chosen, history, rank)
 
 
 def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None):
@@ -129,26 +129,27 @@ def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None):
     R bounds the candidate region (its cells form the dictionary); the
     estimated cells are materialized as full cells of R's grid and passed to
     recover_eta_known_support.  Raises NoConvergence (with the estimate
-    attached) when the residual stays above tol or the estimate has L cells,
-    which fit any data.  seed is accepted and ignored: the decoder draws
-    nothing.
+    attached) when the residual stays above tol or level s (module docstring)
+    is above L or dependent, read once per (G's entry bytes, s), and
+    SearchBudgetExceeded for L > 7.  seed is accepted and ignored: the decoder draws nothing.
     """
     L, P = R.L, R.P
     Zgrid = _validate_grids(Zgrid, G, R)
+    gabor._check_search_limit(L)
     u, v = np.divmod(np.arange(P * P), P)
     Y = _zak_vectors(Zgrid, u, v, L, P)
 
-    candidates = None if len(R.cells) == L * L else R.cells
-    est = mmv_omp(Y, G, k_max, tol, candidates=candidates)
+    est = mmv_omp(Y, G, k_max, tol, candidates=R.cells)
     if not est.converged:
         raise NoConvergence(
             f"relative residual {est.residual_history[-1]:.3e} above tol = {tol} "
             f"after {len(est.residual_history)} iterations",
             estimate=est,
         )
-    if len(est.gamma_hat) == L:
+    level = 2 * len(est.gamma_hat) - min(est.rank, len(est.gamma_hat)) + 1
+    if level > L or gabor._level_dependent(G.entries.tobytes(), L, level):
         raise NoConvergence(
-            f"the estimate has L = {L} cells, whose columns span C^L and fit any data",
+            f"{len(est.gamma_hat)} cells at rank r = {est.rank} need level s = {level} <= L clean",
             estimate=est,
         )
     S_hat = CellSupport(T=R.T, L=L, P=P, cells=est.gamma_hat)

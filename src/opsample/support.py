@@ -165,10 +165,6 @@ class PartitionClass:
     cells: tuple  # Gamma_j, row-major (q, then m)
     points: np.ndarray  # boolean (P, P) membership grid over the base rectangle
 
-    @property
-    def size(self):
-        return int(self.points.sum())
-
 
 @dataclass(eq=False)
 class RectificationReport:

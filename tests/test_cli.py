@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 
 from opsample import cli, formats, presets, random_spreading
 from opsample.errors import InvalidParameters, MalformedFile
-from opsample.gabor import Window
+from opsample.gabor import Window, build_gabor_matrix
 from opsample.support import CellSupport
+
+from test_sparse import rank_one_zak
 
 
 def run(argv, capsys):
@@ -319,20 +321,6 @@ def test_rates_report_and_plan(workdir, capsys):
     assert out.strip().splitlines()[-1] == "ok=true"
 
 
-def test_a_draw_budget_below_one_exits_2(workdir, capsys):
-    support_path = str(workdir / "two11.json")
-    formats.save_support(CellSupport(T=0.5, L=11, cells=[(2, 5), (7, 1)]), support_path)
-    for argv in (
-        ["gen-window", "--L", "3", "--seed", "7", "--max-draws", "0"],
-        ["gen-window", "--L", "3", "--seed", "7", "--max-draws", "-5"],
-        ["rates", "--support", support_path, "--plan", "--eps", "1.5", "--seed", "4",
-         "--max-draws", "0"],
-    ):
-        code, out, err = run(argv, capsys)
-        assert (code, out) == (2, ""), argv
-        assert "max_draws" in err and "Traceback" not in err
-
-
 def test_verify_round_trip(workdir, capsys):
     window_path = str(workdir / "w.json")
     run(["gen-window", "--L", "3", "--seed", "7", "--out", window_path], capsys)
@@ -552,6 +540,11 @@ def test_malformed_json_exits_4_naming_the_file_once(workdir, capsys, monkeypatc
         "P_string.json": {**payload, "P": "8"},
         "cell_float.json": {**payload, "cells": [[0.5, 0], [1, 0], [2, 1]]},
         "cell_bool.json": {**payload, "cells": [[False, False], [1, 0], [2, 1]]},
+        # real fields are JSON numbers: no string or bool is parsed as one
+        "T_string.json": {**payload, "T": "1"},
+        "T_bool.json": {**payload, "T": True},
+        "shift_string.json": {**payload, "shift": ["0", "0"]},
+        "shift_bool.json": {**payload, "shift": [False, 0]},
     }
     for name, bad in cases.items():
         Path(name).write_text(json.dumps(bad))
@@ -574,6 +567,8 @@ def test_malformed_json_exits_4_naming_the_file_once(workdir, capsys, monkeypatc
         "w_seed_negative.json": {**window, "seed": -1},
         "w_seed_float.json": {**window, "seed": 7.5},
         "w_seed_bool.json": {**window, "seed": True},
+        "w_weight_bool.json": {**window, "weights": [[True, False], [1, 0], [0.5, 0.25]]},
+        "w_weight_string.json": {**window, "weights": [[1, 0], [1, "0"], [0.5, 0.25]]},
     }
     for name, bad in cases.items():
         Path(name).write_text(json.dumps(bad))
@@ -661,6 +656,39 @@ def test_recover_support_full_estimate_exits_3(workdir, capsys, monkeypatch):
     assert len(json.loads(lines["gamma_hat"])) == 3
     assert float(lines["residual"]) <= 1e-10
     assert "error:" in err
+
+
+def test_recover_support_refuses_what_the_rank_bound_cannot_prove(workdir, capsys, monkeypatch):
+    # both fits have zero residual; neither is certified, and no eta is written
+    monkeypatch.chdir(workdir)
+    # a spark-3 window: cells (2, 1) and (2, 4) fit as (2, 2) and (2, 3)
+    run(["gen-window", "--L", "5", "--target", "spark_k", "--k", "2", "--seed", "0",
+         "--out", "w3.json"], capsys)
+    formats.save_support(CellSupport(T=1.0, L=5, P=8, cells=[(2, 1), (2, 4)]), "pair.json")
+    run(["simulate", "--support", "pair.json", "--window", "w3.json", "--seed", "7",
+         "--eta-out", "e.csv", "--zak-out", "z3.csv"], capsys)
+    # a full-spark window and rank-1 data that two three-cell sets fit
+    run(["gen-window", "--L", "5", "--seed", "0", "--out", "w6.json"], capsys)
+    G = build_gabor_matrix(formats.load_window("w6.json"))
+    formats.save_zak(rank_one_zak(G, 8), 1.0, 5, 8, "z6.csv")
+    for window, zak, extra, level in (("w3.json", "z3.csv", ["--eta-true", "e.csv"], 3),
+                                      ("w6.json", "z6.csv", [], 6)):
+        code, out, err = run(["recover-support", "--zak", zak, "--window", window, "--kmax",
+                              "4", "--eta-out", "hat.csv", *extra], capsys)
+        assert code == 3, window
+        assert float(dict(line.split("=", 1) for line in out.splitlines())["residual"]) <= 1e-10
+        assert f"level s = {level}" in err and "relative_l2_error" not in out
+        assert not Path("hat.csv").exists()
+
+
+def test_recover_support_above_the_search_limit_exits_2(workdir, capsys, monkeypatch):
+    monkeypatch.chdir(workdir)
+    formats.save_window(Window(L=8, weights=np.exp(2j * np.pi * np.arange(8) / 7)), "w8.json")
+    formats.save_zak(np.ones((16, 2), dtype=complex), 1.0, 8, 2, "z8.csv")
+    code, out, err = run(["recover-support", "--zak", "z8.csv", "--window", "w8.json",
+                          "--kmax", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "L <= 7" in err and "Traceback" not in err
 
 
 def test_recover_support_domain_edge_cases(workdir, capsys, monkeypatch):

@@ -178,11 +178,6 @@ def test_generate_window_builds_one_gabor_matrix_per_draw(monkeypatch):
         builds.clear()
         w = generate_window(L, target=target, k=k, seed=4)
         assert len(builds) == w.draws
-    monkeypatch.setattr(gabor, "DEFAULT_TOL", 2.0)  # every draw fails: one build each
-    builds.clear()
-    with pytest.raises(GenerationFailed):
-        generate_window(3, seed=0, max_draws=3)
-    assert len(builds) == 3
     monkeypatch.undo()
     G = build_gabor_matrix(w)
     G.entries[1, 4] += 1e-6  # no longer the G(c) of its column (0, 0)
@@ -210,8 +205,8 @@ def test_window_validation(monkeypatch):
             GaborMatrix(L=L, entries=np.ones((3, 9)))
     assert Window(L=np.int8(2), weights=[1, 1]).L == 2
     # Python and numpy integers are accepted, and give the same draw
-    want = generate_window(3, seed=1, max_draws=5)
-    got = generate_window(np.int64(3), seed=np.uint32(1), max_draws=np.int16(5))
+    want = generate_window(3, seed=1)
+    got = generate_window(np.int64(3), seed=np.uint32(1))
     assert got.weights.tobytes() == want.weights.tobytes() and got.draws == want.draws
     # a float, bool or negative argument is refused before any draw reaches G(c)
     builds = []
@@ -219,14 +214,13 @@ def test_window_validation(monkeypatch):
     bad = [
         dict(L=5.0), dict(L=True), dict(L="5"),
         dict(L=5, target="spark_k", k=2.0), dict(L=5, target="spark_k", k=True),
-        dict(L=5, max_draws=2.5), dict(L=5, max_draws=True),
         dict(L=5, seed=-1), dict(L=5, seed=1.5), dict(L=5, seed=True), dict(L=5, seed="1"),
     ]
     for kwargs in bad:
         with pytest.raises(InvalidParameters):
             generate_window(**kwargs)
     with pytest.raises(InvalidParameters):  # the bunched plan draws through the same gate
-        gabor._draw_window(3, 2, -1, 5, lambda c: True, "")
+        gabor._draw_window(3, 2, -1, lambda c: True, "")
     assert builds == []
 
 
@@ -248,12 +242,17 @@ def test_generate_window_bad_target():
 
 
 def test_generate_window_budget_failure(monkeypatch):
-    for budget in (0, -5):  # no draw to spend: a usage error, not a numerical failure
-        with pytest.raises(InvalidParameters):
-            generate_window(3, seed=0, max_draws=budget)
+    # the budget is the constant MAX_DRAWS: each target spends exactly that many draws,
+    # one G(c) build each
+    builds = []
+    build = gabor.build_gabor_matrix
+    monkeypatch.setattr(gabor, "build_gabor_matrix", lambda c: builds.append(c) or build(c))
     monkeypatch.setattr(gabor, "DEFAULT_TOL", 2.0)  # every block is dependent
-    with pytest.raises(GenerationFailed):
-        generate_window(3, seed=0, max_draws=1)
+    for L, target, k in ((3, "full_spark", None), (5, "spark_k", 2)):
+        builds.clear()
+        with pytest.raises(GenerationFailed, match=f"in {gabor.MAX_DRAWS} draws"):
+            generate_window(L, target=target, k=k, seed=0)
+        assert len(builds) == gabor.MAX_DRAWS
 
 
 def test_full_spark_density():
@@ -409,7 +408,7 @@ def _reference_draw(L, target, k, seed):
     def accept(c):
         return _spark_by_levels(build_gabor_matrix(c)) == support + 1
 
-    return gabor._draw_window(L, support, seed, 200, accept, "reference draw failed")
+    return gabor._draw_window(L, support, seed, accept, "reference draw failed")
 
 
 @pytest.mark.parametrize(
@@ -486,11 +485,11 @@ def test_spark_capped_by_the_run_of_nonzero_weights_matches_oracle(L):
 @pytest.mark.parametrize("L", [2, 3, 5, 7])
 def test_spark_k_draws_are_dependent_at_level_k_plus_1(L):
     # generate_window accepts a spark_k draw from level k alone (module docstring);
-    # _draw_window with a budget of one is the first draw it judges for each seed.
+    # _draw_window accepting every draw returns the first draw it judges for each seed.
     # At L = 7, k = 6 would build the (7, 7) table (~13 s); k = L - 1 is covered below 7.
     for k in range(1, min(L, 6)):
         for seed in range(50):
-            c = gabor._draw_window(L, k, seed, 1, lambda c: True, "").weights
+            c = gabor._draw_window(L, k, seed, lambda c: True, "").weights
             assert gabor._has_dependent(build_gabor_matrix(c).entries, k + 1), (k, seed)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from opsample import gabor
+from opsample import gabor, rates
 from opsample import (
     CellSupport,
     GenerationFailed,
@@ -170,8 +170,10 @@ def test_bunched_plan_gates(monkeypatch):
     with pytest.raises(InvalidParameters):
         bunched_window_plan(S, eps=0.3)  # 0.8 * 1.3 >= 1
     small = CellSupport(T=1.0, L=4, P=2, cells=[(0, 0)])
-    with pytest.raises(InvalidParameters):  # no draw to spend
-        bunched_window_plan(small, eps=0.5, max_draws=0)
+    builds = []
+    build = rates.build_gabor_matrix
+    monkeypatch.setattr(rates, "build_gabor_matrix", lambda c: builds.append(c) or build(c))
     monkeypatch.setattr(gabor, "DEFAULT_TOL", 2.0)  # every class block is dependent
-    with pytest.raises(GenerationFailed):
-        bunched_window_plan(small, eps=0.5, max_draws=1)
+    with pytest.raises(GenerationFailed, match=f"in {gabor.MAX_DRAWS} draws"):
+        bunched_window_plan(small, eps=0.5)
+    assert len(builds) == gabor.MAX_DRAWS  # one G(c) per draw, the whole budget spent

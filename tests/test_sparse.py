@@ -1,5 +1,7 @@
 """Joint-sparse support estimation and the unknown-support pipeline."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from opsample import (
     InvalidParameters,
     NoConvergence,
     RankDeficient,
+    SearchBudgetExceeded,
     Window,
     apply_channel,
     build_gabor_matrix,
@@ -20,6 +23,7 @@ from opsample import (
     relative_l2_error,
     zak_transform,
 )
+from opsample import sparse
 from opsample.sparse import mmv_omp, recover_unknown_support
 from opsample.channel import DiscreteSpreadingFunction
 
@@ -328,3 +332,86 @@ def test_k_subdivided_class_structure():
     report = recover_unknown_support(Z, G, R, k_max=2, tol=1e-10)
     assert set(report.support_estimate.gamma_hat) == {(1, 2), (3, 0)}
     assert relative_l2_error(report.eta_hat, values) <= 1e-9
+
+
+def test_every_cell_as_candidates_matches_no_candidates():
+    # recover_unknown_support always passes its domain's cells: with all L^2
+    # of them the decoder takes the same steps, bit for bit, as with None
+    L, P = 5, 4
+    window = generate_window(L, seed=235)
+    G = build_gabor_matrix(window)
+    every = [(q, m) for q in range(L) for m in range(L)]
+    for cells, k_max in (([(1, 3), (4, 0)], 2), ([(0, 2), (3, 1), (2, 2)], 2), ([(2, 4)], 3)):
+        _, _, Y = _measurements(CellSupport(T=1.0, L=L, P=P, cells=cells), window, seed=93)
+        a, b = mmv_omp(Y, G, k_max, 1e-10), mmv_omp(Y, G, k_max, 1e-10, candidates=every)
+        assert a.gamma_hat == b.gamma_hat
+        assert np.array(a.residual_history).tobytes() == np.array(b.residual_history).tobytes()
+        assert a.rank == b.rank == len(cells)  # generic data: rank Y = |Gamma|
+    assert mmv_omp(np.zeros((L, 3)), G, 1, 1e-10).rank == 0
+
+
+def test_spark3_window_never_certifies_a_wrong_support():
+    # census: every two-cell support at P = 8 under a spark-3 L = 5 window.  The L
+    # columns of one q share the window's two rows, so any two of them span the same
+    # plane and a zero-residual fit can pick the wrong pair.  Level 3 is dependent,
+    # so no two-cell estimate is provable and none is certified.
+    L, P = 5, 8
+    window = generate_window(L, target="spark_k", k=2, seed=0)
+    G = build_gabor_matrix(window)
+    R = CellSupport(T=1.0, L=L, P=P, cells=[(q, m) for q in range(L) for m in range(L)])
+    certified = []
+    for flat in itertools.combinations(range(L * L), 2):
+        cells = [divmod(c, L) for c in flat]
+        _, Z, _ = _measurements(CellSupport(T=1.0, L=L, P=P, cells=cells), window, seed=7)
+        try:
+            report = recover_unknown_support(Z, G, R, k_max=4, tol=1e-10)
+        except NoConvergence as exc:
+            assert exc.estimate.converged, cells  # refused by the bound, not the residual
+            continue
+        certified.append((cells, report.support_estimate.gamma_hat))
+    assert certified == []
+
+
+RANK_ONE_CELLS = [(0, 1), (2, 3), (4, 0)], [(1, 2), (3, 4), (0, 3)]
+
+
+def rank_one_zak(G, P):
+    """A Zak grid whose Z-vectors are multiples of one y in the span of both cell
+    sets of RANK_ONE_CELLS, so each set fits it exactly: rank Y = 1."""
+    L = G.L
+    A = G.entries[:, [G.column_index(q, m) for q, m in sum(RANK_ONE_CELLS, [])]]
+    x = np.linalg.svd(np.hstack([A[:, :3], -A[:, 3:]]))[2][-1].conj()
+    np.testing.assert_allclose(A[:, :3] @ x[:3], A[:, 3:] @ x[3:], atol=1e-14)
+    amplitude = np.random.default_rng(94).standard_normal(P * P)
+    u, v = np.divmod(np.arange(P * P), P)
+    p = np.arange(L)[:, None]
+    Z = np.zeros((L * P, P), dtype=complex)  # the inverse of the Z-vector gather
+    Z[u[None, :] + p * P, v[None, :]] = np.outer(A[:, :3] @ x[:3], amplitude) * np.exp(
+        2j * np.pi * ((v[None, :] * p) % (L * P)) / (L * P)
+    )
+    return Z
+
+
+def test_rank_one_data_is_not_certified():
+    # full-spark L = 5 window (spark 6): both three-cell sets give the same Zak
+    # grid, and a three-cell fit at rank 1 needs level 2*3 - 1 + 1 = 6 > L
+    L, P = 5, 8
+    G = build_gabor_matrix(generate_window(L, seed=0))
+    R = CellSupport(T=1.0, L=L, P=P, cells=[(q, m) for q in range(L) for m in range(L)])
+    with pytest.raises(NoConvergence, match="level s = 6") as exc:
+        recover_unknown_support(rank_one_zak(G, P), G, R, k_max=3, tol=1e-10)
+    est = exc.value.estimate
+    assert est.converged and est.rank == 1
+    assert set(est.gamma_hat) in tuple(map(set, RANK_ONE_CELLS))
+
+
+def test_decoder_refuses_L_above_the_search_limit(monkeypatch):
+    # level tables use int64 bitmasks over L^2 columns: L = 8 is refused before decoding
+    L, P = 8, 2
+    G = build_gabor_matrix(np.exp(2j * np.pi * np.arange(L) / 7))
+    R = CellSupport(T=1.0, L=L, P=P, cells=[(0, 0), (3, 5)])
+    decodes = []
+    monkeypatch.setattr(sparse, "mmv_omp", lambda *args, **kw: decodes.append(args))
+    with pytest.raises(SearchBudgetExceeded):
+        recover_unknown_support(np.ones((L * P, P)), G, R, k_max=1, tol=1e-10)
+    assert decodes == []
