@@ -161,13 +161,12 @@ def random_spreading(S, seed=None):
 
 def relative_l2_error(estimate, truth):
     """||estimate - truth|| / ||truth|| by BLAS-free sums (_l2_norm); 0.0 when both vanish,
-    inf when only truth does.  truth is a DiscreteSpreadingFunction or samples on the
-    estimate's grid; GridMismatch when it lies on another (T, L, P, shift or shape)."""
+    inf when only truth does.  truth is a DiscreteSpreadingFunction (InvalidParameters
+    otherwise); GridMismatch when it lies on another grid (T, L, P, shift or shape)."""
+    if not isinstance(truth, DiscreteSpreadingFunction):
+        raise InvalidParameters(f"truth must be a DiscreteSpreadingFunction, got {type(truth)}")
     S, values = estimate.support, estimate.values
-    E = S
-    if isinstance(truth, DiscreteSpreadingFunction):
-        E, truth = truth.support, truth.values
-    truth = np.asarray(truth)
+    E, truth = truth.support, truth.values
     if (E.T, E.L, E.P, E.offsets, truth.shape) != (S.T, S.L, S.P, S.offsets, values.shape):
         raise GridMismatch("eta_true lies on another grid (T, L, P, shift or shape)")
     num = _l2_norm(values - truth)

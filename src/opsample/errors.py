@@ -55,7 +55,8 @@ class NonIntegerChirpPeriod(OpSampleError):
 
 
 class NoConvergence(OpSampleError):
-    """Unknown-support recovery certified nothing: residual above tol, or an L-cell estimate.
+    """Unknown-support recovery certified nothing: residual above tol, or the rank-bound level
+    s = 2|Gamma| - min(rank, |Gamma|) + 1 of the estimate is above L or dependent.
 
     Carries the partial estimate so callers can inspect the residual history.
     """
@@ -66,4 +67,4 @@ class NoConvergence(OpSampleError):
 
 
 class NoPrimeInRange(OpSampleError):
-    """A prime period was required (bunched plans, spark_k targets) but L is not prime."""
+    """No admissible prime period: spark_k at a composite L, or no bunched plan (rates)."""

@@ -24,12 +24,9 @@ import numpy as np
 from .channel import DiscreteSpreadingFunction
 from .errors import InvalidParameters, MalformedFile, OpSampleError
 from .gabor import Window, _is_integer
-from .support import CellSupport, _mask_indices
+from .support import MAX_LP, CellSupport, _mask_indices
 
-#: largest L*P a support or grid file may declare (its mask has (L*P)^2 points)
-MAX_LP = 4096
-
-#: one body row of a grid CSV
+#: one body row of a grid CSV, whose field names make the column names line
 _GRID_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
 
 
@@ -162,9 +159,9 @@ def _read_grid_csv(fh, zak):
     """Header (T, L, P, shift) and checked rows (i, j, values) of a grid CSV.
 
     Indices lie in the (L*P) x P Zak cell, which a zak file must fill, or else
-    in the (L*P) x (L*P) domain.  Rejects a bad header, short or non-numeric
-    rows, non-integer or out-of-range indices, repeated (i, j) and non-finite
-    values.
+    in the (L*P) x (L*P) domain.  Rejects a bad header or column names line,
+    short or non-numeric rows, non-integer or out-of-range indices, repeated
+    (i, j) and non-finite values.
     """
     header = fh.readline().strip()
     if not header.startswith("#"):
@@ -175,7 +172,9 @@ def _read_grid_csv(fh, zak):
     if not (np.isfinite(T) and T > 0 and L >= 1 and P >= 1):
         raise InvalidParameters("grid header needs finite T > 0, L >= 1, P >= 1")
     _require_grid_size(L, P)
-    body = fh.readlines()[1:]  # after the column names
+    if fh.readline().strip() != ",".join(_GRID_ROW.names):
+        raise InvalidParameters(f"the line after the header must be {','.join(_GRID_ROW.names)}")
+    body = fh.readlines()
     rows = np.zeros(0, _GRID_ROW)
     if any(map(str.strip, body)):  # loadtxt warns on a body without rows
         rows = np.loadtxt(body, dtype=_GRID_ROW, delimiter=",", comments=None, ndmin=1)
@@ -203,7 +202,7 @@ def save_spreading(eta, path):
         f"# T={_fmt(S.T)} L={S.L} P={S.P} t0={_fmt(S.shift[0])} nu0={_fmt(S.shift[1])}"
     )
     i, j = _mask_indices(S.mask)
-    _write_table(path, header, ["i", "j", "re", "im"], (i, j), eta.values[i, j])
+    _write_table(path, header, _GRID_ROW.names, (i, j), eta.values[i, j])
 
 
 def load_spreading(path):
@@ -221,7 +220,7 @@ def save_zak(Z, T, L, P, path):
     """Zak grid CSV: dense i,j,re,im over the (L*P) x P fundamental cell."""
     _require_grid_size(L, P)
     i, j = np.divmod(np.arange(L * P * P), P)
-    _write_table(path, f"# T={_fmt(T)} L={L} P={P}", ["i", "j", "re", "im"], (i, j), Z[i, j])
+    _write_table(path, f"# T={_fmt(T)} L={L} P={P}", _GRID_ROW.names, (i, j), Z[i, j])
 
 
 def load_zak(path):

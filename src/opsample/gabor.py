@@ -23,9 +23,10 @@ JFAA 2005; Malikiosis, ACHA 2015): the unitary M^a T^b maps column (q, m) to a
 unimodular multiple of column (q+b, m+a) and only permutes and phases rows, so
 one column subset per translation orbit is checked: about C(L^2-1, k-1)/k of
 the C(L^2, k).  It is the subset holding column 0 whose bitmask sum 1<<col is
-least among its k translates (each moves one member to column 0); this holds
-only for a true G(c).  Every column-dependence decision in the package is one
-scale-free rule, _dependent: s_min <= tol*s_1 on the block's singular values.
+least among its k translates (each moves one member to column 0).  This holds
+only for a true G(c), which a GaborMatrix is: it is built from its weights.
+Every column-dependence decision in the package is one scale-free rule,
+_dependent: s_min <= tol*s_1 on the block's singular values.
 Square blocks are first screened by determinant: s_k <= tol*s_1 implies
 |det A| = prod s_i <= tol*||A||_F^k for any matrix, so only
 |det| <= 2*tol*||A||_F^k goes on to the SVD.  Every table row holds column 0
@@ -75,12 +76,14 @@ from .errors import (
 __all__ = [
     "Window",
     "GaborMatrix",
-    "translate",
-    "modulate",
     "build_gabor_matrix",
     "spark",
     "generate_window",
 ]
+
+#: largest period of a Window or GaborMatrix: G(c) holds L^3 = 4096^2 entries at
+#: L = 256, as many as the largest grid a file may declare (support.MAX_LP)
+MAX_L = 256
 
 #: tol of the package's one rank rule, _dependent, which reads it at call time
 DEFAULT_TOL = 1e-9
@@ -113,25 +116,13 @@ def _check_seed(seed):
         raise InvalidParameters(f"seed must be None or a nonnegative integer, got {seed!r}")
 
 
-def translate(x, q):
-    """Cyclic shift: (T^q x)_p = x_{(p-q) mod L}."""
-    return np.roll(np.asarray(x), q)
-
-
-def modulate(x, m):
-    """Pointwise modulation: (M^m x)_p = exp(2*pi*i*p*m/L) x_p."""
-    x = np.asarray(x)
-    L = x.shape[0]
-    return x * np.exp(2j * np.pi * m * np.arange(L) / L)
-
-
 @dataclass(eq=False)
 class Window:
     """Period-L identifier weights.
 
-    L: period; weights: complex vector of length L; seed: RNG seed used to
-    draw it (None for hand-built windows); draws: how many draws the
-    generator needed to meet its spark target.
+    L: period, at most MAX_L so that G(c) can be built; weights: complex
+    vector of length L; seed: RNG seed used to draw it (None for hand-built
+    windows); draws: how many draws the generator needed to meet its spark target.
     """
 
     L: int
@@ -141,9 +132,9 @@ class Window:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=complex)
-        if not (_is_integer(self.L) and self.L >= 1) or self.weights.shape != (self.L,):
+        if not (_is_integer(self.L) and 1 <= self.L <= MAX_L) or self.weights.shape != (self.L,):
             raise InvalidParameters(
-                f"need integer L >= 1 and weights of shape ({self.L},), got {self.weights.shape}"
+                f"need integer L in [1, {MAX_L}] and ({self.L},) weights, got {self.weights.shape}"
             )
         if not np.all(np.isfinite(self.weights)):
             raise InvalidParameters("weights must be finite")
@@ -153,21 +144,37 @@ class Window:
         return int(np.count_nonzero(self.weights))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GaborMatrix:
-    """The L x L^2 system matrix with its (q, m) -> column bijection."""
+    """G(c) = [D_0 W | ... | D_{L-1} W] of weights c, with its (q, m) -> column bijection.
 
-    L: int
-    entries: np.ndarray
+    Built from c alone (L <= MAX_L, refused before any allocation), so it is
+    always a true G(c).  Frozen: weights (a complex copy of c), L and entries
+    are read-only and cannot be rebound.
+    """
+
+    weights: np.ndarray
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if not (_is_integer(self.L) and self.L >= 1) or self.entries.shape != (self.L, self.L**2):
-            raise InvalidParameters(
-                f"need integer L >= 1 and (L, L^2) entries, got {self.entries.shape}, L={self.L!r}"
-            )
-        if not np.all(np.isfinite(self.entries)):
-            raise InvalidParameters("entries must be finite")
+        c = np.asarray(self.weights)
+        if c.ndim != 1 or c.size == 0 or c.dtype.kind not in "biufc":
+            raise InvalidParameters(f"need a non-empty 1-D numeric vector, got {c.dtype} {c.shape}")
+        L = c.shape[0]
+        if L > MAX_L:
+            raise InvalidParameters(f"G(c) is limited to L <= {MAX_L}, got L={L}")
+        c = c.astype(complex)  # a private copy; D takes the same complex values
+        if not np.all(np.isfinite(c)):
+            raise InvalidParameters("weights must be finite")
+        p = np.arange(L)
+        W = np.exp(2j * np.pi * np.outer(p, p) / L)
+        D = np.zeros((L, L, L), dtype=complex)
+        D[:, p, p] = c[(p - p[:, None]) % L]  # D[q] = diag(T^q c)
+        entries = np.matmul(D, W).transpose(1, 0, 2).reshape(L, L * L)
+        if not np.all(np.isfinite(entries)):
+            raise InvalidParameters("G(c) overflows: its entries must be finite")
+        c.flags.writeable = entries.flags.writeable = False
+        for name, value in (("weights", c), ("L", L), ("entries", entries)):
+            object.__setattr__(self, name, value)  # frozen: set once, here
 
     def column_index(self, q, m):
         """Linear position of the column for cell (q, m)."""
@@ -178,22 +185,8 @@ class GaborMatrix:
 
 
 def build_gabor_matrix(window):
-    """Assemble G(c) = [D_0 W | ... | D_{L-1} W] from a Window or a 1-D numeric vector."""
-    c = np.asarray(window.weights if isinstance(window, Window) else window)
-    if c.ndim != 1 or c.size == 0 or c.dtype.kind not in "biufc":
-        raise InvalidParameters(f"need a non-empty 1-D numeric vector, got {c.dtype} {c.shape}")
-    L = c.shape[0]
-    p = np.arange(L)
-    W = np.exp(2j * np.pi * np.outer(p, p) / L)
-    D = np.zeros((L, L, L), dtype=complex)
-    D[:, p, p] = c[(p - p[:, None]) % L]  # D[q] = diag(T^q c)
-    return GaborMatrix(L=L, entries=np.matmul(D, W).transpose(1, 0, 2).reshape(L, L * L))
-
-
-def _require_gabor(A):
-    """Refuse entries A that are not G(c) for c = their column (0, 0)."""
-    if np.abs(A - build_gabor_matrix(A[:, 0]).entries).max() > 1e-12 * np.abs(A).max():
-        raise InvalidParameters("entries are not the Gabor matrix G(c) of their column (0, 0)")
+    """The GaborMatrix of a Window or of a 1-D numeric weight vector."""
+    return GaborMatrix(window.weights if isinstance(window, Window) else window)
 
 
 def _check_tol(tol):
@@ -295,10 +288,9 @@ def _has_dependent(entries, k):
     return False
 
 
-@functools.lru_cache(maxsize=64)  # _has_dependent keyed by G's bytes: entries can change in place
+@functools.lru_cache(maxsize=64)  # keyed by G's bytes: one window's matrices share an entry
 def _level_dependent(entries, L, k):
     A = np.frombuffer(entries, dtype=complex).reshape(L, L * L)
-    _require_gabor(A)  # the orbit search holds only for a true G(c)
     return _has_dependent(A, k)
 
 
@@ -326,15 +318,14 @@ def spark(G):
     then a bisection of levels 3..L-1 if L is dependent (module docstring):
     ~0.6 ms for a full-spark window at L = 5, ~20 ms at L = 6 (plus a one-time
     ~0.2 s table build), ~0.1 ms for a spark-2 window such as all ones at any
-    L.  Weights c = G[:, 0] whose nonzeros fit a cyclic run of r < L indices
+    L.  Weights c whose nonzeros fit a cyclic run of r < L indices
     make level r+1 dependent, so level L is not read and only levels up to r
-    are; level 2 goes first only when 2 < r.  Enforces L <= 7 and refuses
-    entries that are not a Gabor matrix G(c).
+    are; level 2 goes first only when 2 < r.  Enforces L <= 7; a GaborMatrix
+    is a true G(c), so the orbit search holds for every G it is given.
     """
     _check_search_limit(G.L)
-    _require_gabor(G.entries)
     dependent = functools.partial(_has_dependent, G.entries)
-    r = _run_length(G.entries[:, 0])
+    r = _run_length(G.weights)
     if 2 < r and dependent(2):  # c != 0, so no column is zero
         return 2
     if r == G.L and not dependent(G.L):
@@ -350,8 +341,8 @@ def generate_window(L, target="full_spark", k=None, seed=None):
     first k indices with spark k+1; requires 1 <= k <= L and L prime.  Moduli
     are uniform on [1/2, 1] and phases uniform, so the target sets are open and
     dense and the first draw almost always succeeds; MAX_DRAWS failed draws
-    raise GenerationFailed.  A draw reads level `support` of the G(c) it built
-    (no Gabor check): ~0.5 ms for full spark at L = 5, ~0.2 ms for k = 2 at L = 7.
+    raise GenerationFailed.  A draw reads level `support` of the G(c) it built:
+    ~0.5 ms for full spark at L = 5, ~0.2 ms for k = 2 at L = 7.
     """
     if not (_is_integer(L) and L >= 1):
         raise InvalidParameters(f"L must be a positive integer, got {L!r}")

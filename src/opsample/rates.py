@@ -4,12 +4,13 @@ A regular identifier g = sum_n c_n delta_{nT} with period-L weights has
 sampling rate D = ||c||_0 / (TL).  Identification of operators with spreading
 support S requires D >= B(S), the largest nu-extent of a t-slice of S
 (necessary direction).  Conversely, a support of small area admits bunched
-identifiers: if |S|(1+eps) < 1 one can refine the cell grid to a prime
-modulus L', cover S by |Gamma'| cells of height 1/(TL') with
-|Gamma'|/L' < |S|(1+eps), and probe with a window supported on its first
-|Gamma'| indices.  The weight train is then silent for most of each period
-LT, and the dead time 1 - (T*||c||_0 + K)/(LT) (K = channel memory) is
-available to carry data through the same channel.
+identifiers when its cell-column hull h (the nu-shares its T-wide cell
+columns occupy, summed; h >= |S|) is below |S|(1+eps) < 1: one can refine
+the cell grid to a prime modulus L', cover S by |Gamma'| cells of height
+1/(TL') with |Gamma'|/L' < |S|(1+eps), and probe with a window supported on
+its first |Gamma'| indices.  The weight train is then silent for most of
+each period LT, and the dead time 1 - (T*||c||_0 + K)/(LT) (K = channel
+memory) is available to carry data through the same channel.
 """
 
 from dataclasses import dataclass
@@ -18,8 +19,9 @@ import numpy as np
 
 from .errors import InvalidParameters, NoPrimeInRange, NotIdentifiable
 from .channel import IdentifierTrain
-from .gabor import MAX_DRAWS, _dependent, _draw_window, _is_integer, build_gabor_matrix, is_prime
-from .support import CellSupport, bandwidth, rectify
+from .gabor import MAX_DRAWS, MAX_L, _dependent, _draw_window, _is_integer, is_prime
+from .gabor import build_gabor_matrix
+from .support import MAX_LP, CellSupport, _fold_index, _mask_indices, bandwidth, rectify
 
 __all__ = ["RateReport", "rate_report", "refine_support", "bunched_window_plan"]
 
@@ -94,7 +96,8 @@ def bunched_window_plan(S, eps, seed=None):
     """Identifier design for a small support: weights bunched at the period start.
 
     Searches the primes L' >= S.L for the smallest modulus whose T x 1/(TL')
-    cell cover Gamma' of S satisfies |Gamma'|/L' < |S|(1+eps), then draws
+    cell cover Gamma' of S satisfies |Gamma'|/L' < |S|(1+eps) within the grid
+    budget L' <= MAX_L, L'*S.L*S.P <= MAX_LP (else NoPrimeInRange), then draws
     weights supported on the first |Gamma'| indices until no rectification
     class of the refined support has a dependent column block (the rank rule
     of recovery, gabor._dependent).  Returns the window and a RateReport with
@@ -111,25 +114,29 @@ def bunched_window_plan(S, eps, seed=None):
             f"|S|(1+eps) = {target:.6g} must be strictly below 1"
         )
 
-    # |Gamma'| <= |S|*L' + 2*(nu-runs), so the cover ratio drops below the
-    # target once L' > 2*runs/(|S|*eps); double it for a prime to exist.
-    runs = 0
-    for q in range(S.L):
-        col = S.mask[q * S.P : (q + 1) * S.P].any(axis=0)
-        runs += int(np.count_nonzero(np.diff(col.astype(int)) == 1) + col[0])
-    modulus_cap = 2 * max(S.L, int(np.ceil(2 * runs / (area * eps)))) + 2
-
-    for L_new in filter(is_prime, range(S.L, modulus_cap + 1)):
+    # Cell column q (t-rows folded as rectify folds them) meets n_q nu-subcells: every cover
+    # has |Gamma'|/L' >= h = sum n_q/(L*P), and |Gamma'| <= h*L' + 2*(nu-runs) meets the
+    # target for all L' > 2*runs/(target - h), which hold a prime: only the budget ends it.
+    _, i, j = _fold_index(S)
+    rows, cols = _mask_indices(S.mask)
+    columns = np.zeros((S.L, S.L * S.P), dtype=bool)
+    columns[i[rows] // S.P, j[cols]] = True
+    hull = np.count_nonzero(columns) / (S.L * S.P)
+    if hull >= target:
+        raise NoPrimeInRange(f"every cell cover has |Gamma'|/L' >= the cell-column hull "
+                             f"{hull:.6g}, not below |S|(1+eps) = {target:.6g}")
+    budget = max(S.L, min(MAX_L, MAX_LP // (S.L * S.P)))  # the largest L' whose grid fits
+    for L_new in filter(is_prime, range(S.L, budget + 1)):
         try:
             report = rectify(refine_support(S, L_new))
         except NotIdentifiable:
             continue
         if len(report.gamma) / L_new < target:
             break
-    else:  # a guard: the cap above is set so that some prime fits
+    else:
         raise NoPrimeInRange(
-            f"no prime modulus in [{S.L}, {modulus_cap}] brings the cell cover "
-            f"below |S|(1+eps) = {target:.6g}"
+            f"no prime modulus in [{S.L}, {budget}] brings the cell cover below |S|(1+eps) = "
+            f"{target:.6g} within the grid budget L' <= {MAX_L}, L'*L*P <= {MAX_LP}"
         )
     k = len(report.gamma)
 

@@ -203,13 +203,12 @@ class SmoothWindows:
     [T - eps/2, T + eps/2] with half-sine flanks, so that
     sum_k r(t + kT) = 1 exactly at grid points (the falling flank is computed
     as one minus the rising flank); phi_hat is the same shape on [0, Omega].
-    eps is grid-aligned on both axes: eps_t_units = eps/(T/P) and
-    eps_nu_units = eps/(Omega/P) are integers.
+    eps is grid-aligned on both axes and is held as its two grid counts,
+    the integers eps_t_units = eps/(T/P) and eps_nu_units = eps/(Omega/P).
     """
 
     T: float
     omega: float
-    eps: float
     P: int
     eps_t_units: int
     eps_nu_units: int
@@ -258,7 +257,6 @@ def smooth_windows(T, Omega, eps, P):
     return SmoothWindows(
         T=T,
         omega=Omega,
-        eps=eps,
         P=P,
         eps_t_units=int(round(et)),
         eps_nu_units=int(round(en)),

@@ -46,40 +46,34 @@ class SupportEstimate:
         return bool(self.residual_history) and self.residual_history[-1] <= self.tol
 
 
-def mmv_omp(Y, G, k_max, tol, candidates=None):
+def mmv_omp(Y, G, k_max, tol, candidates):
     """Estimate the active cell set from stacked Z-vectors.
 
-    Y: (L, n) matrix whose columns are Z-vectors at grid points (a single
-    vector is accepted); candidates optionally restricts the dictionary to a
-    cell subset.  Y is compressed exactly to R^H (Y^H = QR: at most L columns,
-    the same range and residual norms).  Each step normalizes the candidates
-    with the chosen span projected out and picks the one with the largest
-    norm in range(residual), spanned by its singular directions above tol
-    times the norm of Y; ties go to the lowest linear column index.  The
-    residual is Y with the chosen span projected out.  Selection stops at
-    k_max, at a relative residual of at most tol, or once every candidate
-    lies within relative distance tol of the chosen span, so no column is
-    picked twice.  Non-convergence is reported through the residual history,
-    never raised.
+    Y: (L, n) matrix whose columns are Z-vectors at grid points; candidates:
+    the cells (q, m) that make up the dictionary.  Y is compressed exactly to
+    R^H (Y^H = QR: at most L columns, the same range and residual norms).
+    Each step normalizes the candidates with the chosen span projected out
+    and picks the one with the largest norm in range(residual), spanned by
+    its singular directions above tol times the norm of Y; ties go to the
+    lowest linear column index.  The residual is Y with the chosen span
+    projected out.  Selection stops at k_max, at a relative residual of at
+    most tol, or once every candidate lies within relative distance tol of
+    the chosen span, so no column is picked twice.  Non-convergence is
+    reported through the residual history, never raised.
     """
     L = G.L
     Y = np.asarray(Y, dtype=complex)
-    if Y.ndim == 1:
-        Y = Y[:, None]
     if Y.ndim != 2 or Y.shape[0] != L:
-        raise GridMismatch(f"Y must have L = {L} rows, got shape {Y.shape}")
+        raise GridMismatch(f"Y must be a matrix of L = {L} rows, got shape {Y.shape}")
     if not np.isfinite(Y).all():
         raise InvalidParameters("Y must be finite")
     if not (gabor._is_integer(k_max) and 1 <= k_max <= L):
         raise InvalidParameters(f"k_max must be an integer in [1, {L}], got {k_max!r}")
     gabor._check_tol(tol)
 
-    if candidates is None:
-        cand = np.arange(L * L)
-    else:
-        cand = np.array(sorted(G.column_index(q, m) for q, m in candidates))
-        if cand.size == 0:
-            raise InvalidParameters("the candidate set (search domain) has no cells")
+    cand = np.array(sorted(G.column_index(q, m) for q, m in candidates))
+    if cand.size == 0:
+        raise InvalidParameters("the candidate set (search domain) has no cells")
     A = G.entries[:, cand]
     norms = np.linalg.norm(A, axis=0)
     if not (norms > 0).all():

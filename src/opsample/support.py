@@ -24,6 +24,9 @@ import numpy as np
 from .errors import InvalidParameters, NotIdentifiable
 from .gabor import _is_integer
 
+#: largest L*P of a support or grid file (an (L*P)^2 mask) and of a bunched plan's grid
+MAX_LP = 4096
+
 __all__ = [
     "CellSupport",
     "PartitionClass",

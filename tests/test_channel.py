@@ -75,8 +75,11 @@ def test_relative_l2_error_refuses_another_grid():
     shifted = CellSupport(T=1.0, L=3, P=4, cells=S.cells, shift=(S.dt, 0.0))
     # a ground truth on another grid is refused, not broadcast or misaligned
     other_T = random_spreading(staircase_support(T=2.0, P=4), seed=1)
-    for truth in (other_T, np.zeros((24, 24))):
-        with pytest.raises(GridMismatch):
+    with pytest.raises(GridMismatch):
+        relative_l2_error(estimate, other_T)
+    # the truth carries its grid: bare samples, even of the estimate's shape, are refused
+    for truth in (np.zeros((24, 24)), estimate.values, None):
+        with pytest.raises(InvalidParameters, match="truth must be a DiscreteSpreadingFunction"):
             relative_l2_error(estimate, truth)
     for truth in (random_spreading(shifted, seed=1), random_spreading(staircase_support(P=8))):
         with pytest.raises(GridMismatch, match="another grid"):
@@ -89,7 +92,6 @@ def test_relative_l2_error_values():
     zero = DiscreteSpreadingFunction(support=S, values=np.zeros(S.mask.shape))
     assert relative_l2_error(zero, zero) == 0.0  # both vanish
     assert relative_l2_error(eta, zero) == float("inf")  # only the truth vanishes
-    assert relative_l2_error(eta, eta.values) == 0.0  # bare samples on the estimate's grid
     half = DiscreteSpreadingFunction(support=S, values=eta.values / 2)
     assert relative_l2_error(half, eta) == 0.5
 

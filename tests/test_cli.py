@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsample import cli, formats, presets, random_spreading
+from opsample import cli, formats, gabor, presets, random_spreading
 from opsample.errors import InvalidParameters, MalformedFile
 from opsample.gabor import Window, build_gabor_matrix
 from opsample.support import CellSupport
@@ -474,12 +474,16 @@ def test_bad_grid_csv_exits_4(workdir, capsys):
         "T_nan": with_row(zak_lines, 0, zak_lines[0].replace("T=1 ", "T=nan ")),
         "T_inf": with_row(zak_lines, 0, zak_lines[0].replace("T=1 ", "T=inf ")),
         "over_bound": with_row(zak_lines, 0, zak_lines[0].replace("L=3 ", "L=513 ")),
+        "no_names": "".join(zak_lines[:1] + zak_lines[2:]),
     }
     bad_eta = {
         "index": with_row(eta_lines, 2, "999,0,1,0\n"),
         "nan": with_row(eta_lines, 2, eta_lines[2].rsplit(",", 1)[0] + ",nan\n"),
         "duplicate": with_row(eta_lines, 3, eta_lines[2]),
         "over_bound": with_row(eta_lines, 0, eta_lines[0].replace("L=3 ", "L=513 ")),
+        # the column names line is checked, so no data row is read in its place
+        "no_names": "".join(eta_lines[:1] + eta_lines[2:]),
+        "other_names": with_row(eta_lines, 1, "i,j,im,re\n"),
     }
     base = ["identify", "--window", window_path, "--support", str(workdir / "stairs.json")]
     cases = [("--zak", text) for text in bad_zak.values()]
@@ -508,6 +512,14 @@ def test_bad_grid_csv_exits_4(workdir, capsys):
     code, _, err = run(base + ["--zak", str(path)], capsys)
     assert code == 3
     assert "error:" in err and "Traceback" not in err
+
+    path = workdir / "no_names.csv"
+    path.write_text(bad_eta["no_names"])
+    with pytest.raises(MalformedFile, match="must be i,j,re,im"):
+        formats.load_spreading(str(path))
+    code, out, err = run(["simulate", "--eta", str(path), "--window", window_path,
+                          "--eta-out", str(workdir / "again.csv")], capsys)
+    assert (code, out) == (4, "") and not (workdir / "again.csv").exists()
 
     # the L*P bound refuses the header before the body is read
     path = workdir / "over_bound.csv"
@@ -588,6 +600,47 @@ def test_malformed_json_exits_4_naming_the_file_once(workdir, capsys, monkeypatc
     code, out, err = run(["rectify", "--support", "stairs.json"], capsys)
     assert (code, out) == (4, "")
     assert err.count("stairs.json") == 1 and "Traceback" not in err
+
+
+def test_window_above_max_l_exits_4_before_any_gabor_matrix(workdir, capsys, monkeypatch):
+    # G(c) holds L^3 complex entries (119 GiB at L = 2000): the loader refuses L > MAX_L
+    # before any command builds one (at MAX_L + 1 it would still fit in ~0.6 GB)
+    monkeypatch.chdir(workdir)
+    run(["gen-window", "--L", "3", "--seed", "7", "--out", "w.json"], capsys)
+    run(["simulate", "--support", "stairs.json", "--window", "w.json", "--seed", "5",
+         "--zak-out", "z.csv"], capsys)
+    L = gabor.MAX_L + 1
+    Path("big.json").write_text(json.dumps({"L": L, "weights": [[1.0, 0.0]] * L, "seed": None}))
+    builds = []
+    monkeypatch.setattr(gabor.GaborMatrix, "__post_init__", lambda self: builds.append(self))
+    with pytest.raises(MalformedFile, match=f"L in \\[1, {gabor.MAX_L}\\]"):
+        formats.load_window("big.json")
+    for argv in (
+        ["spark", "--window", "big.json", "--matrix-out", "G.csv"],
+        ["identify", "--zak", "z.csv", "--window", "big.json", "--support", "stairs.json"],
+        ["verify", "--support", "stairs.json", "--window", "big.json", "--seed", "1"],
+        ["recover-support", "--zak", "z.csv", "--window", "big.json", "--kmax", "2"],
+        ["rates", "--support", "stairs.json", "--window", "big.json"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (4, ""), argv
+        assert "Traceback" not in err and err.count("big.json") == 1
+    assert builds == [] and not Path("G.csv").exists()
+
+
+def test_rates_plan_refusals_exit_2(workdir, capsys, monkeypatch):
+    # small.json of tools/cli_manifest.py: its cell-column hull 0.25 is above 0.1875, so
+    # eps = 0.5 is refused at once; a full-T strip at eps = 0.001 would need L' > 3000 and
+    # stops at the grid budget
+    monkeypatch.chdir(workdir)
+    for rows, eps, reason in ((2, "0.5", "cell-column hull"), (4, "0.001", "grid budget")):
+        mask = np.zeros((12, 12), dtype=bool)
+        mask[:rows, :3] = True
+        formats.save_support(CellSupport(T=1.0, L=3, P=4, mask=mask), "corner.json")
+        code, out, err = run(["rates", "--support", "corner.json", "--plan", "--eps", eps,
+                              "--seed", "4", "--window-out", "plan.json"], capsys)
+        assert (code, out) == (2, "") and reason in err and "Traceback" not in err
+        assert not Path("plan.json").exists()
 
 
 def test_support_with_an_infinite_omega_exits_4(workdir, capsys, monkeypatch):

@@ -17,28 +17,10 @@ from opsample.gabor import (
     Window,
     build_gabor_matrix,
     generate_window,
-    modulate,
     spark,
-    translate,
 )
 
 from oracles import gabor_matrix_oracle, orbit_oracle, spark_oracle
-
-
-def test_translate_wraps():
-    x = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(translate(x, 1), [3.0, 1.0, 2.0])
-    np.testing.assert_array_equal(translate(x, 0), x)
-    # period L: shifting by L is the identity
-    np.testing.assert_array_equal(translate(x, 3), x)
-
-
-def test_modulate_roots_of_unity():
-    x = np.ones(4)
-    m1 = modulate(x, 1)
-    np.testing.assert_allclose(m1, [1, 1j, -1, -1j], atol=1e-15)
-    # modulating by L is the identity
-    np.testing.assert_allclose(modulate(x, 4), x, atol=1e-14)
 
 
 def test_build_matrix_L1():
@@ -60,10 +42,11 @@ def test_matrix_matches_oracle_and_phase_relation():
     c = rng.normal(size=L) + 1j * rng.normal(size=L)
     G = build_gabor_matrix(c)
     np.testing.assert_allclose(G.entries, gabor_matrix_oracle(c), atol=1e-13)
-    # column (q,m) = exp(+2*pi*i*q*m/L) * translate(modulate(c, m), q)
+    # column (q,m) = exp(+2*pi*i*q*m/L) * T^q M^m c, (M^m c)_p = exp(2*pi*i*p*m/L) c_p
     for q in range(L):
         for m in range(L):
-            expected = np.exp(2j * np.pi * q * m / L) * translate(modulate(c, m), q)
+            modulated = c * np.exp(2j * np.pi * m * np.arange(L) / L)
+            expected = np.exp(2j * np.pi * q * m / L) * np.roll(modulated, q)
             np.testing.assert_allclose(G.entries[:, G.column_index(q, m)], expected, atol=1e-13)
 
 
@@ -114,7 +97,7 @@ def _block_by_block(c):
     c = np.asarray(c, dtype=complex)
     L = len(c)
     W = np.exp(2j * np.pi * np.outer(np.arange(L), np.arange(L)) / L)
-    return np.hstack([np.diag(translate(c, q)) @ W for q in range(L)])
+    return np.hstack([np.diag(np.roll(c, q)) @ W for q in range(L)])
 
 
 def test_build_is_bit_identical_to_the_block_by_block_product():
@@ -141,6 +124,15 @@ def test_build_refuses_what_is_not_a_weight_vector(bad):
         build_gabor_matrix(bad)
 
 
+@pytest.mark.filterwarnings("error")
+def test_build_refuses_non_finite_weights_and_an_overflowing_matrix():
+    for c in ([1.0, np.nan, 0.0], [np.inf, 0.0], [1.0, complex(0, -np.inf)]):
+        with pytest.raises(InvalidParameters, match="weights must be finite"):
+            GaborMatrix(c)
+    with np.errstate(all="ignore"), pytest.raises(InvalidParameters, match="overflows"):
+        GaborMatrix(np.full(3, 1.7e308 + 1.7e308j))
+
+
 def test_spark_matches_oracle_on_random_instances():
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -150,7 +142,7 @@ def test_spark_matches_oracle_on_random_instances():
 
 
 def test_spark_search_limit():
-    G = GaborMatrix(L=8, entries=np.ones((8, 64), dtype=complex))
+    G = GaborMatrix(np.ones(8))
     with pytest.raises(SearchBudgetExceeded):
         spark(G)
 
@@ -165,7 +157,7 @@ def test_generate_window_refuses_the_search_limit_before_building(monkeypatch):
 
 
 def test_generate_window_builds_one_gabor_matrix_per_draw(monkeypatch):
-    # accept() reads the G(c) it built; only spark re-checks a caller's matrix
+    # accept() reads the G(c) it built
     builds = []
     build = gabor.build_gabor_matrix
 
@@ -178,11 +170,43 @@ def test_generate_window_builds_one_gabor_matrix_per_draw(monkeypatch):
         builds.clear()
         w = generate_window(L, target=target, k=k, seed=4)
         assert len(builds) == w.draws
-    monkeypatch.undo()
-    G = build_gabor_matrix(w)
-    G.entries[1, 4] += 1e-6  # no longer the G(c) of its column (0, 0)
-    with pytest.raises(InvalidParameters, match="not the Gabor matrix"):
-        spark(G)
+
+
+def test_gabor_matrix_is_read_only_and_built_from_its_weights():
+    rng = np.random.default_rng(9)
+    c = rng.normal(size=3) + 1j * rng.normal(size=3)
+    G = GaborMatrix(c)
+    assert G.L == 3
+    np.testing.assert_allclose(G.entries, gabor_matrix_oracle(c), atol=1e-13)
+    entries = G.entries.tobytes()
+    c[0] = 0  # the matrix holds its own copy of the weights
+    assert G.weights[0] != 0 and G.entries.tobytes() == entries
+    for array in (G.entries, G.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] += 1e-6
+    for name in ("entries", "L", "weights"):
+        with pytest.raises(AttributeError):  # frozen: no attribute can be rebound
+            setattr(G, name, np.ones((3, 9)))
+    with pytest.raises(TypeError):  # no GaborMatrix is built from entries
+        GaborMatrix(L=3, entries=np.ones((3, 9)))
+
+
+def test_gabor_matrix_refuses_L_above_MAX_L_before_allocating(monkeypatch):
+    allocations = []
+    monkeypatch.setattr(gabor.np, "zeros", lambda *a, **kw: allocations.append(a))
+    with pytest.raises(InvalidParameters, match=f"L <= {gabor.MAX_L}"):
+        GaborMatrix(np.ones(gabor.MAX_L + 1))
+    assert allocations == []
+
+
+def test_spark_builds_no_gabor_matrix(monkeypatch):
+    # a GaborMatrix is a true G(c) by construction: spark reads it as given
+    G = build_gabor_matrix(generate_window(5, seed=0))
+    builds = []
+    monkeypatch.setattr(gabor, "build_gabor_matrix", lambda c: builds.append(c))
+    monkeypatch.setattr(GaborMatrix, "__post_init__", lambda self: builds.append(self))
+    assert spark(G) == 6
+    assert builds == []
 
 
 def test_generate_window_records_metadata():
@@ -197,12 +221,10 @@ def test_generate_window_records_metadata():
 
 def test_window_validation(monkeypatch):
     for L, weights in ((0, []), (-1, []), (2, [1.0]), (2, [1.0, np.nan]), (2, [np.inf, 0]),
-                       (3.0, [1, 1, 1]), (True, [1]), (np.float64(2), [1, 1])):
+                       (3.0, [1, 1, 1]), (True, [1]), (np.float64(2), [1, 1]),
+                       (gabor.MAX_L + 1, np.ones(gabor.MAX_L + 1))):  # G(c) could not be built
         with pytest.raises(InvalidParameters):
             Window(L=L, weights=np.asarray(weights, dtype=complex))
-    for L in (3.0, np.float64(3)):  # a float L would pass the shape test as (3.0, 9.0)
-        with pytest.raises(InvalidParameters):
-            GaborMatrix(L=L, entries=np.ones((3, 9)))
     assert Window(L=np.int8(2), weights=[1, 1]).L == 2
     # Python and numpy integers are accepted, and give the same draw
     want = generate_window(3, seed=1)
@@ -328,22 +350,6 @@ def test_orbit_table_holds_one_subset_per_translation_orbit(L):
 def test_spark_of_the_all_ones_window_matches_oracle():
     G = build_gabor_matrix(np.ones(3))
     assert spark(G) == spark_oracle(G.entries) == 2
-
-
-def test_search_refuses_entries_that_are_not_a_gabor_matrix():
-    rng = np.random.default_rng(9)
-    G = GaborMatrix(L=3, entries=rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9)))
-    with pytest.raises(InvalidParameters):
-        spark(G)
-    c = rng.normal(size=3) + 1j * rng.normal(size=3)
-    G = GaborMatrix(L=3, entries=gabor_matrix_oracle(c))
-    assert spark(G) == spark_oracle(G.entries)
-    with pytest.raises(InvalidParameters):  # no column (0, 0) to build G(c) from
-        GaborMatrix(L=0, entries=np.zeros((0, 0)))
-    entries = gabor_matrix_oracle(c)
-    entries[:, 0] = np.nan
-    with pytest.raises(InvalidParameters):
-        GaborMatrix(L=3, entries=entries)
 
 
 def _spark_by_levels(G):

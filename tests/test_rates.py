@@ -1,5 +1,7 @@
 """Rate diagnostics: necessary bound, bunched plans, dead-time accounting."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from opsample import (
     GenerationFailed,
     IdentifierTrain,
     InvalidParameters,
+    NoPrimeInRange,
     Window,
     apply_channel,
     bandwidth,
@@ -177,3 +180,46 @@ def test_bunched_plan_gates(monkeypatch):
     with pytest.raises(GenerationFailed, match=f"in {gabor.MAX_DRAWS} draws"):
         bunched_window_plan(small, eps=0.5)
     assert len(builds) == gabor.MAX_DRAWS  # one G(c) per draw, the whole budget spent
+
+
+def _corner(L, P, rows, cols):
+    mask = np.zeros((L * P, L * P), dtype=bool)
+    mask[:rows, :cols] = True
+    return CellSupport(T=1.0, L=L, P=P, mask=mask)
+
+
+def _counting_refinements(monkeypatch):
+    calls = []
+    refine = rates.refine_support
+    monkeypatch.setattr(rates, "refine_support", lambda S, L: calls.append(L) or refine(S, L))
+    return calls
+
+
+def test_bunched_plan_refuses_a_hull_above_the_target_at_once(monkeypatch):
+    # a 2 x 3 corner at L = 3, P = 4: area 0.125, but its cell column fills half of the
+    # T-wide column and 3 of 12 nu-subcells, so every cover has |Gamma'|/L' >= 0.25
+    calls = _counting_refinements(monkeypatch)
+    small = _corner(3, 4, 2, 3)
+    with pytest.raises(NoPrimeInRange, match="cell-column hull 0.25, not below .* 0.1875"):
+        bunched_window_plan(small, eps=0.5, seed=4)
+    assert calls == []
+    window, _ = bunched_window_plan(small, eps=1.5, seed=4)  # 0.3125 clears the hull
+    assert window.L == 7 and calls == [3, 5, 7]
+
+
+def test_bunched_plan_stops_at_the_grid_budget(monkeypatch):
+    # a full-T strip a quarter of the nu-range high: the hull is 1/4 and every cover
+    # ratio is above it, so eps = 0.001 needs L' > 3000; the search stops at the largest
+    # L' whose refined grid L' * L * P fits MAX_LP (here 4096 // 96 = 42)
+    calls = _counting_refinements(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(NoPrimeInRange, match=r"in \[3, 42\] .* grid budget"):
+        bunched_window_plan(_corner(3, 32, 32, 24), eps=0.001, seed=4)
+    assert time.perf_counter() - start < 1.0
+    assert calls == [p for p in range(3, 43) if gabor.is_prime(p)]
+    assert max(calls) * 3 * 32 <= rates.MAX_LP
+    # at P = 2 the grid would hold L' = 682: MAX_L ends the search first
+    calls.clear()
+    with pytest.raises(NoPrimeInRange, match=rf"in \[3, {gabor.MAX_L}\]"):
+        bunched_window_plan(_corner(3, 2, 2, 1), eps=0.001, seed=4)
+    assert max(calls) <= gabor.MAX_L
