@@ -29,15 +29,24 @@ Every column-dependence decision in the package is one scale-free rule,
 _dependent: s_min <= tol*s_1 on the block's singular values.
 Square blocks are first screened by determinant: s_k <= tol*s_1 implies
 |det A| = prod s_i <= tol*||A||_F^k for any matrix, so only
-|det| <= 2*tol*||A||_F^k goes on to the SVD.  Every table row holds column 0
+|det| <= 2*tol*(k*max_j ||a_j||^2)^(k/2) goes on to the SVD.  That is one
+bound for the whole matrix (max over all its columns a_j), and it is at least
+2*tol*||A||_F^k for every block, since a block's ||A||_F^2 is the sum of its
+k squared column norms, each at most the max.  Every table row holds column 0
 first, and the first elimination step, pivoting on the largest |entry| of
 column 0, is taken once on the whole matrix: |det A| = |pivot * det B| for the
-block's m x m Schur block B, m = k-1, and det B is one cofactor expansion
-batched over the table rows (_column_dets).  The 2 is sound: every multiplier
-has |l_i| <= 1, so ||b_j|| <= (1+sqrt(m))*||a_j||, and the expansion's rounding
-error is at most gamma_n * per(|B|) <= gamma_n * m^(m/2) * prod ||b_j||, with
-gamma_n = n*u/(1-n*u), u = 2^-53 and n = 13m + m(m-1)/2 roundings on any one
-term (10 per Schur entry, 3 per complex product, 1 per sum).  With
+block's m x m Schur block B, m = k-1, and det B is a cofactor expansion
+(_column_dets).  A level-r minor of B depends only on its r columns, so levels
+r < m are computed once per matrix, on every r-subset of the columns in colex
+order (a subset's index is its rank sum_i C(c_i, i+1)); each table row adds
+only its top level, m products.  Every minor is expanded along the same row
+with its terms in the same order as one expansion per table row, so each
+determinant keeps its bits and the bound below stands.  The 2 is sound:
+every multiplier has |l_i| <= 1, so ||b_j|| <= (1+sqrt(m))*||a_j||, and the
+expansion's rounding error is at most gamma_n * per(|B|) <=
+gamma_n * m^(m/2) * prod ||b_j||, with gamma_n = n*u/(1-n*u), u = 2^-53 and
+n = 13m + m(m-1)/2 roundings on any one term (10 per Schur entry, 3 per
+complex product, 1 per sum).  With
 |pivot| <= ||a_0|| and AM-GM over the k column norms, the error on
 |pivot * det B| is at most
 gamma_n * (1+sqrt(m))^m * (m/k)^(m/2) * k^(-1/2) * ||A||_F^k, ~4e-12*||A||_F^k
@@ -92,9 +101,10 @@ DEFAULT_TOL = 1e-9
 #: C(L^2, k)/L^2; enforced ceiling (L^2 <= 49 keeps a bitmask in int64)
 SPARK_SEARCH_LIMIT = 7
 
-#: subsets per orbit-table build pass; table rows per det screen and batched SVD
-#: call: the (5, 5) table's 2130 rows fit one chunk, and the screen's (CHUNK,)
-#: complex vectors stay at 64 KiB (8192 rows ran slower at L = 6)
+#: subsets per orbit-table build pass and det-screen level pass; table rows per
+#: batched SVD call: the (5, 5) table's 2130 rows and 2300 shared minors fit one
+#: chunk, and the screen's (CHUNK,) complex vectors stay at 64 KiB (2048 to
+#: 16384 ran alike at L = 5 and 6)
 CHUNK = 4096
 
 #: seeded draws a window generator spends before it raises GenerationFailed
@@ -225,44 +235,78 @@ def _dependent(s):
     return s[..., -1] <= DEFAULT_TOL * s[..., 0]
 
 
-@functools.lru_cache(maxsize=None)  # keyed by m <= 6
-def _cofactor_terms(m):
-    """Per level r = 1..m, the Laplace terms of every r-subset S of range(m).
-
-    Subsets come in lexicographic order; subset S holds one term per position
-    i: (i odd, S[i], index of S without S[i] in level r-1).
-    """
-    levels, index = [], {(): 0}
-    for r in range(1, m + 1):
-        subsets = list(itertools.combinations(range(m), r))
-        levels.append(tuple(
-            tuple((i % 2, c, index[S[:i] + S[i + 1 :]]) for i, c in enumerate(S)) for S in subsets
-        ))
-        index = {S: n for n, S in enumerate(subsets)}
-    return tuple(levels)
+def _drop_ranks(members):
+    """ranks[i, b]: the colex rank sum_j C(c_j, j+1) of column b of an (r, B) table of
+    ascending members c_0 < ... < c_{r-1}, with member i dropped (int32, CHUNK at a time)."""
+    r = len(members)
+    binom = np.array([[math.comb(c, j) for j in range(r + 1)] for c in range(256)], dtype=np.int64)
+    ranks = np.empty(members.shape, dtype=np.int32)
+    for start in range(0, members.shape[1], CHUNK):
+        c = members[:, start : start + CHUNK]
+        below = binom[c, np.arange(1, r + 1)[:, None]]  # C(c_j, j+1): member j kept before i
+        above = binom[c, np.arange(r)[:, None]]  # C(c_j, j): member j kept after i, one down
+        rank = np.cumsum(below, axis=0) - below + above.sum(axis=0) - np.cumsum(above, axis=0)
+        ranks[:, start : start + CHUNK] = rank
+    return ranks
 
 
-def _column_dets(M, cols):
-    """det M[:, cols[b]] for every row b of a (B, m) column table, M of m rows.
+@functools.lru_cache(maxsize=None)  # keyed by (n, r): n = L^2 <= 49 columns, r <= 5
+def _colex_subsets(n, r):
+    """Every r-subset of range(n) in colex order, as read-only (r, C(n, r)) uint8
+    members (ascending down each column) and their int32 _drop_ranks."""
+    if r == 0:
+        members = np.zeros((0, 1), dtype=np.uint8)  # the empty subset
+    else:  # those with largest member c: the first C(c, r-1) of level r-1, then c
+        below = _colex_subsets(n, r - 1)[0]
+        members = np.concatenate([
+            np.insert(below[:, : math.comb(c, r - 1)], r - 1, c, axis=0) for c in range(r - 1, n)
+        ], axis=1)
+    ranks = _drop_ranks(members)
+    members.flags.writeable = ranks.flags.writeable = False
+    return members, ranks
 
-    Cofactor expansion: level r holds the minors of the last r rows of M on every
-    r-subset of the m column positions, each the alternating sum of row m-r's
-    entries times level r-1 minors (along the minor's first row).  Every product
-    and sum runs over the B rows at once: no (B, m, m) blocks, pivots or
+
+@functools.lru_cache(maxsize=None)  # keyed by (L, k), as _orbit_table
+def _orbit_ranks(L, k):
+    """The read-only int32 _drop_ranks of the (L, k) orbit table's rows without column 0."""
+    ranks = _drop_ranks(_orbit_table(L, k)[:, 1:].T)
+    ranks.flags.writeable = False
+    return ranks
+
+
+def _expand(row, minors, members, ranks):
+    """One Laplace level: sum_i (-1)^i row[members[i]] * minors[ranks[i]] for each column
+    of (r, B) member and rank tables, r >= 1, its terms in the order of i."""
+    terms = row.take(members) * minors.take(ranks)  # take: faster than fancy indexing here
+    acc = terms[0]
+    for i in range(1, len(terms)):
+        (np.subtract if i % 2 else np.add)(acc, terms[i], out=acc)
+    return acc
+
+
+def _column_dets(M, rows, ranks):
+    """det M[:, rows[b]] for each row of a (B, m) table of ascending columns of M (m rows),
+    ranks = _drop_ranks(rows.T): one array per CHUNK of rows.
+
+    Cofactor expansion: level r holds the minors of the last r rows of M, each the
+    alternating sum of row m-r's entries times level r-1 minors (along the minor's first
+    row).  Levels r < m are computed once, on every r-subset of M's columns
+    (_colex_subsets); only level m is expanded per table row, m products each.  Every
+    product and sum runs over CHUNK subsets at once: no (B, m, m) blocks, pivots or
     divisions, and a NaN entry makes its determinant NaN.
     """
-    m = len(M)
-    minors = [np.ones(len(cols), dtype=M.dtype)]  # level 0: the empty minor
-    for r, level in enumerate(_cofactor_terms(m), start=1):
-        row = M[m - r][cols.T]  # (m, B): row m-r at each column position
-        nxt = []
-        for (_, c, sub), *rest in level:
-            acc = row[c] * minors[sub]
-            for odd, c, sub in rest:
-                (np.subtract if odd else np.add)(acc, row[c] * minors[sub], out=acc)
-            nxt.append(acc)
-        minors = nxt
-    return minors[0]
+    m, n = M.shape
+    minors = np.ones(1, dtype=M.dtype)  # level 0: the empty minor
+    for r in range(1, m):
+        members, sub = _colex_subsets(n, r)
+        level = np.empty(members.shape[1], dtype=M.dtype)
+        for s in range(0, len(level), CHUNK):
+            cols = members[:, s : s + CHUNK]
+            level[s : s + CHUNK] = _expand(M[m - r], minors, cols, sub[:, s : s + CHUNK])
+        minors = level
+    for s in range(0, len(rows), CHUNK):
+        cols, sub = rows[s : s + CHUNK].T, ranks[:, s : s + CHUNK]
+        yield _expand(M[0], minors, cols, sub) if m else minors.repeat(cols.shape[1])
 
 
 def _has_dependent(entries, k):
@@ -270,17 +314,17 @@ def _has_dependent(entries, k):
     parts = np.ascontiguousarray(entries).view(float)  # real and imaginary parts
     # exact power-of-two scale to a largest part in [1/2, 1): screen and SVD never over/underflow
     unit = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex)
-    sq_norms = np.sum(np.abs(unit) ** 2, axis=0)
-    table = _orbit_table(math.isqrt(entries.shape[1]), k)
+    L = math.isqrt(entries.shape[1])
+    table = _orbit_table(L, k)
+    chunks = (table[start : start + CHUNK] for start in range(0, len(table), CHUNK))
     p = np.argmax(np.abs(unit[:, 0]))  # first pivot of every square block (module docstring)
-    screen = k == len(unit) and unit[p, 0] != 0
-    if screen:  # that elimination step, taken once on the whole matrix
+    if k == len(unit) and unit[p, 0] != 0:  # that elimination step, once on the whole matrix
         schur = np.delete(unit - np.outer(unit[:, 0] / unit[p, 0], unit[p]), p, axis=0)
-    for start in range(0, len(table), CHUNK):
-        cols = table[start : start + CHUNK]
-        if screen:  # |det| = |pivot * det| of the Schur block, NaN kept
-            dets = np.abs(unit[p, 0] * _column_dets(schur, cols[:, 1:]))
-            cols = cols[~(dets > 2 * DEFAULT_TOL * sq_norms[cols].sum(axis=1) ** (k / 2))]
+        dets = _column_dets(schur, table[:, 1:], _orbit_ranks(L, k))
+        # |det| = |pivot * det| of the Schur block, NaN kept, against one bound for every block
+        bound = 2 * DEFAULT_TOL * (k * np.max(np.sum(np.abs(unit) ** 2, axis=0))) ** (k / 2)
+        chunks = (cols[~(np.abs(unit[p, 0] * det) > bound)] for cols, det in zip(chunks, dets))
+    for cols in chunks:
         for batch in (cols[: k * k], cols[k * k :]):  # a few first: low-spark windows stop early
             sub = np.transpose(unit[:, batch], (1, 0, 2))  # (B, rows, k)
             if len(batch) and np.any(_dependent(np.linalg.svd(sub, compute_uv=False))):
@@ -316,12 +360,13 @@ def spark(G):
 
     One subset per translation orbit with a det screen: level 2, then level L,
     then a bisection of levels 3..L-1 if L is dependent (module docstring):
-    ~0.6 ms for a full-spark window at L = 5, ~20 ms at L = 6 (plus a one-time
-    ~0.2 s table build), ~0.1 ms for a spark-2 window such as all ones at any
-    L.  Weights c whose nonzeros fit a cyclic run of r < L indices
-    make level r+1 dependent, so level L is not read and only levels up to r
-    are; level 2 goes first only when 2 < r.  Enforces L <= 7; a GaborMatrix
-    is a true G(c), so the orbit search holds for every G it is given.
+    ~0.3 ms for a full-spark window at L = 5, ~4 ms at L = 6 (plus a one-time
+    ~0.2 s table build), ~0.2 s at L = 7 (plus ~10 s), ~0.1 ms for a spark-2
+    window such as all ones at any L.  Weights c whose nonzeros fit a cyclic
+    run of r < L indices make level r+1 dependent, so level L is not read and
+    only levels up to r are; level 2 goes first only when 2 < r.  Enforces
+    L <= 7; a GaborMatrix is a true G(c), so the orbit search holds for every
+    G it is given.
     """
     _check_search_limit(G.L)
     dependent = functools.partial(_has_dependent, G.entries)
@@ -342,7 +387,7 @@ def generate_window(L, target="full_spark", k=None, seed=None):
     are uniform on [1/2, 1] and phases uniform, so the target sets are open and
     dense and the first draw almost always succeeds; MAX_DRAWS failed draws
     raise GenerationFailed.  A draw reads level `support` of the G(c) it built:
-    ~0.5 ms for full spark at L = 5, ~0.2 ms for k = 2 at L = 7.
+    ~0.3 ms for full spark at L = 5, ~0.2 ms for k = 2 at L = 7.
     """
     if not (_is_integer(L) and L >= 1):
         raise InvalidParameters(f"L must be a positive integer, got {L!r}")

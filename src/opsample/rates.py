@@ -121,12 +121,24 @@ def bunched_window_plan(S, eps, seed=None):
     rows, cols = _mask_indices(S.mask)
     columns = np.zeros((S.L, S.L * S.P), dtype=bool)
     columns[i[rows] // S.P, j[cols]] = True
-    hull = np.count_nonzero(columns) / (S.L * S.P)
+    n_q = columns.sum(axis=1)
+    hull = n_q.sum() / (S.L * S.P)
     if hull >= target:
         raise NoPrimeInRange(f"every cell cover has |Gamma'|/L' >= the cell-column hull "
                              f"{hull:.6g}, not below |S|(1+eps) = {target:.6g}")
     budget = max(S.L, min(MAX_L, MAX_LP // (S.L * S.P)))  # the largest L' whose grid fits
     for L_new in filter(is_prime, range(S.L, budget + 1)):
+        # Per-column bound |Gamma'| >= sum_q ceil(n_q*L'/(L*P)), for a mask of at most L*P
+        # t-rows, whose t's lie within L*T of each other.  L' = L folds as above.  For
+        # L' > L the cell width T stays, and a refined column (t folded mod L'*T) holds t's
+        # of one floor(t/T) only: floors that differ by a nonzero multiple of L' are more
+        # than (L'-1)*T >= L*T apart.  So it lies in one column q, and the subcells (height
+        # 1/(T*L*P)) of q's refined columns make up q's n_q.  A refined column with n of
+        # them needs ceil(n*L'/(L*P)) cells of height 1/(T*L'), and ceil is subadditive,
+        # so column q needs ceil(n_q*L'/(L*P)) at least.  A prime whose bound misses the
+        # target cannot pass the check below: skip it unrefined.
+        if -(-n_q * L_new // (S.L * S.P)).sum() / L_new >= target:
+            continue
         try:
             report = rectify(refine_support(S, L_new))
         except NotIdentifiable:

@@ -61,6 +61,32 @@ def orbit_oracle(L, k):
     return orbits
 
 
+def column_dets_oracle(M, cols):
+    """det M[:, cols[b]] for every row b of a (B, m) column table, M of m rows, by one
+    cofactor expansion per table row (the screen's reference, batched over the rows).
+
+    Level r holds the minors of the last r rows of M on every r-subset of the m column
+    positions (lexicographic), each the alternating sum of row m-r's entries times level
+    r-1 minors, along the minor's first row with its terms in order: the same operations
+    in the same order as the package's shared-minor screen, so the two agree bit for bit.
+    """
+    import itertools
+
+    m = len(M)
+    minors = {(): np.ones(len(cols), dtype=M.dtype)}  # level 0: the empty minor
+    for r in range(1, m + 1):
+        row = M[m - r][cols.T]  # (m, B): row m-r at each column position
+        level = {}
+        for S in itertools.combinations(range(m), r):
+            acc = row[S[0]] * minors[S[1:]]
+            for i in range(1, r):
+                term = row[S[i]] * minors[S[:i] + S[i + 1 :]]
+                (np.subtract if i % 2 else np.add)(acc, term, out=acc)
+            level[S] = acc
+        minors = level
+    return minors[tuple(range(m))]
+
+
 def fold_count_oracle(mask, offsets, period_i, period_j):
     """Fold the stored boolean mask by (period_i, period_j) in subcell units."""
     i0, j0 = offsets

@@ -20,7 +20,7 @@ from opsample.gabor import (
     spark,
 )
 
-from oracles import gabor_matrix_oracle, orbit_oracle, spark_oracle
+from oracles import column_dets_oracle, gabor_matrix_oracle, orbit_oracle, spark_oracle
 
 
 def test_build_matrix_L1():
@@ -563,10 +563,16 @@ def test_det_screen_keeps_every_dependent_block(L):
 
 
 def _random_blocks(rng, m, n=40, B=300):
-    """A random complex m x n matrix and a (B, m) table of distinct column positions."""
+    """A random complex m x n matrix and a (B, m) table of distinct columns, each row
+    ascending as in an orbit table."""
     M = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-    cols = np.array([rng.choice(n, m, replace=False) for _ in range(B)], dtype=np.uint8)
+    cols = np.array([np.sort(rng.choice(n, m, replace=False)) for _ in range(B)], dtype=np.uint8)
     return M, cols.reshape(B, m)
+
+
+def _column_dets(M, rows):
+    """The screen kernel's determinants on every row of an ascending column table."""
+    return np.concatenate(list(gabor._column_dets(M, rows, gabor._drop_ranks(rows.T))))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])
@@ -577,18 +583,18 @@ def test_column_dets_match_numpy_det(m):
     blocks = M[:, cols].transpose(1, 0, 2)
     want = np.linalg.det(blocks)
     hadamard = np.prod(np.linalg.norm(blocks, axis=1), axis=1)  # >= |det|
-    got = gabor._column_dets(M, cols)
+    got = _column_dets(M, cols)
     assert got.shape == (len(cols),)
     assert np.all(np.abs(got - want) <= 1e-14 * hadamard), m
-    # near-singular: column n-1 is a combination of columns 0..m-2 plus a 1e-12 part,
-    # and every block holds those m columns in its own order
+    # near-singular: each of the last 20 columns is a combination of columns 0..m-2 plus
+    # a 1e-12 part, and every block holds columns 0..m-2 and one of them
     if m >= 2:
-        M[:, -1] = M[:, : m - 1] @ rng.normal(size=m - 1) + 1e-12 * M[:, -1]
-        members = np.array([*range(m - 1), M.shape[1] - 1], dtype=np.uint8)
-        cols = np.array([rng.permutation(members) for _ in cols])
+        M[:, -20:] = M[:, : m - 1] @ rng.normal(size=(m - 1, 20)) + 1e-12 * M[:, -20:]
+        last = rng.integers(M.shape[1] - 20, M.shape[1], size=len(cols))
+        cols = np.column_stack([np.tile(np.arange(m - 1), (len(cols), 1)), last]).astype(np.uint8)
         blocks = M[:, cols].transpose(1, 0, 2)
         hadamard = np.prod(np.linalg.norm(blocks, axis=1), axis=1)
-        got = gabor._column_dets(M, cols)
+        got = _column_dets(M, cols)
         assert np.all(np.abs(got - np.linalg.det(blocks)) <= 1e-14 * hadamard), m
         assert np.all(np.abs(got) <= 1e-10 * hadamard), m
 
@@ -600,7 +606,8 @@ def test_column_dets_of_zero_and_nan_columns(m):
     M, cols = _random_blocks(rng, m, B=50)
     M[:, 0] = 0
     M[rng.integers(m), 1] = np.nan
-    dets = gabor._column_dets(M, cols)
+    dets = _column_dets(M, cols)
+    assert dets.tobytes() == column_dets_oracle(M, cols).tobytes(), m  # NaN bits too
     for b, row in enumerate(cols):
         if 1 in row:
             assert np.isnan(dets[b]), (m, row)
@@ -609,6 +616,45 @@ def test_column_dets_of_zero_and_nan_columns(m):
         else:
             assert np.isfinite(dets[b]) and dets[b] != 0, (m, row)
     assert {0, 1} <= set(cols.ravel().tolist())
+
+
+def _screened(entries, k):
+    """Every (Schur block, table rows, determinants) the level-k read of entries screens."""
+    screens, kernel = [], gabor._column_dets
+
+    def recording(M, rows, ranks):
+        dets = list(kernel(M, rows, ranks))
+        screens.append((M, rows, np.concatenate(dets)))
+        yield from dets
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gabor, "_column_dets", recording)
+        gabor._has_dependent(entries, k)
+    return screens
+
+
+def _per_row_kernel(M, rows, ranks):
+    """The screen kernel with every determinant expanded on its own table row."""
+    for start in range(0, len(rows), gabor.CHUNK):
+        yield column_dets_oracle(M, rows[start : start + gabor.CHUNK])
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_screen_dets_are_bit_identical_to_the_per_row_expansion(L):
+    # shared minors keep each expansion's row and term order, so every determinant
+    # keeps its bits, and the module docstring's rounding bound stands
+    draws = [generate_window(L, seed=seed).weights for seed in range(3)]
+    for c in [*_screen_windows(L), *draws]:
+        G = build_gabor_matrix(np.asarray(c, dtype=complex))
+        screens = _screened(G.entries, L)
+        assert len(screens) == bool(np.any(c)), c  # a zero column 0 skips the screen
+        for M, rows, dets in screens:
+            assert len(dets) == len(_orbit_table(L, L))
+            assert dets.tobytes() == column_dets_oracle(M, rows).tobytes(), c
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gabor, "_column_dets", _per_row_kernel)
+            want = spark(G)
+        assert spark(G) == want, c
 
 
 def _screen_rounding_constant(m):

@@ -12,6 +12,7 @@ from opsample import (
     IdentifierTrain,
     InvalidParameters,
     NoPrimeInRange,
+    NotIdentifiable,
     Window,
     apply_channel,
     bandwidth,
@@ -22,6 +23,7 @@ from opsample import (
     rate_report,
     recover_eta_known_support,
     refine_support,
+    rectify,
     relative_l2_error,
     zak_transform,
 )
@@ -204,22 +206,77 @@ def test_bunched_plan_refuses_a_hull_above_the_target_at_once(monkeypatch):
         bunched_window_plan(small, eps=0.5, seed=4)
     assert calls == []
     window, _ = bunched_window_plan(small, eps=1.5, seed=4)  # 0.3125 clears the hull
-    assert window.L == 7 and calls == [3, 5, 7]
+    assert window.L == 7 and calls == [7]  # the column bounds of 3 and 5 are 1/3 and 2/5
 
 
 def test_bunched_plan_stops_at_the_grid_budget(monkeypatch):
     # a full-T strip a quarter of the nu-range high: the hull is 1/4 and every cover
     # ratio is above it, so eps = 0.001 needs L' > 3000; the search stops at the largest
-    # L' whose refined grid L' * L * P fits MAX_LP (here 4096 // 96 = 42)
+    # L' whose refined grid L' * L * P fits MAX_LP (here 4096 // 96 = 42), and every
+    # prime's column bound ceil(L'/4)/L' misses the target, so none is refined
     calls = _counting_refinements(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(NoPrimeInRange, match=r"in \[3, 42\] .* grid budget"):
         bunched_window_plan(_corner(3, 32, 32, 24), eps=0.001, seed=4)
     assert time.perf_counter() - start < 1.0
-    assert calls == [p for p in range(3, 43) if gabor.is_prime(p)]
-    assert max(calls) * 3 * 32 <= rates.MAX_LP
-    # at P = 2 the grid would hold L' = 682: MAX_L ends the search first
-    calls.clear()
+    assert calls == []
+    # at P = 2 the grid would hold L' = 682: MAX_L ends the search first.  A strip on
+    # nu-subcells 1 and 2 passes the column bound at L' = 3 alone, where its cover
+    # of 2 cells misses 2/3 * 1.001 cells per L'
+    mask = np.zeros((6, 6), dtype=bool)
+    mask[0:2, 1:3] = True
     with pytest.raises(NoPrimeInRange, match=rf"in \[3, {gabor.MAX_L}\]"):
-        bunched_window_plan(_corner(3, 2, 2, 1), eps=0.001, seed=4)
-    assert max(calls) <= gabor.MAX_L
+        bunched_window_plan(CellSupport(T=1.0, L=3, P=2, mask=mask), eps=0.001, seed=4)
+    assert calls == [3]
+
+
+def test_bunched_plan_skips_primes_whose_column_bound_misses(monkeypatch):
+    # the full-T strip of 3 of 12 nu-subcells: |S| = 1/4 = the hull, and every prime
+    # L' < 1000 has ceil(L'/4)/L' >= 1/4 + 1/(4L') > |S|(1 + 0.001): refused unrefined
+    calls = _counting_refinements(monkeypatch)
+    with pytest.raises(NoPrimeInRange, match=rf"in \[3, {gabor.MAX_L}\]"):
+        bunched_window_plan(_corner(3, 4, 4, 3), eps=0.001, seed=4)
+    assert calls == []
+
+
+def _first_prime_by_refinement(S, eps):
+    """(L', |Gamma'|) of the plan's search without its bounds: every prime in turn."""
+    budget = max(S.L, min(gabor.MAX_L, rates.MAX_LP // (S.L * S.P)))
+    for L_new in filter(gabor.is_prime, range(S.L, budget + 1)):
+        try:
+            report = rectify(refine_support(S, L_new))
+        except NotIdentifiable:
+            continue
+        if len(report.gamma) / L_new < S.area * (1.0 + eps):
+            return L_new, len(report.gamma)
+    return None
+
+
+def test_bunched_plan_picks_the_prime_of_the_search_by_refinement():
+    # the column bound skips only primes whose cover misses: every plan keeps its prime,
+    # and so its window (a draw from the prime, the cover and the seed)
+    cases = [
+        (_corner(3, 6, 6, 2), 0.1), (_corner(3, 4, 2, 3), 1.5),
+        (CellSupport(T=1.0, L=4, P=2, cells=[(0, 0)]), 0.5),
+        (CellSupport(T=1.0, L=5, P=2, cells=[(0, 0), (1, 2), (2, 4), (3, 1)]), 0.1),
+        (CellSupport(T=0.5, L=11, P=8, cells=[(2, 5), (7, 1)]), 1.5),
+    ]
+    rng = np.random.default_rng(27)
+    for _ in range(30):  # sparse masks at P = 2, shifted in t: most are planned at once
+        L = rng.integers(2, 6)
+        mask = rng.random((2 * L, 2 * L)) < 0.04
+        mask[rng.integers(2 * L), rng.integers(2 * L)] = True
+        S = CellSupport(T=1.0, L=L, P=2, mask=mask, shift=(rng.integers(4) / 2, 0.0))
+        if S.area * 3 < 1:
+            cases.append((S, 2.0))
+    planned = 0
+    for S, eps in cases:
+        want = _first_prime_by_refinement(S, eps)
+        try:
+            window, _ = bunched_window_plan(S, eps, seed=4)
+        except NoPrimeInRange:
+            assert want is None, (S.cells, eps)
+            continue
+        assert (window.L, np.count_nonzero(window.weights)) == want, (S.cells, eps)
+        planned += 1
+    assert planned >= 20
