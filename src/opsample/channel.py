@@ -47,7 +47,7 @@ from .errors import (
     NonIntegerChirpPeriod,
 )
 from .gabor import Window, _check_seed
-from .support import CellSupport, _fold_index, _mask_indices
+from .support import CellSupport
 
 __all__ = [
     "DiscreteSpreadingFunction",
@@ -366,8 +366,7 @@ def quasiperiodize(eta):
     """
     S = eta.support
     LP = S.L * S.P
-    k, i, j = _fold_index(S)
-    rows, cols = _mask_indices(S.mask)
+    rows, cols, k, i, j = S.subcells
     k, j = k[rows], j[cols]
     terms = eta.values[rows, cols] * _unit_phase(-j * k, S.P)
     return _scatter_add((LP, LP), (i * LP)[rows] + j, terms)

@@ -24,7 +24,7 @@ import numpy as np
 from .channel import DiscreteSpreadingFunction
 from .errors import InvalidParameters, MalformedFile, OpSampleError
 from .gabor import Window, _is_integer
-from .support import MAX_LP, CellSupport, _mask_indices
+from .support import MAX_LP, CellSupport
 
 #: one body row of a grid CSV, whose field names make the column names line
 _GRID_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
@@ -201,7 +201,7 @@ def save_spreading(eta, path):
     header = (
         f"# T={_fmt(S.T)} L={S.L} P={S.P} t0={_fmt(S.shift[0])} nu0={_fmt(S.shift[1])}"
     )
-    i, j = _mask_indices(S.mask)
+    i, j = S.subcells[:2]
     _write_table(path, header, _GRID_ROW.names, (i, j), eta.values[i, j])
 
 

@@ -54,10 +54,12 @@ at m = 6: far below tol*||A||_F^k.  A zero column 0 sends every block to the
 SVD.
 
 Dependence is monotone in the level k (subset size), so a spark decision reads
-only the levels it needs.  For an L x k block A, k < L, A^H A is a principal
-submatrix of B^H B, B = [A a], so Cauchy interlacing gives s_1(B) >= s_1(A)
-and s_{k+1}(B) <= s_k(A): a k-subset dependent under _dependent makes every
-superset of up to L columns dependent.  Level 2 (a small table) is read
+only the levels it needs, each once per matrix: a GaborMatrix remembers every
+level it has read (_dependent_at, the one reader of spark, generate_window
+and sparse.recover_unknown_support).  For an L x k block A, k < L, A^H A is a
+principal submatrix of B^H B, B = [A a], so Cauchy interlacing gives
+s_1(B) >= s_1(A) and s_{k+1}(B) <= s_k(A): a k-subset dependent under
+_dependent makes every superset of up to L columns dependent.  Level 2 (a small table) is read
 first: dependent, it is spark 2, since level 1 is dependent only for c = 0.
 Full spark is level L clean; other sparks are bisected.  Nonzero weights
 inside a cyclic run of r < L indices s..s+r-1 put the L columns (q, m) of
@@ -71,7 +73,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,9 +132,10 @@ def _check_seed(seed):
 class Window:
     """Period-L identifier weights.
 
-    L: period, at most MAX_L so that G(c) can be built; weights: complex
-    vector of length L; seed: RNG seed used to draw it (None for hand-built
-    windows); draws: how many draws the generator needed to meet its spark target.
+    L: period, at most MAX_L so that G(c) can be built; weights: a read-only
+    complex copy of the length-L vector given; seed: RNG seed used to draw it (None
+    for hand-built windows); draws: how many draws the generator needed to meet its
+    spark target.
     """
 
     L: int
@@ -141,7 +144,8 @@ class Window:
     draws: int | None = None
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=complex)
+        self.weights = np.array(self.weights, dtype=complex)
+        self.weights.flags.writeable = False
         if not (_is_integer(self.L) and 1 <= self.L <= MAX_L) or self.weights.shape != (self.L,):
             raise InvalidParameters(
                 f"need integer L in [1, {MAX_L}] and ({self.L},) weights, got {self.weights.shape}"
@@ -160,10 +164,12 @@ class GaborMatrix:
 
     Built from c alone (L <= MAX_L, refused before any allocation), so it is
     always a true G(c).  Frozen: weights (a complex copy of c), L and entries
-    are read-only and cannot be rebound.
+    are read-only and cannot be rebound, so each spark level is read once
+    (_dependent_at) and remembered.
     """
 
     weights: np.ndarray
+    _levels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.weights)
@@ -179,7 +185,8 @@ class GaborMatrix:
         W = np.exp(2j * np.pi * np.outer(p, p) / L)
         D = np.zeros((L, L, L), dtype=complex)
         D[:, p, p] = c[(p - p[:, None]) % L]  # D[q] = diag(T^q c)
-        entries = np.matmul(D, W).transpose(1, 0, 2).reshape(L, L * L)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below, by name
+            entries = np.matmul(D, W).transpose(1, 0, 2).reshape(L, L * L)
         if not np.all(np.isfinite(entries)):
             raise InvalidParameters("G(c) overflows: its entries must be finite")
         c.flags.writeable = entries.flags.writeable = False
@@ -192,6 +199,12 @@ class GaborMatrix:
         if not (0 <= q < L and 0 <= m < L):
             raise InvalidParameters(f"cell ({q},{m}) outside [0,{L})^2")
         return q * L + m
+
+    def _dependent_at(self, k):
+        """_has_dependent(entries, k): whether some k columns are dependent, read once."""
+        if k not in self._levels:
+            self._levels[k] = _has_dependent(self.entries, k)
+        return self._levels[k]
 
 
 def build_gabor_matrix(window):
@@ -332,12 +345,6 @@ def _has_dependent(entries, k):
     return False
 
 
-@functools.lru_cache(maxsize=64)  # keyed by G's bytes: one window's matrices share an entry
-def _level_dependent(entries, L, k):
-    A = np.frombuffer(entries, dtype=complex).reshape(L, L * L)
-    return _has_dependent(A, k)
-
-
 def _check_search_limit(L):
     if L > SPARK_SEARCH_LIMIT:
         raise SearchBudgetExceeded(
@@ -366,10 +373,10 @@ def spark(G):
     run of r < L indices make level r+1 dependent, so level L is not read and
     only levels up to r are; level 2 goes first only when 2 < r.  Enforces
     L <= 7; a GaborMatrix is a true G(c), so the orbit search holds for every
-    G it is given.
+    G it is given.  A level already read on G is not read again.
     """
     _check_search_limit(G.L)
-    dependent = functools.partial(_has_dependent, G.entries)
+    dependent = G._dependent_at
     r = _run_length(G.weights)
     if 2 < r and dependent(2):  # c != 0, so no column is zero
         return 2
@@ -406,7 +413,7 @@ def generate_window(L, target="full_spark", k=None, seed=None):
     _check_search_limit(L)  # before any draw builds G(c), an L^3 tensor
 
     def accept(c):  # spark == support + 1 iff level support is clean (module docstring)
-        return not _has_dependent(build_gabor_matrix(c).entries, support)
+        return not build_gabor_matrix(c)._dependent_at(support)
 
     return _draw_window(
         L, support, seed, accept,

@@ -21,7 +21,7 @@ from .errors import InvalidParameters, NoPrimeInRange, NotIdentifiable
 from .channel import IdentifierTrain
 from .gabor import MAX_DRAWS, MAX_L, _dependent, _draw_window, _is_integer, is_prime
 from .gabor import build_gabor_matrix
-from .support import MAX_LP, CellSupport, _fold_index, _mask_indices, bandwidth, rectify
+from .support import MAX_LP, CellSupport, bandwidth, rectify
 
 __all__ = ["RateReport", "rate_report", "refine_support", "bunched_window_plan"]
 
@@ -76,7 +76,8 @@ def refine_support(S, L_new):
     Omega' = 1/(T*L_new); with P' = S.L*P subcells the old pixel boundaries
     all land on new grid lines, so the region (and its area) is carried over
     exactly.  The support then sits inside the first S.L cell columns of the
-    larger fundamental domain, where no periodization folds can collide.
+    larger fundamental domain, where no periodization folds can collide.  Its
+    mask is (L_new*P', L_new*P'), or as large as S's refined one if that is larger.
     """
     if not (_is_integer(L_new) and L_new >= S.L):
         raise InvalidParameters(f"the refined modulus must be an integer >= S.L, got {L_new!r}")
@@ -87,8 +88,8 @@ def refine_support(S, L_new):
     # old pixel (i, j) covers the same region as the N x L_new block of new
     # pixels starting at (i*N, j*L_new); the nu-span of both grids is 1/T.
     block = np.kron(S.mask, np.ones((N, L_new), dtype=bool))
-    mask = np.zeros((L_new * P_new, L_new * P_new), dtype=bool)
-    mask[: block.shape[0], :] = block
+    mask = np.zeros(np.maximum(block.shape, L_new * P_new), dtype=bool)
+    mask[: block.shape[0], : block.shape[1]] = block
     return CellSupport(T=S.T, L=L_new, P=P_new, mask=mask, shift=S.shift)
 
 
@@ -101,13 +102,18 @@ def bunched_window_plan(S, eps, seed=None):
     weights supported on the first |Gamma'| indices until no rectification
     class of the refined support has a dependent column block (the rank rule
     of recovery, gabor._dependent).  Returns the window and a RateReport with
-    the emitted plan's margin and dead-time fraction.
+    the emitted plan's margin and dead-time fraction.  S's occupied t-rows must
+    lie within L*P rows of each other (InvalidParameters).
     """
     if not eps > 0:
         raise InvalidParameters("the sufficient-rate construction needs eps > 0")
     area = S.area
     if area <= 0:
         raise InvalidParameters("cannot plan for an empty support")
+    rows, cols, _, i, j = S.subcells
+    if rows[-1] - rows[0] >= S.L * S.P:  # the per-column bound below needs this
+        raise InvalidParameters(f"a bunched plan needs the occupied t-rows within L*P = "
+                                f"{S.L * S.P} rows, got {rows[-1] - rows[0] + 1}")
     target = area * (1.0 + eps)
     if target >= 1.0:
         raise InvalidParameters(
@@ -117,8 +123,6 @@ def bunched_window_plan(S, eps, seed=None):
     # Cell column q (t-rows folded as rectify folds them) meets n_q nu-subcells: every cover
     # has |Gamma'|/L' >= h = sum n_q/(L*P), and |Gamma'| <= h*L' + 2*(nu-runs) meets the
     # target for all L' > 2*runs/(target - h), which hold a prime: only the budget ends it.
-    _, i, j = _fold_index(S)
-    rows, cols = _mask_indices(S.mask)
     columns = np.zeros((S.L, S.L * S.P), dtype=bool)
     columns[i[rows] // S.P, j[cols]] = True
     n_q = columns.sum(axis=1)
@@ -128,8 +132,8 @@ def bunched_window_plan(S, eps, seed=None):
                              f"{hull:.6g}, not below |S|(1+eps) = {target:.6g}")
     budget = max(S.L, min(MAX_L, MAX_LP // (S.L * S.P)))  # the largest L' whose grid fits
     for L_new in filter(is_prime, range(S.L, budget + 1)):
-        # Per-column bound |Gamma'| >= sum_q ceil(n_q*L'/(L*P)), for a mask of at most L*P
-        # t-rows, whose t's lie within L*T of each other.  L' = L folds as above.  For
+        # Per-column bound |Gamma'| >= sum_q ceil(n_q*L'/(L*P)), for occupied t-rows within
+        # L*P of each other (checked above), so t's within L*T.  L' = L folds as above.  For
         # L' > L the cell width T stays, and a refined column (t folded mod L'*T) holds t's
         # of one floor(t/T) only: floors that differ by a nonzero multiple of L' are more
         # than (L'-1)*T >= L*T apart.  So it lies in one column q, and the subcells (height

@@ -54,7 +54,7 @@ from .errors import (
     ShearNotRectifiable,
 )
 from .gabor import _dependent
-from .support import CellSupport, _fold_index, _mask_indices, rectify
+from .support import CellSupport, rectify
 
 __all__ = [
     "LeftInverse",
@@ -143,11 +143,11 @@ def recover_eta_known_support(Zgrid, G, S):
 
     Solves one restricted system per rectification class at each base-rectangle
     subcell into X[q, m, u, v], then reads eta off X at the stored subcells of S
-    with the two root-of-unity phases of the module docstring.  The fold is
-    taken once per mask row (k, q, u) and column (m, v), and a stored
-    subcell's flat index into X is its row's part plus its column's.  The
-    formula tag is "sharp" for single-class supports and "multiclass"
-    otherwise.  Raises NotIdentifiable when S violates the fold conditions.
+    with the two root-of-unity phases of the module docstring.  The fold is read
+    from S.subcells, once per mask row (k, q, u) and column (m, v), and a stored
+    subcell's flat index into X is its row's part plus its column's.  The formula
+    tag is "sharp" for single-class supports and "multiclass" otherwise.  Raises
+    NotIdentifiable when S violates the fold conditions.
     """
     Zgrid = _validate_grids(Zgrid, G, S)
     L, P = S.L, S.P
@@ -162,9 +162,8 @@ def recover_eta_known_support(Zgrid, G, S):
         z = _zak_vectors(Zgrid, *np.divmod(points, P), L, P)
         q, m = np.array(inv.gamma).T
         X[(q * L + m)[:, None], points] = inv.coefficients @ z
-    k, i, j = _fold_index(S)
+    rows, cols, k, i, j = S.subcells
     (q, u), (m, v) = np.divmod(i, P), np.divmod(j, P)
-    rows, cols = _mask_indices(S.mask)
     flat = (q * (L * P * P) + u * P)[rows] + (m * (P * P) + v)[cols]
     q, k, v, j = q[rows], k[rows], v[cols], j[cols]
     values = np.zeros(S.mask.shape, dtype=complex)

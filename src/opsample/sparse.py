@@ -124,7 +124,7 @@ def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None):
     estimated cells are materialized as full cells of R's grid and passed to
     recover_eta_known_support.  Raises NoConvergence (with the estimate
     attached) when the residual stays above tol or level s (module docstring)
-    is above L or dependent, read once per (G's entry bytes, s), and
+    is above L or dependent, read once per matrix (GaborMatrix._dependent_at), and
     SearchBudgetExceeded for L > 7.  seed is accepted and ignored: the decoder draws nothing.
     """
     L, P = R.L, R.P
@@ -141,7 +141,7 @@ def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None):
             estimate=est,
         )
     level = 2 * len(est.gamma_hat) - min(est.rank, len(est.gamma_hat)) + 1
-    if level > L or gabor._level_dependent(G.entries.tobytes(), L, level):
+    if level > L or G._dependent_at(level):
         raise NoConvergence(
             f"{len(est.gamma_hat)} cells at rank r = {est.rank} need level s = {level} <= L clean",
             estimate=est,

@@ -4,7 +4,9 @@ A support lives on the rectangle [0, LT) x [0, 1/T) split into L x L cells of
 size T x Omega (Omega = 1/(LT)), each refined into P x P subcells of size
 (T/P) x (Omega/P).  A CellSupport stores a boolean subcell mask together with
 integer grid offsets, so supports may be shifted off the canonical rectangle
-or spill past it (overflow rows/columns represent lattice translates).
+or spill past it (overflow rows/columns represent lattice translates).  It is
+a frozen value with a read-only mask, and every module reads the fold of its
+stored subcells from one table computed once per support (CellSupport.subcells).
 
 Identifiability of OPW^2(S) by a period-L weighted delta train is equivalent
 to two fold conditions on the grid:
@@ -17,6 +19,7 @@ subcells sharing the same folded occupancy pattern; each class yields the cell
 set Gamma_j of the restricted linear system the reconstruction module solves.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,23 +41,7 @@ __all__ = [
 ]
 
 
-def _mask_indices(mask):
-    """np.nonzero of a 2-d mask from one flat pass: the same (rows, cols), and
-    several times faster than np.nonzero on masks of a few thousand points."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
-
-
-def _fold_index(S):
-    """The fold of S's mask onto the (L*P, L*P) fundamental domain, one table
-    per axis: row r folds onto row i[r] after k[r] time translates by L*T,
-    column c onto column j[c]; a stored subcell reads no divmod of its own."""
-    LP = S.L * S.P
-    rows, cols = S.mask.shape
-    k, i = np.divmod(S.offsets[0] + np.arange(rows), LP)
-    return k, i, (S.offsets[1] + np.arange(cols)) % LP
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CellSupport:
     """A spreading support at cell/subcell granularity.
 
@@ -62,13 +49,15 @@ class CellSupport:
     dt = T/P, dnu = Omega/P).  cells: active cells (q, m) of the folded
     footprint.  mask: boolean subcell grid, default (L*P, L*P); larger grids
     mark lattice translates.  shift: grid-aligned origin (t0, nu0) of the
-    mask's [0, 0] subcell relative to the canonical rectangle.
+    mask's [0, 0] subcell relative to the canonical rectangle; offsets: its
+    integer subcell offsets (i0, j0).
 
     Built from cells alone, the mask fills each labelled cell, and after
     construction cells holds the folded footprint as sorted, distinct pairs of
     Python ints.  With a zero shift the fold is the identity, so the declared
     labels are that footprint and are taken as they are (converted to int);
-    a nonzero shift or an explicit mask re-folds the mask.
+    a nonzero shift or an explicit mask re-folds the mask.  Frozen: the mask
+    is a private read-only copy of the one given, and nothing can be rebound.
     """
 
     T: float
@@ -91,29 +80,32 @@ class CellSupport:
             raise InvalidParameters(
                 "shift must be finite and grid-aligned (integer multiples of T/P and Omega/P)"
             )
-        self._offsets = (int(round(i0)), int(round(j0)))
-
+        object.__setattr__(self, "offsets", (int(round(i0)), int(round(j0))))  # frozen: set here
         LP = self.L * self.P
         declared = None if self.cells is None else tuple(sorted(set(map(tuple, self.cells))))
-        if self.mask is None:
-            if declared is None:
-                raise InvalidParameters("need cells or a mask")
-            self.mask = np.zeros((LP, LP), dtype=bool)
+        given = self.mask is not None
+        if given:
+            mask = np.array(self.mask, dtype=bool)  # a private copy: the caller's array may change
+            if mask.ndim != 2:
+                raise InvalidParameters("mask must be a 2-d boolean grid")
+        elif declared is None:
+            raise InvalidParameters("need cells or a mask")
+        else:
+            mask = np.zeros((LP, LP), dtype=bool)
             for q, m in declared:
                 if not (0 <= q < self.L and 0 <= m < self.L):
                     raise InvalidParameters(f"cell ({q},{m}) outside [0,{self.L})^2")
-                self.mask[q * self.P : (q + 1) * self.P, m * self.P : (m + 1) * self.P] = True
-            if self._offsets == (0, 0):  # the fold is the identity: the labels are the cells
-                self.cells = tuple((int(q), int(m)) for q, m in declared)
-                return
-            declared = None  # labels of the unshifted mask; the shift may move them
-        else:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.ndim != 2:
-                raise InvalidParameters("mask must be a 2-d boolean grid")
-        self.cells = self._folded_cells()
-        if declared is not None and declared != self.cells:
-            raise InvalidParameters("declared cells do not match the mask's folded footprint")
+                mask[q * self.P : (q + 1) * self.P, m * self.P : (m + 1) * self.P] = True
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
+        if given or self.offsets != (0, 0):  # a shift may move the labels of a cell mask
+            occupied = self.folded_mask().reshape(self.L, self.P, self.L, self.P).any(axis=(1, 3))
+            cells = tuple((int(q), int(m)) for q, m in np.argwhere(occupied))
+            if given and declared is not None and declared != cells:
+                raise InvalidParameters("declared cells do not match the mask's folded footprint")
+        else:  # the fold is the identity: the labels are the cells
+            cells = tuple((int(q), int(m)) for q, m in declared)
+        object.__setattr__(self, "cells", cells)
 
     # -- derived geometry -------------------------------------------------
 
@@ -130,30 +122,32 @@ class CellSupport:
         return self.omega / self.P
 
     @property
-    def offsets(self):
-        """Integer subcell offsets (i0, j0) of mask[0, 0]."""
-        return self._offsets
-
-    @property
     def area(self):
         """|S| in time-frequency area (each subcell has area 1/(L*P^2))."""
         return float(self.mask.sum()) / (self.L * self.P**2)
 
-    def _folded_cells(self):
-        L, P = self.L, self.P
-        occupied = self.folded_mask().reshape(L, P, L, P).any(axis=(1, 3))
-        return tuple((int(q), int(m)) for q, m in np.argwhere(occupied))
+    @functools.cached_property
+    def subcells(self):
+        """The stored subcells and their fold onto the (L*P, L*P) fundamental domain: one
+        read-only table (rows, cols, k, i, j), computed once.  Subcell n is mask[rows[n],
+        cols[n]], in np.nonzero's order; mask row r folds onto row i[r] after k[r] time
+        translates by L*T, column c onto column j[c]."""
+        LP = self.L * self.P
+        n_rows, n_cols = self.mask.shape
+        rows, cols = np.divmod(np.flatnonzero(self.mask), n_cols)  # faster than np.nonzero
+        k, i = np.divmod(self.offsets[0] + np.arange(n_rows), LP)
+        table = (rows, cols, k, i, (self.offsets[1] + np.arange(n_cols)) % LP)
+        for a in table:
+            a.flags.writeable = False
+        return table
 
     def fold_counts(self):
-        """Fold the mask onto (L*P, L*P) by _fold_index's per-axis tables, counting
-        multiplicity (a read-only uint8 view of the mask if the fold is the identity)."""
+        """Fold the mask onto (L*P, L*P) by the subcells table, counting multiplicity
+        (a read-only uint8 view of the mask if the fold is the identity)."""
         LP = self.L * self.P
-        if self._offsets == (0, 0) and self.mask.shape == (LP, LP):
-            counts = self.mask.view(np.uint8)  # the fold is the identity: no copy
-            counts.flags.writeable = False
-            return counts
-        _, i, j = _fold_index(self)
-        rows, cols = _mask_indices(self.mask)
+        if self.offsets == (0, 0) and self.mask.shape == (LP, LP):
+            return self.mask.view(np.uint8)  # the fold is the identity: no copy
+        rows, cols, _, i, j = self.subcells
         return np.bincount((i * LP)[rows] + j[cols], minlength=LP * LP).reshape(LP, LP)
 
     def folded_mask(self):

@@ -29,7 +29,6 @@ from opsample import (
 )
 from opsample.channel import _lag_kernel, _scatter_add, _unit_phase
 from opsample.presets import staircase_support, translate_collision_support
-from opsample.support import _fold_index
 
 from oracles import (
     channel_response_oracle,
@@ -169,8 +168,7 @@ def test_scatter_add_is_bit_identical_to_add_at_on_colliding_indices():
     base = translate_collision_support(L=3, T=1.0, P=4)
     S = CellSupport(T=1.0, L=3, P=4, mask=base.mask, shift=(-5 * base.dt, 7 * base.dnu))
     eta = random_spreading(S, seed=4)
-    k, i, j = _fold_index(S)
-    rows, cols = np.nonzero(S.mask)
+    rows, cols, k, i, j = S.subcells
     k, i, j = k[rows], i[rows], j[cols]
     LP = S.L * S.P
     assert len(np.unique(i * LP + j)) < i.size

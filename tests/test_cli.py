@@ -59,6 +59,11 @@ def test_spark_at_the_ends_of_the_float_range(workdir, capsys):
     formats.save_window(Window(L=3, weights=np.array([1e-320, 2e-320, 0])), path)
     code, out, err = run(["spark", "--window", path], capsys)
     assert (code, out.strip(), err) == (0, "spark=3", "")
+    # finite weights whose G(c) overflows are refused by name (exit 2), not as a
+    # floating-point failure (exit 3, "overflow encountered in matmul")
+    formats.save_window(Window(L=3, weights=np.full(3, 1.7e308 + 1.7e308j)), path)
+    code, out, err = run(["spark", "--window", path], capsys)
+    assert (code, out, err) == (2, "", "error: G(c) overflows: its entries must be finite\n")
 
 
 def test_rectify_reports_classes(workdir, capsys):

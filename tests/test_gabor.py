@@ -129,8 +129,38 @@ def test_build_refuses_non_finite_weights_and_an_overflowing_matrix():
     for c in ([1.0, np.nan, 0.0], [np.inf, 0.0], [1.0, complex(0, -np.inf)]):
         with pytest.raises(InvalidParameters, match="weights must be finite"):
             GaborMatrix(c)
-    with np.errstate(all="ignore"), pytest.raises(InvalidParameters, match="overflows"):
+    with pytest.raises(InvalidParameters, match="overflows"):  # and no RuntimeWarning
         GaborMatrix(np.full(3, 1.7e308 + 1.7e308j))
+
+
+def test_window_keeps_a_read_only_copy_of_its_weights():
+    c = np.array([1.0, 2.0, 3.0], dtype=complex)
+    w = Window(L=3, weights=c)
+    assert w.weights is not c and not w.weights.flags.writeable
+    c[0] = np.nan  # an edit of the caller's array cannot bypass the finiteness check
+    assert np.isfinite(w.weights).all()
+    with pytest.raises(ValueError, match="read-only"):
+        w.weights[0] = np.nan
+
+
+def count_level_reads(monkeypatch):
+    """The list of levels k that gabor._has_dependent reads from here on."""
+    reads = []
+    read = gabor._has_dependent
+    monkeypatch.setattr(gabor, "_has_dependent", lambda A, k: reads.append(k) or read(A, k))
+    return reads
+
+
+def test_a_gabor_matrix_reads_each_level_once(monkeypatch):
+    reads = count_level_reads(monkeypatch)
+    full = build_gabor_matrix(generate_window(4, seed=1))
+    assert reads == [4]  # the draw's acceptance, on the G(c) it built
+    reads.clear()
+    assert spark(full) == spark(full) == 5
+    assert reads == [2, 4]  # level 2, then level L, each once for both calls
+    reads.clear()
+    ones = build_gabor_matrix(np.ones(4))  # spark 2: level 2 is dependent
+    assert [spark(ones) for _ in range(2)] == [2, 2] and reads == [2]
 
 
 def test_spark_matches_oracle_on_random_instances():

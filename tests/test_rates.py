@@ -280,3 +280,26 @@ def test_bunched_plan_picks_the_prime_of_the_search_by_refinement():
         assert (window.L, np.count_nonzero(window.weights)) == want, (S.cells, eps)
         planned += 1
     assert planned >= 20
+
+
+def test_bunched_plan_refuses_occupied_rows_beyond_L_times_P():
+    # the per-column bound needs the t's within L*T: rows 0:2 and 14:16 are 16 > 12 rows apart
+    m = np.zeros((24, 12), dtype=bool)
+    m[0:2, 0:2] = m[14:16, 0:2] = True
+    with pytest.raises(InvalidParameters, match="within L\\*P = 12 rows, got 16"):
+        bunched_window_plan(CellSupport(T=1.0, L=3, P=4, mask=m), eps=0.5, seed=1)
+
+
+def test_bunched_plan_of_a_mask_of_any_extent_is_the_plan_of_its_padded_mask():
+    padded = np.zeros((12, 12), dtype=bool)
+    padded[0:4, 0:1] = True
+    window, report = bunched_window_plan(CellSupport(T=1.0, L=3, P=4, mask=padded), 0.5, seed=1)
+    for shape in ((4, 1), (12, 8), (12, 16), (24, 12)):  # t-rows 0:4 within L*P in each
+        mask = np.zeros(shape, dtype=bool)
+        mask[0:4, 0:1] = True
+        S = CellSupport(T=1.0, L=3, P=4, mask=mask)
+        R = refine_support(S, 5)  # old pixel (i, j) is new block (3i, 5j); at least 60 x 60
+        assert R.mask.shape == (max(60, 3 * shape[0]), max(60, 5 * shape[1]))
+        assert R.area == S.area and R.mask.sum() == 4 * 15
+        got, got_report = bunched_window_plan(S, 0.5, seed=1)
+        assert got.weights.tobytes() == window.weights.tobytes() and got_report == report

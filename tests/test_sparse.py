@@ -27,6 +27,8 @@ from opsample import sparse
 from opsample.sparse import mmv_omp, recover_unknown_support
 from opsample.channel import DiscreteSpreadingFunction
 
+from test_gabor import count_level_reads
+
 
 def _measurements(S, window, seed):
     """Zak grid and stacked Z-vectors for a random eta on S."""
@@ -408,3 +410,17 @@ def test_decoder_refuses_L_above_the_search_limit(monkeypatch):
     with pytest.raises(SearchBudgetExceeded):
         recover_unknown_support(np.ones((L * P, P)), G, R, k_max=1, tol=1e-10)
     assert decodes == []
+
+
+def test_the_certificate_level_is_read_once_per_matrix(monkeypatch):
+    L, P = 5, 4
+    window = generate_window(L, seed=235)
+    G = build_gabor_matrix(window)
+    S = CellSupport(T=0.5, L=L, P=P, cells=[(1, 3), (4, 0)])
+    _, Z, _ = _measurements(S, window, seed=82)
+    R = CellSupport(T=0.5, L=L, P=P, cells=[(q, m) for q in range(L) for m in range(L)])
+    reads = count_level_reads(monkeypatch)
+    for _ in range(3):
+        report = recover_unknown_support(Z, G, R, k_max=2, tol=1e-10)
+    assert report.support_estimate.rank == 2
+    assert reads == [3]  # s = 2*2 - 2 + 1, read by the first decode only

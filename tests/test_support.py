@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -362,3 +363,52 @@ def test_shifted_support_counts_are_translation_invariant():
         np.sort(periodization_count(shifted), axis=None),
     )
     assert check_identifiable(shifted) is True
+
+
+def test_a_support_keeps_its_mask_after_the_caller_edits_it():
+    m = np.zeros((16, 16), dtype=bool)
+    m[0:8, 0:8] = True
+    S = CellSupport(T=1.0, L=2, P=8, mask=m)
+    m[8:16, 8:16] = True
+    assert S.cells == ((0, 0),)
+    assert S.mask.sum() == 64 and S.fold_counts().sum() == 64 and len(S.subcells[0]) == 64
+    assert [cls.cells for cls in rectify(S).classes] == [((0, 0),)]
+
+
+def test_a_support_is_a_read_only_value():
+    plain = CellSupport(T=1.0, L=2, P=4, cells=[(0, 0)])
+    assert not plain.fold_counts().flags.writeable  # the identity fold: a view of the mask
+    shifted = CellSupport(T=1.0, L=3, P=4, cells=[(0, 1)], shift=(0.25, 0.0))
+    for S in (plain, shifted, translate_collision_support()):
+        assert not any(a.flags.writeable for a in (S.mask, *S.subcells))
+        with pytest.raises(ValueError, match="read-only"):
+            S.mask[0, 0] = not S.mask[0, 0]
+        for name in ("mask", "cells", "T", "offsets"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(S, name, getattr(S, name))
+        assert S.subcells is S.subcells  # computed once
+
+
+def test_subcells_table_is_the_nonzero_points_and_the_per_axis_fold():
+    rng = np.random.default_rng(9)
+    collision = translate_collision_support(L=3, P=4)
+    spilled = rng.random((15, 14)) < 0.4
+    supports = [
+        CellSupport(T=1.0, L=3, P=4, mask=rng.random((12, 12)) < 0.4, shift=(-5 * 0.25, 7 / 12)),
+        CellSupport(T=1.0, L=3, P=4, mask=spilled),
+        CellSupport(T=1.0, L=3, P=4, mask=spilled, shift=(3 * 0.25, -2 / 12)),
+        collision,
+        CellSupport(T=1.0, L=3, P=4, mask=collision.mask, shift=(-5 * 0.25, 7 / 12)),
+    ]
+    for S in supports:
+        LP = S.L * S.P
+        n_rows, n_cols = S.mask.shape
+        rows, cols, k, i, j = S.subcells
+        want_rows, want_cols = np.nonzero(S.mask)
+        want_k, want_i = np.divmod(S.offsets[0] + np.arange(n_rows), LP)
+        for got, want in zip(
+            (rows, cols, k, i, j),
+            (want_rows, want_cols, want_k, want_i, (S.offsets[1] + np.arange(n_cols)) % LP),
+        ):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
