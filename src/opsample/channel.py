@@ -47,7 +47,7 @@ from .errors import (
     NonIntegerChirpPeriod,
 )
 from .gabor import Window, _check_seed
-from .support import CellSupport
+from .support import CellSupport, _check_grid
 
 __all__ = [
     "DiscreteSpreadingFunction",
@@ -125,23 +125,26 @@ def _chirp_phase(n, kappa, D):
     return _unit_phase(kappa * n * n, 2 * D)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DiscreteSpreadingFunction:
-    """Spreading samples on a support's subcell grid; zero outside the mask."""
+    """Spreading samples on a support's subcell grid, zero outside the mask: frozen, with
+    values a read-only complex copy of the array given."""
 
     support: CellSupport
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.support.mask.shape:
+        values = np.array(self.values, dtype=complex)  # a private copy
+        if values.shape != self.support.mask.shape:
             raise GridMismatch(
-                f"values shape {self.values.shape} does not match mask {self.support.mask.shape}"
+                f"values shape {values.shape} does not match mask {self.support.mask.shape}"
             )
-        if self.values[~self.support.mask].any():  # NaN is truthy, -0.0 is not
+        if values[~self.support.mask].any():  # NaN is truthy, -0.0 is not
             raise InvalidParameters("values must vanish outside the support mask")
-        if not np.isfinite(self.values).all():
+        if not np.isfinite(values).all():
             raise InvalidParameters("spreading values must be finite")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)  # frozen: set once, here
 
 
 def random_spreading(S, seed=None):
@@ -153,9 +156,11 @@ def random_spreading(S, seed=None):
     values.real = rng.standard_normal(shape)
     values.imag = rng.standard_normal(shape)
     values[~S.mask] = 0
-    # finite and zero off the mask by construction: skip __post_init__'s re-scan
+    values.flags.writeable = False
+    # fresh, finite and zero off the mask by construction: skip __post_init__'s copy and scan
     eta = object.__new__(DiscreteSpreadingFunction)
-    eta.support, eta.values = S, values
+    object.__setattr__(eta, "support", S)
+    object.__setattr__(eta, "values", values)
     return eta
 
 
@@ -185,6 +190,8 @@ class IdentifierTrain:
     def __post_init__(self):
         if not (np.isfinite(self.T) and self.T > 0):
             raise InvalidParameters("T must be finite and positive")
+        if not isinstance(self.weights, Window):
+            raise InvalidParameters(f"weights must be a Window, got {type(self.weights).__name__}")
 
     @property
     def L(self):
@@ -216,9 +223,10 @@ class IdentifierTrain:
         return c * _chirp_phase(n, kappa % (2 * self.L), self.L)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ChannelResponse:
-    """Hg sampled on one superperiod [0, P*L*T) at step x_step = T/P (derived, not stored)."""
+    """Hg sampled on one superperiod [0, P*L*T) at step x_step = T/P (derived, not stored):
+    frozen, with samples a read-only complex copy of the array given."""
 
     samples: np.ndarray
     T: float
@@ -226,11 +234,12 @@ class ChannelResponse:
     P: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
-        if self.samples.shape != (self.L * self.P * self.P,):
-            raise GridMismatch(
-                f"expected {self.L * self.P**2} samples, got {self.samples.shape}"
-            )
+        _check_grid(self.T, self.L, self.P)
+        samples = np.array(self.samples, dtype=complex)  # a private copy
+        if samples.shape != (self.L * self.P * self.P,):
+            raise GridMismatch(f"expected {self.L * self.P**2} samples, got {samples.shape}")
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)  # frozen: set once, here
 
     @property
     def x_step(self):

@@ -90,8 +90,7 @@ def cmd_gen_window(args):
 
 
 def cmd_spark(args):
-    window = formats.load_window(args.window)
-    G = build_gabor_matrix(window)
+    G = build_gabor_matrix(formats.load_window(args.window))
     _show(spark=spark(G))
     if args.matrix_out:
         formats.export_gabor_matrix(G, args.matrix_out)
@@ -142,8 +141,7 @@ def cmd_identify(args):
     _require(not (args.smooth and args.symplectic is not None), "--smooth excludes --symplectic")
     _require(args.smooth == (args.eps is not None), "--smooth requires --eps, which only it reads")
     Z, T, _, _ = formats.load_zak(args.zak)
-    window = formats.load_window(args.window)
-    G = build_gabor_matrix(window)
+    G = build_gabor_matrix(formats.load_window(args.window))
     eta_true = formats.load_spreading(args.eta_true) if args.eta_true else None
     S = formats.load_support(args.support)
     _require_zak_T(T, S)
@@ -168,8 +166,7 @@ def cmd_identify(args):
 
 def cmd_recover_support(args):
     Z, T, L, P = formats.load_zak(args.zak)
-    window = formats.load_window(args.window)
-    G = build_gabor_matrix(window)
+    G = build_gabor_matrix(formats.load_window(args.window))
     if args.domain:
         R = formats.load_support(args.domain)
         _require_zak_T(T, R)

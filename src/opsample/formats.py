@@ -89,7 +89,7 @@ def load_window(path):
 
 
 def export_gabor_matrix(G, path):
-    """GaborMatrix CSV: rows p,q,m,re,im ordered by p, then column q + m*L."""
+    """G(c) CSV of a Window: rows p,q,m,re,im ordered by p, then column q + m*L."""
     p, m, q = np.indices((G.L, G.L, G.L)).reshape(3, -1)
     _write_table(path, None, ["p", "q", "m", "re", "im"], (p, q, m), G.entries[p, q * G.L + m])
 

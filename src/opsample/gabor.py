@@ -24,7 +24,7 @@ unimodular multiple of column (q+b, m+a) and only permutes and phases rows, so
 one column subset per translation orbit is checked: about C(L^2-1, k-1)/k of
 the C(L^2, k).  It is the subset holding column 0 whose bitmask sum 1<<col is
 least among its k translates (each moves one member to column 0).  This holds
-only for a true G(c), which a GaborMatrix is: it is built from its weights.
+only for a true G(c), which a Window's entries are: built from its weights.
 Every column-dependence decision in the package is one scale-free rule,
 _dependent: s_min <= tol*s_1 on the block's singular values.
 Square blocks are first screened by determinant: s_k <= tol*s_1 implies
@@ -54,12 +54,12 @@ at m = 6: far below tol*||A||_F^k.  A zero column 0 sends every block to the
 SVD.
 
 Dependence is monotone in the level k (subset size), so a spark decision reads
-only the levels it needs, each once per matrix: a GaborMatrix remembers every
+only the levels it needs, each once per window: a Window remembers every
 level it has read (_dependent_at, the one reader of spark, generate_window
-and sparse.recover_unknown_support).  For an L x k block A, k < L, A^H A is a
-principal submatrix of B^H B, B = [A a], so Cauchy interlacing gives
-s_1(B) >= s_1(A) and s_{k+1}(B) <= s_k(A): a k-subset dependent under
-_dependent makes every superset of up to L columns dependent.  Level 2 (a small table) is read
+and sparse.recover_unknown_support), its draw's level too.  For an L x k block
+A, k < L, A^H A is a principal submatrix of B^H B, B = [A a], so Cauchy
+interlacing gives s_1(B) >= s_1(A) and s_{k+1}(B) <= s_k(A): a k-subset dependent
+under _dependent makes every superset of up to L columns dependent.  Level 2 (a small table) is read
 first: dependent, it is spark 2, since level 1 is dependent only for c = 0.
 Full spark is level L clean; other sparks are bisected.  Nonzero weights
 inside a cyclic run of r < L indices s..s+r-1 put the L columns (q, m) of
@@ -86,14 +86,13 @@ from .errors import (
 
 __all__ = [
     "Window",
-    "GaborMatrix",
     "build_gabor_matrix",
     "spark",
     "generate_window",
 ]
 
-#: largest period of a Window or GaborMatrix: G(c) holds L^3 = 4096^2 entries at
-#: L = 256, as many as the largest grid a file may declare (support.MAX_LP)
+#: largest period of a Window: its G(c) holds L^3 = 4096^2 entries at L = 256,
+#: as many as the largest grid a file may declare (support.MAX_LP)
 MAX_L = 256
 
 #: tol of the package's one rank rule, _dependent, which reads it at call time
@@ -128,59 +127,40 @@ def _check_seed(seed):
         raise InvalidParameters(f"seed must be None or a nonnegative integer, got {seed!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Window:
-    """Period-L identifier weights.
+    """Period-L identifier weights c and their G(c), a frozen value.
 
-    L: period, at most MAX_L so that G(c) can be built; weights: a read-only
-    complex copy of the length-L vector given; seed: RNG seed used to draw it (None
-    for hand-built windows); draws: how many draws the generator needed to meet its
-    spark target.
+    L: period, at most MAX_L so that G(c) can be built; weights: a read-only complex
+    copy of the finite length-L numeric vector given; seed: RNG seed used to draw it
+    (None for hand-built windows); draws: how many draws the generator needed to meet
+    its spark target.  entries, a read-only G(c), is built from the weights on first
+    use, and each spark level read on it is remembered (_dependent_at).
     """
 
     L: int
     weights: np.ndarray
     seed: int | None = None
     draws: int | None = None
-
-    def __post_init__(self):
-        self.weights = np.array(self.weights, dtype=complex)
-        self.weights.flags.writeable = False
-        if not (_is_integer(self.L) and 1 <= self.L <= MAX_L) or self.weights.shape != (self.L,):
-            raise InvalidParameters(
-                f"need integer L in [1, {MAX_L}] and ({self.L},) weights, got {self.weights.shape}"
-            )
-        if not np.all(np.isfinite(self.weights)):
-            raise InvalidParameters("weights must be finite")
-
-    def support_size(self):
-        """||c||_0: the exact count of nonzero weights."""
-        return int(np.count_nonzero(self.weights))
-
-
-@dataclass(frozen=True, eq=False)
-class GaborMatrix:
-    """G(c) = [D_0 W | ... | D_{L-1} W] of weights c, with its (q, m) -> column bijection.
-
-    Built from c alone (L <= MAX_L, refused before any allocation), so it is
-    always a true G(c).  Frozen: weights (a complex copy of c), L and entries
-    are read-only and cannot be rebound, so each spark level is read once
-    (_dependent_at) and remembered.
-    """
-
-    weights: np.ndarray
     _levels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.weights)
         if c.ndim != 1 or c.size == 0 or c.dtype.kind not in "biufc":
             raise InvalidParameters(f"need a non-empty 1-D numeric vector, got {c.dtype} {c.shape}")
-        L = c.shape[0]
-        if L > MAX_L:
-            raise InvalidParameters(f"G(c) is limited to L <= {MAX_L}, got L={L}")
+        if not (_is_integer(self.L) and 1 <= self.L <= MAX_L) or c.shape != (self.L,):
+            raise InvalidParameters(f"need integer L in [1, {MAX_L}] and ({self.L},) weights, "
+                                    f"got {c.shape}")
         c = c.astype(complex)  # a private copy; D takes the same complex values
         if not np.all(np.isfinite(c)):
             raise InvalidParameters("weights must be finite")
+        c.flags.writeable = False
+        object.__setattr__(self, "weights", c)  # frozen: set once, here
+
+    @functools.cached_property
+    def entries(self):
+        """G(c) as a read-only (L, L^2) array: one batched matmul(D, W) (module docstring)."""
+        L, c = self.L, self.weights
         p = np.arange(L)
         W = np.exp(2j * np.pi * np.outer(p, p) / L)
         D = np.zeros((L, L, L), dtype=complex)
@@ -189,9 +169,12 @@ class GaborMatrix:
             entries = np.matmul(D, W).transpose(1, 0, 2).reshape(L, L * L)
         if not np.all(np.isfinite(entries)):
             raise InvalidParameters("G(c) overflows: its entries must be finite")
-        c.flags.writeable = entries.flags.writeable = False
-        for name, value in (("weights", c), ("L", L), ("entries", entries)):
-            object.__setattr__(self, name, value)  # frozen: set once, here
+        entries.flags.writeable = False
+        return entries
+
+    def support_size(self):
+        """||c||_0: the exact count of nonzero weights."""
+        return int(np.count_nonzero(self.weights))
 
     def column_index(self, q, m):
         """Linear position of the column for cell (q, m)."""
@@ -208,8 +191,12 @@ class GaborMatrix:
 
 
 def build_gabor_matrix(window):
-    """The GaborMatrix of a Window or of a 1-D numeric weight vector."""
-    return GaborMatrix(window.weights if isinstance(window, Window) else window)
+    """A Window with its G(c) built: the Window given, or Window(len(c), c) for a 1-D
+    numeric weight vector c.  An overflowing G(c) is refused here (InvalidParameters)."""
+    if not isinstance(window, Window):
+        window = Window(np.size(window), window)
+    window.entries  # built now, so every caller refuses an overflow here
+    return window
 
 
 def _check_tol(tol):
@@ -372,8 +359,8 @@ def spark(G):
     window such as all ones at any L.  Weights c whose nonzeros fit a cyclic
     run of r < L indices make level r+1 dependent, so level L is not read and
     only levels up to r are; level 2 goes first only when 2 < r.  Enforces
-    L <= 7; a GaborMatrix is a true G(c), so the orbit search holds for every
-    G it is given.  A level already read on G is not read again.
+    L <= 7; a Window's G(c) is built from its weights, so the orbit search holds
+    for every Window G.  A level read on G, as by its draw, is not read again.
     """
     _check_search_limit(G.L)
     dependent = G._dependent_at
@@ -394,7 +381,8 @@ def generate_window(L, target="full_spark", k=None, seed=None):
     are uniform on [1/2, 1] and phases uniform, so the target sets are open and
     dense and the first draw almost always succeeds; MAX_DRAWS failed draws
     raise GenerationFailed.  A draw reads level `support` of the G(c) it built:
-    ~0.3 ms for full spark at L = 5, ~0.2 ms for k = 2 at L = 7.
+    ~0.3 ms for full spark at L = 5, ~0.2 ms for k = 2 at L = 7.  It returns
+    that Window, so its G(c) and the level read are kept.
     """
     if not (_is_integer(L) and L >= 1):
         raise InvalidParameters(f"L must be a positive integer, got {L!r}")
@@ -411,18 +399,15 @@ def generate_window(L, target="full_spark", k=None, seed=None):
     else:
         raise InvalidParameters(f"unknown target {target!r}")
     _check_search_limit(L)  # before any draw builds G(c), an L^3 tensor
-
-    def accept(c):  # spark == support + 1 iff level support is clean (module docstring)
-        return not build_gabor_matrix(c)._dependent_at(support)
-
+    # spark == support + 1 iff level support is clean (module docstring)
     return _draw_window(
-        L, support, seed, accept,
+        L, support, seed, lambda window: not window._dependent_at(support),
         f"no window with spark {support + 1} found in {MAX_DRAWS} draws (L={L}, seed={seed})",
     )
 
 
 def _draw_window(L, support, seed, accept, failure):
-    """Seeded draws of weights on the first `support` indices until accept(c).
+    """Seeded Windows with weights on the first `support` indices until accept(window).
 
     Moduli are uniform on [1/2, 1] and phases uniform.  Returns the first
     accepted Window (with its seed and draw count), refuses a seed that is
@@ -436,6 +421,7 @@ def _draw_window(L, support, seed, accept, failure):
         phases = rng.uniform(0.0, 2 * np.pi, size=support)
         c = np.zeros(L, dtype=complex)
         c[:support] = moduli * np.exp(1j * phases)
-        if accept(c):
-            return Window(L=L, weights=c, seed=seed, draws=draw)
+        window = Window(L, c, seed, draw)
+        if accept(window):
+            return window
     raise GenerationFailed(failure)

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import InvalidParameters, NoPrimeInRange, NotIdentifiable
 from .channel import IdentifierTrain
 from .gabor import MAX_DRAWS, MAX_L, _dependent, _draw_window, _is_integer, is_prime
-from .gabor import build_gabor_matrix
 from .support import MAX_LP, CellSupport, bandwidth, rectify
 
 __all__ = ["RateReport", "rate_report", "refine_support", "bunched_window_plan"]
@@ -158,10 +157,9 @@ def bunched_window_plan(S, eps, seed=None):
 
     class_columns = [[q * L_new + m for q, m in cls.cells] for cls in report.classes if cls.cells]
 
-    def well_conditioned(c):
-        G = build_gabor_matrix(c)
+    def well_conditioned(window):
         return not any(
-            _dependent(np.linalg.svd(G.entries[:, cols], compute_uv=False))
+            _dependent(np.linalg.svd(window.entries[:, cols], compute_uv=False))
             for cols in class_columns
         )
 

@@ -124,7 +124,7 @@ def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None):
     estimated cells are materialized as full cells of R's grid and passed to
     recover_eta_known_support.  Raises NoConvergence (with the estimate
     attached) when the residual stays above tol or level s (module docstring)
-    is above L or dependent, read once per matrix (GaborMatrix._dependent_at), and
+    is above L or dependent, read once per window (Window._dependent_at), and
     SearchBudgetExceeded for L > 7.  seed is accepted and ignored: the decoder draws nothing.
     """
     L, P = R.L, R.P

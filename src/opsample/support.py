@@ -41,6 +41,12 @@ __all__ = [
 ]
 
 
+def _check_grid(T, L, P):
+    """Refuse grid parameters unless T is finite and > 0 and L, P are integers >= 1."""
+    if not (np.isfinite(T) and T > 0 and _is_integer(L) and L >= 1 and _is_integer(P) and P >= 1):
+        raise InvalidParameters("need finite T > 0, integer L >= 1 and integer P >= 1")
+
+
 @dataclass(frozen=True, eq=False)
 class CellSupport:
     """A spreading support at cell/subcell granularity.
@@ -68,9 +74,7 @@ class CellSupport:
     shift: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if not (np.isfinite(self.T) and self.T > 0 and _is_integer(self.L) and self.L >= 1
-                and _is_integer(self.P) and self.P >= 1):
-            raise InvalidParameters("need finite T > 0, integer L >= 1 and integer P >= 1")
+        _check_grid(self.T, self.L, self.P)
         if not all(0 < x < np.inf for x in (self.omega, self.dt, self.dnu)):  # T near 0 or inf
             raise InvalidParameters("Omega = 1/(L*T), T/P and Omega/P must be finite and positive")
         t0, nu0 = self.shift

@@ -1,6 +1,7 @@
 """Channel simulator: responses, Zak transform, quasiperiodization, system identity."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -227,6 +228,44 @@ def test_train_rejects_non_finite_T():
             _train(T, [1.0, 0.0, 2.0])
 
 
+def test_train_refuses_weights_that_are_not_a_window():
+    # a bare vector failed later, in apply_channel and .rate, with an AttributeError
+    for weights in (np.ones(3), [1.0, 1.0, 1.0], None):
+        with pytest.raises(InvalidParameters, match="must be a Window"):
+            IdentifierTrain(T=1.0, weights=weights)
+
+
+def test_response_refuses_a_non_integer_grid_or_a_bad_T():
+    # a float L or P passed the shape check and failed later, in zak_transform
+    for T, L, P in ((1.0, 3.0, 4), (1.0, 3, 4.0), (1.0, 3.0, 4.0), (1.0, True, 4), (1.0, 0, 4),
+                    (float("nan"), 3, 4), (float("inf"), 3, 4), (0.0, 3, 4), (-1.0, 3, 4)):
+        with pytest.raises(InvalidParameters):
+            ChannelResponse(np.zeros(48), T=T, L=L, P=P)
+    Z = zak_transform(ChannelResponse(np.ones(48), T=1.0, L=np.int64(3), P=4))
+    for T, L in ((1.0, 3.0), (float("nan"), 3)):
+        with pytest.raises(InvalidParameters):
+            inverse_zak(Z, T, L, 4)
+
+
+def test_spreading_and_response_own_read_only_copies():
+    S = staircase_support(T=1.0, P=4)
+    values = random_spreading(S, seed=0).values.copy()
+    eta = DiscreteSpreadingFunction(support=S, values=values)
+    samples = np.ones(3 * 4 * 4, dtype=complex)
+    f = ChannelResponse(samples, T=1.0, L=3, P=4)
+    kept = eta.values.tobytes(), f.samples.tobytes()
+    values[S.mask] = np.nan  # editing the caller's arrays cannot bypass the checks
+    values[~S.mask] = 1.0
+    samples[:] = np.nan
+    assert (eta.values.tobytes(), f.samples.tobytes()) == kept
+    for array in (eta.values, f.samples, random_spreading(S, seed=1).values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = np.nan
+    for obj, name in ((eta, "values"), (eta, "support"), (f, "samples"), (f, "L")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+
+
 def test_effective_weights_match_definition():
     g = _train(1.0, [1.0 + 0.5j, -0.25, 2.0], chirp_a=1.0)  # kappa = 3
     n = np.arange(-7, 15)
@@ -350,8 +389,9 @@ def test_apply_channel_skips_empty_rows_without_changing_a_bit():
             i0, j0 = (0, 0) if trial == 0 else rng.integers(-2 * L * P, 2 * L * P, size=2)
             S = CellSupport(T=1.0, L=L, P=P, cells=cells, shift=(i0 / P, j0 / (L * P)))
             assert not S.mask.any(axis=1).all()
-            eta = random_spreading(S, seed=trial)
-            eta.values[~S.mask] = complex(-0.0, -0.0)  # empty rows of -0.0 add nothing either
+            values = random_spreading(S, seed=trial).values.copy()
+            values[~S.mask] = complex(-0.0, -0.0)  # empty rows of -0.0 add nothing either
+            eta = DiscreteSpreadingFunction(support=S, values=values)
             for kappa in (0, 1, 2):  # plain and chirped trains
                 g = IdentifierTrain(T=1.0, weights=window, chirp_a=kappa / L)
                 got = apply_channel(eta, g).samples

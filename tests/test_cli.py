@@ -24,6 +24,7 @@ from opsample.errors import InvalidParameters, MalformedFile
 from opsample.gabor import Window, build_gabor_matrix
 from opsample.support import CellSupport
 
+from test_gabor import count_entries_builds
 from test_sparse import rank_one_zak
 
 
@@ -616,8 +617,7 @@ def test_window_above_max_l_exits_4_before_any_gabor_matrix(workdir, capsys, mon
          "--zak-out", "z.csv"], capsys)
     L = gabor.MAX_L + 1
     Path("big.json").write_text(json.dumps({"L": L, "weights": [[1.0, 0.0]] * L, "seed": None}))
-    builds = []
-    monkeypatch.setattr(gabor.GaborMatrix, "__post_init__", lambda self: builds.append(self))
+    builds = count_entries_builds(monkeypatch)
     with pytest.raises(MalformedFile, match=f"L in \\[1, {gabor.MAX_L}\\]"):
         formats.load_window("big.json")
     for argv in (

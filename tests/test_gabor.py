@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import math
 
@@ -12,7 +14,6 @@ from opsample.errors import (
     SearchBudgetExceeded,
 )
 from opsample.gabor import (
-    GaborMatrix,
     _orbit_table,
     Window,
     build_gabor_matrix,
@@ -128,9 +129,12 @@ def test_build_refuses_what_is_not_a_weight_vector(bad):
 def test_build_refuses_non_finite_weights_and_an_overflowing_matrix():
     for c in ([1.0, np.nan, 0.0], [np.inf, 0.0], [1.0, complex(0, -np.inf)]):
         with pytest.raises(InvalidParameters, match="weights must be finite"):
-            GaborMatrix(c)
+            build_gabor_matrix(c)
+    near_overflow = Window(3, np.full(3, 1.7e308 + 1.7e308j))  # finite weights are a Window
     with pytest.raises(InvalidParameters, match="overflows"):  # and no RuntimeWarning
-        GaborMatrix(np.full(3, 1.7e308 + 1.7e308j))
+        build_gabor_matrix(near_overflow)
+    with pytest.raises(InvalidParameters, match="overflows"):  # refused again, never cached
+        near_overflow.entries
 
 
 def test_window_keeps_a_read_only_copy_of_its_weights():
@@ -141,6 +145,38 @@ def test_window_keeps_a_read_only_copy_of_its_weights():
     assert np.isfinite(w.weights).all()
     with pytest.raises(ValueError, match="read-only"):
         w.weights[0] = np.nan
+
+
+def test_window_is_frozen_and_refuses_non_numeric_weights():
+    w = Window(L=3, weights=[1.0, 2.0, 3.0])
+    for name, value in (("weights", np.full(3, np.nan)), ("L", 9), ("seed", 1), ("draws", 2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(w, name, value)
+    assert w.L == 3 and w.seed is None and w.draws is None and w.weights[0] == 1.0
+    for bad in (["a", "b"], [None, None], np.array([1, "x"], dtype=object)):
+        with pytest.raises(InvalidParameters, match="non-empty 1-D numeric vector"):
+            Window(L=2, weights=bad)
+
+
+def count_entries_builds(monkeypatch):
+    """The list of Windows whose G(c) (Window.entries) is built from here on."""
+    builds = []
+    build = Window.entries.func
+    entries = functools.cached_property(lambda w: builds.append(w) or build(w))
+    entries.__set_name__(Window, "entries")
+    monkeypatch.setattr(Window, "entries", entries)
+    return builds
+
+
+def test_a_drawn_window_keeps_its_gabor_matrix_and_levels(monkeypatch):
+    for seed in range(3):
+        w = generate_window(5, seed=seed)
+        assert build_gabor_matrix(w) is w
+        builds = count_entries_builds(monkeypatch)
+        reads = count_level_reads(monkeypatch)
+        assert spark(w) == 6
+        assert reads == [2] and builds == []  # level 5 and G(c) are the draw's
+        monkeypatch.undo()
 
 
 def count_level_reads(monkeypatch):
@@ -157,7 +193,7 @@ def test_a_gabor_matrix_reads_each_level_once(monkeypatch):
     assert reads == [4]  # the draw's acceptance, on the G(c) it built
     reads.clear()
     assert spark(full) == spark(full) == 5
-    assert reads == [2, 4]  # level 2, then level L, each once for both calls
+    assert reads == [2]  # level 2 once for both calls; level L is the draw's
     reads.clear()
     ones = build_gabor_matrix(np.ones(4))  # spark 2: level 2 is dependent
     assert [spark(ones) for _ in range(2)] == [2, 2] and reads == [2]
@@ -172,14 +208,13 @@ def test_spark_matches_oracle_on_random_instances():
 
 
 def test_spark_search_limit():
-    G = GaborMatrix(np.ones(8))
+    G = build_gabor_matrix(np.ones(8))
     with pytest.raises(SearchBudgetExceeded):
         spark(G)
 
 
 def test_generate_window_refuses_the_search_limit_before_building(monkeypatch):
-    builds = []
-    monkeypatch.setattr(gabor, "build_gabor_matrix", lambda c: builds.append(c))
+    builds = count_entries_builds(monkeypatch)
     for L, target, k in ((8, "full_spark", None), (11, "spark_k", 2)):
         with pytest.raises(SearchBudgetExceeded):
             generate_window(L, target=target, k=k, seed=0)
@@ -187,25 +222,18 @@ def test_generate_window_refuses_the_search_limit_before_building(monkeypatch):
 
 
 def test_generate_window_builds_one_gabor_matrix_per_draw(monkeypatch):
-    # accept() reads the G(c) it built
-    builds = []
-    build = gabor.build_gabor_matrix
-
-    def counting(c):
-        builds.append(c)
-        return build(c)
-
-    monkeypatch.setattr(gabor, "build_gabor_matrix", counting)
+    # accept() reads the G(c) of the Window it is given, and the last one is returned
+    builds = count_entries_builds(monkeypatch)
     for L, target, k in ((5, "full_spark", None), (7, "spark_k", 2), (3, "spark_k", 3)):
         builds.clear()
         w = generate_window(L, target=target, k=k, seed=4)
-        assert len(builds) == w.draws
+        assert len(builds) == w.draws and builds[-1] is w
 
 
 def test_gabor_matrix_is_read_only_and_built_from_its_weights():
     rng = np.random.default_rng(9)
     c = rng.normal(size=3) + 1j * rng.normal(size=3)
-    G = GaborMatrix(c)
+    G = build_gabor_matrix(c)
     assert G.L == 3
     np.testing.assert_allclose(G.entries, gabor_matrix_oracle(c), atol=1e-13)
     entries = G.entries.tobytes()
@@ -217,24 +245,23 @@ def test_gabor_matrix_is_read_only_and_built_from_its_weights():
     for name in ("entries", "L", "weights"):
         with pytest.raises(AttributeError):  # frozen: no attribute can be rebound
             setattr(G, name, np.ones((3, 9)))
-    with pytest.raises(TypeError):  # no GaborMatrix is built from entries
-        GaborMatrix(L=3, entries=np.ones((3, 9)))
+    with pytest.raises(TypeError):  # no Window is built from entries
+        Window(L=3, weights=c, entries=np.ones((3, 9)))
 
 
 def test_gabor_matrix_refuses_L_above_MAX_L_before_allocating(monkeypatch):
     allocations = []
     monkeypatch.setattr(gabor.np, "zeros", lambda *a, **kw: allocations.append(a))
-    with pytest.raises(InvalidParameters, match=f"L <= {gabor.MAX_L}"):
-        GaborMatrix(np.ones(gabor.MAX_L + 1))
+    with pytest.raises(InvalidParameters, match=f"L in \\[1, {gabor.MAX_L}\\]"):
+        build_gabor_matrix(np.ones(gabor.MAX_L + 1))
     assert allocations == []
 
 
 def test_spark_builds_no_gabor_matrix(monkeypatch):
-    # a GaborMatrix is a true G(c) by construction: spark reads it as given
+    # a Window's G(c) is true by construction: spark reads it as given
     G = build_gabor_matrix(generate_window(5, seed=0))
-    builds = []
-    monkeypatch.setattr(gabor, "build_gabor_matrix", lambda c: builds.append(c))
-    monkeypatch.setattr(GaborMatrix, "__post_init__", lambda self: builds.append(self))
+    builds = count_entries_builds(monkeypatch)
+    monkeypatch.setattr(Window, "__post_init__", lambda self: builds.append(self))
     assert spark(G) == 6
     assert builds == []
 
@@ -261,8 +288,7 @@ def test_window_validation(monkeypatch):
     got = generate_window(np.int64(3), seed=np.uint32(1))
     assert got.weights.tobytes() == want.weights.tobytes() and got.draws == want.draws
     # a float, bool or negative argument is refused before any draw reaches G(c)
-    builds = []
-    monkeypatch.setattr(gabor, "build_gabor_matrix", lambda c: builds.append(c))
+    builds = count_entries_builds(monkeypatch)
     bad = [
         dict(L=5.0), dict(L=True), dict(L="5"),
         dict(L=5, target="spark_k", k=2.0), dict(L=5, target="spark_k", k=True),
@@ -296,9 +322,7 @@ def test_generate_window_bad_target():
 def test_generate_window_budget_failure(monkeypatch):
     # the budget is the constant MAX_DRAWS: each target spends exactly that many draws,
     # one G(c) build each
-    builds = []
-    build = gabor.build_gabor_matrix
-    monkeypatch.setattr(gabor, "build_gabor_matrix", lambda c: builds.append(c) or build(c))
+    builds = count_entries_builds(monkeypatch)
     monkeypatch.setattr(gabor, "DEFAULT_TOL", 2.0)  # every block is dependent
     for L, target, k in ((3, "full_spark", None), (5, "spark_k", 2)):
         builds.clear()
@@ -483,7 +507,7 @@ def test_spark_decisions_read_only_the_levels_they_name(monkeypatch):
     assert set(requested) == {(7, 2)}  # level k alone: never (7, 3), never the (7, 7) table
     requested.clear()
     assert spark(bunched) == 3  # its zero weights make level 7 dependent: bisected at once
-    assert (7, 7) not in requested and max(k for _, k in requested) <= 4
+    assert requested == []  # to level 2 alone, which the draw read
     requested.clear()
     assert spark(build_gabor_matrix(generate_window(5, seed=0))) == 6
     assert set(requested) == {(5, 2), (5, 5)}  # level 2 first, then level L

@@ -28,6 +28,8 @@ from opsample import (
     zak_transform,
 )
 
+from test_gabor import count_entries_builds
+
 
 def _train(T, weights):
     return IdentifierTrain(T=T, weights=Window(L=len(weights), weights=np.asarray(weights)))
@@ -140,10 +142,12 @@ def test_bunched_plan_round_trip():
     mask[0:P, 0:2] = True
     S = CellSupport(T=T, L=L, P=P, mask=mask)
     window, _ = bunched_window_plan(S, eps=0.1, seed=5)
+    assert "entries" in vars(window)  # the plan returns the window whose G(c) it checked
+    assert build_gabor_matrix(window) is window
     refined = refine_support(S, window.L)
     eta = random_spreading(refined, seed=9)
     Z = zak_transform(apply_channel(eta, IdentifierTrain(T=T, weights=window)))
-    report = recover_eta_known_support(Z, build_gabor_matrix(window), refined)
+    report = recover_eta_known_support(Z, window, refined)
     assert relative_l2_error(report.eta_hat, eta) <= 1e-9
 
 
@@ -175,9 +179,7 @@ def test_bunched_plan_gates(monkeypatch):
     with pytest.raises(InvalidParameters):
         bunched_window_plan(S, eps=0.3)  # 0.8 * 1.3 >= 1
     small = CellSupport(T=1.0, L=4, P=2, cells=[(0, 0)])
-    builds = []
-    build = rates.build_gabor_matrix
-    monkeypatch.setattr(rates, "build_gabor_matrix", lambda c: builds.append(c) or build(c))
+    builds = count_entries_builds(monkeypatch)
     monkeypatch.setattr(gabor, "DEFAULT_TOL", 2.0)  # every class block is dependent
     with pytest.raises(GenerationFailed, match=f"in {gabor.MAX_DRAWS} draws"):
         bunched_window_plan(small, eps=0.5)

@@ -6,12 +6,14 @@ Usage:
 
 SRC is a source root holding the opsample package (for example the `src`
 directory of a checkout) and OUTDIR an empty or missing working directory.
-The script writes its input supports with SRC's own presets and formats,
-then runs every opsample subcommand and mode (gen-window full and spark_k,
-spark, rectify, simulate plain, chirped and from --eta, identify sharp,
-smooth and symplectic, recover-support with exit 0 and exit 3, rates with
-and without --plan, verify, and a few usage and I/O refusals) as child
-processes in OUTDIR with one BLAS thread.  It prints one line per command
+The script writes its input supports with SRC's own presets and formats, and
+two windows as plain JSON (one whose G(c) overflows, and all ones), then runs
+every opsample subcommand and mode (gen-window full and spark_k, spark,
+rectify, simulate plain, chirped and from --eta, identify sharp, smooth and
+symplectic, recover-support with exit 0 and exit 3, rates with and without
+--plan, verify, every command that reads the overflowing window, a spark-2
+window, and a few usage and I/O refusals) as child processes in OUTDIR with
+one BLAS thread.  It prints one line per command
 (exit code and SHA-256 of stdout and stderr), then one SHA-256 line per
 file left in OUTDIR, so two trees that behave alike give identical output:
 
@@ -45,13 +47,23 @@ SUPPORTS = {
     "small.json": "CellSupport(T=1.0, L=3, P=4, mask=small_mask)",
 }
 
+#: input windows, written as plain JSON: G(c) of the first overflows, the second has spark 2
+WINDOWS = {
+    "huge.json": {"L": 3, "weights": [[1.7e308, 1.7e308]] * 3, "seed": None},
+    "ones3.json": {"L": 3, "weights": [[1.0, 0.0]] * 3, "seed": None},
+}
+
 SETUP = f"""
+import json
 import numpy as np
 from opsample import CellSupport, presets, formats
 small_mask = np.zeros((12, 12), dtype=bool)
 small_mask[0:2, 0:3] = True
 for name, expr in {SUPPORTS!r}.items():
     formats.save_support(eval(expr), name)
+for name, payload in {WINDOWS!r}.items():
+    with open(name, "w") as fh:
+        json.dump(payload, fh)
 """
 
 #: the script: one argv per command, run as `python -m opsample.cli ARGV`
@@ -141,6 +153,18 @@ COMMANDS = [
     "verify --support band.json --window w3.json --seed 21",
     "verify --support two5.json --window w5.json --seed 22",
     "verify --support three6.json --window w6.json --seed 23 --tol 1e-20",
+    # a window whose G(c) overflows: refused where each command reads G(c) or the response
+    "spark --window huge.json --matrix-out G_huge.csv",
+    "identify --zak zak_seven.csv --window huge.json --support seven.json"
+    " --eta-out hat_huge.csv",
+    "recover-support --zak zak_seven.csv --window huge.json --kmax 2 --eta-out hat_huge2.csv",
+    "verify --support seven.json --window huge.json --seed 11",
+    "simulate --support seven.json --window huge.json --seed 11 --zak-out zak_huge.csv",
+    "rates --support seven.json --window huge.json",
+    # the all-ones window: spark 2, so the seven-cell support's classes are rank deficient
+    "spark --window ones3.json",
+    "identify --zak zak_seven.csv --window ones3.json --support seven.json"
+    " --eta-out hat_ones.csv",
     # refusals: usage (exit 2) and I/O (exit 4)
     "gen-window --L 3 --out w_noseed.json",
     "identify --zak zak_seven.csv --window w3.json --support seven.json --eps 0.125",
