@@ -29,21 +29,30 @@ All three known-support formulas are this one solve on the exact grid:
 
 A recovery returns what it recovered and takes no ground truth: scoring an
 estimate against a known eta is channel.relative_l2_error.
+
+What a solve derives from the window and support alone is planned once, as
+read-only tables in a functools.lru_cache of channel.PLAN_CACHE entries keyed by
+the frozen objects themselves (identity): per (G, S) the classes, left inverses,
+gather and read-off tables (_known_plan); per (S, kappa) S~ and its shear tables
+(_shear_plan), so S~'s plan is reused; per S h's origin phases (_origin_phases).
+A plan keeps the bits of the unplanned arithmetic; a refusal is not remembered.
 """
 
+import functools
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (
+    PLAN_CACHE,
     DiscreteSpreadingFunction,
     _check_chirp_grid,
     _chirp_kappa,
     _chirp_phase,
     _lag_kernel,
     _unit_phase,
-    _zak_vectors,
+    _zak_gather,
 )
 from .errors import (
     GridMismatch,
@@ -138,38 +147,68 @@ def _validate_grids(Zgrid, G, S):
     return Zgrid
 
 
-def recover_eta_known_support(Zgrid, G, S):
-    """Recover eta on the known support S from the Zak grid of Hg.
-
-    Solves one restricted system per rectification class at each base-rectangle
-    subcell into X[q, m, u, v], then reads eta off X at the stored subcells of S
-    with the two root-of-unity phases of the module docstring.  The fold is read
-    from S.subcells, once per mask row (k, q, u) and column (m, v), and a stored
-    subcell's flat index into X is its row's part plus its column's.  The formula
-    tag is "sharp" for single-class supports and "multiclass" otherwise.  Raises
-    NotIdentifiable when S violates the fold conditions.
-    """
-    Zgrid = _validate_grids(Zgrid, G, S)
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _known_plan(G, S):
+    """Read-only (G, S) tables: per class its left inverse, Zak gather and targets in X, the
+    condition numbers, and the read-off (fold read once per mask row and column)."""
     L, P = S.L, S.P
-    X = np.zeros((L * L, P * P), dtype=complex)  # X[q*L + m, u*P + v]
-    conds = []
+    classes, conds = [], []
     for cls in rectify(S).classes:
         if not cls.cells:
             continue
         inv = left_inverse(G, cls.cells, S.omega)
         conds.append(inv.condition_number)
         points = np.flatnonzero(cls.points)
-        z = _zak_vectors(Zgrid, *np.divmod(points, P), L, P)
+        gather, phase = _zak_gather(*np.divmod(points, P), L, P)
         q, m = np.array(inv.gamma).T
-        X[(q * L + m)[:, None], points] = inv.coefficients @ z
+        target = (q * L + m)[:, None] * (P * P) + points
+        classes.append((inv.coefficients, gather, phase, target))
     rows, cols, k, i, j = S.subcells
     (q, u), (m, v) = np.divmod(i, P), np.divmod(j, P)
     flat = (q * (L * P * P) + u * P)[rows] + (m * (P * P) + v)[cols]
     q, k, v, j = q[rows], k[rows], v[cols], j[cols]
+    read_off = (flat, _unit_phase(v * q, L * P), _unit_phase(j * k, P))
+    for a in (*(a for cls in classes for a in cls), *read_off):
+        a.flags.writeable = False
+    return tuple(classes), tuple(conds), *read_off
+
+
+def _solve(Zgrid, G, S):
+    """eta's values (a fresh array) and a new condition list from a validated Zak grid."""
+    classes, conds, flat, row_phase, col_phase = _known_plan(G, S)
+    z = np.ravel(Zgrid)
+    X = np.zeros(S.L * S.L * S.P * S.P, dtype=complex)  # X[q*L + m, u*P + v], flat
+    for coefficients, gather, phase, target in classes:
+        X[target] = coefficients @ (z[gather] * phase)
     values = np.zeros(S.mask.shape, dtype=complex)
-    values[S.mask] = _unit_phase(v * q, L * P) * X.ravel()[flat] * _unit_phase(j * k, P)
+    values[S.mask] = row_phase * X[flat] * col_phase
+    return values, list(conds)
+
+
+def recover_eta_known_support(Zgrid, G, S):
+    """Recover eta on the known support S from the Zak grid of Hg.
+
+    Solves one restricted system per rectification class at each base-rectangle
+    subcell into X[q, m, u, v], then reads eta off X at the stored subcells of S
+    with the two root-of-unity phases of the module docstring, by the (G, S) plan
+    remembered for the last PLAN_CACHE pairs.  The formula tag is "sharp" for
+    single-class supports and "multiclass" otherwise.  Raises NotIdentifiable
+    when S violates the fold conditions.
+    """
+    values, conds = _solve(_validate_grids(Zgrid, G, S), G, S)
     eta_hat = DiscreteSpreadingFunction(support=S, values=values)
     return ReconstructionReport(eta_hat, conds, "sharp" if len(conds) <= 1 else "multiclass")
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _origin_phases(S):
+    """reconstruct_h_sharp's read-only (rows, cols) table dnu*N*exp(-2*pi*i*(j0+s)*I_r/N)."""
+    N = S.L * S.P * S.P
+    (i0, j0), (rows, cols) = S.offsets, S.mask.shape
+    origin = _unit_phase(-np.multiply.outer(i0 + np.arange(rows), j0 + np.arange(cols)), N)
+    origin *= S.dnu * N
+    origin.flags.writeable = False
+    return origin
 
 
 def reconstruct_h_sharp(report):
@@ -179,19 +218,15 @@ def reconstruct_h_sharp(report):
     every lag d.  Row r is moved to absolute x by a phase, not a roll: its
     samples are first multiplied by exp(-2*pi*i*(j0+s)*I_r/N), I_r = i0 + r,
     an exact root of unity read from the one table.  The scale dnu*N rides on
-    that (rows, cols) origin phase, so h is a zero fill, the folded lines and
-    one in-place inverse DFT, with no further pass over the output.  Rows
+    that (rows, cols) origin phase, remembered per support for the last
+    PLAN_CACHE supports (_origin_phases), so h is a zero fill, the folded lines
+    and one in-place inverse DFT, with no further pass over the output.  Rows
     follow the stored t-rows of eta_hat, columns the x-superperiod grid
     (length N = L*P^2, step T/P), so row r equals impulse_response(eta_hat, x, t_r).
     """
     eta = report.eta_hat
     S = eta.support
-    N = S.L * S.P * S.P
-    (i0, j0), (rows, cols) = S.offsets, eta.values.shape
-    origin = _unit_phase(-np.multiply.outer(i0 + np.arange(rows), j0 + np.arange(cols)), N)
-    origin *= S.dnu * N
-    origin *= eta.values
-    return _lag_kernel(S, origin, N)
+    return _lag_kernel(S, _origin_phases(S) * eta.values, S.L * S.P * S.P)
 
 
 @dataclass(eq=False)
@@ -289,7 +324,8 @@ def recover_symplectic(Zgrid, G, S, a):
     phase and a shift along nu, see the module docstring), recovers eta~ on the
     sheared support, and shears back.  Needs kappa = L*T*a integer (the shear
     moves the nu grid by kappa subcells per t step) and a canonically placed
-    support.  Every phase and index depends on kappa only modulo 2*L*P^2.
+    support.  Every phase and index depends on kappa only modulo 2*L*P^2.  S~ and
+    its tables are remembered per (S, kappa) for the last PLAN_CACHE pairs.
     """
     L, P = S.L, S.P
     LP = L * P
@@ -298,28 +334,32 @@ def recover_symplectic(Zgrid, G, S, a):
         raise InvalidParameters(
             "symplectic recovery expects a canonically placed (L*P, L*P) support"
         )
-    N = L * P * P
-    kappa = _chirp_kappa(L, S.T, a) % (2 * N)  # reduced before any integer array product
+    kappa = _chirp_kappa(L, S.T, a) % (2 * L * P * P)  # reduced before any integer array product
     _check_chirp_grid(kappa, L, P)
-    i = np.arange(LP)[:, None]
-    j = np.arange(LP)[None, :]
-
-    # de-chirp on the Zak grid: a row phase and a shift along nu (module docstring)
-    s = P // 2 if kappa * L % 2 else 0
-    Zt = _chirp_phase(i, kappa, N).conj() * Zgrid[i, (np.arange(P) + kappa * i + s) % P]
-
-    # sheared support: mask~[i, j~] = mask[i, (j~ + kappa i) mod LP]
-    S_tilde = CellSupport(T=S.T, L=L, P=P, mask=S.mask[i, (j + kappa * i) % LP])
+    S_tilde, chirp, gather, back = _shear_plan(S, kappa)
     try:
-        inner = recover_eta_known_support(Zt, G, S_tilde)
+        values, conds = _solve(chirp.conj() * np.ravel(Zgrid)[gather], G, S_tilde)
     except NotIdentifiable as exc:
         raise ShearNotRectifiable(
             f"sheared support admits no (T, L)-rectification: {exc}"
         ) from exc
+    values = np.ravel(values)[back]
+    values *= chirp
+    eta_hat = DiscreteSpreadingFunction(support=S, values=values)
+    return ReconstructionReport(eta_hat, conds, "symplectic")
 
-    # shear back: eta[i, j] = e^{+pi i a t_i^2 / T} eta~[i, (j - kappa i) mod LP]
-    values = inner.eta_hat.values[i, (j - kappa * i) % LP]
-    values *= _chirp_phase(i, kappa, N)
-    inner.eta_hat = DiscreteSpreadingFunction(support=S, values=values)
-    inner.formula = "symplectic"
-    return inner
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _shear_plan(S, kappa):
+    """S~ (mask~[i, j] = mask[i, (j + kappa*i) mod L*P]) and read-only tables for
+    recover_symplectic: the row chirp and the flat indices of Z[i, (j + kappa*i + s) mod P]
+    and eta~[i, (j - kappa*i) mod L*P]."""
+    L, P = S.L, S.P
+    LP = L * P
+    i, j = np.ogrid[:LP, :LP]
+    s = P // 2 if kappa * L % 2 else 0
+    chirp = _chirp_phase(i, kappa, L * P * P)
+    gather = i * P + (np.arange(P) + kappa * i + s) % P
+    back = i * LP + (j - kappa * i) % LP
+    chirp.flags.writeable = gather.flags.writeable = back.flags.writeable = False
+    return CellSupport(T=S.T, L=L, P=P, mask=S.mask[i, (j + kappa * i) % LP]), chirp, gather, back

@@ -1,0 +1,54 @@
+"""The pure helpers of tools/bench_pairs.py: run order, quartiles, wins and directions.
+
+No benchmark runs here.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_order_alternates_and_refuses_an_odd_count(pairs):
+    assert pairs.run_order(4) == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent"),
+        (2, "parent"), (2, "change"), (3, "change"), (3, "parent"),
+    ]
+    for n in (0, 1, 3, 11):
+        with pytest.raises(ValueError):
+            pairs.run_order(n)
+
+
+def test_quartiles(pairs):
+    assert pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert pairs.quartiles([1.0, 2.0]) == (1.25, 1.5, 1.75)
+
+
+def test_wins_count_the_better_direction_and_no_ties(pairs):
+    parent, change = [10.0, 10.0, 10.0, 10.0], [9.0, 10.0, 11.0, 8.0]
+    assert pairs.wins(parent, change, "lower") == 2
+    assert pairs.wins(parent, change, "higher") == 1
+    with pytest.raises(ValueError):
+        pairs.wins(parent, change, "smaller")
+    with pytest.raises(ValueError):
+        pairs.wins(parent, change[:3], "lower")
+
+
+def test_directions_follow_the_benchmark_file(pairs, tmp_path):
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps({"end_to_end": [
+        {"name": "op_p50_ms", "better": "lower"}, {"name": "ops_per_s", "better": "higher"},
+    ]}))
+    assert pairs.directions(path) == {"op_p50_ms": "lower", "ops_per_s": "higher"}
+    assert pairs.directions(ROOT / "BENCHMARK.json")["exact_frac"] == "higher"

@@ -1,0 +1,106 @@
+"""Alternating parent/change pairs of benchmark runs, with medians, quartiles and wins.
+
+Usage:
+
+    python3 tools/bench_pairs.py PARENT_ROOT CHANGE_ROOT --workload W --pairs N \\
+        --seconds S --seed0 K
+
+PARENT_ROOT and CHANGE_ROOT are two checkouts (for example `git archive` copies
+of the parent commit and of the change).  Pair k, k = 0..N-1, runs each root's
+own `perfbench/run.py --workload W --seed K+k --seconds S --trace 0` from that
+root, the parent first in even pairs and the change first in odd ones, so N
+must be even and each side runs first equally often.  Every run's metrics are
+printed as one JSON line when it finishes.  Then, for each end-to-end metric
+of CHANGE_ROOT's BENCHMARK.json, one line gives each side's median and
+quartiles and the number of pairs the change won, judged in the metric's
+`better` direction; a tie counts for neither side.  The script writes no file.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_order(pairs):
+    """(pair, side) in run order: the parent first in even pairs, the change first in odd."""
+    if pairs < 2 or pairs % 2:
+        raise ValueError(f"need an even number of pairs >= 2, got {pairs}")
+    return [(k, side) for k in range(pairs) for side in (SIDES if k % 2 == 0 else SIDES[::-1])]
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile), inclusive method (needs two values)."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def wins(parent, change, better):
+    """Pairs in which the change's value beats the parent's in the direction `better`
+    ("lower" or "higher"); equal values count for neither side."""
+    if better not in ("lower", "higher"):
+        raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
+    sign = 1 if better == "higher" else -1
+    return sum(1 for p, c in zip(parent, change, strict=True) if sign * (c - p) > 0)
+
+
+def directions(benchmark_json):
+    """End-to-end metric name -> its `better` direction, in the file's order."""
+    spec = json.loads(Path(benchmark_json).read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def run_once(root, workload, seed, seconds):
+    """One untraced benchmark run in root; returns its last stdout line, parsed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"bench_pairs: {' '.join(cmd)} in {root} exited {done.returncode}:\n"
+                 f"{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_root", type=Path)
+    parser.add_argument("change_root", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed0", type=int, required=True)
+    args = parser.parse_args(argv)
+    try:
+        order = run_order(args.pairs)
+    except ValueError as exc:
+        parser.error(str(exc))
+    better = directions(args.change_root / "BENCHMARK.json")
+    roots = {"parent": args.parent_root, "change": args.change_root}
+
+    values = {side: {name: [None] * args.pairs for name in better} for side in SIDES}
+    for k, side in order:
+        out = run_once(roots[side], args.workload, args.seed0 + k, args.seconds)
+        metrics = {name: m["value"] for name, m in out["metrics"].items()}
+        print(json.dumps({"pair": k, "side": side, "seed": args.seed0 + k,
+                          "attempted": out["attempted"], "failed": out["failed"],
+                          "metrics": metrics}), flush=True)
+        for name in better:
+            values[side][name][k] = metrics[name]
+
+    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, seeds "
+          f"{args.seed0}..{args.seed0 + args.pairs - 1}; median [q1, q3]")
+    for name, direction in better.items():
+        parent, change = values["parent"][name], values["change"][name]
+        (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+        print(f"{name:12s} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
+              f"[{c1:.6g}, {c3:.6g}]  change wins {wins(parent, change, direction)}/"
+              f"{args.pairs} ({direction} is better)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
