@@ -31,8 +31,7 @@ every scatter is one bincount pass per real part (_scatter_add), and the lag
 kernel folds nu-lines by slice additions in the order of s.  Each gives the
 bits of the direct exponential or element-by-element scatter it replaces.
 apply_channel folds and scatters only the mask rows that hold an active
-subcell; the other rows would add only +-0 terms.  Those rows and their scatter
-index are remembered in a functools.lru_cache of PLAN_CACHE supports (identity keys).
+subcell; the other rows would add only +-0 terms.
 """
 
 import functools
@@ -64,9 +63,6 @@ __all__ = [
     "quasiperiodize",
     "assemble_system",
 ]
-
-#: entries each solve-plan cache keeps (channel._scatter_plan and reconstruct's plans)
-PLAN_CACHE = 8
 
 
 @functools.lru_cache(maxsize=16)
@@ -294,18 +290,11 @@ def _lag_kernel(S, values, lags):
     return V
 
 
-def _zak_gather(u, v, L, P):
-    """Flat indices of Z[u + p*P, v] in a C-ordered (L*P, P) grid and the phases
-    exp(-2*pi*i*v*p/(L*P)), p = 0..L-1 on axis 0, of _zak_vectors."""
-    p = np.arange(L)
-    return np.add.outer(p * P, u) * P + v, _unit_phase(-np.multiply.outer(p, v), L * P)
-
-
-def _zak_vectors(Zgrid, u, v, L, P):
-    """Z-vectors Z[u + p*P, v] * exp(-2*pi*i*v*p/(L*P)), p = 0..L-1, stacked on
-    axis 0 for base points (u, v) (scalars or matching index arrays)."""
-    index, phase = _zak_gather(u, v, L, P)
-    return np.ravel(Zgrid)[index] * phase
+def _zak_vectors(Zgrid, L, P):
+    """Z-vectors of every base point (u, v), as the (L, P^2) matrix whose column u*P + v is
+    Z[u + p*P, v] * exp(-2*pi*i*v*p/(L*P)), p = 0..L-1: one product with an (L, P) table."""
+    phase = _unit_phase(-np.multiply.outer(np.arange(L), np.arange(P)), L * P)
+    return (np.reshape(Zgrid, (L, P, P)) * phase[:, None, :]).reshape(L, P * P)
 
 
 def impulse_response(eta, x, t):
@@ -337,7 +326,6 @@ def apply_channel(eta, g):
     hold an active subcell are folded, transformed and scattered, each its
     L*P terms at once: any other row's terms are +-0, and adding them to a
     bincount sum, which starts at +0.0 and is never -0.0, changes no bit.
-    The rows and scatter index are remembered for the last PLAN_CACHE supports.
     """
     S = eta.support
     if not isinstance(g, IdentifierTrain):
@@ -349,23 +337,15 @@ def apply_channel(eta, g):
     _check_chirp_grid(g.chirp_kappa(), S.L, S.P)
 
     L, P = S.L, S.P
-    rows, index = _scatter_plan(S)
-    values = eta.values if rows is None else eta.values[rows]
+    N = L * P * P
+    n = np.arange(L * P)
+    rows = np.flatnonzero(S.mask.any(axis=1))  # the rows with an active subcell
+    values = eta.values if rows.size == len(S.mask) else eta.values[rows]  # all active: no copy
     h = _lag_kernel(S, values, L * P)
     h *= S.dnu * (L * P)
-    out = _scatter_add((L * P * P,), index, g.effective_weights(np.arange(L * P)) * h)
+    index = np.add.outer(S.offsets[0] + rows, n * P) % N
+    out = _scatter_add((N,), index, g.effective_weights(n) * h)
     return ChannelResponse(samples=out, T=S.T, L=L, P=P)
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE)
-def _scatter_plan(S):
-    """apply_channel's read-only tables: the rows of S with an active subcell (None when
-    all have one: no copy) and the response index (i0 + r + n*P) mod L*P^2, n < L*P."""
-    L, P = S.L, S.P
-    rows = np.flatnonzero(S.mask.any(axis=1))
-    index = np.add.outer(S.offsets[0] + rows, np.arange(L * P) * P) % (L * P * P)
-    rows.flags.writeable = index.flags.writeable = False
-    return (None if rows.size == len(S.mask) else rows), index
 
 
 def zak_transform(f):
@@ -434,4 +414,4 @@ def assemble_system(eta_qp, Zgrid, G, t, nu, T):
     omega = 1.0 / (T * L)
     q, m = np.divmod(np.arange(L * L).reshape((-1,) + (1,) * t.ndim), L)
     eta_vec = omega * eta_qp[t + q * P, nu + m * P] * _unit_phase(-(nu * q + q * m * P), L * P)
-    return SystemSample(z=_zak_vectors(Zgrid, t, nu, L, P), eta_vec=eta_vec)
+    return SystemSample(z=np.take(_zak_vectors(Zgrid, L, P), t * P + nu, axis=1), eta_vec=eta_vec)

@@ -30,29 +30,28 @@ All three known-support formulas are this one solve on the exact grid:
 A recovery returns what it recovered and takes no ground truth: scoring an
 estimate against a known eta is channel.relative_l2_error.
 
-What a solve derives from the window and support alone is planned once, as
-read-only tables in a functools.lru_cache of channel.PLAN_CACHE entries keyed by
-the frozen objects themselves (identity): per (G, S) the classes, left inverses,
-gather and read-off tables (_known_plan); per (S, kappa) S~ and its shear tables
-(_shear_plan), so S~'s plan is reused; per S h's origin phases (_origin_phases).
-A plan keeps the bits of the unplanned arithmetic; a refusal is not remembered.
+A solve rectifies S every time and remembers, for the last PLAN_CACHE supports
+(_plan_cache), what depends on S and the window alone: per (S, G) the read-off
+tables and each class's left inverse, and per (S, kappa) S~ and its shear
+tables.  S is held weakly, so they go when it dies; every remembered array is
+read-only, and a refusal is not remembered.
 """
 
-import functools
 import numbers
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (
-    PLAN_CACHE,
     DiscreteSpreadingFunction,
     _check_chirp_grid,
     _chirp_kappa,
     _chirp_phase,
     _lag_kernel,
     _unit_phase,
-    _zak_gather,
+    _zak_vectors,
 )
 from .errors import (
     GridMismatch,
@@ -76,6 +75,9 @@ __all__ = [
     "recover_eta_smooth",
     "recover_symplectic",
 ]
+
+#: supports each solve-plan cache remembers (_plan_cache)
+PLAN_CACHE = 8
 
 
 @dataclass(eq=False)
@@ -147,42 +149,65 @@ def _validate_grids(Zgrid, G, S):
     return Zgrid
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE)
-def _known_plan(G, S):
-    """Read-only (G, S) tables: per class its left inverse, Zak gather and targets in X, the
-    condition numbers, and the read-off (fold read once per mask row and column)."""
+def _plan_cache(build):
+    """Remember build(S, *rest), under a lock, for the last PLAN_CACHE supports S.  S is
+    held weakly, by identity, and its plans go when it dies, so no plan may refer to S."""
+    plans = weakref.WeakKeyDictionary()  # S -> {rest: plan}, least recently used first
+    lock = threading.Lock()
+
+    def cached(S, *rest):
+        with lock:
+            plans[S] = entry = plans.pop(S, {})
+            if rest not in entry:
+                entry[rest] = build(S, *rest)
+            if len(plans) > PLAN_CACHE:
+                del plans[next(iter(plans))]
+            return entry[rest]
+
+    return cached
+
+
+@_plan_cache
+def _known_plan(S, G):
+    """The solve plan of (S, G): S's read-only read-off tables (the flat index into X of each
+    stored subcell, the fold read once per mask row and column, and its row and column
+    phases) and a dict that keeps each class's left inverse by Gamma once it is computed."""
     L, P = S.L, S.P
-    classes, conds = [], []
-    for cls in rectify(S).classes:
-        if not cls.cells:
-            continue
-        inv = left_inverse(G, cls.cells, S.omega)
-        conds.append(inv.condition_number)
-        points = np.flatnonzero(cls.points)
-        gather, phase = _zak_gather(*np.divmod(points, P), L, P)
-        q, m = np.array(inv.gamma).T
-        target = (q * L + m)[:, None] * (P * P) + points
-        classes.append((inv.coefficients, gather, phase, target))
     rows, cols, k, i, j = S.subcells
     (q, u), (m, v) = np.divmod(i, P), np.divmod(j, P)
     flat = (q * (L * P * P) + u * P)[rows] + (m * (P * P) + v)[cols]
     q, k, v, j = q[rows], k[rows], v[cols], j[cols]
-    read_off = (flat, _unit_phase(v * q, L * P), _unit_phase(j * k, P))
-    for a in (*(a for cls in classes for a in cls), *read_off):
+    tables = flat, _unit_phase(v * q, L * P), _unit_phase(j * k, P)
+    for a in tables:
         a.flags.writeable = False
-    return tuple(classes), tuple(conds), *read_off
+    return *tables, {}
 
 
 def _solve(Zgrid, G, S):
-    """eta's values (a fresh array) and a new condition list from a validated Zak grid."""
-    classes, conds, flat, row_phase, col_phase = _known_plan(G, S)
-    z = np.ravel(Zgrid)
-    X = np.zeros(S.L * S.L * S.P * S.P, dtype=complex)  # X[q*L + m, u*P + v], flat
-    for coefficients, gather, phase, target in classes:
-        X[target] = coefficients @ (z[gather] * phase)
+    """eta's values (a fresh array) and the class condition numbers from a validated Zak grid."""
+    L, P = S.L, S.P
+    classes = rectify(S).classes
+    flat, row_phase, col_phase, inverses = _known_plan(S, G)
+    Zv = _zak_vectors(Zgrid, L, P)
+    X = np.zeros((L * L, P * P), dtype=complex)  # X[q*L + m, u*P + v]
+    conds = []
+    for cls in classes:
+        if not cls.cells:
+            continue
+        inv = inverses.get(cls.cells)
+        if inv is None:  # a RankDeficient refusal raises here and is not kept
+            inv = left_inverse(G, cls.cells, S.omega)
+            inv.coefficients.flags.writeable = False
+            inverses[cls.cells] = inv
+        conds.append(inv.condition_number)
+        points = np.flatnonzero(cls.points)
+        q, m = np.array(inv.gamma).T
+        # np.take keeps the columns C-ordered (Zv[:, points] may not), so the product
+        # takes the BLAS path, and gives the bits, of a freshly gathered matrix
+        X[(q * L + m)[:, None], points] = inv.coefficients @ np.take(Zv, points, axis=1)
     values = np.zeros(S.mask.shape, dtype=complex)
-    values[S.mask] = row_phase * X[flat] * col_phase
-    return values, list(conds)
+    values[S.mask] = row_phase * X.ravel()[flat] * col_phase
+    return values, conds
 
 
 def recover_eta_known_support(Zgrid, G, S):
@@ -190,25 +215,15 @@ def recover_eta_known_support(Zgrid, G, S):
 
     Solves one restricted system per rectification class at each base-rectangle
     subcell into X[q, m, u, v], then reads eta off X at the stored subcells of S
-    with the two root-of-unity phases of the module docstring, by the (G, S) plan
-    remembered for the last PLAN_CACHE pairs.  The formula tag is "sharp" for
-    single-class supports and "multiclass" otherwise.  Raises NotIdentifiable
-    when S violates the fold conditions.
+    with the two root-of-unity phases of the module docstring.  S is rectified
+    on every call; the read-off tables and each class's left inverse are kept
+    per (S, G) for the last PLAN_CACHE supports.  The formula tag is "sharp"
+    for single-class supports and "multiclass" otherwise.  Raises
+    NotIdentifiable when S violates the fold conditions.
     """
     values, conds = _solve(_validate_grids(Zgrid, G, S), G, S)
     eta_hat = DiscreteSpreadingFunction(support=S, values=values)
     return ReconstructionReport(eta_hat, conds, "sharp" if len(conds) <= 1 else "multiclass")
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE)
-def _origin_phases(S):
-    """reconstruct_h_sharp's read-only (rows, cols) table dnu*N*exp(-2*pi*i*(j0+s)*I_r/N)."""
-    N = S.L * S.P * S.P
-    (i0, j0), (rows, cols) = S.offsets, S.mask.shape
-    origin = _unit_phase(-np.multiply.outer(i0 + np.arange(rows), j0 + np.arange(cols)), N)
-    origin *= S.dnu * N
-    origin.flags.writeable = False
-    return origin
 
 
 def reconstruct_h_sharp(report):
@@ -218,15 +233,19 @@ def reconstruct_h_sharp(report):
     every lag d.  Row r is moved to absolute x by a phase, not a roll: its
     samples are first multiplied by exp(-2*pi*i*(j0+s)*I_r/N), I_r = i0 + r,
     an exact root of unity read from the one table.  The scale dnu*N rides on
-    that (rows, cols) origin phase, remembered per support for the last
-    PLAN_CACHE supports (_origin_phases), so h is a zero fill, the folded lines
-    and one in-place inverse DFT, with no further pass over the output.  Rows
+    that (rows, cols) origin phase, so h is a zero fill, the folded lines and
+    one in-place inverse DFT, with no further pass over the output.  Rows
     follow the stored t-rows of eta_hat, columns the x-superperiod grid
     (length N = L*P^2, step T/P), so row r equals impulse_response(eta_hat, x, t_r).
     """
     eta = report.eta_hat
     S = eta.support
-    return _lag_kernel(S, _origin_phases(S) * eta.values, S.L * S.P * S.P)
+    N = S.L * S.P * S.P
+    (i0, j0), (rows, cols) = S.offsets, eta.values.shape
+    origin = _unit_phase(-np.multiply.outer(i0 + np.arange(rows), j0 + np.arange(cols)), N)
+    origin *= S.dnu * N
+    origin *= eta.values
+    return _lag_kernel(S, origin, N)
 
 
 @dataclass(eq=False)
@@ -325,7 +344,7 @@ def recover_symplectic(Zgrid, G, S, a):
     sheared support, and shears back.  Needs kappa = L*T*a integer (the shear
     moves the nu grid by kappa subcells per t step) and a canonically placed
     support.  Every phase and index depends on kappa only modulo 2*L*P^2.  S~ and
-    its tables are remembered per (S, kappa) for the last PLAN_CACHE pairs.
+    its tables are remembered per (S, kappa) for the last PLAN_CACHE supports.
     """
     L, P = S.L, S.P
     LP = L * P
@@ -343,13 +362,11 @@ def recover_symplectic(Zgrid, G, S, a):
         raise ShearNotRectifiable(
             f"sheared support admits no (T, L)-rectification: {exc}"
         ) from exc
-    values = np.ravel(values)[back]
-    values *= chirp
-    eta_hat = DiscreteSpreadingFunction(support=S, values=values)
+    eta_hat = DiscreteSpreadingFunction(support=S, values=np.ravel(values)[back] * chirp)
     return ReconstructionReport(eta_hat, conds, "symplectic")
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE)
+@_plan_cache
 def _shear_plan(S, kappa):
     """S~ (mask~[i, j] = mask[i, (j + kappa*i) mod L*P]) and read-only tables for
     recover_symplectic: the row chirp and the flat indices of Z[i, (j + kappa*i + s) mod P]

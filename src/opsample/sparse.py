@@ -130,8 +130,7 @@ def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None):
     L, P = R.L, R.P
     Zgrid = _validate_grids(Zgrid, G, R)
     gabor._check_search_limit(L)
-    u, v = np.divmod(np.arange(P * P), P)
-    Y = _zak_vectors(Zgrid, u, v, L, P)
+    Y = _zak_vectors(Zgrid, L, P)
 
     est = mmv_omp(Y, G, k_max, tol, candidates=R.cells)
     if not est.converged:

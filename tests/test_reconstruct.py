@@ -28,7 +28,7 @@ from opsample import (
     relative_l2_error,
     zak_transform,
 )
-from opsample.channel import _unit_phase, _zak_vectors
+from opsample.channel import _unit_phase
 from opsample.reconstruct import (
     _plateau,
     left_inverse,
@@ -181,7 +181,9 @@ def _four_d_read_off(Zgrid, G, S):
             inv = left_inverse(G, cls.cells, S.omega)
             us, vs = np.nonzero(cls.points)
             q, m = np.array(inv.gamma).T[:, :, None]
-            X[q, m, us, vs] = inv.coefficients @ _zak_vectors(Zgrid, us, vs, L, P)
+            p = np.arange(L)  # the Z-vectors of the class's points, gathered one by one
+            z = Zgrid[np.add.outer(p * P, us), vs] * _unit_phase(-np.multiply.outer(p, vs), LP)
+            X[q, m, us, vs] = inv.coefficients @ z
     rows, cols = np.nonzero(S.mask)
     k, i = np.divmod(S.offsets[0] + rows, LP)
     j = (S.offsets[1] + cols) % LP

@@ -1,10 +1,12 @@
-"""Solve plans: what a recovery remembers per (window, support) keeps the bits of a cold solve.
+"""Solve plans: the tables a recovery remembers per support keep the bits of a cold solve.
 
 Every "cold" solve runs on fresh Window(L, weights) and CellSupport objects built
 from the same inputs, so no remembered table can reach it.
 """
 
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -23,8 +25,7 @@ from opsample import (
     random_spreading,
     zak_transform,
 )
-from opsample import channel, reconstruct
-from opsample.channel import PLAN_CACHE
+from opsample import reconstruct
 from opsample.presets import (
     seven_cell_support,
     sheared_parallelogram_support,
@@ -33,6 +34,7 @@ from opsample.presets import (
     translate_collision_support,
 )
 from opsample.reconstruct import (
+    PLAN_CACHE,
     recover_eta_known_support,
     recover_eta_smooth,
     recover_symplectic,
@@ -71,6 +73,11 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def _phase_tables(calls, *denominators):
+    """How many reconstruct._unit_phase calls built a table of one of these denominators."""
+    return sum(args[1] in denominators for args in calls)
+
+
 @pytest.mark.parametrize(
     "make_support, classes",
     [
@@ -80,14 +87,19 @@ def _counting(monkeypatch, module, name):
     ],
     ids=["seven-cell", "shifted-staircase", "parallelogram"],
 )
-def test_three_solves_plan_once_and_keep_the_cold_bits(monkeypatch, make_support, classes):
+def test_solves_on_one_support_share_one_plan_and_keep_the_cold_bits(
+    monkeypatch, make_support, classes
+):
     S, G = make_support(), generate_window(3, seed=70)
     rectified = _counting(monkeypatch, reconstruct, "rectify")
     inverted = _counting(monkeypatch, reconstruct, "left_inverse")
+    phases = _counting(monkeypatch, reconstruct, "_unit_phase")
     Zs = [_zak(S, G, seed)[1] for seed in (71, 72, 73)]
     reports = [recover_eta_known_support(Z, G, S) for Z in Zs]
     smooth = recover_eta_smooth(Zs[0], G, S, S.dt)
-    assert len(rectified) == 1 and len(inverted) == classes
+    # every solve rectifies; the classes are inverted and the read-off phases built once
+    assert len(rectified) == 4 and len(inverted) == classes
+    assert _phase_tables(phases, S.L * S.P, S.P) == 2
     for Z, report in zip(Zs, reports):
         cold = recover_eta_known_support(Z, _fresh_window(G), _fresh_support(S))
         assert report.eta_hat.values.tobytes() == cold.eta_hat.values.tobytes()
@@ -105,7 +117,9 @@ def test_symplectic_builds_the_sheared_support_once(monkeypatch, kappa):
     S, G = sheared_parallelogram_support(P=8, shear=kappa), generate_window(3, seed=75)
     a = kappa * S.omega
     built = _counting(monkeypatch, reconstruct, "CellSupport")
+    chirps = _counting(monkeypatch, reconstruct, "_chirp_phase")
     rectified = _counting(monkeypatch, reconstruct, "rectify")
+    spreading = _counting(monkeypatch, reconstruct, "DiscreteSpreadingFunction")
     for seed in (76, 77):
         eta, Z = _zak(S, G, seed, chirp_a=a)
         report = recover_symplectic(Z, G, S, a)
@@ -114,14 +128,15 @@ def test_symplectic_builds_the_sheared_support_once(monkeypatch, kappa):
         assert report.formula == "symplectic" and report.eta_hat.support is S
         assert report.per_class_conditioning == cold.per_class_conditioning
         assert np.max(np.abs(report.eta_hat.values - eta.values)) <= 1e-12
-    assert len(built) == 1 + 2  # S~ once for S, once per cold support
-    assert len(rectified) == 1 + 2
+    assert len(built) == len(chirps) == 1 + 2  # S~ once for S, once per cold support
+    assert len(rectified) == 4  # S~ is rectified on every solve
+    assert len(spreading) == 4  # one spreading function per public call
 
 
 def test_apply_channel_and_h_sharp_on_a_reused_support_keep_the_cold_bits():
     collision = translate_collision_support(P=8)
     translate = collision.mask.copy()
-    translate[:8] = False  # rows without an active subcell: the plan keeps a row list
+    translate[:8] = False  # rows without an active subcell
     for S in (CellSupport(T=1.0, L=3, P=8, mask=translate), seven_cell_support(P=8),
               _shifted_staircase()):
         G = generate_window(3, seed=78)
@@ -158,15 +173,13 @@ def test_refusals_are_not_remembered(monkeypatch):
     assert len(rectified) == 6
 
 
-def _plan_arrays(G, S, kappa):
-    classes, _, *read_off = reconstruct._known_plan(G, S)
+def _plan_arrays(S, G, kappa):
     S_tilde, *shear = reconstruct._shear_plan(S, kappa)
-    rows, index = channel._scatter_plan(S)
-    yield from (a for cls in classes for a in cls)
-    yield from read_off
+    for plan in (reconstruct._known_plan(S, G), reconstruct._known_plan(S_tilde, G)):
+        *read_off, inverses = plan
+        yield from read_off
+        yield from (inv.coefficients for inv in inverses.values())
     yield from shear
-    yield from (rows, index) if rows is not None else (index,)
-    yield reconstruct._origin_phases(S)
     yield S_tilde.mask
 
 
@@ -175,8 +188,9 @@ def test_remembered_arrays_are_read_only():
     eta, Z = _zak(S, G, 83, chirp_a=S.omega)
     recover_symplectic(Z, G, S, S.omega)
     reconstruct_h_sharp(recover_eta_known_support(Z, G, S))
-    arrays = list(_plan_arrays(G, S, 1))
-    assert len(arrays) == 2 * 4 + 3 + 3 + 1 + 1 + 1
+    arrays = list(_plan_arrays(S, G, 1))
+    # read-off 3 + 2 classes for S, 3 + 1 class for S~, shear 3, the mask of S~
+    assert len(arrays) == 5 + 4 + 3 + 1
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -189,13 +203,54 @@ def _every_path(S, G):
     recover_symplectic(Z, G, S, S.omega)
 
 
-def test_a_support_pushed_out_of_the_caches_is_freed():
+def test_a_dead_support_takes_its_tables_with_it():
     G = generate_window(3, seed=85)
     first = sheared_parallelogram_support(P=4)
     _every_path(first, G)
-    ref = weakref.ref(first)
+    tables = [weakref.ref(a) for a in _plan_arrays(first, G, 1)]
+    support = weakref.ref(first)
     del first
-    for _ in range(PLAN_CACHE):
-        _every_path(sheared_parallelogram_support(P=4), G)
     gc.collect()
-    assert ref() is None
+    assert support() is None and all(ref() is None for ref in tables)
+
+
+def test_the_plans_hold_the_last_PLAN_CACHE_supports():
+    G = generate_window(3, seed=86)
+    supports = [staircase_support(P=4) for _ in range(PLAN_CACHE + 1)]
+    plans = [reconstruct._known_plan(S, G) for S in supports[:PLAN_CACHE]]
+    assert reconstruct._known_plan(supports[0], G) is plans[0]  # a hit makes it the most recent
+    reconstruct._known_plan(supports[PLAN_CACHE], G)  # pushes out supports[1], the least recent
+    assert reconstruct._known_plan(supports[0], G) is plans[0]
+    assert reconstruct._known_plan(supports[1], G) is not plans[1]
+
+
+def test_threads_sharing_the_plans_get_the_cold_bits():
+    G = generate_window(3, seed=87)
+    supports = [sheared_parallelogram_support(P=4) for _ in range(PLAN_CACHE + 3)]
+    cases = [(S, *_zak(S, G, 88)) for S in supports]
+    want = [recover_eta_known_support(Z, _fresh_window(G), _fresh_support(S)).eta_hat.values
+            for S, _, Z in cases]
+    errors = []
+
+    def work(offset):
+        try:
+            for n in range(60):
+                k = (offset + n) % len(cases)
+                S, _, Z = cases[k]
+                got = recover_eta_known_support(Z, G, S).eta_hat.values
+                if got.tobytes() != want[k].tobytes():
+                    errors.append(f"support {k} changed its bits")
+        except Exception as exc:  # reported by the assertion below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
