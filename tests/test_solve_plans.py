@@ -165,7 +165,7 @@ def test_refusals_are_not_remembered(monkeypatch):
     for _ in range(2):
         with pytest.raises(RankDeficient):
             recover_eta_known_support(np.zeros((12, 4)), degenerate, parallel)
-    assert len(rectified) == 4
+    assert len(rectified) == 4 and reconstruct._known_plan(parallel, degenerate)[-1] == {}
     unrectifiable = CellSupport(T=1.0, L=3, P=8, cells=[(0, 0), (0, 1), (0, 2), (1, 0)])
     for _ in range(2):
         with pytest.raises(ShearNotRectifiable):
