@@ -153,8 +153,22 @@ class DiscreteSpreadingFunction:
         object.__setattr__(self, "values", values)  # frozen: set once, here
 
 
+def _fresh_spreading(S, values):
+    """DiscreteSpreadingFunction(S, values) for a complex array of S.mask's shape that the
+    package has just built, zero off the mask by construction and held by nothing else: frozen
+    in place, without __post_init__'s copy and off-mask scan, and refused if non-finite."""
+    if not np.isfinite(values).all():
+        raise InvalidParameters("spreading values must be finite")
+    values.flags.writeable = False
+    eta = object.__new__(DiscreteSpreadingFunction)
+    object.__setattr__(eta, "support", S)
+    object.__setattr__(eta, "values", values)
+    return eta
+
+
 def random_spreading(S, seed=None):
-    """Complex standard-normal samples on the active subcells of S (seed: None or int >= 0)."""
+    """Complex standard-normal samples on the active subcells of S (seed: None or int >= 0).
+    The values are zero off the mask by construction: the draw is zeroed there."""
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     shape = S.mask.shape
@@ -162,12 +176,7 @@ def random_spreading(S, seed=None):
     values.real = rng.standard_normal(shape)
     values.imag = rng.standard_normal(shape)
     values[~S.mask] = 0
-    values.flags.writeable = False
-    # fresh, finite and zero off the mask by construction: skip __post_init__'s copy and scan
-    eta = object.__new__(DiscreteSpreadingFunction)
-    object.__setattr__(eta, "support", S)
-    object.__setattr__(eta, "values", values)
-    return eta
+    return _fresh_spreading(S, values)
 
 
 def relative_l2_error(estimate, truth):

@@ -24,7 +24,7 @@ import numpy as np
 from .channel import DiscreteSpreadingFunction
 from .errors import InvalidParameters, MalformedFile, OpSampleError
 from .gabor import Window, _is_integer
-from .support import MAX_LP, CellSupport
+from .support import MAX_LP, CellSupport, _check_grid
 
 #: one body row of a grid CSV, whose field names make the column names line
 _GRID_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
@@ -169,8 +169,7 @@ def _read_grid_csv(fh, zak):
     fields = dict(item.split("=", 1) for item in header[1:].split())
     T, L, P = float(fields["T"]), int(fields["L"]), int(fields["P"])
     shift = (float(fields.get("t0", 0.0)), float(fields.get("nu0", 0.0)))
-    if not (np.isfinite(T) and T > 0 and L >= 1 and P >= 1):
-        raise InvalidParameters("grid header needs finite T > 0, L >= 1, P >= 1")
+    _check_grid(T, L, P)
     _require_grid_size(L, P)
     if fh.readline().strip() != ",".join(_GRID_ROW.names):
         raise InvalidParameters(f"the line after the header must be {','.join(_GRID_ROW.names)}")

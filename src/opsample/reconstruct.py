@@ -30,16 +30,13 @@ All three known-support formulas are this one solve on the exact grid:
 A recovery returns what it recovered and takes no ground truth: scoring an
 estimate against a known eta is channel.relative_l2_error.
 
-A solve rectifies S every time and remembers, for the last PLAN_CACHE supports
-(_plan_cache), what depends on S and the window alone: per (S, G) the read-off
-tables and each class's left inverse, and per (S, kappa) S~ and its shear
-tables.  S is held weakly, so they go when it dies; every remembered array is
-read-only, and a refusal is not remembered.
+A solve rectifies S every time and keeps its plans on S itself (_plan): by S
+alone the read-off tables, by (S, G) each class's left inverse, and by
+(S, kappa) S~ and its shear tables.  No plan refers to S, so they go when S
+dies; every kept array is read-only, and a refusal is not kept.
 """
 
 import numbers
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +46,7 @@ from .channel import (
     _check_chirp_grid,
     _chirp_kappa,
     _chirp_phase,
+    _fresh_spreading,
     _lag_kernel,
     _unit_phase,
     _zak_vectors,
@@ -75,10 +73,6 @@ __all__ = [
     "recover_eta_smooth",
     "recover_symplectic",
 ]
-
-#: supports each solve-plan cache remembers (_plan_cache)
-PLAN_CACHE = 8
-
 
 @dataclass(eq=False)
 class LeftInverse:
@@ -149,29 +143,17 @@ def _validate_grids(Zgrid, G, S):
     return Zgrid
 
 
-def _plan_cache(build):
-    """Remember build(S, *rest), under a lock, for the last PLAN_CACHE supports S.  S is
-    held weakly, by identity, and its plans go when it dies, so no plan may refer to S."""
-    plans = weakref.WeakKeyDictionary()  # S -> {rest: plan}, least recently used first
-    lock = threading.Lock()
-
-    def cached(S, *rest):
-        with lock:
-            plans[S] = entry = plans.pop(S, {})
-            if rest not in entry:
-                entry[rest] = build(S, *rest)
-            if len(plans) > PLAN_CACHE:
-                del plans[next(iter(plans))]
-            return entry[rest]
-
-    return cached
+def _plan(S, key, build, *args):
+    """S's plan under key, built as build(*args) on first use and kept in S._plans, which
+    no plan refers back to.  A build that raises keeps nothing; two threads may both build
+    a first plan, and setdefault keeps one of their results, which hold the same bits."""
+    plan = S._plans.get(key)
+    return plan if plan is not None else S._plans.setdefault(key, build(*args))
 
 
-@_plan_cache
-def _known_plan(S, G):
-    """The solve plan of (S, G): S's read-only read-off tables (the flat index into X of each
-    stored subcell, the fold read once per mask row and column, and its row and column
-    phases) and a dict that keeps each class's left inverse by Gamma once it is computed."""
+def _read_off(S):
+    """S's read-only read-off tables: the flat index into X of each stored subcell (the fold
+    read once per mask row and column) and its row and column phases."""
     L, P = S.L, S.P
     rows, cols, k, i, j = S.subcells
     (q, u), (m, v) = np.divmod(i, P), np.divmod(j, P)
@@ -180,25 +162,29 @@ def _known_plan(S, G):
     tables = flat, _unit_phase(v * q, L * P), _unit_phase(j * k, P)
     for a in tables:
         a.flags.writeable = False
-    return *tables, {}
+    return tables
+
+
+def _class_inverse(G, gamma, omega):
+    """left_inverse(G, gamma, omega) with read-only coefficients, as a plan keeps it."""
+    inv = left_inverse(G, gamma, omega)
+    inv.coefficients.flags.writeable = False
+    return inv
 
 
 def _solve(Zgrid, G, S):
     """eta's values (a fresh array) and the class condition numbers from a validated Zak grid."""
     L, P = S.L, S.P
     classes = rectify(S).classes
-    flat, row_phase, col_phase, inverses = _known_plan(S, G)
+    flat, row_phase, col_phase = _plan(S, "read-off", _read_off, S)
     Zv = _zak_vectors(Zgrid, L, P)
     X = np.zeros((L * L, P * P), dtype=complex)  # X[q*L + m, u*P + v]
     conds = []
     for cls in classes:
         if not cls.cells:
             continue
-        inv = inverses.get(cls.cells)
-        if inv is None:  # a RankDeficient refusal raises here and is not kept
-            inv = left_inverse(G, cls.cells, S.omega)
-            inv.coefficients.flags.writeable = False
-            inverses[cls.cells] = inv
+        # a RankDeficient refusal raises here and is not kept
+        inv = _plan(S, (G, cls.cells), _class_inverse, G, cls.cells, S.omega)
         conds.append(inv.condition_number)
         points = np.flatnonzero(cls.points)
         q, m = np.array(inv.gamma).T
@@ -216,13 +202,14 @@ def recover_eta_known_support(Zgrid, G, S):
     Solves one restricted system per rectification class at each base-rectangle
     subcell into X[q, m, u, v], then reads eta off X at the stored subcells of S
     with the two root-of-unity phases of the module docstring.  S is rectified
-    on every call; the read-off tables and each class's left inverse are kept
-    per (S, G) for the last PLAN_CACHE supports.  The formula tag is "sharp"
-    for single-class supports and "multiclass" otherwise.  Raises
-    NotIdentifiable when S violates the fold conditions.
+    on every call; S keeps its read-off tables, and each class's left inverse per
+    window G, for as long as it lives.  The values are zero off the mask by
+    construction, as they fill only S.mask.  The formula tag is "sharp" for
+    single-class supports and "multiclass" otherwise.  Raises NotIdentifiable
+    when S violates the fold conditions.
     """
     values, conds = _solve(_validate_grids(Zgrid, G, S), G, S)
-    eta_hat = DiscreteSpreadingFunction(support=S, values=values)
+    eta_hat = _fresh_spreading(S, values)
     return ReconstructionReport(eta_hat, conds, "sharp" if len(conds) <= 1 else "multiclass")
 
 
@@ -343,8 +330,9 @@ def recover_symplectic(Zgrid, G, S, a):
     phase and a shift along nu, see the module docstring), recovers eta~ on the
     sheared support, and shears back.  Needs kappa = L*T*a integer (the shear
     moves the nu grid by kappa subcells per t step) and a canonically placed
-    support.  Every phase and index depends on kappa only modulo 2*L*P^2.  S~ and
-    its tables are remembered per (S, kappa) for the last PLAN_CACHE supports.
+    support.  Every phase and index depends on kappa only modulo 2*L*P^2.  S keeps
+    S~ and its tables per kappa, and S~ keeps its own solve plans.  The values are
+    zero off the mask by construction: the shear back maps S~'s mask onto S's.
     """
     L, P = S.L, S.P
     LP = L * P
@@ -355,18 +343,18 @@ def recover_symplectic(Zgrid, G, S, a):
         )
     kappa = _chirp_kappa(L, S.T, a) % (2 * L * P * P)  # reduced before any integer array product
     _check_chirp_grid(kappa, L, P)
-    S_tilde, chirp, gather, back = _shear_plan(S, kappa)
+    S_tilde, chirp, gather, back = _plan(S, kappa, _shear_plan, S, kappa)
     try:
         values, conds = _solve(chirp.conj() * np.ravel(Zgrid)[gather], G, S_tilde)
     except NotIdentifiable as exc:
         raise ShearNotRectifiable(
             f"sheared support admits no (T, L)-rectification: {exc}"
         ) from exc
-    eta_hat = DiscreteSpreadingFunction(support=S, values=np.ravel(values)[back] * chirp)
-    return ReconstructionReport(eta_hat, conds, "symplectic")
+    values = np.ravel(values)[back]  # a fresh gather, so the chirp multiplies it in place
+    values *= chirp
+    return ReconstructionReport(_fresh_spreading(S, values), conds, "symplectic")
 
 
-@_plan_cache
 def _shear_plan(S, kappa):
     """S~ (mask~[i, j] = mask[i, (j + kappa*i) mod L*P]) and read-only tables for
     recover_symplectic: the row chirp and the flat indices of Z[i, (j + kappa*i + s) mod P]

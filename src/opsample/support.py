@@ -20,7 +20,7 @@ set Gamma_j of the restricted linear system the reconstruction module solves.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +64,7 @@ class CellSupport:
     labels are that footprint and are taken as they are (converted to int);
     a nonzero shift or an explicit mask re-folds the mask.  Frozen: the mask
     is a private read-only copy of the one given, and nothing can be rebound.
+    _plans keeps the solve plans reconstruct builds for this support (reconstruct._plan).
     """
 
     T: float
@@ -72,6 +73,7 @@ class CellSupport:
     cells: tuple = None
     mask: np.ndarray = None
     shift: tuple = (0.0, 0.0)
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         _check_grid(self.T, self.L, self.P)

@@ -1,4 +1,5 @@
-"""The pure helpers of tools/bench_pairs.py: run order, quartiles, wins and directions.
+"""The pure helpers of tools/bench_pairs.py: run order, quartiles, wins, verdicts, directions
+and bounds.
 
 No benchmark runs here.
 """
@@ -45,10 +46,33 @@ def test_wins_count_the_better_direction_and_no_ties(pairs):
         pairs.wins(parent, change[:3], "lower")
 
 
+def test_verdict_reads_the_bound_and_the_claim_rule(pairs):
+    parent = [9.0, 9.5, 10.0, 10.5, 11.0] * 2  # median 10, quartile spread 10.5 - 9.5 = 1
+    # 9 of 10 pairs won and a median gap of 1.5 > 1: within the bound, and a claim holds
+    assert pairs.verdict(parent, [p - 1.5 for p in parent[:9]] + [14.0], "lower", 0.25) == (
+        True, True)
+    # the same gap in only 8 pairs: no claim
+    assert pairs.verdict(parent, [p - 1.5 for p in parent[:8]] + [14.0] * 2, "lower", 0.25) == (
+        True, False)
+    # 10 wins but a median gap of 0.5, inside the parent's spread: no claim
+    assert pairs.verdict(parent, [p - 0.5 for p in parent], "lower", 0.25) == (True, False)
+    # 12.5 is 25% worse than 10, within a bound of 0.25; 12.6 is not
+    assert pairs.verdict(parent, [12.5] * 10, "lower", 0.25) == (True, False)
+    assert pairs.verdict(parent, [12.6] * 10, "lower", 0.25) == (False, False)
+    assert pairs.verdict(parent, [7.5] * 10, "higher", 0.25) == (True, False)
+    assert pairs.verdict(parent, [7.4] * 10, "higher", 0.25) == (False, False)
+    assert pairs.verdict(parent, [11.5] * 10, "higher", 0.06) == (True, True)
+    with pytest.raises(ValueError):
+        pairs.verdict(parent, parent, "smaller", 0.25)
+
+
 def test_directions_follow_the_benchmark_file(pairs, tmp_path):
     path = tmp_path / "BENCHMARK.json"
     path.write_text(json.dumps({"end_to_end": [
-        {"name": "op_p50_ms", "better": "lower"}, {"name": "ops_per_s", "better": "higher"},
+        {"name": "op_p50_ms", "better": "lower", "bound": 0.25},
+        {"name": "ops_per_s", "better": "higher", "bound": 0.1},
     ]}))
     assert pairs.directions(path) == {"op_p50_ms": "lower", "ops_per_s": "higher"}
+    assert pairs.bounds(path) == {"op_p50_ms": 0.25, "ops_per_s": 0.1}
     assert pairs.directions(ROOT / "BENCHMARK.json")["exact_frac"] == "higher"
+    assert pairs.bounds(ROOT / "BENCHMARK.json")["peak_rss_mb"] == 0.1

@@ -1,7 +1,7 @@
-"""Solve plans: the tables a recovery remembers per support keep the bits of a cold solve.
+"""Solve plans: the tables a support keeps for its recoveries keep the bits of a cold solve.
 
 Every "cold" solve runs on fresh Window(L, weights) and CellSupport objects built
-from the same inputs, so no remembered table can reach it.
+from the same inputs, so no kept table can reach it.
 """
 
 import gc
@@ -16,6 +16,7 @@ from opsample import (
     CellSupport,
     DiscreteSpreadingFunction,
     IdentifierTrain,
+    InvalidParameters,
     NotIdentifiable,
     RankDeficient,
     ShearNotRectifiable,
@@ -25,7 +26,7 @@ from opsample import (
     random_spreading,
     zak_transform,
 )
-from opsample import reconstruct
+from opsample import channel, reconstruct
 from opsample.presets import (
     seven_cell_support,
     sheared_parallelogram_support,
@@ -34,7 +35,6 @@ from opsample.presets import (
     translate_collision_support,
 )
 from opsample.reconstruct import (
-    PLAN_CACHE,
     recover_eta_known_support,
     recover_eta_smooth,
     recover_symplectic,
@@ -112,6 +112,26 @@ def test_solves_on_one_support_share_one_plan_and_keep_the_cold_bits(
     assert reports[1].per_class_conditioning is not reports[2].per_class_conditioning
 
 
+def test_a_second_window_reuses_the_read_off_tables_and_keeps_its_own_inverses(monkeypatch):
+    S = seven_cell_support(P=8)
+    windows = generate_window(3, seed=89), generate_window(3, seed=90)
+    inverted = _counting(monkeypatch, reconstruct, "left_inverse")
+    phases = _counting(monkeypatch, reconstruct, "_unit_phase")
+    for seed in (91, 92):
+        for G in windows:
+            Z = _zak(S, G, seed)[1]
+            report = recover_eta_known_support(Z, G, S)
+            cold = recover_eta_known_support(Z, _fresh_window(G), _fresh_support(S))
+            assert report.eta_hat.values.tobytes() == cold.eta_hat.values.tobytes()
+            assert report.per_class_conditioning == cold.per_class_conditioning
+    # 3 inverses per window on S, and 3 for each of the four cold solves
+    assert [args[0] for args in inverted[:3]] == [windows[0]] * 3
+    assert [args[0] for args in inverted[6:9]] == [windows[1]] * 3
+    assert len(inverted) == 3 * 2 + 3 * 4
+    assert _phase_tables(phases, S.L * S.P, S.P) == 2 + 2 * 4  # once for S, once per cold one
+    assert sum(isinstance(key, tuple) and key[0] is windows[1] for key in S._plans) == 3
+
+
 @pytest.mark.parametrize("kappa", [1, 2])  # kappa*L odd (s = P/2), then even (s = 0)
 def test_symplectic_builds_the_sheared_support_once(monkeypatch, kappa):
     S, G = sheared_parallelogram_support(P=8, shear=kappa), generate_window(3, seed=75)
@@ -119,7 +139,7 @@ def test_symplectic_builds_the_sheared_support_once(monkeypatch, kappa):
     built = _counting(monkeypatch, reconstruct, "CellSupport")
     chirps = _counting(monkeypatch, reconstruct, "_chirp_phase")
     rectified = _counting(monkeypatch, reconstruct, "rectify")
-    spreading = _counting(monkeypatch, reconstruct, "DiscreteSpreadingFunction")
+    spreading = _counting(monkeypatch, reconstruct, "_fresh_spreading")
     for seed in (76, 77):
         eta, Z = _zak(S, G, seed, chirp_a=a)
         report = recover_symplectic(Z, G, S, a)
@@ -131,6 +151,21 @@ def test_symplectic_builds_the_sheared_support_once(monkeypatch, kappa):
     assert len(built) == len(chirps) == 1 + 2  # S~ once for S, once per cold support
     assert len(rectified) == 4  # S~ is rectified on every solve
     assert len(spreading) == 4  # one spreading function per public call
+
+
+def test_fresh_spreading_functions_vanish_off_the_mask_and_stay_finite():
+    S, G = sheared_parallelogram_support(P=8), generate_window(3, seed=93)
+    eta, Z = _zak(S, G, 94, chirp_a=S.omega)
+    made = [eta, recover_symplectic(Z, G, S, S.omega).eta_hat,
+            recover_eta_known_support(_zak(S, G, 95)[1], G, S).eta_hat]
+    for fresh in made:
+        assert fresh.support is S and not fresh.values.flags.writeable
+        assert fresh.values.shape == S.mask.shape and not fresh.values[~S.mask].any()
+        assert np.all(fresh.values[S.mask] != 0)
+    with pytest.raises(InvalidParameters, match="finite"):
+        channel._fresh_spreading(S, np.where(S.mask, np.nan, 0j))
+    with np.errstate(all="ignore"), pytest.raises(InvalidParameters, match="finite"):
+        recover_eta_known_support(np.full((24, 8), 1.7e308 + 1.7e308j), G, S)
 
 
 def test_apply_channel_and_h_sharp_on_a_reused_support_keep_the_cold_bits():
@@ -158,14 +193,14 @@ def test_refusals_are_not_remembered(monkeypatch):
     for _ in range(2):
         with pytest.raises(NotIdentifiable):
             recover_eta_known_support(np.zeros((12, 4)), G, bad)
-    assert len(rectified) == 2
+    assert len(rectified) == 2 and bad._plans == {}
     # c = (1, 0, 0): cells (0, 0) and (0, 1) have parallel columns
     parallel = CellSupport(T=1.0, L=3, P=4, cells=[(0, 0), (0, 1)])
     degenerate = Window(L=3, weights=np.array([1.0, 0, 0]))
     for _ in range(2):
         with pytest.raises(RankDeficient):
             recover_eta_known_support(np.zeros((12, 4)), degenerate, parallel)
-    assert len(rectified) == 4 and reconstruct._known_plan(parallel, degenerate)[-1] == {}
+    assert len(rectified) == 4 and list(parallel._plans) == ["read-off"]  # no left inverse
     unrectifiable = CellSupport(T=1.0, L=3, P=8, cells=[(0, 0), (0, 1), (0, 2), (1, 0)])
     for _ in range(2):
         with pytest.raises(ShearNotRectifiable):
@@ -173,12 +208,12 @@ def test_refusals_are_not_remembered(monkeypatch):
     assert len(rectified) == 6
 
 
-def _plan_arrays(S, G, kappa):
-    S_tilde, *shear = reconstruct._shear_plan(S, kappa)
-    for plan in (reconstruct._known_plan(S, G), reconstruct._known_plan(S_tilde, G)):
-        *read_off, inverses = plan
-        yield from read_off
-        yield from (inv.coefficients for inv in inverses.values())
+def _plan_arrays(S, kappa):
+    S_tilde, *shear = S._plans[kappa]
+    for support in (S, S_tilde):
+        yield from support._plans["read-off"]
+        yield from (plan.coefficients for key, plan in support._plans.items()
+                    if isinstance(key, tuple))
     yield from shear
     yield S_tilde.mask
 
@@ -188,7 +223,7 @@ def test_remembered_arrays_are_read_only():
     eta, Z = _zak(S, G, 83, chirp_a=S.omega)
     recover_symplectic(Z, G, S, S.omega)
     reconstruct_h_sharp(recover_eta_known_support(Z, G, S))
-    arrays = list(_plan_arrays(S, G, 1))
+    arrays = list(_plan_arrays(S, 1))
     # read-off 3 + 2 classes for S, 3 + 1 class for S~, shear 3, the mask of S~
     assert len(arrays) == 5 + 4 + 3 + 1
     for a in arrays:
@@ -207,26 +242,16 @@ def test_a_dead_support_takes_its_tables_with_it():
     G = generate_window(3, seed=85)
     first = sheared_parallelogram_support(P=4)
     _every_path(first, G)
-    tables = [weakref.ref(a) for a in _plan_arrays(first, G, 1)]
+    tables = [weakref.ref(a) for a in _plan_arrays(first, 1)]
     support = weakref.ref(first)
     del first
     gc.collect()
     assert support() is None and all(ref() is None for ref in tables)
 
 
-def test_the_plans_hold_the_last_PLAN_CACHE_supports():
-    G = generate_window(3, seed=86)
-    supports = [staircase_support(P=4) for _ in range(PLAN_CACHE + 1)]
-    plans = [reconstruct._known_plan(S, G) for S in supports[:PLAN_CACHE]]
-    assert reconstruct._known_plan(supports[0], G) is plans[0]  # a hit makes it the most recent
-    reconstruct._known_plan(supports[PLAN_CACHE], G)  # pushes out supports[1], the least recent
-    assert reconstruct._known_plan(supports[0], G) is plans[0]
-    assert reconstruct._known_plan(supports[1], G) is not plans[1]
-
-
 def test_threads_sharing_the_plans_get_the_cold_bits():
     G = generate_window(3, seed=87)
-    supports = [sheared_parallelogram_support(P=4) for _ in range(PLAN_CACHE + 3)]
+    supports = [sheared_parallelogram_support(P=4) for _ in range(6)]
     cases = [(S, *_zak(S, G, 88)) for S in supports]
     want = [recover_eta_known_support(Z, _fresh_window(G), _fresh_support(S)).eta_hat.values
             for S, _, Z in cases]
@@ -254,3 +279,17 @@ def test_threads_sharing_the_plans_get_the_cold_bits():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
+
+
+def test_a_plan_built_by_two_callers_keeps_the_first_result():
+    S = staircase_support(P=4)
+    first = []
+
+    def late():  # another caller builds and keeps the same plan while this build runs
+        first.append(reconstruct._plan(S, "plan", lambda: ["first"]))
+        return ["late"]
+
+    assert reconstruct._plan(S, "plan", late) is first[0] and S._plans["plan"] == ["first"]
+    with pytest.raises(ZeroDivisionError):  # a build that raises keeps nothing
+        reconstruct._plan(S, "raises", lambda: 1 / 0)
+    assert "raises" not in S._plans

@@ -13,7 +13,11 @@ must be even and each side runs first equally often.  Every run's metrics are
 printed as one JSON line when it finishes.  Then, for each end-to-end metric
 of CHANGE_ROOT's BENCHMARK.json, one line gives each side's median and
 quartiles and the number of pairs the change won, judged in the metric's
-`better` direction; a tie counts for neither side.  The script writes no file.
+`better` direction; a tie counts for neither side.  The same line says whether
+the change stays within the metric's `bound` (its median worse than the
+parent's by at most that fraction of the parent's median) and whether a claim
+of a gain would hold (at least 9 of every 10 pairs won, and the medians apart
+by more than the parent's quartile spread).  The script writes no file.
 """
 
 import argparse
@@ -48,10 +52,27 @@ def wins(parent, change, better):
     return sum(1 for p, c in zip(parent, change, strict=True) if sign * (c - p) > 0)
 
 
+def verdict(parent, change, better, bound):
+    """(within, claim) for one metric's pairs.  within: the change's median is worse than
+    the parent's by at most bound times the parent's median.  claim: the change wins at
+    least 9 of every 10 pairs, and its median beats the parent's by more than the parent's
+    quartile spread (q3 - q1)."""
+    (p1, pm, p3), (_, cm, _) = quartiles(parent), quartiles(change)
+    gain = cm - pm if better == "higher" else pm - cm
+    won = wins(parent, change, better)
+    return -gain <= bound * abs(pm), 10 * won >= 9 * len(parent) and gain > p3 - p1
+
+
 def directions(benchmark_json):
     """End-to-end metric name -> its `better` direction, in the file's order."""
     spec = json.loads(Path(benchmark_json).read_text())
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def bounds(benchmark_json):
+    """End-to-end metric name -> its `bound`, in the file's order."""
+    spec = json.loads(Path(benchmark_json).read_text())
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
 def run_once(root, workload, seed, seconds):
@@ -79,6 +100,7 @@ def main(argv=None):
     except ValueError as exc:
         parser.error(str(exc))
     better = directions(args.change_root / "BENCHMARK.json")
+    bound = bounds(args.change_root / "BENCHMARK.json")
     roots = {"parent": args.parent_root, "change": args.change_root}
 
     values = {side: {name: [None] * args.pairs for name in better} for side in SIDES}
@@ -96,9 +118,11 @@ def main(argv=None):
     for name, direction in better.items():
         parent, change = values["parent"][name], values["change"][name]
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+        within, claim = verdict(parent, change, direction, bound[name])
         print(f"{name:12s} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
               f"[{c1:.6g}, {c3:.6g}]  change wins {wins(parent, change, direction)}/"
-              f"{args.pairs} ({direction} is better)")
+              f"{args.pairs} ({direction} is better)  within bound {bound[name]:g}: "
+              f"{'yes' if within else 'NO'}  claim holds: {'yes' if claim else 'no'}")
     return 0
 
 
