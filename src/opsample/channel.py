@@ -25,13 +25,13 @@ are finite sums, and for every base point (t, nu) the vectors
 satisfy Z_vec = G(c) * eta_vec exactly (all phases are roots of unity computed
 from integer-reduced exponents, so the identity holds to rounding error).
 
-The grid kernels are table lookups, in-order scatter-adds and FFTs: every
-grid phase is read from one cached table of roots of unity (_unit_phase),
-every scatter is one bincount pass per real part (_scatter_add), and the lag
-kernel folds nu-lines by slice additions in the order of s.  Each gives the
-bits of the direct exponential or element-by-element scatter it replaces.
-apply_channel folds and scatters only the mask rows that hold an active
-subcell; the other rows would add only +-0 terms.
+The grid kernels are table lookups, in-order scatter-adds and FFTs: every grid
+phase is read from one cached table of roots of unity (_unit_phase),
+quasiperiodize scatters by one bincount pass per real part (_scatter_add),
+apply_channel by row-ordered slice additions, and the lag kernel folds nu-lines
+by slice additions in the order of s.  Each gives the bits of the direct
+exponential or element-by-element scatter it replaces.  apply_channel skips
+the mask rows with no active subcell, whose terms would all be +-0.
 """
 
 import functools
@@ -332,9 +332,10 @@ def apply_channel(eta, g):
     On the grid x = k*dt the inner time x - nT hits stored row r when
     k = (i0 + r + n*P) mod L*P^2; n runs over one period n < L*P of both h
     and the weights (whose period L or 2L divides L*P).  Only the rows that
-    hold an active subcell are folded, transformed and scattered, each its
-    L*P terms at once: any other row's terms are +-0, and adding them to a
-    bincount sum, which starts at +0.0 and is never -0.0, changes no bit.
+    hold an active subcell are folded, transformed and scattered: other rows'
+    terms are +-0, which change no bit of a sum from +0.0.  Rows of one b and
+    consecutive a (i0 + r = a + P*b mod L*P^2) add as one slice, blocks in row
+    order: each sample adds its terms in an element-by-element scatter's order.
     """
     S = eta.support
     if not isinstance(g, IdentifierTrain):
@@ -347,14 +348,20 @@ def apply_channel(eta, g):
 
     L, P = S.L, S.P
     N = L * P * P
-    n = np.arange(L * P)
     rows = np.flatnonzero(S.mask.any(axis=1))  # the rows with an active subcell
     values = eta.values if rows.size == len(S.mask) else eta.values[rows]  # all active: no copy
     h = _lag_kernel(S, values, L * P)
     h *= S.dnu * (L * P)
-    index = np.add.outer(S.offsets[0] + rows, n * P) % N
-    out = _scatter_add((N,), index, g.effective_weights(n) * h)
-    return ChannelResponse(samples=out, T=S.T, L=L, P=P)
+    terms = g.effective_weights(np.arange(L * P)) * h
+    out = np.zeros((L * P, P), dtype=complex)  # out[x, a]: sample x*P + a
+    start = (S.offsets[0] + rows) % N  # = a + P*b: row r's lag n lands on out[(b+n) % LP, a]
+    after = np.concatenate(([-2], start[:-1])) + 1  # the start that continues the row before
+    blocks = np.flatnonzero((start % P == 0) | (start != after)).tolist()
+    for first, stop in zip(blocks, blocks[1:] + [len(rows)]):  # rows of one b, a run of a
+        b, a = divmod(int(start[first]), P)
+        out[b:, a : a + stop - first] += terms[first:stop, : L * P - b].T
+        out[:b, a : a + stop - first] += terms[first:stop, L * P - b :].T
+    return ChannelResponse(samples=out.reshape(N), T=S.T, L=L, P=P)
 
 
 def zak_transform(f):

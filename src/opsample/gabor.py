@@ -54,19 +54,20 @@ at m = 6: far below tol*||A||_F^k.  A zero column 0 sends every block to the
 SVD.
 
 Dependence is monotone in the level k (subset size), so a spark decision reads
-only the levels it needs, each once per window: a Window remembers every
-level it has read (_dependent_at, the one reader of spark, generate_window
-and sparse.recover_unknown_support), its draw's level too.  For an L x k block
-A, k < L, A^H A is a principal submatrix of B^H B, B = [A a], so Cauchy
-interlacing gives s_1(B) >= s_1(A) and s_{k+1}(B) <= s_k(A): a k-subset dependent
-under _dependent makes every superset of up to L columns dependent.  Level 2 (a small table) is read
-first: dependent, it is spark 2, since level 1 is dependent only for c = 0.
-Full spark is level L clean; other sparks are bisected.  Nonzero weights
-inside a cyclic run of r < L indices s..s+r-1 put the L columns (q, m) of
-one q in rows q+s..q+s+r-1 mod L, exact zeros elsewhere, so any r+1 of them
-are dependent under _dependent: the spark is at most r+1, and only levels
-1..r need reading.  For weights on the first k indices, r = k: spark k+1 is
-level k clean, k+1 unread.
+only the levels it needs, each once per window: a Window remembers every level it
+has read (_dependent_at, the one reader of spark, generate_window and
+sparse.recover_unknown_support), its draw's level too, and answers each level they
+settle unread: a clean level clears every lower one, a dependent level every
+higher one.  For an L x k block A, k < L, A^H A is a principal submatrix of B^H B,
+B = [A a], so Cauchy interlacing gives s_1(B) >= s_1(A) and s_{k+1}(B) <= s_k(A):
+a k-subset dependent under _dependent makes every superset of up to L columns
+dependent.  Level 2 (a small table) is read first: dependent, it is spark 2, since
+level 1 is dependent only for c = 0.  Full spark is level L clean; other sparks
+are bisected.  Nonzero weights inside a cyclic run of r < L indices s..s+r-1 put
+the L columns (q, m) of one q in rows q+s..q+s+r-1 mod L, exact zeros elsewhere,
+so any r+1 of them are dependent under _dependent: the spark is at most r+1, and
+only levels 1..r need reading.  For weights on the first k indices, r = k: spark
+k+1 is level k clean, k+1 unread.
 """
 
 import bisect
@@ -135,7 +136,7 @@ class Window:
     copy of the finite length-L numeric vector given; seed: RNG seed used to draw it
     (None for hand-built windows); draws: how many draws the generator needed to meet
     its spark target.  entries, a read-only G(c), is built from the weights on first
-    use, and each spark level read on it is remembered (_dependent_at).
+    use; each spark level read on it is remembered and settles others (_dependent_at).
     """
 
     L: int
@@ -184,9 +185,10 @@ class Window:
         return q * L + m
 
     def _dependent_at(self, k):
-        """_has_dependent(entries, k): whether some k columns are dependent, read once."""
-        if k not in self._levels:
-            self._levels[k] = _has_dependent(self.entries, k)
+        """_has_dependent(entries, k): read once, unless a level known settles k (monotone)."""
+        if k not in self._levels:  # a copy: another thread may add a level meanwhile
+            implied = [d for j, d in self._levels.copy().items() if (j > k) != d]
+            self._levels[k] = implied[0] if implied else _has_dependent(self.entries, k)
         return self._levels[k]
 
 
@@ -352,15 +354,15 @@ def _run_length(c):
 def spark(G):
     """Smallest k such that some k columns of G are dependent; L+1 if none up to size L.
 
-    One subset per translation orbit with a det screen: level 2, then level L,
-    then a bisection of levels 3..L-1 if L is dependent (module docstring):
-    ~0.3 ms for a full-spark window at L = 5, ~4 ms at L = 6 (plus a one-time
-    ~0.2 s table build), ~0.2 s at L = 7 (plus ~10 s), ~0.1 ms for a spark-2
-    window such as all ones at any L.  Weights c whose nonzeros fit a cyclic
-    run of r < L indices make level r+1 dependent, so level L is not read and
-    only levels up to r are; level 2 goes first only when 2 < r.  Enforces
-    L <= 7; a Window's G(c) is built from its weights, so the orbit search holds
-    for every Window G.  A level read on G, as by its draw, is not read again.
+    One subset per translation orbit with a det screen: level 2, then level L, then a
+    bisection of levels 3..L-1 if L is dependent (module docstring).  With no level read
+    yet: ~0.3 ms at full spark and L = 5, ~4 ms at L = 6 (plus a one-time ~0.2 s table
+    build), ~0.2 s at L = 7 (plus ~10 s), ~0.1 ms for spark 2 (all ones) at any L.
+    Weights c whose nonzeros fit a cyclic run of r < L indices make level r+1 dependent,
+    so level L is not read and only levels up to r are; level 2 goes first only when
+    2 < r.  Enforces L <= 7; a Window's G(c) is built from its weights, so the orbit
+    search holds for every Window G.  Levels known on G, as its draw's, and those they
+    settle are not read: a drawn full-spark window reads none.
     """
     _check_search_limit(G.L)
     dependent = G._dependent_at

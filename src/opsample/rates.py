@@ -56,13 +56,13 @@ def rate_report(g, S, eps=None):
     """Assemble the full RateReport for an identifier/support pair."""
     if eps is not None and not np.isfinite(eps):
         raise InvalidParameters("eps must be finite")
-    count = g.weights.support_size()
-    margin = None if eps is None else S.area * (1.0 + eps) - count / g.L
+    count, rate, B, area = g.weights.support_size(), g.rate, bandwidth(S), S.area
+    margin = None if eps is None else area * (1.0 + eps) - count / g.L
     return RateReport(
-        rate=g.rate,
-        bandwidth=bandwidth(S),
-        necessary_ok=g.rate >= bandwidth(S) - S.dnu,
-        area=S.area,
+        rate=rate,
+        bandwidth=B,
+        necessary_ok=rate >= B - S.dnu,
+        area=area,
         sufficient_margin=margin,
         dead_time_fraction=1.0 - (g.T * count + _memory(S)) / (g.L * g.T),
     )

@@ -46,6 +46,17 @@ class SupportEstimate:
         return bool(self.residual_history) and self.residual_history[-1] <= self.tol
 
 
+def _column_norms(x):
+    """np.linalg.norm(x, axis=0) of a complex matrix, bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
+
+
+def _norm(x):
+    """np.linalg.norm(x) of a complex array, bit for bit: its real and imaginary dots."""
+    x = x.ravel("K")
+    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def mmv_omp(Y, G, k_max, tol, candidates):
     """Estimate the active cell set from stacked Z-vectors.
 
@@ -75,7 +86,7 @@ def mmv_omp(Y, G, k_max, tol, candidates):
     if cand.size == 0:
         raise InvalidParameters("the candidate set (search domain) has no cells")
     A = G.entries[:, cand]
-    norms = np.linalg.norm(A, axis=0)
+    norms = _column_norms(A)
     if not (norms > 0).all():
         raise RankDeficient("the dictionary has zero columns (all-zero window)")
 
@@ -84,7 +95,7 @@ def mmv_omp(Y, G, k_max, tol, candidates):
         return SupportEstimate(gamma_hat, history, rank, k_max, tol)
 
     Y = np.linalg.qr(Y.conj().T, mode="r").conj().T  # R^H
-    norm_y = np.linalg.norm(Y)
+    norm_y = _norm(Y)
     if norm_y == 0:
         return finish([], [0.0], 0)
 
@@ -98,20 +109,20 @@ def mmv_omp(Y, G, k_max, tol, candidates):
         U = U[:, s > tol * norm_y]  # orthonormal basis of range(residual)
         basis_h = basis.conj().T
         proj = A - basis @ (basis_h @ A)  # A itself while no column is chosen
-        proj_norms = np.linalg.norm(proj, axis=0)
+        proj_norms = _column_norms(proj)
         fresh = proj_norms > tol * norms  # columns that add a direction
         fresh[chosen] = False
         if not fresh.any():
             break
         scores = np.full(len(cand), -1.0)
-        scores[fresh] = np.linalg.norm(U.conj().T @ proj[:, fresh], axis=0) / proj_norms[fresh]
+        scores[fresh] = _column_norms(U.conj().T @ proj[:, fresh]) / proj_norms[fresh]
         j = int(scores.argmax())
         b = proj[:, j]
         b = b - basis @ (basis_h @ b)  # orthogonalized twice
-        basis = np.column_stack([basis, b / np.linalg.norm(b)])
+        basis = np.column_stack([basis, b / _norm(b)])
         chosen.append(j)
         residual = Y - basis @ (basis.conj().T @ Y)
-        history.append(float(np.linalg.norm(residual) / norm_y))
+        history.append(float(_norm(residual) / norm_y))
         if history[-1] <= tol:
             break
     return finish(chosen, history, rank)

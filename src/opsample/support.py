@@ -127,7 +127,7 @@ class CellSupport:
     def dnu(self):
         return self.omega / self.P
 
-    @property
+    @functools.cached_property
     def area(self):
         """|S| in time-frequency area (each subcell has area 1/(L*P^2))."""
         return float(self.mask.sum()) / (self.L * self.P**2)

@@ -1,5 +1,5 @@
-"""The pure helpers of tools/bench_pairs.py: run order, quartiles, wins, verdicts, directions
-and bounds.
+"""The pure helpers of tools/bench_pairs.py: run order, schedule, quartiles, wins, verdicts,
+directions and bounds.
 
 No benchmark runs here.
 """
@@ -29,6 +29,19 @@ def test_run_order_alternates_and_refuses_an_odd_count(pairs):
     for n in (0, 1, 3, 11):
         with pytest.raises(ValueError):
             pairs.run_order(n)
+
+
+def test_schedule_runs_each_workload_s_pairs_in_turn(pairs):
+    assert pairs.schedule(["certify_l5", "cli_p64"], 2) == [
+        ("certify_l5", 0, "parent"), ("certify_l5", 0, "change"),
+        ("certify_l5", 1, "change"), ("certify_l5", 1, "parent"),
+        ("cli_p64", 0, "parent"), ("cli_p64", 0, "change"),
+        ("cli_p64", 1, "change"), ("cli_p64", 1, "parent"),
+    ]
+    assert pairs.schedule(["unknown_l5"], 4) == [("unknown_l5", *run) for run in pairs.run_order(4)]
+    for workloads, n in (([], 2), (["cli_p64", "cli_p64"], 2), (["cli_p64"], 3)):
+        with pytest.raises(ValueError):
+            pairs.schedule(workloads, n)
 
 
 def test_quartiles(pairs):

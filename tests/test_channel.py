@@ -403,6 +403,50 @@ def test_apply_channel_skips_empty_rows_without_changing_a_bit():
     assert apply_channel(eta, g).samples.tobytes() == _apply_channel_every_row(eta, g).tobytes()
 
 
+def _apply_channel_by_bincount(eta, g):
+    """Reference: the element-by-element scatter as bincount sums, re and im apart, of each
+    active row's L*P terms at samples (i0 + r + n*P) mod N."""
+    S = eta.support
+    L, P = S.L, S.P
+    N, n = L * P * P, np.arange(L * P)
+    rows = np.flatnonzero(S.mask.any(axis=1))
+    h = _lag_kernel(S, eta.values[rows], L * P)
+    h *= S.dnu * (L * P)
+    index = (np.add.outer(S.offsets[0] + rows, n * P) % N).ravel()
+    terms = (g.effective_weights(n) * h).ravel()
+    out = np.empty(N, dtype=complex)
+    out.real = np.bincount(index, weights=terms.real, minlength=N)
+    out.imag = np.bincount(index, weights=terms.imag, minlength=N)
+    return out
+
+
+def test_apply_channel_scatters_with_the_bits_of_the_bincount_formula():
+    # shifted, spilling (more stored rows than the N = L*P^2 samples), sparse-row and
+    # period-2L chirped inputs: every sample adds its terms in the bincount's order
+    rng = np.random.default_rng(23)
+    supports = []
+    for L, P, (i0, j0) in ((3, 4, (5, -3)), (3, 8, (-29, 11)), (5, 16, (-7, 40)), (2, 2, (0, 0))):
+        cells = [divmod(int(c), L) for c in rng.choice(L * L, L, replace=False)]
+        supports.append(CellSupport(T=1.0, L=L, P=P, cells=cells, shift=(i0 / P, j0 / (L * P))))
+        sparse = rng.random((L * P, L * P)) < 0.2  # rows stay empty, active ones split in runs
+        sparse[rng.choice(L * P, L * P // 2, replace=False)] = False
+        supports.append(CellSupport(T=1.0, L=L, P=P, mask=sparse, shift=(i0 / P, 0.0)))
+    for L, P, rows in ((2, 2, 13), (3, 2, 2 * 3 * 2 * 2 + 3)):  # stored rows past N
+        supports.append(CellSupport(T=1.0, L=L, P=P, mask=np.ones((rows, L * P + 1), dtype=bool),
+                                    shift=(-1 / P, 0.0)))
+    supports.append(CellSupport(T=1.0, L=3, P=4, mask=np.zeros((12, 12), dtype=bool)))  # no row
+    for trial, S in enumerate(supports):
+        eta = random_spreading(S, seed=trial)
+        window = generate_window(S.L, seed=trial)
+        for kappa in (0, 1, 2):  # kappa*L odd: period-2L weights, on the even-P grids only
+            if (kappa * S.L) % 2 and S.P % 2:
+                continue
+            g = IdentifierTrain(T=1.0, weights=window, chirp_a=kappa / S.L)
+            got = apply_channel(eta, g).samples
+            assert got.tobytes() == _apply_channel_by_bincount(eta, g).tobytes(), (trial, kappa)
+    assert max(len(S.mask) - S.L * S.P**2 for S in supports) > 0
+
+
 def test_apply_channel_validation():
     S = staircase_support(T=1.0, P=4)
     eta = random_spreading(S, seed=0)

@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -175,7 +177,7 @@ def test_a_drawn_window_keeps_its_gabor_matrix_and_levels(monkeypatch):
         builds = count_entries_builds(monkeypatch)
         reads = count_level_reads(monkeypatch)
         assert spark(w) == 6
-        assert reads == [2] and builds == []  # level 5 and G(c) are the draw's
+        assert reads == [] and builds == []  # G(c) and level 5, which settles 2, are the draw's
         monkeypatch.undo()
 
 
@@ -193,7 +195,7 @@ def test_a_gabor_matrix_reads_each_level_once(monkeypatch):
     assert reads == [4]  # the draw's acceptance, on the G(c) it built
     reads.clear()
     assert spark(full) == spark(full) == 5
-    assert reads == [2]  # level 2 once for both calls; level L is the draw's
+    assert reads == []  # the draw's clean level L settles level 2 for both calls
     reads.clear()
     ones = build_gabor_matrix(np.ones(4))  # spark 2: level 2 is dependent
     assert [spark(ones) for _ in range(2)] == [2, 2] and reads == [2]
@@ -510,7 +512,7 @@ def test_spark_decisions_read_only_the_levels_they_name(monkeypatch):
     assert requested == []  # to level 2 alone, which the draw read
     requested.clear()
     assert spark(build_gabor_matrix(generate_window(5, seed=0))) == 6
-    assert set(requested) == {(5, 2), (5, 5)}  # level 2 first, then level L
+    assert set(requested) == {(5, 5)}  # the draw's level L, which settles level 2
     # a dependent level 2 is spark 2: the all-ones window never builds the (7, 7) table
     requested.clear()
     assert spark(build_gabor_matrix(np.ones(7))) == 2
@@ -519,11 +521,90 @@ def test_spark_decisions_read_only_the_levels_they_name(monkeypatch):
     four = build_gabor_matrix(generate_window(7, target="spark_k", k=4, seed=0))
     requested.clear()
     assert spark(four) == 5
-    assert requested and max(k for _, k in requested) <= 4
+    assert max((k for _, k in requested), default=0) <= 4  # the draw's level 4 settles 2, 3
     # the same run wrapped around index 0 caps the bisection the same way
     requested.clear()
     assert spark(build_gabor_matrix(np.roll(four.entries[:, 0], 5))) == 5
     assert max(k for _, k in requested) <= 4
+
+
+def _implied_census(L):
+    """The zero window, drawn full-spark and spark_k windows, then zero-heavy (k nonzeros),
+    rounded and near-tolerance weights; at L = 7 only k <= 3 nonzeros, on a cyclic run."""
+    top = 3 if L == 7 else L
+    yield np.zeros(L)
+    if L < 7:
+        yield from (generate_window(L, seed=seed).weights for seed in range(3))
+    if gabor.is_prime(L):
+        for k in range(1, top + 1):
+            yield generate_window(L, target="spark_k", k=k, seed=k).weights
+    rng = np.random.default_rng(500 + L)
+    generic = rng.uniform(0.5, 1, L) * np.exp(2j * np.pi * rng.uniform(size=L))
+    for k in range(1, top + 1):
+        at = np.arange(L - 1, L - 1 + k) % L if L == 7 else rng.choice(L, k, replace=False)
+        c = np.zeros(L, dtype=complex)
+        c[at] = generic[at]
+        yield c
+        yield np.round(2 * c) / 2  # rounded to halves: exact zeros and repeated values
+        for delta in (1e-9, 3e-10):  # one weight shrunk to the tolerance
+            near = c.copy()
+            near[at[-1]] *= delta
+            yield near
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_the_levels_a_window_settles_match_fresh_reads(L):
+    # after any one level is read first, every other level the memo answers, read or settled,
+    # in rising or falling order, equals a fresh _has_dependent read, and spark equals the level
+    # scan and spark on a fresh Window.  At L = 7 levels 1..4 are compared: the weights fit a
+    # run of at most 3 indices, so level 4 is dependent and no spark reads above it.
+    settled = 0
+    for c in _implied_census(L):
+        entries = Window(L, c).entries
+        truth = {k: gabor._has_dependent(entries, k) for k in range(1, (4 if L == 7 else L) + 1)}
+        want = spark(Window(L, c))
+        assert want == next((k for k, dependent in truth.items() if dependent), L + 1), c
+        reads = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gabor, "_has_dependent", lambda A, k: reads.append(k) or truth[k])
+            for first, order in itertools.product(truth, (sorted, lambda ks: sorted(ks)[::-1])):
+                w = Window(L, c)
+                reads.clear()
+                w._dependent_at(first)
+                assert {k: w._dependent_at(k) for k in order(truth)} == truth, (c, first)
+                settled += len(truth) - len(reads)
+                assert spark(w) == want, (c, first)
+    assert settled > 0
+
+
+def test_threads_sharing_windows_read_their_levels_alike():
+    L = 4
+    census = list(_implied_census(L))
+    truth = [{k: gabor._has_dependent(Window(L, c).entries, k) for k in range(1, L + 1)}
+             for c in census]
+    windows = [Window(L, c) for c in census]
+    errors = []
+
+    def work(offset):
+        try:
+            for n, w in enumerate(windows):
+                levels = range(1, L + 1) if (n + offset) % 2 else range(L, 0, -1)
+                if {k: w._dependent_at(k) for k in levels} != truth[n]:
+                    errors.append(f"window {n} read other levels")
+        except Exception as exc:  # reported by the assertion below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
 
 
 @pytest.mark.parametrize("L", [2, 3, 5])

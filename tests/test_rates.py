@@ -79,6 +79,15 @@ def test_check_necessary():
     assert rate_report(_train(T, [1]), flat).necessary_ok
 
 
+def test_rate_report_reads_the_bandwidth_once_and_the_support_keeps_its_area(monkeypatch):
+    S = CellSupport(T=1.0, L=3, P=4, cells=[(0, 0), (1, 1)])
+    calls = []
+    monkeypatch.setattr(rates, "bandwidth", lambda S: calls.append(S) or bandwidth(S))
+    rep = rate_report(_train(1.0, [1, 1, 0]), S, eps=0.5)
+    assert calls == [S] and rep.bandwidth == bandwidth(S)
+    assert S.__dict__["area"] == rep.area == float(S.mask.sum()) / (3 * 4**2)
+
+
 def test_rate_report_fields():
     L, P, T = 3, 4, 1.0
     S = CellSupport(T=T, L=L, P=P, cells=[(0, 0), (1, 1)])

@@ -423,4 +423,15 @@ def test_the_certificate_level_is_read_once_per_matrix(monkeypatch):
     for _ in range(3):
         report = recover_unknown_support(Z, G, R, k_max=2, tol=1e-10)
     assert report.support_estimate.rank == 2
-    assert reads == [3]  # s = 2*2 - 2 + 1, read by the first decode only
+    assert reads == []  # s = 2*2 - 2 + 1, settled by the draw's clean level L
+
+
+def test_norm_helpers_keep_the_bits_of_numpy_norm():
+    # mmv_omp's dictionary, projection and score columns, and its Y, b and residual norms
+    rng = np.random.default_rng(42)
+    for shape in ((5, 25), (5, 1), (7, 3), (1, 4)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for a in (x, x.conj().T, x[:, ::2], 1e-200 * x):
+            assert sparse._column_norms(a).tobytes() == np.linalg.norm(a, axis=0).tobytes()
+            for v in (a, a[:, 0]):
+                assert sparse._norm(v).tobytes() == np.linalg.norm(v).tobytes()
