@@ -27,15 +27,15 @@ from integer-reduced exponents, so the identity holds to rounding error).
 
 The grid kernels are table lookups, in-order scatter-adds and FFTs: every grid
 phase is read from one cached table of roots of unity (_unit_phase),
-quasiperiodize scatters by one bincount pass per real part (_scatter_add),
-apply_channel by row-ordered slice additions, and the lag kernel folds nu-lines
-by slice additions in the order of s.  Each gives the bits of the direct
-exponential or element-by-element scatter it replaces.  apply_channel skips
-the mask rows with no active subcell, whose terms would all be +-0.
+quasiperiodize scatters by np.add.at in index order, apply_channel by
+row-ordered slice additions, and the lag kernel folds nu-lines by slice
+additions in the order of s.  Each gives the bits of the direct exponential or
+element-by-element scatter it replaces.  apply_channel skips the mask rows with
+no active subcell, whose terms would all be +-0.  An IdentifierTrain is frozen
+and derives its integer chirp kappa = L*T*a once, where it is made.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,18 +77,6 @@ def _unit_phase(numerator, denominator):
     """exp(2*pi*i*numerator/denominator) for integer numerators, the exponent
     reduced mod denominator: the bits of that np.exp, read from _roots."""
     return _roots(denominator)[np.asarray(numerator) % denominator]
-
-
-def _scatter_add(shape, flat_index, values):
-    """Zeros of the given shape (a tuple) with values added at flat_index in index
-    order: the bits of an element-by-element add, as bincount sums re and im apart."""
-    size = math.prod(shape)
-    flat_index = np.ravel(flat_index)
-    values = np.ravel(values)
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(flat_index, weights=values.real, minlength=size)
-    out.imag = np.bincount(flat_index, weights=values.imag, minlength=size)
-    return out.reshape(shape)
 
 
 def _l2_norm(x):
@@ -194,9 +182,10 @@ def relative_l2_error(estimate, truth):
     return num / den if den != 0 else (0.0 if num == 0 else float("inf"))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class IdentifierTrain:
-    """g = sum_n c_n exp(pi*i*T*a*n^2) delta_{nT} with period-L weights c."""
+    """g = sum_n c_n exp(pi*i*T*a*n^2) delta_{nT} with period-L weights c: frozen, with its
+    integer chirp kappa = L*T*a = a/Omega set once here (NonIntegerChirpPeriod if off-grid)."""
 
     T: float
     weights: Window
@@ -206,6 +195,7 @@ class IdentifierTrain:
         _check_period(self.T)
         if not isinstance(self.weights, Window):
             raise InvalidParameters(f"weights must be a Window, got {type(self.weights).__name__}")
+        object.__setattr__(self, "kappa", _chirp_kappa(self.L, self.T, self.chirp_a))  # set here
 
     @property
     def L(self):
@@ -216,25 +206,19 @@ class IdentifierTrain:
         """D(Lambda) = ||c||_0 / (T*L), with ||c||_0 the exact count of nonzero weights."""
         return self.weights.support_size() / (self.T * self.L)
 
-    def chirp_kappa(self):
-        """Integer kappa = L*T*a = a/Omega; raises if the chirp is off-grid."""
-        return _chirp_kappa(self.L, self.T, self.chirp_a)
-
     @property
     def period(self):
         """Period of the effective weights: L when kappa*L is even, else 2L."""
-        kappa = self.chirp_kappa()
-        return self.L if (kappa * self.L) % 2 == 0 else 2 * self.L
+        return self.L if (self.kappa * self.L) % 2 == 0 else 2 * self.L
 
     def effective_weights(self, n):
         """w_n = c_{n mod L} * exp(pi*i*T*a*n^2) at integer n (exact phases)."""
         n = np.asarray(n)
-        kappa = self.chirp_kappa()
         c = self.weights.weights[np.mod(n, self.L)]
-        if kappa == 0:
+        if self.kappa == 0:
             return c
         # the phase is 2L-periodic in kappa; reducing first keeps kappa*n^2 in int64
-        return c * _chirp_phase(n, kappa % (2 * self.L), self.L)
+        return c * _chirp_phase(n, self.kappa % (2 * self.L), self.L)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +328,7 @@ def apply_channel(eta, g):
         raise GridMismatch("train period T does not match the support grid")
     if g.L != S.L:
         raise GridMismatch("train weight period L does not match the support")
-    _check_chirp_grid(g.chirp_kappa(), S.L, S.P)
+    _check_chirp_grid(g.kappa, S.L, S.P)
 
     L, P = S.L, S.P
     N = L * P * P
@@ -399,7 +383,9 @@ def quasiperiodize(eta):
     rows, cols, k, i, j = S.subcells
     k, j = k[rows], j[cols]
     terms = eta.values[rows, cols] * _unit_phase(-j * k, S.P)
-    return _scatter_add((LP, LP), (i * LP)[rows] + j, terms)
+    out = np.zeros(LP * LP, dtype=complex)
+    np.add.at(out, (i * LP)[rows] + j, terms)  # in index order: an element-by-element add
+    return out.reshape(LP, LP)
 
 
 def assemble_system(eta_qp, Zgrid, G, t, nu, T):

@@ -41,7 +41,7 @@ from .errors import (
     RankDeficient,
 )
 from .formats import _fmt
-from .gabor import _check_tol, build_gabor_matrix, generate_window, spark
+from .gabor import _check_tol, generate_window, spark
 from .rates import bunched_window_plan, rate_report
 from .reconstruct import (
     recover_eta_known_support,
@@ -90,7 +90,7 @@ def cmd_gen_window(args):
 
 
 def cmd_spark(args):
-    G = build_gabor_matrix(formats.load_window(args.window))
+    G = formats.load_window(args.window)
     _show(spark=spark(G))
     if args.matrix_out:
         formats.export_gabor_matrix(G, args.matrix_out)
@@ -141,7 +141,7 @@ def cmd_identify(args):
     _require(not (args.smooth and args.symplectic is not None), "--smooth excludes --symplectic")
     _require(args.smooth == (args.eps is not None), "--smooth requires --eps, which only it reads")
     Z, T, _, _ = formats.load_zak(args.zak)
-    G = build_gabor_matrix(formats.load_window(args.window))
+    G = formats.load_window(args.window)
     eta_true = formats.load_spreading(args.eta_true) if args.eta_true else None
     S = formats.load_support(args.support)
     _require_zak_T(T, S)
@@ -166,7 +166,7 @@ def cmd_identify(args):
 
 def cmd_recover_support(args):
     Z, T, L, P = formats.load_zak(args.zak)
-    G = build_gabor_matrix(formats.load_window(args.window))
+    G = formats.load_window(args.window)
     if args.domain:
         R = formats.load_support(args.domain)
         _require_zak_T(T, R)
@@ -220,11 +220,10 @@ def cmd_verify(args):
     _require(args.seed is not None, "verify draws its eta: --seed is required")
     _check_tol(args.tol)
     S = formats.load_support(args.support)
-    window = formats.load_window(args.window)
+    G = formats.load_window(args.window)
     eta = random_spreading(S, seed=args.seed)
-    response = apply_channel(eta, IdentifierTrain(T=S.T, weights=window))
+    response = apply_channel(eta, IdentifierTrain(T=S.T, weights=G))
     Z = zak_transform(response)
-    G = build_gabor_matrix(window)
 
     t, nu = np.indices((S.P, S.P))
     residual = assemble_system(quasiperiodize(eta), Z, G, t, nu, S.T).residual(G)

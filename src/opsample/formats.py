@@ -12,8 +12,9 @@ MalformedFile naming the file, never a parser's KeyError, ValueError, ... or a
 MemoryError (OSError passes through).  Integer JSON fields (L, P, cell labels,
 a window's seed) are read by one rule, _json_int: a nonnegative JSON integer,
 never a float or bool truncated to one.
-Reports are built in cli and written by save_json.  A support or grid file
-may declare at most L*P = MAX_LP, checked before any array is built.
+Reports are built in cli and written by save_json.  A file, as every grid, holds
+at most L*P = MAX_LP (support._check_grid), checked before any array is built.
+load_window builds G(c): an overflow is InvalidParameters, not MalformedFile.
 """
 
 import json
@@ -23,8 +24,8 @@ import numpy as np
 
 from .channel import DiscreteSpreadingFunction
 from .errors import InvalidParameters, MalformedFile, OpSampleError
-from .gabor import Window, _is_integer
-from .support import MAX_LP, CellSupport, _check_grid
+from .gabor import Window, _is_integer, build_gabor_matrix
+from .support import CellSupport, _check_grid
 
 #: one body row of a grid CSV, whose field names make the column names line
 _GRID_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
@@ -80,12 +81,14 @@ def save_window(window, path):
 
 
 def load_window(path):
+    """Window JSON, returned with its G(c) built (gabor.build_gabor_matrix)."""
     with open(path) as fh, _malformed(path, "window"):
         payload = json.load(fh)
         weights = np.array([complex(_json_float(re, "a weight"), _json_float(im, "a weight"))
                             for re, im in payload["weights"]])
         seed = _json_int(payload.get("seed"), "seed", nullable=True)
-        return Window(L=_json_int(payload["L"], "L"), weights=weights, seed=seed)
+        window = Window(L=_json_int(payload["L"], "L"), weights=weights, seed=seed)
+    return build_gabor_matrix(window)
 
 
 def export_gabor_matrix(G, path):
@@ -112,14 +115,8 @@ def _mask_from_rle(rle, shape):
     return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(shape)
 
 
-def _require_grid_size(L, P):
-    if L * P > MAX_LP:
-        raise InvalidParameters(f"L*P = {L * P} exceeds the file limit {MAX_LP}")
-
-
 def _require_file_mask(S):
     """Support and grid files hold the (L*P, L*P) mask their loaders rebuild."""
-    _require_grid_size(S.L, S.P)
     LP = S.L * S.P
     if S.mask.shape != (LP, LP):
         raise InvalidParameters(f"files hold a ({LP}, {LP}) mask, got {S.mask.shape}")
@@ -147,7 +144,7 @@ def load_support(path):
         payload = json.load(fh)
         T = _json_float(payload["T"], "T")
         L, P = _json_int(payload["L"], "L"), _json_int(payload["P"], "P")
-        _require_grid_size(L, P)
+        _check_grid(T, L, P)
         shift = tuple(_json_float(x, "shift") for x in payload.get("shift", (0.0, 0.0)))
         cells = tuple((_json_int(q, "label"), _json_int(m, "label")) for q, m in payload["cells"])
         rle = payload.get("fine_mask_rle")
@@ -170,7 +167,6 @@ def _read_grid_csv(fh, zak):
     T, L, P = float(fields["T"]), int(fields["L"]), int(fields["P"])
     shift = (float(fields.get("t0", 0.0)), float(fields.get("nu0", 0.0)))
     _check_grid(T, L, P)
-    _require_grid_size(L, P)
     if fh.readline().strip() != ",".join(_GRID_ROW.names):
         raise InvalidParameters(f"the line after the header must be {','.join(_GRID_ROW.names)}")
     body = fh.readlines()
@@ -217,7 +213,7 @@ def load_spreading(path):
 
 def save_zak(Z, T, L, P, path):
     """Zak grid CSV: dense i,j,re,im over the (L*P) x P fundamental cell."""
-    _require_grid_size(L, P)
+    _check_grid(T, L, P)
     i, j = np.divmod(np.arange(L * P * P), P)
     _write_table(path, f"# T={_fmt(T)} L={L} P={P}", _GRID_ROW.names, (i, j), Z[i, j])
 

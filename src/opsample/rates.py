@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidParameters, NoPrimeInRange, NotIdentifiable
 from .channel import IdentifierTrain
 from .gabor import MAX_DRAWS, MAX_L, _dependent, _draw_window, _is_integer, is_prime
-from .support import MAX_LP, CellSupport, bandwidth, rectify
+from .support import MAX_LP, CellSupport, _check_grid, bandwidth, rectify
 
 __all__ = ["RateReport", "rate_report", "refine_support", "bunched_window_plan"]
 
@@ -77,6 +77,7 @@ def refine_support(S, L_new):
     exactly.  The support then sits inside the first S.L cell columns of the
     larger fundamental domain, where no periodization folds can collide.  Its
     mask is (L_new*P', L_new*P'), or as large as S's refined one if that is larger.
+    L_new*P' > MAX_LP is refused before any array is built (support._check_grid).
     """
     if not (_is_integer(L_new) and L_new >= S.L):
         raise InvalidParameters(f"the refined modulus must be an integer >= S.L, got {L_new!r}")
@@ -84,6 +85,7 @@ def refine_support(S, L_new):
         return S
     N, P = S.L, S.P
     P_new = N * P
+    _check_grid(S.T, L_new, P_new)
     # old pixel (i, j) covers the same region as the N x L_new block of new
     # pixels starting at (i*N, j*L_new); the nu-span of both grids is 1/T.
     block = np.kron(S.mask, np.ones((N, L_new), dtype=bool))

@@ -99,7 +99,8 @@ def left_inverse(G, gamma, omega):
     """Minimum-norm left inverse of the Gamma-columns of G, scaled per cell.
 
     gamma is reordered row-major (q, then m); the coefficient rows inherit
-    that order.  Raises RankDeficient when |Gamma| > L or the restricted
+    that order.  The coefficients are read-only, so a solve plan may keep them
+    (_solve).  Raises RankDeficient when |Gamma| > L or the restricted
     columns are dependent under the package's one rank rule
     (gabor._dependent), the rule the spark search and the bunched plan use.
     """
@@ -124,11 +125,13 @@ def left_inverse(G, gamma, omega):
     pinv = (Vh.conj().T / s) @ U.conj().T
     q, m = np.array(gamma).T
     scale = (1.0 / omega) * _unit_phase(q * m, L)
-    return LeftInverse(
+    inv = LeftInverse(
         gamma=gamma,
         coefficients=scale[:, None] * pinv,
         condition_number=float(s[0] / s[-1]),
     )
+    inv.coefficients.flags.writeable = False
+    return inv
 
 
 def _validate_grids(Zgrid, G, S):
@@ -165,13 +168,6 @@ def _read_off(S):
     return tables
 
 
-def _class_inverse(G, gamma, omega):
-    """left_inverse(G, gamma, omega) with read-only coefficients, as a plan keeps it."""
-    inv = left_inverse(G, gamma, omega)
-    inv.coefficients.flags.writeable = False
-    return inv
-
-
 def _solve(Zgrid, G, S):
     """eta's values (a fresh array) and the class condition numbers from a validated Zak grid."""
     L, P = S.L, S.P
@@ -184,7 +180,7 @@ def _solve(Zgrid, G, S):
         if not cls.cells:
             continue
         # a RankDeficient refusal raises here and is not kept
-        inv = _plan(S, (G, cls.cells), _class_inverse, G, cls.cells, S.omega)
+        inv = _plan(S, (G, cls.cells), left_inverse, G, cls.cells, S.omega)
         conds.append(inv.condition_number)
         points = np.flatnonzero(cls.points)
         q, m = np.array(inv.gamma).T

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidParameters, NotIdentifiable
 from .gabor import _is_integer
 
-#: largest L*P of a support or grid file (an (L*P)^2 mask) and of a bunched plan's grid
+#: largest L*P of every grid (an (L*P)^2 mask), file or not: _check_grid's one bound
 MAX_LP = 4096
 
 __all__ = [
@@ -42,9 +42,12 @@ __all__ = [
 
 
 def _check_grid(T, L, P):
-    """Refuse grid parameters unless T is finite and > 0 and L, P are integers >= 1."""
+    """Refuse grid parameters unless T is finite and > 0, L, P are integers >= 1 and
+    L*P <= MAX_LP: the one bound on every grid, checked before anything is allocated."""
     if not (np.isfinite(T) and T > 0 and _is_integer(L) and L >= 1 and _is_integer(P) and P >= 1):
         raise InvalidParameters("need finite T > 0, integer L >= 1 and integer P >= 1")
+    if L * P > MAX_LP:
+        raise InvalidParameters(f"L*P = {L * P} exceeds the grid limit MAX_LP = {MAX_LP}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +108,7 @@ class CellSupport:
         mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
         if given or self.offsets != (0, 0):  # a shift may move the labels of a cell mask
-            occupied = self.folded_mask().reshape(self.L, self.P, self.L, self.P).any(axis=(1, 3))
+            occupied = self.fold_counts().reshape(self.L, self.P, self.L, self.P).any(axis=(1, 3))
             cells = tuple((int(q), int(m)) for q, m in np.argwhere(occupied))
             if given and declared is not None and declared != cells:
                 raise InvalidParameters("declared cells do not match the mask's folded footprint")
@@ -155,10 +158,6 @@ class CellSupport:
             return self.mask.view(np.uint8)  # the fold is the identity: no copy
         rows, cols, _, i, j = self.subcells
         return np.bincount((i * LP)[rows] + j[cols], minlength=LP * LP).reshape(LP, LP)
-
-    def folded_mask(self):
-        """Boolean (L*P, L*P) footprint of the (LT, 1/T)-fold."""
-        return self.fold_counts() > 0
 
 
 @dataclass(eq=False)

@@ -28,7 +28,7 @@ from opsample import (
     relative_l2_error,
     zak_transform,
 )
-from opsample.channel import _lag_kernel, _scatter_add, _unit_phase
+from opsample.channel import _lag_kernel, _unit_phase
 from opsample.presets import staircase_support, translate_collision_support
 
 from oracles import (
@@ -152,20 +152,8 @@ def _add_at(shape, index, values):
     return out
 
 
-def test_scatter_add_is_bit_identical_to_add_at_on_colliding_indices():
-    # the apply_channel pattern at L=3, P=8: P extra rows make row r and r + P
-    # land on one sample for lags n and n - 1
-    L, P = 3, 8
-    N, n = L * P * P, np.arange(L * P)
-    rows = 5 + np.arange(L * P + P)
-    index = np.add.outer(rows, n * P) % N
-    rng = np.random.default_rng(1)
-    values = rng.standard_normal(index.shape) + 1j * rng.standard_normal(index.shape)
-    assert len(np.unique(index)) < index.size
-    np.testing.assert_array_equal(_bits(_scatter_add((N,), index, values)),
-                                  _bits(_add_at(N, index, values)))
-
-    # quasiperiodize on a shifted support whose time translates fold onto one subcell
+def test_quasiperiodize_is_bit_identical_to_add_at_on_colliding_indices():
+    # a shifted support whose time translates fold onto one subcell
     base = translate_collision_support(L=3, T=1.0, P=4)
     S = CellSupport(T=1.0, L=3, P=4, mask=base.mask, shift=(-5 * base.dt, 7 * base.dnu))
     eta = random_spreading(S, seed=4)
@@ -205,7 +193,7 @@ def test_train_rate_and_period():
 
     # kappa = L*T*a = 1 (odd) with L = 3 odd: the chirped weights have period 2L
     chirped = _train(0.5, [1.0, 0.0, 2.0], chirp_a=2.0 / 3.0)
-    assert chirped.chirp_kappa() == 1
+    assert chirped.kappa == 1
     assert chirped.period == 6
     w = chirped.effective_weights(np.arange(12))
     np.testing.assert_allclose(w[:6], w[6:], atol=1e-15)
@@ -216,10 +204,25 @@ def test_train_rate_and_period():
     assert even.period == 3
 
     with pytest.raises(NonIntegerChirpPeriod):
-        _train(0.5, [1.0, 0.0, 2.0], chirp_a=0.4).chirp_kappa()
+        _train(0.5, [1.0, 0.0, 2.0], chirp_a=0.4)
     for a in (float("nan"), float("inf")):
         with pytest.raises(NonIntegerChirpPeriod):
-            _train(0.5, [1.0, 0.0, 2.0], chirp_a=a).chirp_kappa()
+            _train(0.5, [1.0, 0.0, 2.0], chirp_a=a)
+
+
+def test_train_is_frozen_and_derives_its_kappa_once():
+    g = _train(0.5, [1.0, 0.0, 2.0], chirp_a=2.0 / 3.0)
+    assert g.kappa == 1 and type(g.kappa) is int
+    # a rebound field skipped the checks: T = nan made apply_channel raise a misleading
+    # NonIntegerChirpPeriod, a bare weight vector an AttributeError
+    for name, value in (("T", float("nan")), ("weights", np.array([1, 2, 3])), ("chirp_a", 0.4)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, value)
+    assert (g.T, g.chirp_a, g.kappa, g.period) == (0.5, 2.0 / 3.0, 1, 6)
+    # an off-grid chirp is refused where the train is made, not where it is applied
+    for a in (0.4, float("nan"), float("inf")):
+        with pytest.raises(NonIntegerChirpPeriod, match="is not an integer"):
+            _train(0.5, [1.0, 0.0, 2.0], chirp_a=a)
 
 
 def test_train_rejects_non_finite_T():
@@ -375,7 +378,7 @@ def _apply_channel_every_row(eta, g):
     h = _lag_kernel(S, eta.values, L * P)
     h *= S.dnu * (L * P)
     rows = S.offsets[0] + np.arange(h.shape[0])
-    return _scatter_add((N,), np.add.outer(rows, n * P) % N, g.effective_weights(n) * h)
+    return _add_at(N, np.add.outer(rows, n * P) % N, g.effective_weights(n) * h)
 
 
 def test_apply_channel_skips_empty_rows_without_changing_a_bit():

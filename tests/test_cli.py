@@ -67,6 +67,31 @@ def test_spark_at_the_ends_of_the_float_range(workdir, capsys):
     assert (code, out, err) == (2, "", "error: G(c) overflows: its entries must be finite\n")
 
 
+def test_every_command_refuses_an_overflowing_window_alike(workdir, capsys, monkeypatch):
+    # simulate and verify failed later, in apply_channel (exit 3), and rates reported a rate
+    monkeypatch.chdir(workdir)
+    run(["gen-window", "--L", "3", "--seed", "7", "--out", "w.json"], capsys)
+    run(["simulate", "--support", "stairs.json", "--window", "w.json", "--seed", "5",
+         "--zak-out", "z.csv"], capsys)
+    formats.save_window(Window(L=3, weights=np.full(3, 1.7e308 + 1.7e308j)), "huge.json")
+    before = sorted(os.listdir())
+    outputs = ["--eta-out", "eta.csv", "--report-out", "report.json"]
+    for argv in (
+        ["spark", "--window", "huge.json", "--matrix-out", "G.csv"],
+        ["identify", "--zak", "z.csv", "--window", "huge.json", "--support", "stairs.json",
+         *outputs],
+        ["recover-support", "--zak", "z.csv", "--window", "huge.json", "--kmax", "2", *outputs],
+        ["verify", "--support", "stairs.json", "--window", "huge.json", "--seed", "1"],
+        ["simulate", "--support", "stairs.json", "--window", "huge.json", "--seed", "5",
+         "--eta-out", "eta.csv", "--response-out", "r.csv", "--zak-out", "zh.csv"],
+        ["rates", "--support", "stairs.json", "--window", "huge.json", "--report-out",
+         "report.json"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", "error: G(c) overflows: its entries must be finite\n")
+        assert sorted(os.listdir()) == before, argv
+
+
 def test_rectify_reports_classes(workdir, capsys):
     report_path = str(workdir / "rect.json")
     code, out, _ = run(
@@ -354,17 +379,13 @@ def test_spilling_mask_is_refused_before_writing(tmp_path):
 
 
 def test_grid_over_max_lp_is_refused_before_writing(tmp_path):
-    L, P = 513, 8  # L*P = 4104 > formats.MAX_LP: the loaders would refuse the file
-    S = CellSupport(T=1.0, L=L, P=P, mask=np.ones((1, 1), dtype=bool))
-    writes = (
-        lambda path: formats.save_support(S, path),
-        lambda path: formats.save_zak(np.zeros((L * P, P)), 1.0, L, P, path),
-    )
-    for write in writes:
-        path = tmp_path / "out"
-        with pytest.raises(InvalidParameters, match="exceeds the file limit"):
-            write(str(path))
-        assert not path.exists()
+    L, P = 513, 8  # L*P = 4104 > support.MAX_LP: no support or file holds such a grid
+    with pytest.raises(InvalidParameters, match="exceeds the grid limit"):
+        CellSupport(T=1.0, L=L, P=P, mask=np.ones((1, 1), dtype=bool))
+    path = tmp_path / "out"
+    with pytest.raises(InvalidParameters, match="exceeds the grid limit"):
+        formats.save_zak(np.zeros((L * P, P)), 1.0, L, P, str(path))
+    assert not path.exists()
 
 
 def test_exit_codes(workdir, capsys):
@@ -530,7 +551,7 @@ def test_bad_grid_csv_exits_4(workdir, capsys):
     # the L*P bound refuses the header before the body is read
     path = workdir / "over_bound.csv"
     path.write_text(bad_zak["over_bound"])
-    with pytest.raises(InvalidParameters, match="exceeds the file limit"):
+    with pytest.raises(InvalidParameters, match="exceeds the grid limit"):
         formats.load_zak(str(path))
 
     # recover-support builds its search region from the header's T

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from opsample import support
+from opsample.channel import ChannelResponse
 from opsample.errors import InvalidParameters, NotIdentifiable
 from opsample.presets import (
     seven_cell_support,
@@ -21,6 +22,7 @@ from opsample.support import (
     periodization_count,
     rectify,
 )
+from opsample.rates import refine_support
 
 from oracles import fold_count_oracle, occupancy_oracle, rectify_oracle
 
@@ -145,7 +147,7 @@ def test_unshifted_fold_makes_no_widening_copy():
     assert S.mask.shape == (2048, 2048)
     tracemalloc.start()
     try:
-        S.folded_mask()
+        S.fold_counts() > 0
         fold_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         assert check_identifiable(S)
@@ -412,3 +414,33 @@ def test_subcells_table_is_the_nonzero_points_and_the_per_axis_fold():
         ):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+def _refused_peak(build):
+    """The tracemalloc peak of build(), which must refuse its grid by the L*P bound."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameters, match="exceeds the grid limit MAX_LP = 4096"):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_every_grid_over_max_lp_is_refused_before_anything_is_allocated():
+    # a bare numpy ValueError ("array is too big") from the mask or the fold before, and a
+    # MemoryError from the refinement's np.kron
+    S = CellSupport(T=1.0, L=2, P=4, cells=[(0, 1)])
+    one = np.ones((1, 1), dtype=bool)
+    builds = (
+        lambda: CellSupport(T=1.0, L=10**6, P=10**6, cells=[(0, 0)]),
+        lambda: CellSupport(T=1.0, L=10**6, P=10**6, mask=one),
+        lambda: refine_support(S, 10**15),
+        lambda: ChannelResponse(samples=one, T=1.0, L=17, P=241),  # L*P = 4097
+    )
+    for build in builds:
+        assert _refused_peak(build) < 64 * 1024
+    # L*P = MAX_LP itself builds
+    assert CellSupport(T=1.0, L=64, P=64, cells=[(0, 0)]).mask.shape == (4096, 4096)
+    assert ChannelResponse(samples=np.zeros(4096), T=1.0, L=4096, P=1).samples.size == 4096
+    assert refine_support(S, 512).mask.shape == (4096, 4096)
