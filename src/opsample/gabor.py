@@ -14,7 +14,7 @@ reconstruction modules.  The rows of G(c) are orthogonal with squared norm
 L*||c||^2 (tight frame), and every column has norm ||c||.  G(c) is one batched
 product matmul(D, W), D[q] = diag(T^q c): each block is the same product D_q @ W
 as a block-by-block build, so the entries are bit-identical to it (an
-elementwise c * W product is not).
+elementwise c * W product is not).  W depends on L alone: one table per L (_fourier).
 
 Spark is the size of the smallest dependent column subset: L+1 ("full spark")
 for generic weights, k+1 for weights on their first k indices with L prime.
@@ -163,11 +163,10 @@ class Window:
         """G(c) as a read-only (L, L^2) array: one batched matmul(D, W) (module docstring)."""
         L, c = self.L, self.weights
         p = np.arange(L)
-        W = np.exp(2j * np.pi * np.outer(p, p) / L)
         D = np.zeros((L, L, L), dtype=complex)
         D[:, p, p] = c[(p - p[:, None]) % L]  # D[q] = diag(T^q c)
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below, by name
-            entries = np.matmul(D, W).transpose(1, 0, 2).reshape(L, L * L)
+            entries = np.matmul(D, _fourier(L)).transpose(1, 0, 2).reshape(L, L * L)
         if not np.all(np.isfinite(entries)):
             raise InvalidParameters("G(c) overflows: its entries must be finite")
         entries.flags.writeable = False
@@ -190,6 +189,15 @@ class Window:
             implied = [d for j, d in self._levels.copy().items() if (j > k) != d]
             self._levels[k] = implied[0] if implied else _has_dependent(self.entries, k)
         return self._levels[k]
+
+
+@functools.lru_cache(maxsize=16)
+def _fourier(L):
+    """W_{p,m} = exp(2*pi*i*p*m/L), p, m < L, as a read-only (L, L) table."""
+    p = np.arange(L)
+    W = np.exp(2j * np.pi * np.outer(p, p) / L)
+    W.flags.writeable = False
+    return W
 
 
 def build_gabor_matrix(window):

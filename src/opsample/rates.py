@@ -10,17 +10,19 @@ the cell grid to a prime modulus L', cover S by |Gamma'| cells of height
 1/(TL') with |Gamma'|/L' < |S|(1+eps), and probe with a window supported on
 its first |Gamma'| indices.  The weight train is then silent for most of
 each period LT, and the dead time 1 - (T*||c||_0 + K)/(LT) (K = channel
-memory) is available to carry data through the same channel.
+memory) is available to carry data through the same channel.  The search for
+L' runs once per (S, eps): S keeps the refined support it found (support._plan).
 """
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidParameters, NoPrimeInRange, NotIdentifiable
 from .channel import IdentifierTrain
 from .gabor import MAX_DRAWS, MAX_L, _dependent, _draw_window, _is_integer, is_prime
-from .support import MAX_LP, CellSupport, _check_grid, bandwidth, rectify
+from .support import MAX_LP, CellSupport, _check_grid, _plan, bandwidth, rectify
 
 __all__ = ["RateReport", "rate_report", "refine_support", "bunched_window_plan"]
 
@@ -49,7 +51,7 @@ def _memory(S):
     occupied = np.flatnonzero(S.mask.any(axis=1))
     if occupied.size == 0:
         return 0.0
-    return (S.offsets[0] + occupied[-1] + 1) * S.dt
+    return float((S.offsets[0] + occupied[-1] + 1) * S.dt)
 
 
 def rate_report(g, S, eps=None):
@@ -104,10 +106,32 @@ def bunched_window_plan(S, eps, seed=None):
     class of the refined support has a dependent column block (the rank rule
     of recovery, gabor._dependent).  Returns the window and a RateReport with
     the emitted plan's margin and dead-time fraction.  S's occupied t-rows must
-    lie within L*P rows of each other (InvalidParameters).
+    lie within L*P rows of each other (InvalidParameters).  The search runs once per
+    (S, eps), kept on S unless refused; a later plan only draws, with a fresh S's bits.
     """
-    if not eps > 0:
-        raise InvalidParameters("the sufficient-rate construction needs eps > 0")
+    if not (isinstance(eps, numbers.Real) and eps > 0):
+        raise InvalidParameters("the sufficient-rate construction needs a real eps > 0")
+    refined = _plan(S, ("bunched", eps), _bunched_search, S, eps)
+    report = rectify(refined)  # kept on refined from its first call
+    L_new, k = refined.L, len(report.gamma)
+    class_columns = [[q * L_new + m for q, m in cls.cells] for cls in report.classes if cls.cells]
+
+    def well_conditioned(window):
+        return not any(
+            _dependent(np.linalg.svd(window.entries[:, cols], compute_uv=False))
+            for cols in class_columns
+        )
+
+    window = _draw_window(
+        L_new, k, seed, well_conditioned,
+        f"no bunched window with well-conditioned class blocks in "
+        f"{MAX_DRAWS} draws (L={L_new}, ||c||_0={k})",
+    )
+    return window, rate_report(IdentifierTrain(T=S.T, weights=window), S, eps)
+
+
+def _bunched_search(S, eps):
+    """bunched_window_plan's (S, eps)-only work: checks, hull, primes; returns S refined."""
     area = S.area
     if area <= 0:
         raise InvalidParameters("cannot plan for an empty support")
@@ -144,30 +168,13 @@ def bunched_window_plan(S, eps, seed=None):
         # target cannot pass the check below: skip it unrefined.
         if -(-n_q * L_new // (S.L * S.P)).sum() / L_new >= target:
             continue
+        refined = refine_support(S, L_new)
         try:
-            report = rectify(refine_support(S, L_new))
+            if len(rectify(refined).gamma) / L_new < target:
+                return refined if refined is not S else replace(S)  # no plan refers back to S
         except NotIdentifiable:
             continue
-        if len(report.gamma) / L_new < target:
-            break
-    else:
-        raise NoPrimeInRange(
-            f"no prime modulus in [{S.L}, {budget}] brings the cell cover below |S|(1+eps) = "
-            f"{target:.6g} within the grid budget L' <= {MAX_L}, L'*L*P <= {MAX_LP}"
-        )
-    k = len(report.gamma)
-
-    class_columns = [[q * L_new + m for q, m in cls.cells] for cls in report.classes if cls.cells]
-
-    def well_conditioned(window):
-        return not any(
-            _dependent(np.linalg.svd(window.entries[:, cols], compute_uv=False))
-            for cols in class_columns
-        )
-
-    window = _draw_window(
-        L_new, k, seed, well_conditioned,
-        f"no bunched window with well-conditioned class blocks in "
-        f"{MAX_DRAWS} draws (L={L_new}, ||c||_0={k})",
+    raise NoPrimeInRange(
+        f"no prime modulus in [{S.L}, {budget}] brings the cell cover below |S|(1+eps) = "
+        f"{target:.6g} within the grid budget L' <= {MAX_L}, L'*L*P <= {MAX_LP}"
     )
-    return window, rate_report(IdentifierTrain(T=S.T, weights=window), S, eps)

@@ -30,10 +30,10 @@ All three known-support formulas are this one solve on the exact grid:
 A recovery returns what it recovered and takes no ground truth: scoring an
 estimate against a known eta is channel.relative_l2_error.
 
-A solve rectifies S every time and keeps its plans on S itself (_plan): by S
-alone the read-off tables, by (S, G) each class's left inverse, and by
-(S, kappa) S~ and its shear tables.  No plan refers to S, so they go when S
-dies; every kept array is read-only, and a refusal is not kept.
+S keeps its plans (support._plan): by S alone its rectification and the
+read-off tables, by (S, G) each class's left inverse, and by (S, kappa) S~ and
+its shear tables.  No plan refers to S, so they go when S dies; every kept
+array is read-only, and a refusal is not kept.
 """
 
 import numbers
@@ -60,7 +60,7 @@ from .errors import (
     ShearNotRectifiable,
 )
 from .gabor import _dependent
-from .support import CellSupport, rectify
+from .support import CellSupport, _plan, rectify
 
 __all__ = [
     "LeftInverse",
@@ -146,14 +146,6 @@ def _validate_grids(Zgrid, G, S):
     return Zgrid
 
 
-def _plan(S, key, build, *args):
-    """S's plan under key, built as build(*args) on first use and kept in S._plans, which
-    no plan refers back to.  A build that raises keeps nothing; two threads may both build
-    a first plan, and setdefault keeps one of their results, which hold the same bits."""
-    plan = S._plans.get(key)
-    return plan if plan is not None else S._plans.setdefault(key, build(*args))
-
-
 def _read_off(S):
     """S's read-only read-off tables: the flat index into X of each stored subcell (the fold
     read once per mask row and column) and its row and column phases."""
@@ -182,11 +174,10 @@ def _solve(Zgrid, G, S):
         # a RankDeficient refusal raises here and is not kept
         inv = _plan(S, (G, cls.cells), left_inverse, G, cls.cells, S.omega)
         conds.append(inv.condition_number)
-        points = np.flatnonzero(cls.points)
         q, m = np.array(inv.gamma).T
-        # np.take keeps the columns C-ordered (Zv[:, points] may not), so the product
+        # np.take keeps the columns C-ordered (Zv[:, index] may not), so the product
         # takes the BLAS path, and gives the bits, of a freshly gathered matrix
-        X[(q * L + m)[:, None], points] = inv.coefficients @ np.take(Zv, points, axis=1)
+        X[(q * L + m)[:, None], cls.index] = inv.coefficients @ np.take(Zv, cls.index, axis=1)
     values = np.zeros(S.mask.shape, dtype=complex)
     values[S.mask] = row_phase * X.ravel()[flat] * col_phase
     return values, conds
@@ -197,9 +188,9 @@ def recover_eta_known_support(Zgrid, G, S):
 
     Solves one restricted system per rectification class at each base-rectangle
     subcell into X[q, m, u, v], then reads eta off X at the stored subcells of S
-    with the two root-of-unity phases of the module docstring.  S is rectified
-    on every call; S keeps its read-off tables, and each class's left inverse per
-    window G, for as long as it lives.  The values are zero off the mask by
+    with the two root-of-unity phases of the module docstring.  S keeps its
+    rectification, its read-off tables, and each class's left inverse per window
+    G, for as long as it lives.  The values are zero off the mask by
     construction, as they fill only S.mask.  The formula tag is "sharp" for
     single-class supports and "multiclass" otherwise.  Raises NotIdentifiable
     when S violates the fold conditions.

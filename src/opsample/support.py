@@ -17,6 +17,8 @@ to two fold conditions on the grid:
 rectify() partitions the base rectangle [0, T) x [0, Omega) into classes of
 subcells sharing the same folded occupancy pattern; each class yields the cell
 set Gamma_j of the restricted linear system the reconstruction module solves.
+It depends on S alone: rectify builds a frozen report once and keeps it on S
+(_plan, the one per-support memo, which reconstruct and rates use too).
 """
 
 import functools
@@ -67,7 +69,7 @@ class CellSupport:
     labels are that footprint and are taken as they are (converted to int);
     a nonzero shift or an explicit mask re-folds the mask.  Frozen: the mask
     is a private read-only copy of the one given, and nothing can be rebound.
-    _plans keeps the solve plans reconstruct builds for this support (reconstruct._plan).
+    _plans keeps what is computed once per support (_plan), its rectification included.
     """
 
     T: float
@@ -160,18 +162,32 @@ class CellSupport:
         return np.bincount((i * LP)[rows] + j[cols], minlength=LP * LP).reshape(LP, LP)
 
 
-@dataclass(eq=False)
+def _plan(S, key, build, *args):
+    """S's plan under key, built as build(*args) on first use and kept in S._plans, which
+    no plan refers back to.  A build that raises keeps nothing; two threads may both build
+    a first plan, and setdefault keeps one of their results, which hold the same bits."""
+    plan = S._plans.get(key)
+    return plan if plan is not None else S._plans.setdefault(key, build(*args))
+
+
+@dataclass(frozen=True, eq=False)
 class PartitionClass:
-    """One class A_j of base subcells sharing the folded occupancy pattern Gamma_j."""
+    """One class A_j of base subcells sharing the folded occupancy pattern Gamma_j: frozen,
+    with points made read-only in place and index their flat indices u*P + v, set once."""
 
     cells: tuple  # Gamma_j, row-major (q, then m)
     points: np.ndarray  # boolean (P, P) membership grid over the base rectangle
 
+    def __post_init__(self):
+        index = np.flatnonzero(self.points)
+        self.points.flags.writeable = index.flags.writeable = False  # rectify's own arrays
+        object.__setattr__(self, "index", index)  # frozen: set once, here
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class RectificationReport:
     gamma: tuple  # union of active cells
-    classes: list  # PartitionClass entries, ascending row-major occupancy patterns (see rectify)
+    classes: tuple  # PartitionClass entries, ascending row-major occupancy patterns (see rectify)
     max_cover: int  # essential supremum of the periodization count
 
 
@@ -203,19 +219,24 @@ def rectify(S):
     of S covers (u + qP, v + mP); subcells sharing a pattern form one class.
     Classes come in ascending lexicographic order of their occupancy patterns,
     read as bit tuples over the cells in row-major order (q, then m), with
-    False before True.  Requires check_identifiable(S).
+    False before True.  Requires check_identifiable(S).  The report is built once and
+    kept on S (_plan): later calls return it, frozen; a refusal is not kept.
 
     A union of at most L whole cells (zero offsets, an (L*P, L*P) mask whose
     P x P blocks are each constant) is one class, read off the mask without a
     fold: every base point sees the occupied cells, max_cover = their number.
     """
+    return _plan(S, "rectify", _rectify, S)
+
+
+def _rectify(S):
+    """rectify's report of S, built afresh."""
     L, P = S.L, S.P
-    if S.offsets == (0, 0) and S.mask.shape == (L * P, L * P):
-        corners = S.mask[::P, ::P]
-        cells = tuple(divmod(b, L) for b in np.flatnonzero(corners).tolist())
-        if len(cells) <= L and (S.mask.reshape(L, P, L, P) == corners[:, None, :, None]).all():
-            one = PartitionClass(cells=cells, points=np.ones((P, P), dtype=bool))
-            return RectificationReport(gamma=S.cells, classes=[one], max_cover=len(cells))
+    if S.offsets == (0, 0) and S.mask.shape == (L * P, L * P) and len(S.cells) <= L:
+        corners = S.mask[::P, ::P]  # with constant blocks, S.cells are the True corners
+        if (S.mask.reshape(L, P, L, P) == corners[:, None, :, None]).all():
+            one = PartitionClass(cells=S.cells, points=np.ones((P, P), dtype=bool))
+            return RectificationReport(gamma=S.cells, classes=(one,), max_cover=len(S.cells))
     counts, cover, identifiable = _folds(S)
     if not identifiable:
         raise NotIdentifiable(
@@ -232,7 +253,7 @@ def rectify(S):
         cells = tuple(divmod(b, L) for b in np.flatnonzero(flat[row]).tolist())
         points = (inverse == idx).reshape(P, P)
         classes.append(PartitionClass(cells=cells, points=points))
-    return RectificationReport(gamma=S.cells, classes=classes, max_cover=int(cover.max()))
+    return RectificationReport(gamma=S.cells, classes=tuple(classes), max_cover=int(cover.max()))
 
 
 def bandwidth(S):

@@ -1,5 +1,5 @@
 """The pure helpers of tools/bench_pairs.py: run order, schedule, quartiles, wins, verdicts,
-directions and bounds.
+paired ratios, directions and bounds.
 
 No benchmark runs here.
 """
@@ -77,6 +77,18 @@ def test_verdict_reads_the_bound_and_the_claim_rule(pairs):
     assert pairs.verdict(parent, [11.5] * 10, "higher", 0.06) == (True, True)
     with pytest.raises(ValueError):
         pairs.verdict(parent, parent, "smaller", 0.25)
+
+
+def test_paired_ratios_divide_within_each_pair(pairs):
+    # the parent drifts from 10 to 20 and the change stays 10% below it in every pair
+    parent = [10.0, 12.0, 16.0, 20.0]
+    assert pairs.paired_ratios(parent, [0.9 * p for p in parent]) == pytest.approx((0.9, 0.9, 0.9))
+    assert pairs.paired_ratios([1.0, 2.0, 4.0], [2.0, 1.0, 4.0]) == (1.0, 0.5, 2.0)
+    # a zero parent value gives no ratio; no pair with a ratio gives None
+    assert pairs.paired_ratios([0.0, 1.0], [1.0, 1.0]) == (1.0, 1.0, 1.0)
+    assert pairs.paired_ratios([0.0, 0.0], [1.0, 1.0]) is None
+    with pytest.raises(ValueError):
+        pairs.paired_ratios([1.0, 2.0], [1.0])
 
 
 def test_directions_follow_the_benchmark_file(pairs, tmp_path):

@@ -806,3 +806,14 @@ def test_det_screen_rounding_stays_below_the_tolerance():
     for L in range(1, gabor.SPARK_SEARCH_LIMIT + 1):
         assert _screen_rounding_constant(L - 1) < gabor.DEFAULT_TOL, L
     assert _screen_rounding_constant(6) == pytest.approx(4.14e-12, rel=1e-2)
+
+
+def test_fourier_table_is_the_inline_formula_and_read_only():
+    for L in range(1, 65):
+        p = np.arange(L)
+        W = gabor._fourier(L)
+        assert W.tobytes() == np.exp(2j * np.pi * np.outer(p, p) / L).tobytes()
+        assert not W.flags.writeable
+        with pytest.raises(ValueError):
+            W[0, 0] = 0
+    assert gabor._fourier(11) is gabor._fourier(11)  # one table per L

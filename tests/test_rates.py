@@ -1,5 +1,6 @@
 """Rate diagnostics: necessary bound, bunched plans, dead-time accounting."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -314,3 +315,92 @@ def test_bunched_plan_of_a_mask_of_any_extent_is_the_plan_of_its_padded_mask():
         assert R.area == S.area and R.mask.sum() == 4 * 15
         got, got_report = bunched_window_plan(S, 0.5, seed=1)
         assert got.weights.tobytes() == window.weights.tobytes() and got_report == report
+
+
+def _python_scalars(report):
+    """The fields of a RateReport that are not a Python float, bool or None, with their types."""
+    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return {name: type(v) for name, v in values.items()
+            if not (v is None or type(v) in (float, bool))}
+
+
+def test_rate_report_fields_are_python_scalars():
+    shifted = CellSupport(T=1.0, L=3, P=4, cells=[(0, 0), (1, 1)], shift=(0.25, 0.0))
+    for S in (CellSupport(T=1.0, L=3, P=4, cells=[(0, 0), (1, 1)]), shifted):
+        for eps in (None, 0.5):
+            assert _python_scalars(rate_report(_train(1.0, [1, 1, 0]), S, eps=eps)) == {}
+    for S, eps in ((_strip(), 0.1), (CellSupport(T=0.5, L=11, cells=[(2, 5), (7, 1)]), 1.5)):
+        _, report = bunched_window_plan(S, eps, seed=3)
+        assert _python_scalars(report) == {}
+        assert type(report.dead_time_fraction) is float
+
+
+def _strip():
+    """One t-column of nu-extent Omega/3 at L = 3, P = 6: planned at L' = 17."""
+    mask = np.zeros((18, 18), dtype=bool)
+    mask[0:6, 0:2] = True
+    return CellSupport(T=1.0, L=3, P=6, mask=mask)
+
+
+def test_bunched_plan_searches_once_per_support_and_eps(monkeypatch):
+    calls = _counting_refinements(monkeypatch)
+    S = _strip()
+    first, _ = bunched_window_plan(S, eps=0.1, seed=5)
+    searched = len(calls)
+    assert first.L == 17 and calls[-1] == 17
+    second, _ = bunched_window_plan(S, eps=0.1, seed=6)
+    assert len(calls) == searched and second.L == 17  # the kept search: no refinement
+    kept = S._plans[("bunched", 0.1)]
+    assert kept.L == 17 and rectify(kept) is kept._plans["rectify"]
+    bunched_window_plan(S, eps=0.2, seed=5)  # a new eps searches again
+    assert len(calls) > searched
+    searched = len(calls)
+    bunched_window_plan(_strip(), eps=0.1, seed=5)  # and so does a fresh support
+    assert len(calls) > searched
+    # a plan at L' = S.L keeps a copy of S, not S: no plan refers back to its support
+    certify = CellSupport(T=0.5, L=11, cells=[(2, 5), (7, 1)])
+    bunched_window_plan(certify, eps=1.5, seed=5)
+    kept = certify._plans[("bunched", 1.5)]
+    assert kept is not certify and kept.L == 11 and kept.mask.tobytes() == certify.mask.tobytes()
+
+
+def test_a_remembered_bunched_plan_keeps_the_bits_of_a_fresh_one():
+    def fresh_certify():
+        return CellSupport(T=0.5, L=11, cells=[(2, 5), (7, 1)])
+
+    for make, eps in ((_strip, 0.1), (fresh_certify, 1.5), (lambda: _corner(3, 4, 2, 3), 1.5)):
+        S = make()
+        bunched_window_plan(S, eps, seed=0)  # the search, kept on S
+        for seed in (1, 2, 3):
+            window, report = bunched_window_plan(S, eps, seed=seed)
+            cold_window, cold_report = bunched_window_plan(make(), eps, seed=seed)
+            assert window.weights.tobytes() == cold_window.weights.tobytes()
+            assert (window.L, window.seed, window.draws) == (
+                cold_window.L, cold_window.seed, cold_window.draws)
+            assert report == cold_report
+
+
+def test_a_refused_bunched_search_keeps_nothing(monkeypatch):
+    calls = _counting_refinements(monkeypatch)
+    hull = _corner(3, 4, 2, 3)  # refused by its cell-column hull, unrefined
+    for _ in range(2):
+        with pytest.raises(NoPrimeInRange, match="hull"):
+            bunched_window_plan(hull, eps=0.5, seed=4)
+    assert hull._plans == {} and calls == []
+    mask = np.zeros((6, 6), dtype=bool)  # refused at the budget after refining at L' = 3
+    mask[0:2, 1:3] = True
+    budget = CellSupport(T=1.0, L=3, P=2, mask=mask)
+    for _ in range(2):
+        with pytest.raises(NoPrimeInRange, match="grid budget"):
+            bunched_window_plan(budget, eps=0.001, seed=4)
+    assert calls == [3, 3] and list(budget._plans) == ["rectify"]  # a fact of S alone
+    rows = np.zeros((24, 12), dtype=bool)
+    rows[0:2, 0:2] = rows[14:16, 0:2] = True
+    spread = CellSupport(T=1.0, L=3, P=4, mask=rows)
+    with pytest.raises(InvalidParameters, match="within L\\*P"):
+        bunched_window_plan(spread, eps=0.5, seed=1)
+    assert spread._plans == {}
+    for eps in (np.array(0.5), "0.5", 0.0, np.nan):  # refused before any search is kept
+        with pytest.raises(InvalidParameters, match="real eps > 0"):
+            bunched_window_plan(hull, eps=eps)
+    assert hull._plans == {}

@@ -444,3 +444,41 @@ def test_every_grid_over_max_lp_is_refused_before_anything_is_allocated():
     assert CellSupport(T=1.0, L=64, P=64, cells=[(0, 0)]).mask.shape == (4096, 4096)
     assert ChannelResponse(samples=np.zeros(4096), T=1.0, L=4096, P=1).samples.size == 4096
     assert refine_support(S, 512).mask.shape == (4096, 4096)
+
+
+def _assert_read_only(a):
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a.flat[0] = a.flat[0]
+
+
+@pytest.mark.parametrize(
+    "make_support",
+    [seven_cell_support, staircase_support, sheared_parallelogram_support,
+     lambda: CellSupport(T=1.0, L=3, P=4, cells=[(0, 0), (1, 2)])],  # one class, no fold
+    ids=["seven-cell", "staircase", "parallelogram", "whole-cells"],
+)
+def test_rectify_keeps_one_frozen_report_on_the_support(make_support):
+    S = make_support()
+    rep = rectify(S)
+    assert rectify(S) is rep and S._plans == {"rectify": rep}
+    fresh = rectify(make_support())  # a cold rectification of the same mask
+    assert fresh is not rep and isinstance(rep.classes, tuple)
+    assert [c.cells for c in rep.classes] == [c.cells for c in fresh.classes]
+    for cls, cold in zip(rep.classes, fresh.classes, strict=True):
+        assert cls.points.tobytes() == cold.points.tobytes()
+        np.testing.assert_array_equal(cls.index, np.flatnonzero(cls.points))
+        _assert_read_only(cls.points)
+        _assert_read_only(cls.index)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cls.points = np.ones_like(cls.points)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.classes = ()
+
+
+def test_a_refused_rectification_keeps_nothing():
+    bad = stacked_cover_violation(P=4)
+    for _ in range(2):
+        with pytest.raises(NotIdentifiable):
+            rectify(bad)
+    assert bad._plans == {}

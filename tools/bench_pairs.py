@@ -19,7 +19,11 @@ counts for neither side.  The same line says whether the change stays within
 the metric's `bound` (its median worse than the parent's by at most that
 fraction of the parent's median) and whether a claim of a gain would hold (at
 least 9 of every 10 pairs won, and the medians apart by more than the parent's
-quartile spread).  The script writes no file.
+quartile spread).  The line ends with the median of the paired ratios
+change/parent, one per pair, and their min and max: the two runs of a pair are
+close in time, so the ratio cancels the drift of the host between pairs.  It
+decides nothing; the bound and the claim read the medians as before.  The
+script writes no file.
 """
 
 import argparse
@@ -73,6 +77,13 @@ def verdict(parent, change, better, bound):
     gain = cm - pm if better == "higher" else pm - cm
     won = wins(parent, change, better)
     return -gain <= bound * abs(pm), 10 * won >= 9 * len(parent) and gain > p3 - p1
+
+
+def paired_ratios(parent, change):
+    """(median, min, max) of change/parent over the pairs whose parent value is nonzero;
+    None when there is no such pair."""
+    ratios = [c / p for p, c in zip(parent, change, strict=True) if p]
+    return (statistics.median(ratios), min(ratios), max(ratios)) if ratios else None
 
 
 def directions(benchmark_json):
@@ -131,10 +142,13 @@ def main(argv=None):
             parent, change = values["parent"][name], values["change"][name]
             (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
             within, claim = verdict(parent, change, direction, bound[name])
+            ratio = paired_ratios(parent, change)
+            ratio = "n/a" if ratio is None else "{:.4f} [{:.4f}, {:.4f}]".format(*ratio)
             print(f"{name:12s} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} "
                   f"[{c1:.6g}, {c3:.6g}]  change wins {wins(parent, change, direction)}/"
                   f"{args.pairs} ({direction} is better)  within bound {bound[name]:g}: "
-                  f"{'yes' if within else 'NO'}  claim holds: {'yes' if claim else 'no'}")
+                  f"{'yes' if within else 'NO'}  claim holds: {'yes' if claim else 'no'}  "
+                  f"paired change/parent median [min, max] {ratio}")
     return 0
 
 
