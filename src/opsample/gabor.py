@@ -137,6 +137,8 @@ class Window:
     (None for hand-built windows); draws: how many draws the generator needed to meet
     its spark target.  entries, a read-only G(c), is built from the weights on first
     use; each spark level read on it is remembered and settles others (_dependent_at).
+    _plans keeps one scaled left inverse per (Gamma, Omega) asked of it (reconstruct._solve):
+    at most 325, ~0.3 MB, for the unknown-support decodes at L = 5 (every 1- and 2-cell set).
     """
 
     L: int
@@ -144,6 +146,7 @@ class Window:
     seed: int | None = None
     draws: int | None = None
     _levels: dict = field(default_factory=dict, init=False, repr=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.weights)
@@ -165,8 +168,9 @@ class Window:
         p = np.arange(L)
         D = np.zeros((L, L, L), dtype=complex)
         D[:, p, p] = c[(p - p[:, None]) % L]  # D[q] = diag(T^q c)
+        entries = np.empty((L, L * L), dtype=complex)  # [p, q*L + m] = (D[q] @ W)[p, m]
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below, by name
-            entries = np.matmul(D, _fourier(L)).transpose(1, 0, 2).reshape(L, L * L)
+            np.matmul(D, _fourier(L), out=entries.reshape(L, L, L).transpose(1, 0, 2))
         if not np.all(np.isfinite(entries)):
             raise InvalidParameters("G(c) overflows: its entries must be finite")
         entries.flags.writeable = False
@@ -189,6 +193,14 @@ class Window:
             implied = [d for j, d in self._levels.copy().items() if (j > k) != d]
             self._levels[k] = implied[0] if implied else _has_dependent(self.entries, k)
         return self._levels[k]
+
+
+def _plan(owner, key, build, *args):
+    """A value's plan under key, built as build(*args) on first use and kept in owner._plans,
+    which no plan refers back to.  A build that raises keeps nothing; two threads may both
+    build a first plan, and setdefault keeps one of their results, which hold the same bits."""
+    plan = owner._plans.get(key)
+    return plan if plan is not None else owner._plans.setdefault(key, build(*args))
 
 
 @functools.lru_cache(maxsize=16)

@@ -42,23 +42,18 @@ def seven_cell_support(T=1.0, P=8):
     {(0,0),(1,0),(2,0)}, {(0,0),(0,1),(1,1)} and {(1,1),(2,1),(2,2)}.
     """
     L = 3
-    class_cells = {
-        "bottom": ((0, 0), (1, 0), (2, 0)),
-        "left": ((0, 0), (0, 1), (1, 1)),
-        "rest": ((1, 1), (2, 1), (2, 2)),
+    uc, vc = np.indices((P, P)) + 0.5
+    bottom = (vc <= uc) & (vc <= P - uc)
+    left = (uc < vc) & (uc < P - vc)  # never bottom: vc <= uc there
+    class_points = {
+        ((0, 0), (1, 0), (2, 0)): bottom,
+        ((0, 0), (0, 1), (1, 1)): left,
+        ((1, 1), (2, 1), (2, 2)): ~(bottom | left),
     }
     mask = np.zeros((L * P, L * P), dtype=bool)
-    for u in range(P):
-        for v in range(P):
-            uc, vc = u + 0.5, v + 0.5
-            if vc <= uc and vc <= P - uc:
-                name = "bottom"
-            elif uc < vc and uc < P - vc:
-                name = "left"
-            else:
-                name = "rest"
-            for q, m in class_cells[name]:
-                mask[u + q * P, v + m * P] = True
+    for cells, points in class_points.items():
+        for q, m in cells:
+            mask[q * P : (q + 1) * P, m * P : (m + 1) * P] |= points
     return CellSupport(T=T, L=3, P=P, mask=mask)
 
 

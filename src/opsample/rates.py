@@ -11,7 +11,7 @@ the cell grid to a prime modulus L', cover S by |Gamma'| cells of height
 its first |Gamma'| indices.  The weight train is then silent for most of
 each period LT, and the dead time 1 - (T*||c||_0 + K)/(LT) (K = channel
 memory) is available to carry data through the same channel.  The search for
-L' runs once per (S, eps): S keeps the refined support it found (support._plan).
+L' runs once per (S, eps): S keeps the refined support it found (gabor._plan).
 """
 
 import numbers
@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import InvalidParameters, NoPrimeInRange, NotIdentifiable
 from .channel import IdentifierTrain
-from .gabor import MAX_DRAWS, MAX_L, _dependent, _draw_window, _is_integer, is_prime
-from .support import MAX_LP, CellSupport, _check_grid, _plan, bandwidth, rectify
+from .gabor import MAX_DRAWS, MAX_L, _dependent, _draw_window, _is_integer, _plan, is_prime
+from .support import MAX_LP, CellSupport, _check_grid, bandwidth, rectify
 
 __all__ = ["RateReport", "rate_report", "refine_support", "bunched_window_plan"]
 

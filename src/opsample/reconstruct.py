@@ -30,10 +30,10 @@ All three known-support formulas are this one solve on the exact grid:
 A recovery returns what it recovered and takes no ground truth: scoring an
 estimate against a known eta is channel.relative_l2_error.
 
-S keeps its plans (support._plan): by S alone its rectification and the
-read-off tables, by (S, G) each class's left inverse, and by (S, kappa) S~ and
-its shear tables.  No plan refers to S, so they go when S dies; every kept
-array is read-only, and a refusal is not kept.
+A plan lives on what it is a function of (gabor._plan): S keeps its rectification,
+read-off tables and, per kappa, S~ with its shear tables; G keeps each class's left
+inverse per (Gamma, Omega).  Keys are plain data and no plan refers to its owner, so
+supports and windows do not pin each other; kept arrays are read-only, refusals not kept.
 """
 
 import numbers
@@ -59,8 +59,8 @@ from .errors import (
     RankDeficient,
     ShearNotRectifiable,
 )
-from .gabor import _dependent
-from .support import CellSupport, _plan, rectify
+from .gabor import _dependent, _plan
+from .support import CellSupport, rectify
 
 __all__ = [
     "LeftInverse",
@@ -146,6 +146,15 @@ def _validate_grids(Zgrid, G, S):
     return Zgrid
 
 
+class _ZakVectors:
+    """The (L, P^2) Z-vectors Y of a Zak grid, gathered once it passes _validate_grids.  The
+    unknown-support decoder reads Y, then solves on it through recover_eta_known_support, so
+    its grid is checked and gathered once and the public solve stays the one entry."""
+
+    def __init__(self, Zgrid, G, S):
+        self.Y = _zak_vectors(_validate_grids(Zgrid, G, S), S.L, S.P)
+
+
 def _read_off(S):
     """S's read-only read-off tables: the flat index into X of each stored subcell (the fold
     read once per mask row and column) and its row and column phases."""
@@ -160,19 +169,18 @@ def _read_off(S):
     return tables
 
 
-def _solve(Zgrid, G, S):
-    """eta's values (a fresh array) and the class condition numbers from a validated Zak grid."""
+def _solve(Zv, G, S):
+    """eta's values (a fresh array) and the class condition numbers from checked Z-vectors."""
     L, P = S.L, S.P
     classes = rectify(S).classes
     flat, row_phase, col_phase = _plan(S, "read-off", _read_off, S)
-    Zv = _zak_vectors(Zgrid, L, P)
     X = np.zeros((L * L, P * P), dtype=complex)  # X[q*L + m, u*P + v]
     conds = []
     for cls in classes:
         if not cls.cells:
             continue
         # a RankDeficient refusal raises here and is not kept
-        inv = _plan(S, (G, cls.cells), left_inverse, G, cls.cells, S.omega)
+        inv = _plan(G, (cls.cells, S.omega), left_inverse, G, cls.cells, S.omega)
         conds.append(inv.condition_number)
         q, m = np.array(inv.gamma).T
         # np.take keeps the columns C-ordered (Zv[:, index] may not), so the product
@@ -189,13 +197,15 @@ def recover_eta_known_support(Zgrid, G, S):
     Solves one restricted system per rectification class at each base-rectangle
     subcell into X[q, m, u, v], then reads eta off X at the stored subcells of S
     with the two root-of-unity phases of the module docstring.  S keeps its
-    rectification, its read-off tables, and each class's left inverse per window
-    G, for as long as it lives.  The values are zero off the mask by
+    rectification and read-off tables, and G each class's left inverse, for as long
+    as each lives.  The grid is checked and gathered once (_ZakVectors, which the
+    unknown-support decoder passes instead).  The values are zero off the mask by
     construction, as they fill only S.mask.  The formula tag is "sharp" for
     single-class supports and "multiclass" otherwise.  Raises NotIdentifiable
     when S violates the fold conditions.
     """
-    values, conds = _solve(_validate_grids(Zgrid, G, S), G, S)
+    checked = Zgrid if isinstance(Zgrid, _ZakVectors) else _ZakVectors(Zgrid, G, S)
+    values, conds = _solve(checked.Y, G, S)
     eta_hat = _fresh_spreading(S, values)
     return ReconstructionReport(eta_hat, conds, "sharp" if len(conds) <= 1 else "multiclass")
 
@@ -318,8 +328,8 @@ def recover_symplectic(Zgrid, G, S, a):
     sheared support, and shears back.  Needs kappa = L*T*a integer (the shear
     moves the nu grid by kappa subcells per t step) and a canonically placed
     support.  Every phase and index depends on kappa only modulo 2*L*P^2.  S keeps
-    S~ and its tables per kappa, and S~ keeps its own solve plans.  The values are
-    zero off the mask by construction: the shear back maps S~'s mask onto S's.
+    S~ and its tables per kappa, S~ its own read-off tables, G the inverses.  The values
+    are zero off the mask by construction: the shear back maps S~'s mask onto S's.
     """
     L, P = S.L, S.P
     LP = L * P
@@ -331,8 +341,9 @@ def recover_symplectic(Zgrid, G, S, a):
     kappa = _chirp_kappa(L, S.T, a) % (2 * L * P * P)  # reduced before any integer array product
     _check_chirp_grid(kappa, L, P)
     S_tilde, chirp, gather, back = _plan(S, kappa, _shear_plan, S, kappa)
+    Zv = _zak_vectors(chirp.conj() * np.ravel(Zgrid)[gather], L, P)  # the de-chirped grid's
     try:
-        values, conds = _solve(chirp.conj() * np.ravel(Zgrid)[gather], G, S_tilde)
+        values, conds = _solve(Zv, G, S_tilde)
     except NotIdentifiable as exc:
         raise ShearNotRectifiable(
             f"sheared support admits no (T, L)-rectification: {exc}"

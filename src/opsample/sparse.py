@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gabor
-from .channel import _zak_vectors
+from .channel import _dot_norm
 from .errors import GridMismatch, InvalidParameters, NoConvergence, RankDeficient
-from .reconstruct import _validate_grids, recover_eta_known_support
+from .reconstruct import _ZakVectors, recover_eta_known_support
 from .support import CellSupport
 
 __all__ = [
@@ -49,12 +49,6 @@ class SupportEstimate:
 def _column_norms(x):
     """np.linalg.norm(x, axis=0) of a complex matrix, bit for bit, without its dispatch."""
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
-
-
-def _norm(x):
-    """np.linalg.norm(x) of a complex array, bit for bit: its real and imaginary dots."""
-    x = x.ravel("K")
-    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def mmv_omp(Y, G, k_max, tol, candidates):
@@ -95,7 +89,7 @@ def mmv_omp(Y, G, k_max, tol, candidates):
         return SupportEstimate(gamma_hat, history, rank, k_max, tol)
 
     Y = np.linalg.qr(Y.conj().T, mode="r").conj().T  # R^H
-    norm_y = _norm(Y)
+    norm_y = _dot_norm(Y.ravel("K"))
     if norm_y == 0:
         return finish([], [0.0], 0)
 
@@ -119,10 +113,10 @@ def mmv_omp(Y, G, k_max, tol, candidates):
         j = int(scores.argmax())
         b = proj[:, j]
         b = b - basis @ (basis_h @ b)  # orthogonalized twice
-        basis = np.column_stack([basis, b / _norm(b)])
+        basis = np.column_stack([basis, b / _dot_norm(b)])
         chosen.append(j)
         residual = Y - basis @ (basis.conj().T @ Y)
-        history.append(float(_norm(residual) / norm_y))
+        history.append(float(_dot_norm(residual.ravel("K")) / norm_y))
         if history[-1] <= tol:
             break
     return finish(chosen, history, rank)
@@ -131,19 +125,18 @@ def mmv_omp(Y, G, k_max, tol, candidates):
 def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None):
     """Estimate the support from the Zak grid, then recover eta on it.
 
-    R bounds the candidate region (its cells form the dictionary); the
-    estimated cells are materialized as full cells of R's grid and passed to
-    recover_eta_known_support.  Raises NoConvergence (with the estimate
+    R bounds the candidate region (its cells form the dictionary); eta is solved on the
+    estimate, as full cells of R's grid, by recover_eta_known_support from the decoded Y:
+    the grid is checked once and gathered once.  Raises NoConvergence (with the estimate
     attached) when the residual stays above tol or level s (module docstring)
     is above L or dependent, read once per window (Window._dependent_at), and
     SearchBudgetExceeded for L > 7.  seed is accepted and ignored: the decoder draws nothing.
     """
     L, P = R.L, R.P
-    Zgrid = _validate_grids(Zgrid, G, R)
+    checked = _ZakVectors(Zgrid, G, R)
     gabor._check_search_limit(L)
-    Y = _zak_vectors(Zgrid, L, P)
 
-    est = mmv_omp(Y, G, k_max, tol, candidates=R.cells)
+    est = mmv_omp(checked.Y, G, k_max, tol, candidates=R.cells)
     if not est.converged:
         raise NoConvergence(
             f"relative residual {est.residual_history[-1]:.3e} above tol = {tol} "
@@ -157,6 +150,6 @@ def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None):
             estimate=est,
         )
     S_hat = CellSupport(T=R.T, L=L, P=P, cells=est.gamma_hat)
-    report = recover_eta_known_support(Zgrid, G, S_hat)
+    report = recover_eta_known_support(checked, G, S_hat)
     report.support_estimate = est
     return report

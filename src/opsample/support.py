@@ -18,7 +18,7 @@ rectify() partitions the base rectangle [0, T) x [0, Omega) into classes of
 subcells sharing the same folded occupancy pattern; each class yields the cell
 set Gamma_j of the restricted linear system the reconstruction module solves.
 It depends on S alone: rectify builds a frozen report once and keeps it on S
-(_plan, the one per-support memo, which reconstruct and rates use too).
+(gabor._plan, the one memo helper, which reconstruct and rates use too).
 """
 
 import functools
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameters, NotIdentifiable
-from .gabor import _is_integer
+from .gabor import _is_integer, _plan
 
 #: largest L*P of every grid (an (L*P)^2 mask), file or not: _check_grid's one bound
 MAX_LP = 4096
@@ -69,7 +69,7 @@ class CellSupport:
     labels are that footprint and are taken as they are (converted to int);
     a nonzero shift or an explicit mask re-folds the mask.  Frozen: the mask
     is a private read-only copy of the one given, and nothing can be rebound.
-    _plans keeps what is computed once per support (_plan), its rectification included.
+    _plans keeps what S alone, or S and a scalar, determines (gabor._plan): no Window.
     """
 
     T: float
@@ -160,14 +160,6 @@ class CellSupport:
             return self.mask.view(np.uint8)  # the fold is the identity: no copy
         rows, cols, _, i, j = self.subcells
         return np.bincount((i * LP)[rows] + j[cols], minlength=LP * LP).reshape(LP, LP)
-
-
-def _plan(S, key, build, *args):
-    """S's plan under key, built as build(*args) on first use and kept in S._plans, which
-    no plan refers back to.  A build that raises keeps nothing; two threads may both build
-    a first plan, and setdefault keeps one of their results, which hold the same bits."""
-    plan = S._plans.get(key)
-    return plan if plan is not None else S._plans.setdefault(key, build(*args))
 
 
 @dataclass(frozen=True, eq=False)

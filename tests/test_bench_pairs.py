@@ -1,11 +1,12 @@
-"""The pure helpers of tools/bench_pairs.py: run order, schedule, quartiles, wins, verdicts,
-paired ratios, directions and bounds.
+"""The helpers of tools/bench_pairs.py: run order, schedule, quartiles, wins, verdicts,
+paired ratios, directions and bounds, and the bytecode state each root's children share.
 
-No benchmark runs here.
+No benchmark runs here; one small child compiles a stand-in root.
 """
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,24 @@ def test_directions_follow_the_benchmark_file(pairs, tmp_path):
     assert pairs.bounds(path) == {"op_p50_ms": 0.25, "ops_per_s": 0.1}
     assert pairs.directions(ROOT / "BENCHMARK.json")["exact_frac"] == "higher"
     assert pairs.bounds(ROOT / "BENCHMARK.json")["peak_rss_mb"] == 0.1
+
+
+def test_each_root_s_children_share_one_bytecode_prefix_and_may_write_it(pairs, tmp_path):
+    environ = {"PATH": "/bin", "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1"}
+    parent, change = (pairs.child_env(tmp_path / side, environ) for side in pairs.SIDES)
+    assert parent == {"PATH": "/bin", "OPENBLAS_NUM_THREADS": "1",
+                      "PYTHONPYCACHEPREFIX": str(tmp_path / "parent")}
+    assert change["PYTHONPYCACHEPREFIX"] == str(tmp_path / "change")
+    assert environ["PYTHONDONTWRITEBYTECODE"] == "1"  # the mapping given is left as it was
+
+
+def test_compile_root_fills_the_prefix_without_running_the_benchmark(pairs, tmp_path):
+    bench = tmp_path / "root" / "perfbench"
+    bench.mkdir(parents=True)
+    (bench / "helper.py").write_text("VALUE = 1\n")
+    (bench / "run.py").write_text("import helper\n\nif __name__ == '__main__':\n"
+                                  "    raise SystemExit('the benchmark ran')\n")
+    prefix = tmp_path / "cache"
+    pairs.compile_root(bench.parent, pairs.child_env(prefix, os.environ))
+    assert len(list(prefix.rglob("helper.*.pyc"))) == 1
+    assert not list(bench.rglob("*.pyc"))  # the root itself gets no __pycache__

@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,18 @@ def test_build_is_bit_identical_to_the_block_by_block_product():
                 assert got.tobytes() == want.tobytes(), (L, scale)
     for weights in ([1, 0, 2], [True, False]):  # integer and boolean vectors
         assert build_gabor_matrix(weights).entries.tobytes() == _block_by_block(weights).tobytes()
+
+
+def test_building_g_of_c_peaks_near_twice_its_size():
+    # D and G(c) are the only L^3 arrays: the product is written straight into G(c)'s layout
+    window = Window(L=64, weights=np.exp(2j * np.pi * np.arange(64) / 61))
+    tracemalloc.start()
+    try:
+        entries = window.entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * entries.nbytes
 
 
 @pytest.mark.parametrize(

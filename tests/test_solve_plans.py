@@ -1,4 +1,5 @@
-"""Solve plans: the tables a support keeps for its recoveries keep the bits of a cold solve.
+"""Solve plans: the tables a support or a window keeps for its recoveries keep the bits of a
+cold solve, and neither keeps the other alive.
 
 Every "cold" solve runs on fresh Window(L, weights) and CellSupport objects built
 from the same inputs, so no kept table can reach it.
@@ -26,7 +27,7 @@ from opsample import (
     random_spreading,
     zak_transform,
 )
-from opsample import channel, reconstruct
+from opsample import channel, reconstruct, sparse
 from opsample.presets import (
     seven_cell_support,
     sheared_parallelogram_support,
@@ -34,7 +35,7 @@ from opsample.presets import (
     staircase_support,
     translate_collision_support,
 )
-from opsample.support import _plan
+from opsample.gabor import _plan
 from opsample.reconstruct import (
     recover_eta_known_support,
     recover_eta_smooth,
@@ -62,7 +63,8 @@ def _shifted_staircase():
     return CellSupport(T=1.0, L=3, P=8, mask=stairs.mask, shift=(-5 * stairs.dt, 7 * stairs.dnu))
 
 
-def _counting(monkeypatch, module, name):
+def _counting(monkeypatch, module, name, *importers):
+    """The list of calls of module.name from here on, also where importers imported it."""
     calls = []
     original = getattr(module, name)
 
@@ -70,7 +72,9 @@ def _counting(monkeypatch, module, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    for holder in (module, *importers):
+        if getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, counted)
     return calls
 
 
@@ -125,12 +129,27 @@ def test_a_second_window_reuses_the_read_off_tables_and_keeps_its_own_inverses(m
             cold = recover_eta_known_support(Z, _fresh_window(G), _fresh_support(S))
             assert report.eta_hat.values.tobytes() == cold.eta_hat.values.tobytes()
             assert report.per_class_conditioning == cold.per_class_conditioning
-    # 3 inverses per window on S, and 3 for each of the four cold solves
+    # 3 inverses per window, and 3 for each of the four cold solves
     assert [args[0] for args in inverted[:3]] == [windows[0]] * 3
     assert [args[0] for args in inverted[6:9]] == [windows[1]] * 3
     assert len(inverted) == 3 * 2 + 3 * 4
     assert _phase_tables(phases, S.L * S.P, S.P) == 2 + 2 * 4  # once for S, once per cold one
-    assert sum(isinstance(key, tuple) and key[0] is windows[1] for key in S._plans) == 3
+    # each window keeps its own 3 inverses; S keeps none, only what it alone determines
+    assert [len(G._plans) for G in windows] == [3, 3]
+    assert sorted(S._plans) == ["read-off", "rectify"]
+
+
+def test_fresh_supports_with_the_same_classes_share_the_window_s_inverse(monkeypatch):
+    G = generate_window(3, seed=96)
+    inverted = _counting(monkeypatch, reconstruct, "left_inverse")
+    for seed in (97, 98):
+        S = staircase_support(P=4)  # a fresh support each time, one class of three cells
+        Z = _zak(S, G, seed)[1]
+        report = recover_eta_known_support(Z, G, S)
+        cold = recover_eta_known_support(Z, _fresh_window(G), _fresh_support(S))
+        assert report.eta_hat.values.tobytes() == cold.eta_hat.values.tobytes()
+        assert report.per_class_conditioning == cold.per_class_conditioning
+    assert [args[0] for args in inverted].count(G) == 1 and len(G._plans) == 1
 
 
 @pytest.mark.parametrize("kappa", [1, 2])  # kappa*L odd (s = P/2), then even (s = 0)
@@ -210,12 +229,13 @@ def test_refusals_are_not_remembered(monkeypatch):
     assert len(rectified) == 6
 
 
-def _plan_arrays(S, kappa):
+def _plan_arrays(S, kappa, *windows):
+    """The arrays S keeps after every path (S~'s included), and the inverses of windows."""
     S_tilde, *shear = S._plans[kappa]
     for support in (S, S_tilde):
         yield from support._plans["read-off"]
-        yield from (plan.coefficients for key, plan in support._plans.items()
-                    if isinstance(key, tuple))
+    for G in windows:
+        yield from (inv.coefficients for inv in G._plans.values())
     yield from shear
     yield S_tilde.mask
 
@@ -225,8 +245,9 @@ def test_remembered_arrays_are_read_only():
     eta, Z = _zak(S, G, 83, chirp_a=S.omega)
     recover_symplectic(Z, G, S, S.omega)
     reconstruct_h_sharp(recover_eta_known_support(Z, G, S))
-    arrays = list(_plan_arrays(S, 1))
-    # read-off 3 + 2 classes for S, 3 + 1 class for S~, shear 3, the mask of S~
+    arrays = list(_plan_arrays(S, 1, G))
+    # read-off 3 for S and 3 for S~, G's inverses of S's 2 classes and S~'s 1, shear 3,
+    # the mask of S~
     assert len(arrays) == 5 + 4 + 3 + 1
     for a in arrays:
         assert not a.flags.writeable
@@ -249,6 +270,41 @@ def test_a_dead_support_takes_its_tables_with_it():
     del first
     gc.collect()
     assert support() is None and all(ref() is None for ref in tables)
+
+
+def test_a_window_solved_with_a_live_support_dies_with_its_last_reference():
+    S = sheared_parallelogram_support(P=4)
+    G = generate_window(3, seed=99)
+    _every_path(S, G)
+    window = weakref.ref(G)
+    del G
+    gc.collect()
+    assert window() is None and len(S._plans) == 3  # rectify, read-off and S~ for kappa = 1
+
+
+def test_a_dead_window_takes_its_inverses_with_it():
+    S = sheared_parallelogram_support(P=4)
+    G = generate_window(3, seed=100)
+    _every_path(S, G)
+    inverses = [weakref.ref(inv.coefficients) for inv in G._plans.values()]
+    assert len(inverses) == 3  # S's two classes and S~'s one
+    del G
+    gc.collect()
+    assert all(ref() is None for ref in inverses)
+
+
+def test_an_unknown_support_decode_checks_and_gathers_its_grid_once(monkeypatch):
+    L, P = 3, 4
+    S, G = CellSupport(T=1.0, L=L, P=P, cells=[(0, 1), (2, 2)]), generate_window(L, seed=101)
+    Z = _zak(S, G, 102)[1]
+    R = CellSupport(T=1.0, L=L, P=P, cells=[(q, m) for q in range(L) for m in range(L)])
+    checked = _counting(monkeypatch, reconstruct, "_validate_grids", sparse)
+    gathered = _counting(monkeypatch, channel, "_zak_vectors", reconstruct, sparse)
+    report = sparse.recover_unknown_support(Z, G, R, k_max=2, tol=1e-10)
+    assert len(checked) == len(gathered) == 1
+    assert report.eta_hat.support.cells == S.cells and report.formula == "sharp"
+    cold = recover_eta_known_support(Z, _fresh_window(G), _fresh_support(report.eta_hat.support))
+    assert report.eta_hat.values.tobytes() == cold.eta_hat.values.tobytes()
 
 
 def test_threads_sharing_the_plans_get_the_cold_bits():

@@ -23,7 +23,7 @@ from opsample import (
     relative_l2_error,
     zak_transform,
 )
-from opsample import sparse
+from opsample import channel, sparse
 from opsample.sparse import mmv_omp, recover_unknown_support
 from opsample.channel import DiscreteSpreadingFunction
 
@@ -434,4 +434,4 @@ def test_norm_helpers_keep_the_bits_of_numpy_norm():
         for a in (x, x.conj().T, x[:, ::2], 1e-200 * x):
             assert sparse._column_norms(a).tobytes() == np.linalg.norm(a, axis=0).tobytes()
             for v in (a, a[:, 0]):
-                assert sparse._norm(v).tobytes() == np.linalg.norm(v).tobytes()
+                assert channel._dot_norm(v.ravel("K")).tobytes() == np.linalg.norm(v).tobytes()

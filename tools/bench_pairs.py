@@ -22,16 +22,25 @@ least 9 of every 10 pairs won, and the medians apart by more than the parent's
 quartile spread).  The line ends with the median of the paired ratios
 change/parent, one per pair, and their min and max: the two runs of a pair are
 close in time, so the ratio cancels the drift of the host between pairs.  It
-decides nothing; the bound and the claim read the medians as before.  The
-script writes no file.
+decides nothing; the bound and the claim read the medians as before.
+
+Both roots start from the same bytecode state.  A missing or stale `__pycache__`
+recompiles on every import when PYTHONDONTWRITEBYTECODE is set, and `setup_s` and
+every `cli_p64` op pay for it.  So each root gets a fresh PYTHONPYCACHEPREFIX in a
+temporary directory, and every run of that root gets the same one (child_env).
+Before the first pair, one child per root imports everything a run imports at
+module level, which compiles it into that prefix (compile_root).  The script
+writes no file outside that temporary directory, which it removes at the end.
 """
 
 import argparse
 import itertools
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -98,11 +107,27 @@ def bounds(benchmark_json):
     return {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
-def run_once(root, workload, seed, seconds):
+def child_env(prefix, environ=os.environ):
+    """The environment of every child of one root: environ with the root's own bytecode
+    cache prefix, and bytecode writing allowed, so a module is compiled once, not per run."""
+    env = {key: value for key, value in environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(prefix)
+    return env
+
+
+def compile_root(root, env):
+    """Compile what perfbench/run.py imports at module level (the package, numpy and the
+    standard library modules it needs) into env's bytecode prefix, without running it."""
+    # as `python3 perfbench/run.py` does, with perfbench/ first on the path; not as __main__
+    code = "import runpy, sys; sys.path.insert(0, 'perfbench'); runpy.run_path('perfbench/run.py')"
+    subprocess.run([sys.executable, "-c", code], cwd=root, env=env, check=True)
+
+
+def run_once(root, workload, seed, seconds, env):
     """One untraced benchmark run in root; returns its last stdout line, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {root} exited {done.returncode}:\n"
                  f"{done.stderr}")
@@ -125,11 +150,20 @@ def main(argv=None):
     better = directions(args.change_root / "BENCHMARK.json")
     bound = bounds(args.change_root / "BENCHMARK.json")
     roots = {"parent": args.parent_root, "change": args.change_root}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as caches:
+        envs = {side: child_env(Path(caches) / side) for side in SIDES}
+        for side in SIDES:
+            compile_root(roots[side], envs[side])
+        run_pairs(order, roots, envs, args, better, bound)
+    return 0
 
+
+def run_pairs(order, roots, envs, args, better, bound):
+    """Run the pairs in order and print each run's line and each workload's summary."""
     for workload, runs in itertools.groupby(order, key=lambda run: run[0]):
         values = {side: {name: [None] * args.pairs for name in better} for side in SIDES}
         for _, k, side in runs:
-            out = run_once(roots[side], workload, args.seed0 + k, args.seconds)
+            out = run_once(roots[side], workload, args.seed0 + k, args.seconds, envs[side])
             metrics = {name: m["value"] for name, m in out["metrics"].items()}
             print(json.dumps({"workload": workload, "pair": k, "side": side,
                               "seed": args.seed0 + k, "attempted": out["attempted"],
@@ -149,7 +183,6 @@ def main(argv=None):
                   f"{args.pairs} ({direction} is better)  within bound {bound[name]:g}: "
                   f"{'yes' if within else 'NO'}  claim holds: {'yes' if claim else 'no'}  "
                   f"paired change/parent median [min, max] {ratio}")
-    return 0
 
 
 if __name__ == "__main__":
