@@ -46,7 +46,7 @@ from .errors import (
     InvalidParameters,
     NonIntegerChirpPeriod,
 )
-from .gabor import Window, _check_seed
+from .gabor import Window, _check_seed, _multiple, _real
 from .support import CellSupport, _check_grid
 
 __all__ = [
@@ -91,15 +91,22 @@ def _dot_norm(x):
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def _check_period(T):
-    """Refuse a cell width T unless it is finite and > 0."""
-    if not (np.isfinite(T) and T > 0):
-        raise InvalidParameters("T must be finite and positive")
+def _zak_grid(Z, L, P):
+    """Z as a complex (L*P, P) Zak grid: GridMismatch for another shape, InvalidParameters
+    unless every value is finite.  The one check of a Zak grid, for integers L, P."""
+    Z = np.asarray(Z, dtype=complex)
+    if Z.shape != (L * P, P):
+        raise GridMismatch(f"Zak grid must have shape ({L * P}, {P}), got {Z.shape}")
+    if not np.isfinite(Z).all():
+        raise InvalidParameters("Zak grid values must be finite")
+    return Z
 
 
 def _chirp_kappa(L, T, a):
-    """Integer kappa = L*T*a = a/Omega; raises if the chirp is off-grid."""
-    kappa = L * T * a
+    """Integer kappa = L*T*a = a/Omega; raises if the chirp is off-grid.  Its own rule, not
+    _multiple's: no magnitude bound, as kappa is only used mod 2*L*P^2 (a = 1e300 is fine)."""
+    # a float (NaN and inf too) meets the grid rule as it is; any other a must be a real
+    kappa = L * T * (a if isinstance(a, float) else _real(a, "the chirp rate a"))
     if not (abs(kappa) < np.inf and abs(kappa - round(kappa)) <= 1e-9):  # rejects nan, inf
         raise NonIntegerChirpPeriod(
             f"L*T*a = {kappa} is not an integer; the chirped weights are aperiodic on the grid"
@@ -169,10 +176,11 @@ def random_spreading(S, seed=None):
 
 def relative_l2_error(estimate, truth):
     """||estimate - truth|| / ||truth|| by BLAS-free sums (_l2_norm); 0.0 when both vanish,
-    inf when only truth does.  truth is a DiscreteSpreadingFunction (InvalidParameters
+    inf when only truth does.  Both are DiscreteSpreadingFunctions (InvalidParameters
     otherwise); GridMismatch when it lies on another grid (T, L, P, shift or shape)."""
-    if not isinstance(truth, DiscreteSpreadingFunction):
-        raise InvalidParameters(f"truth must be a DiscreteSpreadingFunction, got {type(truth)}")
+    for name, x in (("estimate", estimate), ("truth", truth)):
+        if not isinstance(x, DiscreteSpreadingFunction):
+            raise InvalidParameters(f"{name} must be a DiscreteSpreadingFunction, got {type(x)}")
     S, values = estimate.support, estimate.values
     E, truth = truth.support, truth.values
     if (E.T, E.L, E.P, E.offsets, truth.shape) != (S.T, S.L, S.P, S.offsets, values.shape):
@@ -192,7 +200,7 @@ class IdentifierTrain:
     chirp_a: float = 0.0
 
     def __post_init__(self):
-        _check_period(self.T)
+        _real(self.T, "T", positive=True)
         if not isinstance(self.weights, Window):
             raise InvalidParameters(f"weights must be a Window, got {type(self.weights).__name__}")
         object.__setattr__(self, "kappa", _chirp_kappa(self.L, self.T, self.chirp_a))  # set here
@@ -291,19 +299,17 @@ def _zak_vectors(Zgrid, L, P):
 
 
 def impulse_response(eta, x, t):
-    """h(x, t) for grid-aligned t (a stored row of eta) and arbitrary x."""
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
-        raise InvalidParameters("x and t must be finite")
+    """h(x, t) for finite real x (a number or array) and a grid-aligned real t (GridMismatch)."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf" or not np.all(np.isfinite(x)):
+        raise InvalidParameters("x must be finite reals")
     S = eta.support
     i0, j0 = S.offsets
-    r_float = np.asarray(t) / S.dt - i0
-    r = np.rint(r_float).astype(int)
-    if np.any(np.abs(r_float - r) > 1e-9):
-        raise GridMismatch("t must be an integer multiple of T/P")
-    if np.any(r < 0) or np.any(r >= eta.values.shape[0]):
+    r = _multiple(t, S.dt, "t", GridMismatch) - i0
+    if not 0 <= r < eta.values.shape[0]:
         raise IndexOutOfRange("t outside the stored support rows")
     nus = (j0 + np.arange(eta.values.shape[1])) * S.dnu
-    diff = np.asarray(x) - np.asarray(t)
+    diff = x - np.asarray(t)
     phases = np.exp(2j * np.pi * np.multiply.outer(diff, nus))
     return S.dnu * np.sum(phases * eta.values[r], axis=-1)
 
@@ -364,10 +370,8 @@ def inverse_zak(Z, T, L, P):
     One DFT along nu gives the P rows of the (P, L*P) superperiod reshape in
     the order zak_transform gathered them; one gather puts them back.
     """
-    Z = np.asarray(Z, dtype=complex)
-    if Z.shape != (L * P, P):
-        raise GridMismatch(f"expected Zak grid of shape ({L * P}, {P}), got {Z.shape}")
-    F = np.fft.fft(Z, axis=1) / P
+    _check_grid(T, L, P)
+    F = np.fft.fft(_zak_grid(Z, L, P), axis=1) / P
     f2 = F.T[(-np.arange(P)) % P]
     return ChannelResponse(samples=f2.reshape(-1), T=T, L=L, P=P)
 
@@ -398,15 +402,13 @@ def assemble_system(eta_qp, Zgrid, G, t, nu, T):
     and positive (InvalidParameters).  The SystemSample satisfies
     z = G(c) @ eta_vec exactly at every point for matching inputs.
     """
-    _check_period(T)
+    _real(T, "T", positive=True)
     L = G.L
     eta_qp = np.asarray(eta_qp)
-    Zgrid = np.asarray(Zgrid)
-    if eta_qp.shape[0] % L != 0 or eta_qp.shape[0] != eta_qp.shape[1]:
+    P = len(eta_qp) // L if eta_qp.ndim == 2 else 0
+    if P < 1 or eta_qp.shape != (L * P, L * P):
         raise GridMismatch("eta_qp must be square with side L*P")
-    P = eta_qp.shape[0] // L
-    if Zgrid.shape != (L * P, P):
-        raise GridMismatch(f"Zak grid must have shape ({L * P}, {P})")
+    Zgrid = _zak_grid(Zgrid, L, P)
     t, nu = np.broadcast_arrays(t, nu)
     if t.dtype.kind not in "iu" or nu.dtype.kind not in "iu":
         raise InvalidParameters(f"base points (t, nu) must be integers, not {t.dtype}, {nu.dtype}")

@@ -10,8 +10,8 @@ reader parses the grid tables.  Every loader parses under one rule: a file
 that cannot be read into the expected object, or is too large to hold, raises
 MalformedFile naming the file, never a parser's KeyError, ValueError, ... or a
 MemoryError (OSError passes through).  Integer JSON fields (L, P, cell labels,
-a window's seed) are read by one rule, _json_int: a nonnegative JSON integer,
-never a float or bool truncated to one.
+a window's seed) obey the package's one integer rule, gabor._integer: a float or
+bool is never truncated to one.
 Reports are built in cli and written by save_json.  A file, as every grid, holds
 at most L*P = MAX_LP (support._check_grid), checked before any array is built.
 load_window builds G(c): an overflow is InvalidParameters, not MalformedFile.
@@ -22,9 +22,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .channel import DiscreteSpreadingFunction
+from .channel import DiscreteSpreadingFunction, _zak_grid
 from .errors import InvalidParameters, MalformedFile, OpSampleError
-from .gabor import Window, _is_integer, build_gabor_matrix
+from .gabor import Window, _integer, _real, build_gabor_matrix
 from .support import CellSupport, _check_grid
 
 #: one body row of a grid CSV, whose field names make the column names line
@@ -45,19 +45,9 @@ def _malformed(path, kind):
         raise MalformedFile(f"malformed {kind} file {path}: {exc}") from exc
 
 
-def _json_int(value, name, nullable=False):
-    """An integer field of a JSON file (L, P, a cell label, a seed): a nonnegative
-    JSON integer, not a bool, float or string; null only where nullable."""
-    if not (nullable and value is None or _is_integer(value) and value >= 0):
-        raise InvalidParameters(f"{name} must be a nonnegative integer, got {value!r}")
-    return value
-
-
 def _json_float(value, name):
-    """A real JSON field (T, a shift entry, a weight's re or im): an int or float, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidParameters(f"{name} must be a JSON number, got {value!r}")
-    return float(value)
+    """A real JSON field (T, a shift entry, a weight's re or im) as a float (gabor._real)."""
+    return float(_real(value, name))
 
 
 def _write_table(path, header, names, index, values):
@@ -86,8 +76,7 @@ def load_window(path):
         payload = json.load(fh)
         weights = np.array([complex(_json_float(re, "a weight"), _json_float(im, "a weight"))
                             for re, im in payload["weights"]])
-        seed = _json_int(payload.get("seed"), "seed", nullable=True)
-        window = Window(L=_json_int(payload["L"], "L"), weights=weights, seed=seed)
+        window = Window(L=payload["L"], weights=weights, seed=payload.get("seed"))
     return build_gabor_matrix(window)
 
 
@@ -143,10 +132,10 @@ def load_support(path):
     with open(path) as fh, _malformed(path, "support"):
         payload = json.load(fh)
         T = _json_float(payload["T"], "T")
-        L, P = _json_int(payload["L"], "L"), _json_int(payload["P"], "P")
+        L, P = payload["L"], payload["P"]
         _check_grid(T, L, P)
         shift = tuple(_json_float(x, "shift") for x in payload.get("shift", (0.0, 0.0)))
-        cells = tuple((_json_int(q, "label"), _json_int(m, "label")) for q, m in payload["cells"])
+        cells = tuple((_integer(q, "label"), _integer(m, "label")) for q, m in payload["cells"])
         rle = payload.get("fine_mask_rle")
         mask = None if rle is None else _mask_from_rle(rle, (L * P, L * P))
         return CellSupport(T=T, L=L, P=P, cells=cells, mask=mask, shift=shift)
@@ -214,6 +203,7 @@ def load_spreading(path):
 def save_zak(Z, T, L, P, path):
     """Zak grid CSV: dense i,j,re,im over the (L*P) x P fundamental cell."""
     _check_grid(T, L, P)
+    Z = _zak_grid(Z, L, P)
     i, j = np.divmod(np.arange(L * P * P), P)
     _write_table(path, f"# T={_fmt(T)} L={L} P={P}", _GRID_ROW.names, (i, j), Z[i, j])
 

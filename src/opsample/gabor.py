@@ -74,6 +74,8 @@ import bisect
 import functools
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,15 +119,39 @@ def is_prime(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def _is_integer(x):
-    """A Python or numpy integer; bool is refused."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+def _integer(x, name, lo=None, hi=None):
+    """x as an int if it is a Python or numpy integer, never a bool, in [lo, hi] (None: open)."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not (
+            (lo is None or lo <= x) and (hi is None or x <= hi)):
+        bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+        raise InvalidParameters(f"{name} must be an integer{bounds}, got {x!r}")
+    return int(x)
+
+
+def _real(x, name, positive=False):
+    """x if it is a finite real: a numbers.Real (so never complex) that is not a bool, with
+    |x| at most the largest float; with positive, also x > 0 (-0.0 is not)."""
+    real = isinstance(x, (float, int)) or isinstance(x, numbers.Real)  # the ABC check is slow
+    if isinstance(x, bool) or not real or not (
+            (0 < x if positive else -sys.float_info.max <= x) and x <= sys.float_info.max):
+        kind = "finite and positive" if positive else "finite"
+        raise InvalidParameters(f"{name} must be {kind} (a real, not a bool), got {x!r}")
+    return x
+
+
+def _multiple(x, step, name, error=InvalidParameters):
+    """x/step as an int for a real x (_real) within 1e-9 of a multiple of step (a float > 0),
+    below 2^53 in magnitude so index arithmetic on it stays in int64; else raises error."""
+    units = float(_real(x, name)) / float(step)
+    if not (abs(units) < 2**53 and abs(units - round(units)) <= 1e-9):
+        raise error(f"{name} must be a multiple of {step!r}, under 2^53 of them, got {x!r}")
+    return round(units)
 
 
 def _check_seed(seed):
-    """Refuse an RNG seed that is neither None nor a nonnegative integer."""
-    if not (seed is None or _is_integer(seed) and seed >= 0):
-        raise InvalidParameters(f"seed must be None or a nonnegative integer, got {seed!r}")
+    """Refuse an RNG seed that is neither None nor a nonnegative integer (_integer)."""
+    if seed is not None:
+        _integer(seed, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +178,11 @@ class Window:
         c = np.asarray(self.weights)
         if c.ndim != 1 or c.size == 0 or c.dtype.kind not in "biufc":
             raise InvalidParameters(f"need a non-empty 1-D numeric vector, got {c.dtype} {c.shape}")
-        if not (_is_integer(self.L) and 1 <= self.L <= MAX_L) or c.shape != (self.L,):
-            raise InvalidParameters(f"need integer L in [1, {MAX_L}] and ({self.L},) weights, "
-                                    f"got {c.shape}")
+        if c.shape != (_integer(self.L, "L", 1, MAX_L),):
+            raise InvalidParameters(f"need ({self.L},) weights, got {c.shape}")
+        _check_seed(self.seed)
+        if self.draws is not None:
+            _integer(self.draws, "draws", 1)
         c = c.astype(complex)  # a private copy; D takes the same complex values
         if not np.all(np.isfinite(c)):
             raise InvalidParameters("weights must be finite")
@@ -181,11 +209,9 @@ class Window:
         return int(np.count_nonzero(self.weights))
 
     def column_index(self, q, m):
-        """Linear position of the column for cell (q, m)."""
+        """Linear position of the column for cell (q, m), integers in [0, L) (_integer)."""
         L = self.L
-        if not (0 <= q < L and 0 <= m < L):
-            raise InvalidParameters(f"cell ({q},{m}) outside [0,{L})^2")
-        return q * L + m
+        return _integer(q, "q", 0, L - 1) * L + _integer(m, "m", 0, L - 1)
 
     def _dependent_at(self, k):
         """_has_dependent(entries, k): read once, unless a level known settles k (monotone)."""
@@ -222,9 +248,11 @@ def build_gabor_matrix(window):
 
 
 def _check_tol(tol):
-    """Refuse a NaN, infinite or negative user tolerance: every comparison with it would lie."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidParameters(f"tol must be finite and nonnegative, got {tol}")
+    """Refuse a user tolerance outside [0, 1), or not a real (_real).  Every user tol bounds
+    a relative residual or a relative error, and the zero estimate already scores 1, so a
+    tol >= 1 cannot tell a recovery from none."""
+    if not 0 <= _real(tol, "tol") < 1:
+        raise InvalidParameters(f"tol must lie in [0, 1), got {tol!r}")
 
 
 @functools.lru_cache(maxsize=None)  # keyed by (L, k): at most 28 tables for L <= 7
@@ -406,15 +434,13 @@ def generate_window(L, target="full_spark", k=None, seed=None):
     ~0.3 ms for full spark at L = 5, ~0.2 ms for k = 2 at L = 7.  It returns
     that Window, so its G(c) and the level read are kept.
     """
-    if not (_is_integer(L) and L >= 1):
-        raise InvalidParameters(f"L must be a positive integer, got {L!r}")
+    _integer(L, "L", 1)
     if target == "full_spark":
         if k is not None:
             raise InvalidParameters("k applies only to the spark_k target")
         support = L
     elif target == "spark_k":
-        if not (_is_integer(k) and 1 <= k <= L):
-            raise InvalidParameters(f"spark_k target needs an integer 1 <= k <= L, got k={k!r}")
+        _integer(k, "the spark_k target's k", 1, L)
         if not is_prime(L):
             raise NoPrimeInRange(f"spark_k target requires prime L, got {L}")
         support = k

@@ -14,14 +14,13 @@ memory) is available to carry data through the same channel.  The search for
 L' runs once per (S, eps): S keeps the refined support it found (gabor._plan).
 """
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidParameters, NoPrimeInRange, NotIdentifiable
 from .channel import IdentifierTrain
-from .gabor import MAX_DRAWS, MAX_L, _dependent, _draw_window, _is_integer, _plan, is_prime
+from .gabor import MAX_DRAWS, MAX_L, _dependent, _draw_window, _integer, _plan, _real, is_prime
 from .support import MAX_LP, CellSupport, _check_grid, bandwidth, rectify
 
 __all__ = ["RateReport", "rate_report", "refine_support", "bunched_window_plan"]
@@ -56,8 +55,8 @@ def _memory(S):
 
 def rate_report(g, S, eps=None):
     """Assemble the full RateReport for an identifier/support pair."""
-    if eps is not None and not np.isfinite(eps):
-        raise InvalidParameters("eps must be finite")
+    if eps is not None:
+        _real(eps, "eps")
     count, rate, B, area = g.weights.support_size(), g.rate, bandwidth(S), S.area
     margin = None if eps is None else area * (1.0 + eps) - count / g.L
     return RateReport(
@@ -81,9 +80,7 @@ def refine_support(S, L_new):
     mask is (L_new*P', L_new*P'), or as large as S's refined one if that is larger.
     L_new*P' > MAX_LP is refused before any array is built (support._check_grid).
     """
-    if not (_is_integer(L_new) and L_new >= S.L):
-        raise InvalidParameters(f"the refined modulus must be an integer >= S.L, got {L_new!r}")
-    if L_new == S.L:
+    if _integer(L_new, "the refined modulus", S.L) == S.L:
         return S
     N, P = S.L, S.P
     P_new = N * P
@@ -109,8 +106,7 @@ def bunched_window_plan(S, eps, seed=None):
     lie within L*P rows of each other (InvalidParameters).  The search runs once per
     (S, eps), kept on S unless refused; a later plan only draws, with a fresh S's bits.
     """
-    if not (isinstance(eps, numbers.Real) and eps > 0):
-        raise InvalidParameters("the sufficient-rate construction needs a real eps > 0")
+    _real(eps, "eps", positive=True)
     refined = _plan(S, ("bunched", eps), _bunched_search, S, eps)
     report = rectify(refined)  # kept on refined from its first call
     L_new, k = refined.L, len(report.gamma)

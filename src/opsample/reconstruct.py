@@ -36,7 +36,6 @@ inverse per (Gamma, Omega).  Keys are plain data and no plan refers to its owner
 supports and windows do not pin each other; kept arrays are read-only, refusals not kept.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +48,7 @@ from .channel import (
     _fresh_spreading,
     _lag_kernel,
     _unit_phase,
+    _zak_grid,
     _zak_vectors,
 )
 from .errors import (
@@ -59,7 +59,7 @@ from .errors import (
     RankDeficient,
     ShearNotRectifiable,
 )
-from .gabor import _dependent, _plan
+from .gabor import _dependent, _integer, _multiple, _plan, _real
 from .support import CellSupport, rectify
 
 __all__ = [
@@ -104,17 +104,17 @@ def left_inverse(G, gamma, omega):
     columns are dependent under the package's one rank rule
     (gabor._dependent), the rule the spark search and the bunched plan use.
     """
-    gamma = tuple(sorted((int(q), int(m)) for q, m in gamma))
+    L = G.L
+    columns = sorted(G.column_index(q, m) for q, m in gamma)  # integer labels in [0, L)
+    gamma = tuple(divmod(c, L) for c in columns)
     if not gamma:
         raise InvalidParameters("gamma must contain at least one cell")
-    if not 0 < omega < np.inf:  # rejects nan
-        raise InvalidParameters("omega must be finite and positive")
-    L = G.L
+    _real(omega, "omega", positive=True)
     if len(set(gamma)) != len(gamma):
         raise InvalidParameters("gamma contains repeated cells")
     if len(gamma) > L:
         raise RankDeficient(f"|Gamma| = {len(gamma)} exceeds the number of rows L = {L}")
-    A = G.entries[:, [G.column_index(q, m) for q, m in gamma]]
+    A = G.entries[:, columns]
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     if _dependent(s):
         ratio = s[-1] / s[0] if s[0] > 0 else 0.0  # all-zero columns
@@ -135,15 +135,10 @@ def left_inverse(G, gamma, omega):
 
 
 def _validate_grids(Zgrid, G, S):
-    L, P = S.L, S.P
-    Zgrid = np.asarray(Zgrid, dtype=complex)
-    if Zgrid.shape != (L * P, P):
-        raise GridMismatch(f"Zak grid must have shape ({L * P}, {P}), got {Zgrid.shape}")
-    if not np.isfinite(Zgrid).all():
-        raise InvalidParameters("Zak grid values must be finite")
-    if G.L != L:
-        raise GridMismatch(f"G has period {G.L}, support has L = {L}")
-    return Zgrid
+    """S's Zak grid, checked (channel._zak_grid), for a window G of S's period L."""
+    if G.L != S.L:
+        raise GridMismatch(f"G has period {G.L}, support has L = {S.L}")
+    return _zak_grid(Zgrid, S.L, S.P)
 
 
 class _ZakVectors:
@@ -273,30 +268,23 @@ def _plateau(d, width, roll):
 def smooth_windows(T, Omega, eps, P):
     """Partition-of-unity window pair for the smooth reconstruction formula.
 
-    Requires 0 < eps < min(T, Omega)/2 (InvalidOverlap above) and eps an
-    integer multiple of both grid steps T/P and Omega/P (InvalidParameters
-    otherwise, so that all window evaluations the recovery needs are exact).
+    Requires reals T, Omega > 0, an integer P >= 1, 0 < eps < min(T, Omega)/2 (InvalidOverlap
+    above) and eps a multiple of both grid steps T/P and Omega/P (gabor._multiple; else
+    InvalidParameters), so that all window evaluations the recovery needs are exact.
     """
-    if not (0 < T < np.inf and 0 < Omega < np.inf and P >= 1):  # rejects nan
-        raise InvalidParameters("need finite T > 0, finite Omega > 0, P >= 1")
-    if not (isinstance(eps, numbers.Real) and eps > 0):  # None would raise a TypeError at >
-        raise InvalidParameters("eps must be positive")
-    if eps >= min(T, Omega) / 2:
+    _real(T, "T", positive=True)
+    _real(Omega, "Omega", positive=True)
+    _integer(P, "P", 1)
+    if _real(eps, "eps", positive=True) >= min(T, Omega) / 2:
         raise InvalidOverlap(
             f"eps = {eps} must stay below min(T, Omega)/2 = {min(T, Omega) / 2}"
-        )
-    et = eps / (T / P)
-    en = eps / (Omega / P)
-    if abs(et - round(et)) > 1e-9 or abs(en - round(en)) > 1e-9:
-        raise InvalidParameters(
-            "eps must be an integer multiple of both T/P and Omega/P"
         )
     return SmoothWindows(
         T=T,
         omega=Omega,
         P=P,
-        eps_t_units=int(round(et)),
-        eps_nu_units=int(round(en)),
+        eps_t_units=_multiple(eps, T / P, "eps"),
+        eps_nu_units=_multiple(eps, Omega / P, "eps"),
     )
 
 

@@ -64,7 +64,8 @@ def mmv_omp(Y, G, k_max, tol, candidates):
     projected out.  Selection stops at k_max, at a relative residual of at
     most tol, or once every candidate lies within relative distance tol of
     the chosen span, so no column is picked twice.  Non-convergence is
-    reported through the residual history, never raised.
+    reported through the residual history, never raised.  tol lies in [0, 1)
+    (gabor._check_tol), so the first step always picks a column: no history is empty.
     """
     L = G.L
     Y = np.asarray(Y, dtype=complex)
@@ -72,8 +73,7 @@ def mmv_omp(Y, G, k_max, tol, candidates):
         raise GridMismatch(f"Y must be a matrix of L = {L} rows, got shape {Y.shape}")
     if not np.isfinite(Y).all():
         raise InvalidParameters("Y must be finite")
-    if not (gabor._is_integer(k_max) and 1 <= k_max <= L):
-        raise InvalidParameters(f"k_max must be an integer in [1, {L}], got {k_max!r}")
+    gabor._integer(k_max, "k_max", 1, L)
     gabor._check_tol(tol)
 
     cand = np.array(sorted(G.column_index(q, m) for q, m in candidates))
@@ -130,8 +130,10 @@ def recover_unknown_support(Zgrid, G, R, k_max, tol, seed=None):
     the grid is checked once and gathered once.  Raises NoConvergence (with the estimate
     attached) when the residual stays above tol or level s (module docstring)
     is above L or dependent, read once per window (Window._dependent_at), and
-    SearchBudgetExceeded for L > 7.  seed is accepted and ignored: the decoder draws nothing.
+    SearchBudgetExceeded for L > 7.  tol lies in [0, 1) (gabor._check_tol): at tol >= 1 any
+    estimate passes, even none.  seed is checked and ignored: the decoder draws nothing.
     """
+    gabor._check_seed(seed)
     L, P = R.L, R.P
     checked = _ZakVectors(Zgrid, G, R)
     gabor._check_search_limit(L)

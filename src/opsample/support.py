@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameters, NotIdentifiable
-from .gabor import _is_integer, _plan
+from .gabor import _integer, _multiple, _plan, _real
 
 #: largest L*P of every grid (an (L*P)^2 mask), file or not: _check_grid's one bound
 MAX_LP = 4096
@@ -44,12 +44,11 @@ __all__ = [
 
 
 def _check_grid(T, L, P):
-    """Refuse grid parameters unless T is finite and > 0, L, P are integers >= 1 and
-    L*P <= MAX_LP: the one bound on every grid, checked before anything is allocated."""
-    if not (np.isfinite(T) and T > 0 and _is_integer(L) and L >= 1 and _is_integer(P) and P >= 1):
-        raise InvalidParameters("need finite T > 0, integer L >= 1 and integer P >= 1")
-    if L * P > MAX_LP:
-        raise InvalidParameters(f"L*P = {L * P} exceeds the grid limit MAX_LP = {MAX_LP}")
+    """Refuse a grid unless T is a finite real > 0, L, P are integers >= 1 (gabor._real, _integer)
+    and L*P <= MAX_LP: the one bound on every grid, checked before anything is allocated."""
+    _real(T, "T", positive=True)
+    if (LP := _integer(L, "L", 1) * _integer(P, "P", 1)) > MAX_LP:
+        raise InvalidParameters(f"L*P = {LP} exceeds the grid limit MAX_LP = {MAX_LP}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,12 +60,12 @@ class CellSupport:
     footprint.  mask: boolean subcell grid, default (L*P, L*P); larger grids
     mark lattice translates.  shift: grid-aligned origin (t0, nu0) of the
     mask's [0, 0] subcell relative to the canonical rectangle; offsets: its
-    integer subcell offsets (i0, j0).
+    integer subcell offsets (i0, j0), each below 2^53 (gabor._multiple).
 
     Built from cells alone, the mask fills each labelled cell, and after
     construction cells holds the folded footprint as sorted, distinct pairs of
     Python ints.  With a zero shift the fold is the identity, so the declared
-    labels are that footprint and are taken as they are (converted to int);
+    labels (integers, or bools read as 0 and 1) are that footprint, taken as ints;
     a nonzero shift or an explicit mask re-folds the mask.  Frozen: the mask
     is a private read-only copy of the one given, and nothing can be rebound.
     _plans keeps what S alone, or S and a scalar, determines (gabor._plan): no Window.
@@ -82,18 +81,15 @@ class CellSupport:
 
     def __post_init__(self):
         _check_grid(self.T, self.L, self.P)
-        if not all(0 < x < np.inf for x in (self.omega, self.dt, self.dnu)):  # T near 0 or inf
-            raise InvalidParameters("Omega = 1/(L*T), T/P and Omega/P must be finite and positive")
+        for name, x in (("Omega = 1/(L*T)", self.omega), ("T/P", self.dt), ("Omega/P", self.dnu)):
+            _real(x, name, positive=True)  # T near 0 or inf
         t0, nu0 = self.shift
-        i0 = t0 / self.dt
-        j0 = nu0 / self.dnu
-        if not all(np.isfinite(x) and abs(x - round(x)) <= 1e-9 for x in (i0, j0)):
-            raise InvalidParameters(
-                "shift must be finite and grid-aligned (integer multiples of T/P and Omega/P)"
-            )
-        object.__setattr__(self, "offsets", (int(round(i0)), int(round(j0))))  # frozen: set here
+        offsets = (_multiple(t0, self.dt, "shift t0"), _multiple(nu0, self.dnu, "shift nu0"))
+        object.__setattr__(self, "offsets", offsets)  # frozen: set here
         LP = self.L * self.P
-        declared = None if self.cells is None else tuple(sorted(set(map(tuple, self.cells))))
+        declared = None if self.cells is None else tuple(sorted({tuple(  # bool labels read 0, 1
+            int(x) if isinstance(x, (bool, np.bool_)) else _integer(x, "a cell label")
+            for x in cell) for cell in self.cells}))
         given = self.mask is not None
         if given:
             mask = np.array(self.mask, dtype=bool)  # a private copy: the caller's array may change
@@ -115,7 +111,7 @@ class CellSupport:
             if given and declared is not None and declared != cells:
                 raise InvalidParameters("declared cells do not match the mask's folded footprint")
         else:  # the fold is the identity: the labels are the cells
-            cells = tuple((int(q), int(m)) for q, m in declared)
+            cells = declared
         object.__setattr__(self, "cells", cells)
 
     # -- derived geometry -------------------------------------------------

@@ -103,7 +103,7 @@ def test_random_spreading_seeded():
     np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(random_spreading(S, seed=np.uint32(7)).values, a.values)
     for seed in (-1, 1.5, True, "7"):  # the window draws' seed rule
-        with pytest.raises(InvalidParameters, match="seed must be None or a nonnegative"):
+        with pytest.raises(InvalidParameters, match="seed must be an integer >= 0"):
             random_spreading(S, seed=seed)
     assert np.all(a.values[~S.mask] == 0)
     assert np.any(a.values[S.mask] != 0)

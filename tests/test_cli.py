@@ -639,7 +639,7 @@ def test_window_above_max_l_exits_4_before_any_gabor_matrix(workdir, capsys, mon
     L = gabor.MAX_L + 1
     Path("big.json").write_text(json.dumps({"L": L, "weights": [[1.0, 0.0]] * L, "seed": None}))
     builds = count_entries_builds(monkeypatch)
-    with pytest.raises(MalformedFile, match=f"L in \\[1, {gabor.MAX_L}\\]"):
+    with pytest.raises(MalformedFile, match=f"L must be an integer in \\[1, {gabor.MAX_L}\\]"):
         formats.load_window("big.json")
     for argv in (
         ["spark", "--window", "big.json", "--matrix-out", "G.csv"],

@@ -267,7 +267,7 @@ def test_gabor_matrix_is_read_only_and_built_from_its_weights():
 def test_gabor_matrix_refuses_L_above_MAX_L_before_allocating(monkeypatch):
     allocations = []
     monkeypatch.setattr(gabor.np, "zeros", lambda *a, **kw: allocations.append(a))
-    with pytest.raises(InvalidParameters, match=f"L in \\[1, {gabor.MAX_L}\\]"):
+    with pytest.raises(InvalidParameters, match=f"L must be an integer in \\[1, {gabor.MAX_L}\\]"):
         build_gabor_matrix(np.ones(gabor.MAX_L + 1))
     assert allocations == []
 

@@ -401,6 +401,6 @@ def test_a_refused_bunched_search_keeps_nothing(monkeypatch):
         bunched_window_plan(spread, eps=0.5, seed=1)
     assert spread._plans == {}
     for eps in (np.array(0.5), "0.5", 0.0, np.nan):  # refused before any search is kept
-        with pytest.raises(InvalidParameters, match="real eps > 0"):
+        with pytest.raises(InvalidParameters, match="eps must be finite and positive"):
             bunched_window_plan(hull, eps=eps)
     assert hull._plans == {}

@@ -66,7 +66,7 @@ def test_cell_support_rejects_non_finite_T():
 
 def test_cell_support_takes_integer_L_and_P():
     for L, P in ((2.0, 4), (2, 4.0), (True, 4), (2, True), (np.float64(2), 4), (2, "4")):
-        with pytest.raises(InvalidParameters, match="integer L >= 1 and integer P >= 1"):
+        with pytest.raises(InvalidParameters, match="[LP] must be an integer >= 1"):
             CellSupport(T=1.0, L=L, P=P, cells=((0, 0),))
     S = CellSupport(T=1.0, L=np.int64(2), P=np.uint8(4), cells=((0, 0),))
     assert S.mask.shape == (8, 8)

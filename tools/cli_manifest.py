@@ -22,7 +22,9 @@ file left in OUTDIR, so two trees that behave alike give identical output:
     diff parent.txt change.txt
 
 Bits may differ across platforms and numpy versions, so compare manifests
-made on one host with one numpy.
+made on one host with one numpy.  After the manifest the script exits 1, naming
+them on stderr, if any command (setup included) exited outside 0, 2, 3 and 4:
+a traceback fails it even where two trees agree on it.
 """
 
 import hashlib
@@ -30,6 +32,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+#: the CLI's documented exit codes; any other, setup's included, makes this script exit 1
+EXITS = (0, 2, 3, 4)
 
 #: input supports, written under SRC's package: name -> expression over presets/CellSupport
 SUPPORTS = {
@@ -186,13 +191,18 @@ def main(argv):
         env[var] = "1"
     runs = [[sys.executable, "-c", SETUP]]
     runs += [[sys.executable, "-m", "opsample.cli", *cmd.split()] for cmd in COMMANDS]
+    stray = []
     for n, run in enumerate(runs):
         done = subprocess.run(run, cwd=out, env=env, capture_output=True)
         label = "setup" if n == 0 else " ".join(run[3:])
         print(f"cmd {n:02d} exit={done.returncode} stdout={_sha(done.stdout)}"
               f" stderr={_sha(done.stderr)}  {label}")
+        if done.returncode not in EXITS:
+            stray.append(f"cmd {n:02d} exited {done.returncode}: {label}")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"file {_sha(path.read_bytes())}  {path.relative_to(out)}")
+    if stray:  # a traceback (exit 1) or a signal, even one the base and head agree on
+        sys.exit("exit codes outside {0, 2, 3, 4}:\n" + "\n".join(stray))
 
 
 if __name__ == "__main__":
