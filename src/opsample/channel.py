@@ -192,17 +192,18 @@ def relative_l2_error(estimate, truth):
 
 @dataclass(frozen=True, eq=False)
 class IdentifierTrain:
-    """g = sum_n c_n exp(pi*i*T*a*n^2) delta_{nT} with period-L weights c: frozen, with its
-    integer chirp kappa = L*T*a = a/Omega set once here (NonIntegerChirpPeriod if off-grid)."""
+    """g = sum_n c_n exp(pi*i*T*a*n^2) delta_{nT} with period-L weights c: frozen, with T a float,
+    L*T finite and kappa = L*T*a = a/Omega an integer set here (else NonIntegerChirpPeriod)."""
 
     T: float
     weights: Window
     chirp_a: float = 0.0
 
     def __post_init__(self):
-        _real(self.T, "T", positive=True)
+        object.__setattr__(self, "T", float(_real(self.T, "T", positive=True)))  # frozen: set here
         if not isinstance(self.weights, Window):
             raise InvalidParameters(f"weights must be a Window, got {type(self.weights).__name__}")
+        _real(self.L * self.T, "the period L*T")  # so kappa is never L*T*a = inf*0
         object.__setattr__(self, "kappa", _chirp_kappa(self.L, self.T, self.chirp_a))  # set here
 
     @property
@@ -232,7 +233,7 @@ class IdentifierTrain:
 @dataclass(frozen=True, eq=False)
 class ChannelResponse:
     """Hg sampled on one superperiod [0, P*L*T) at step x_step = T/P (derived, not stored):
-    frozen, with samples a read-only complex copy of the array given."""
+    frozen, with samples a read-only complex copy, T a float and L, P ints (support._check_grid)."""
 
     samples: np.ndarray
     T: float
@@ -240,7 +241,8 @@ class ChannelResponse:
     P: int
 
     def __post_init__(self):
-        _check_grid(self.T, self.L, self.P)
+        for name, value in zip("TLP", _check_grid(self.T, self.L, self.P)):
+            object.__setattr__(self, name, value)  # frozen: the float and ints checked, set here
         samples = np.array(self.samples, dtype=complex)  # a private copy
         if samples.shape != (self.L * self.P * self.P,):
             raise GridMismatch(f"expected {self.L * self.P**2} samples, got {samples.shape}")

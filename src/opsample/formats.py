@@ -46,7 +46,7 @@ def _malformed(path, kind):
 
 
 def _json_float(value, name):
-    """A real JSON field (T, a shift entry, a weight's re or im) as a float (gabor._real)."""
+    """A real JSON field (a shift entry, a weight's re or im) as a float (gabor._real)."""
     return float(_real(value, name))
 
 
@@ -63,9 +63,9 @@ def _write_table(path, header, names, index, values):
 def save_window(window, path):
     """Window JSON: { "L", "weights": [[re, im], ...], "seed" }."""
     payload = {
-        "L": int(window.L),
+        "L": window.L,
         "weights": [[w.real, w.imag] for w in window.weights],
-        "seed": None if window.seed is None else int(window.seed),
+        "seed": window.seed,
     }
     save_json(payload, path)
 
@@ -116,9 +116,9 @@ def save_support(S, path):
     _require_file_mask(S)
     payload = {
         "T": S.T,
-        "L": int(S.L),
-        "P": int(S.P),
-        "cells": [[int(q), int(m)] for q, m in S.cells],
+        "L": S.L,
+        "P": S.P,
+        "cells": S.cells,
         "shift": [S.shift[0], S.shift[1]],
     }
     full = CellSupport(T=S.T, L=S.L, P=S.P, cells=S.cells, shift=S.shift)
@@ -131,9 +131,7 @@ def load_support(path):
     """Support JSON; with a fine mask, the cells must be its folded footprint."""
     with open(path) as fh, _malformed(path, "support"):
         payload = json.load(fh)
-        T = _json_float(payload["T"], "T")
-        L, P = payload["L"], payload["P"]
-        _check_grid(T, L, P)
+        T, L, P = _check_grid(payload["T"], payload["L"], payload["P"])
         shift = tuple(_json_float(x, "shift") for x in payload.get("shift", (0.0, 0.0)))
         cells = tuple((_integer(q, "label"), _integer(m, "label")) for q, m in payload["cells"])
         rle = payload.get("fine_mask_rle")

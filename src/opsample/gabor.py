@@ -22,9 +22,12 @@ The exhaustive searches run over Heisenberg orbits (Lawrence-Pfander-Walnut,
 JFAA 2005; Malikiosis, ACHA 2015): the unitary M^a T^b maps column (q, m) to a
 unimodular multiple of column (q+b, m+a) and only permutes and phases rows, so
 one column subset per translation orbit is checked: about C(L^2-1, k-1)/k of
-the C(L^2, k).  It is the subset holding column 0 whose bitmask sum 1<<col is
-least among its k translates (each moves one member to column 0).  This holds
-only for a true G(c), which a Window's entries are: built from its weights.
+the C(L^2, k).  It is the lexicographically least of the orbit's k sorted
+translates that hold column 0 (each moves one member to column 0), (0, s1, ...).
+So a translate taking any member to 0 takes every other one to a column >= s1,
+and so does every prefix (0, s1, ..., s_j), with the same s1: _orbit_table grows
+rows one larger column at a time under that test and prunes no representative.
+This holds only for a true G(c), which a Window's entries are: built from its weights.
 Every column-dependence decision in the package is one scale-free rule,
 _dependent: s_min <= tol*s_1 on the block's singular values.
 Square blocks are first screened by determinant: s_k <= tol*s_1 implies
@@ -72,7 +75,6 @@ k+1 is level k clean, k+1 unread.
 
 import bisect
 import functools
-import itertools
 import math
 import numbers
 import sys
@@ -101,12 +103,11 @@ MAX_L = 256
 #: tol of the package's one rank rule, _dependent, which reads it at call time
 DEFAULT_TOL = 1e-9
 
-#: exhaustive spark search is one subset per translation orbit, about
-#: C(L^2, k)/L^2; enforced ceiling (L^2 <= 49 keeps a bitmask in int64)
+#: largest L of an exhaustive spark search: the (7, 7) orbit table holds 1,753,080 rows
 SPARK_SEARCH_LIMIT = 7
 
-#: subsets per orbit-table build pass and det-screen level pass; table rows per
-#: batched SVD call: the (5, 5) table's 2130 rows and 2300 shared minors fit one
+#: rows per orbit-table growth pass, subsets per det-screen level pass, table rows
+#: per batched SVD call: the (5, 5) table's 2130 rows and 2300 shared minors fit one
 #: chunk, and the screen's (CHUNK,) complex vectors stay at 64 KiB (2048 to
 #: 16384 ran alike at L = 5 and 6)
 CHUNK = 4096
@@ -149,9 +150,8 @@ def _multiple(x, step, name, error=InvalidParameters):
 
 
 def _check_seed(seed):
-    """Refuse an RNG seed that is neither None nor a nonnegative integer (_integer)."""
-    if seed is not None:
-        _integer(seed, "seed", 0)
+    """An RNG seed as None or an int, refused unless None or a nonnegative integer (_integer)."""
+    return None if seed is None else _integer(seed, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +161,9 @@ class Window:
     L: period, at most MAX_L so that G(c) can be built; weights: a read-only complex
     copy of the finite length-L numeric vector given; seed: RNG seed used to draw it
     (None for hand-built windows); draws: how many draws the generator needed to meet
-    its spark target.  entries, a read-only G(c), is built from the weights on first
-    use; each spark level read on it is remembered and settles others (_dependent_at).
+    its spark target; L, seed and draws are kept as the ints _integer returns.  entries,
+    a read-only G(c), is built from the weights on first use; each spark level read on it
+    is remembered and settles others (_dependent_at).
     _plans keeps one scaled left inverse per (Gamma, Omega) asked of it (reconstruct._solve):
     at most 325, ~0.3 MB, for the unknown-support decodes at L = 5 (every 1- and 2-cell set).
     """
@@ -178,16 +179,16 @@ class Window:
         c = np.asarray(self.weights)
         if c.ndim != 1 or c.size == 0 or c.dtype.kind not in "biufc":
             raise InvalidParameters(f"need a non-empty 1-D numeric vector, got {c.dtype} {c.shape}")
-        if c.shape != (_integer(self.L, "L", 1, MAX_L),):
-            raise InvalidParameters(f"need ({self.L},) weights, got {c.shape}")
-        _check_seed(self.seed)
-        if self.draws is not None:
-            _integer(self.draws, "draws", 1)
+        if c.shape != (L := _integer(self.L, "L", 1, MAX_L),):
+            raise InvalidParameters(f"need ({L},) weights, got {c.shape}")
+        draws = None if self.draws is None else _integer(self.draws, "draws", 1)
         c = c.astype(complex)  # a private copy; D takes the same complex values
         if not np.all(np.isfinite(c)):
             raise InvalidParameters("weights must be finite")
         c.flags.writeable = False
-        object.__setattr__(self, "weights", c)  # frozen: set once, here
+        for name, value in (("L", L), ("weights", c), ("seed", _check_seed(self.seed)),
+                            ("draws", draws)):
+            object.__setattr__(self, name, value)  # frozen: the ints checked, set once, here
 
     @functools.cached_property
     def entries(self):
@@ -257,27 +258,28 @@ def _check_tol(tol):
 
 @functools.lru_cache(maxsize=None)  # keyed by (L, k): at most 28 tables for L <= 7
 def _orbit_table(L, k):
-    """One k-subset of the L^2 columns per translation orbit, as read-only uint8 rows.
-
-    Row r is the subset holding column 0 whose bitmask is least among its k
-    translates (module docstring); rows come in lexicographic order.
-    """
+    """One k-subset of the L^2 columns per translation orbit, as read-only uint8 rows in
+    lexicographic order, each the least of its k translates holding column 0: grown from (0,)
+    a column per pass, CHUNK rows at a time (module docstring); the last pass breaks ties."""
     q, m = np.divmod(np.arange(L * L), L)
-    # bit[t, c]: the bit of column c under the translate (q, m) -> (q-q_t, m-m_t) taking t to 0
-    bit = np.left_shift(1, (q - q[:, None]) % L * L + (m - m[:, None]) % L, dtype=np.int64)
-    rest = itertools.combinations(range(1, L * L), k - 1)  # lexicographic
-    total = math.comb(L * L - 1, k - 1)
-    rows = []
-    for start in range(0, total, CHUNK):
-        B = min(CHUNK, total - start)
-        cols = np.zeros((B, k), dtype=np.uint8)  # column 0, then k-1 others
-        flat = itertools.chain.from_iterable(itertools.islice(rest, B))
-        cols[:, 1:] = np.fromiter(flat, np.uint8, B * (k - 1)).reshape(B, k - 1)
-        masks = bit[cols[:, :, None], cols[:, None, :]].sum(axis=2)  # (B, k), member t at 0
-        rows.append(cols[masks[:, 0] == masks.min(axis=1)])
-    table = np.concatenate(rows)
-    table.flags.writeable = False
-    return table
+    # move[t, c]: column c under the translate (q, m) -> (q-q_t, m-m_t) taking t to 0
+    move = ((q - q[:, None]) % L * L + (m - m[:, None]) % L).astype(np.uint8)
+    cols = np.arange(L * L, dtype=np.uint8)
+    rows = np.zeros((1, 1), dtype=np.uint8)
+    for size in range(1, k):
+        grown = []
+        for R in (rows[s : s + CHUNK] for s in range(0, len(rows), CHUNK)):
+            s1 = R[:, 1:2] if size > 1 else cols  # a second column is its own s1
+            fits = (move[R].min(1) >= s1) & (move.T[R].min(1) >= s1)  # moved pairs, both ways
+            b, c = np.nonzero(fits & (cols > R[:, -1:]))
+            R = np.column_stack([R[b], cols[c]])
+            for t in range(1, k) if size == k - 1 else ():  # ties on s1: least of its k translates
+                diff = np.sort(move[R[:, t : t + 1], R], axis=1).astype(np.int16) - R
+                R = R[diff[np.arange(len(R)), np.argmax(diff != 0, axis=1)] >= 0]
+            grown.append(R)
+        rows = np.concatenate(grown)
+    rows.flags.writeable = False
+    return rows
 
 
 def _dependent(s):
@@ -404,8 +406,8 @@ def spark(G):
 
     One subset per translation orbit with a det screen: level 2, then level L, then a
     bisection of levels 3..L-1 if L is dependent (module docstring).  With no level read
-    yet: ~0.3 ms at full spark and L = 5, ~4 ms at L = 6 (plus a one-time ~0.2 s table
-    build), ~0.2 s at L = 7 (plus ~10 s), ~0.1 ms for spark 2 (all ones) at any L.
+    yet: ~0.3 ms at full spark and L = 5, ~4 ms at L = 6 (plus a one-time ~0.06 s table
+    build), ~0.15 s at L = 7 (plus ~1.9 s), ~0.1 ms for spark 2 (all ones) at any L.
     Weights c whose nonzeros fit a cyclic run of r < L indices make level r+1 dependent,
     so level L is not read and only levels up to r are; level 2 goes first only when
     2 < r.  Enforces L <= 7; a Window's G(c) is built from its weights, so the orbit
@@ -434,16 +436,15 @@ def generate_window(L, target="full_spark", k=None, seed=None):
     ~0.3 ms for full spark at L = 5, ~0.2 ms for k = 2 at L = 7.  It returns
     that Window, so its G(c) and the level read are kept.
     """
-    _integer(L, "L", 1)
+    L = _integer(L, "L", 1)
     if target == "full_spark":
         if k is not None:
             raise InvalidParameters("k applies only to the spark_k target")
         support = L
     elif target == "spark_k":
-        _integer(k, "the spark_k target's k", 1, L)
+        support = _integer(k, "the spark_k target's k", 1, L)
         if not is_prime(L):
             raise NoPrimeInRange(f"spark_k target requires prime L, got {L}")
-        support = k
     else:
         raise InvalidParameters(f"unknown target {target!r}")
     _check_search_limit(L)  # before any draw builds G(c), an L^3 tensor
@@ -455,13 +456,9 @@ def generate_window(L, target="full_spark", k=None, seed=None):
 
 
 def _draw_window(L, support, seed, accept, failure):
-    """Seeded Windows with weights on the first `support` indices until accept(window).
-
-    Moduli are uniform on [1/2, 1] and phases uniform.  Returns the first
-    accepted Window (with its seed and draw count), refuses a seed that is
-    neither None nor a nonnegative integer, and raises
-    GenerationFailed(failure) once MAX_DRAWS draws are spent.
-    """
+    """The first seeded Window, weights on the first `support` indices drawn as generate_window
+    says, with accept(window): with its seed and draw count.  A seed that is not None or an
+    integer >= 0 is refused first; GenerationFailed(failure) once MAX_DRAWS draws are spent."""
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     for draw in range(1, MAX_DRAWS + 1):

@@ -17,8 +17,8 @@ All three are L = 3 geometries on the canonical rectangle:
 
 import numpy as np
 
-from .errors import InvalidParameters
-from .support import CellSupport
+from .gabor import _multiple
+from .support import CellSupport, _check_grid
 
 __all__ = [
     "staircase_support",
@@ -41,7 +41,7 @@ def seven_cell_support(T=1.0, P=8):
     u_c < P-v_c), and the remainder; the classes occupy cells
     {(0,0),(1,0),(2,0)}, {(0,0),(0,1),(1,1)} and {(1,1),(2,1),(2,2)}.
     """
-    L = 3
+    T, L, P = _check_grid(T, 3, P)  # before the (P, P) and (L*P, L*P) grids are built
     uc, vc = np.indices((P, P)) + 0.5
     bottom = (vc <= uc) & (vc <= P - uc)
     left = (uc < vc) & (uc < P - vc)  # never bottom: vc <= uc there
@@ -58,14 +58,13 @@ def seven_cell_support(T=1.0, P=8):
 
 
 def sheared_parallelogram_support(T=1.0, P=8, shear=1):
-    """Band of width Omega along the line nu = a*t with a = shear*Omega,
-    wrapped modulo the rectangle; shear must be an integer."""
-    if not float(shear).is_integer():
-        raise InvalidParameters(f"shear must be an integer multiple of Omega, got {shear}")
-    L = 3
+    """Band of width Omega along the line nu = a*t with a = shear*Omega, wrapped modulo
+    the rectangle; shear must be an integer (an integral float works: gabor._multiple)."""
+    T, L, P = _check_grid(T, 3, P)  # before the (L*P, L*P) grid is built
     LP = L * P
+    shear = _multiple(shear, 1.0, "shear") % LP  # the band sees shear mod L*P; shear*i fits int64
     i, j = np.meshgrid(np.arange(LP), np.arange(LP), indexing="ij")
-    mask = ((j - int(shear) * i) % LP) < P
+    mask = ((j - shear * i) % LP) < P
     return CellSupport(T=T, L=L, P=P, mask=mask)
 
 
@@ -73,6 +72,7 @@ def stacked_cover_violation(L=3, T=1.0, P=8):
     """L+1 subcells stacked on one base footprint by (T, Omega)-translates:
     periodization count L+1 at the base corner, so identification fails even
     though the support sits inside a fundamental domain."""
+    T, L, P = _check_grid(T, L, P)  # before the (L*P, L*P) mask is built
     LP = L * P
     mask = np.zeros((LP, LP), dtype=bool)
     cells = [(0, m) for m in range(L)] + [(1, 0)]
@@ -85,6 +85,7 @@ def translate_collision_support(L=3, T=1.0, P=8):
     """Cell (0, 0) together with its (LT, 0)-translate marked as overflow rows:
     the (LT, 1/T)-fold covers the cell twice, violating the fundamental-domain
     condition."""
+    T, L, P = _check_grid(T, L, P)  # before the (L*P + P, L*P) mask is built
     LP = L * P
     mask = np.zeros((LP + P, LP), dtype=bool)
     mask[0:P, 0:P] = True

@@ -44,23 +44,24 @@ __all__ = [
 
 
 def _check_grid(T, L, P):
-    """Refuse a grid unless T is a finite real > 0, L, P are integers >= 1 (gabor._real, _integer)
-    and L*P <= MAX_LP: the one bound on every grid, checked before anything is allocated."""
-    _real(T, "T", positive=True)
-    if (LP := _integer(L, "L", 1) * _integer(P, "P", 1)) > MAX_LP:
-        raise InvalidParameters(f"L*P = {LP} exceeds the grid limit MAX_LP = {MAX_LP}")
+    """T as a float and L, P as ints, refused unless T is a finite real > 0, L, P integers >= 1
+    and L*P <= MAX_LP (gabor._real, _integer): every grid's one bound, checked before any array."""
+    T, L, P = float(_real(T, "T", positive=True)), _integer(L, "L", 1), _integer(P, "P", 1)
+    if L * P > MAX_LP:
+        raise InvalidParameters(f"L*P = {L * P} exceeds the grid limit MAX_LP = {MAX_LP}")
+    return T, L, P
 
 
 @dataclass(frozen=True, eq=False)
 class CellSupport:
     """A spreading support at cell/subcell granularity.
 
-    T: cell width in seconds; L: period; P: subcell refinement (grid steps are
-    dt = T/P, dnu = Omega/P).  cells: active cells (q, m) of the folded
-    footprint.  mask: boolean subcell grid, default (L*P, L*P); larger grids
-    mark lattice translates.  shift: grid-aligned origin (t0, nu0) of the
-    mask's [0, 0] subcell relative to the canonical rectangle; offsets: its
-    integer subcell offsets (i0, j0), each below 2^53 (gabor._multiple).
+    T: cell width in seconds, kept as a float; L: period; P: subcell refinement, both
+    kept as ints (_check_grid); grid steps are dt = T/P, dnu = Omega/P.  cells: active
+    cells (q, m) of the folded footprint.  mask: boolean subcell grid, default
+    (L*P, L*P); larger grids mark lattice translates.  shift: grid-aligned origin
+    (t0, nu0) of the mask's [0, 0] subcell relative to the canonical rectangle;
+    offsets: its integer subcell offsets (i0, j0), each below 2^53 (gabor._multiple).
 
     Built from cells alone, the mask fills each labelled cell, and after
     construction cells holds the folded footprint as sorted, distinct pairs of
@@ -80,7 +81,8 @@ class CellSupport:
     _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        _check_grid(self.T, self.L, self.P)
+        for name, value in zip("TLP", _check_grid(self.T, self.L, self.P)):
+            object.__setattr__(self, name, value)  # frozen: the float and ints checked, set here
         for name, x in (("Omega = 1/(L*T)", self.omega), ("T/P", self.dt), ("Omega/P", self.dnu)):
             _real(x, name, positive=True)  # T near 0 or inf
         t0, nu0 = self.shift

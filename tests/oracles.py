@@ -61,6 +61,23 @@ def orbit_oracle(L, k):
     return orbits
 
 
+def orbit_count_oracle(L, k):
+    """The number of translation orbits of k-subsets of the L^2 Gabor columns, by
+    Burnside's lemma over the L^2 translations (a, b): one of order d splits the
+    columns into L^2/d cycles of length d, so it fixes C(L^2/d, k/d) k-subsets
+    when d divides k and none otherwise."""
+    fixed = 0
+    for a in range(L):
+        for b in range(L):
+            d = 1
+            while (d * a) % L or (d * b) % L:
+                d += 1
+            if k % d == 0:
+                fixed += math.comb(L * L // d, k // d)
+    assert fixed % (L * L) == 0
+    return fixed // (L * L)
+
+
 def column_dets_oracle(M, cols):
     """det M[:, cols[b]] for every row b of a (B, m) column table, M of m rows, by one
     cofactor expansion per table row (the screen's reference, batched over the rows).

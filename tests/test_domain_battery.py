@@ -4,9 +4,9 @@ The argument contract of README ("Arguments"): a number of an accepted type outs
 its domain raises a named OpSampleError, never a bare TypeError, a numpy warning or
 a traceback.  TOKENS are fed in turn, in-process with warnings raised as errors:
 
-- library: to every numeric parameter of every public callable of the modules whose
-  __all__ makes the package namespace, read off inspect.signature, so a new public
-  parameter fails the census until it is classified here.  A pair of numbers (a cell
+- library: to every numeric parameter of every public callable of presets and of the
+  modules whose __all__ makes the package namespace, read off inspect.signature, so a
+  new public parameter fails the census until it is classified here.  A pair of numbers (a cell
   label pair, a shift) gets each token in each place.  A call returns or raises an
   OpSampleError.  Parameters that take a package object (a Window, a CellSupport, ...)
   or a name get no tokens, and records (outputs the package builds) are not called;
@@ -29,7 +29,13 @@ import numpy as np
 import pytest
 
 from opsample import channel, cli, formats, gabor, presets, rates, reconstruct, sparse, support
-from opsample.channel import IdentifierTrain, apply_channel, random_spreading, zak_transform
+from opsample.channel import (
+    ChannelResponse,
+    IdentifierTrain,
+    apply_channel,
+    random_spreading,
+    zak_transform,
+)
 from opsample.errors import GridMismatch, InvalidParameters, OpSampleError
 from opsample.gabor import Window, generate_window
 from opsample.support import CellSupport
@@ -37,7 +43,7 @@ from opsample.support import CellSupport
 #: out-of-domain and edge values: non-finite, negative, zero and -0, fractional, huge,
 #: past int64, and the wrong kinds of number (bool, complex, None)
 TOKENS = [math.nan, math.inf, -1, 0, -0.0, 1.5, 1e300, 2**63, True, 1 + 1j, None]
-MODULES = (gabor, support, channel, reconstruct, sparse, rates)
+MODULES = (gabor, support, channel, reconstruct, sparse, rates, presets)
 #: outputs the package builds from checked values; they check nothing themselves
 RECORDS = {"PartitionClass", "RectificationReport", "SystemSample", "LeftInverse",
            "ReconstructionReport", "SmoothWindows", "SupportEstimate", "RateReport"}
@@ -117,6 +123,11 @@ def _calls(w):
         "rate_report": (dict(g=w["g"], S=S, eps=0.1), {"g", "S"}),
         "refine_support": (dict(S=S, L_new=5), {"S"}),
         "bunched_window_plan": (dict(S=w["small"], eps=1.5, seed=4), {"S"}),
+        "staircase_support": (dict(T=1.0, P=4), set()),
+        "seven_cell_support": (dict(T=1.0, P=4), set()),
+        "sheared_parallelogram_support": (dict(T=1.0, P=4, shear=1), set()),
+        "stacked_cover_violation": (dict(L=3, T=1.0, P=4), set()),
+        "translate_collision_support": (dict(L=3, T=1.0, P=4), set()),
     }
 
 
@@ -334,6 +345,50 @@ def test_bool_omega_and_complex_eps_are_not_reals(world):
         reconstruct.left_inverse(world["G"], [(0, 0)], omega=True)
     with pytest.raises(InvalidParameters):
         rates.rate_report(world["g"], world["S"], eps=1j)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_numpy_integer_P_is_kept_as_an_int():
+    # L*P of a Python int and a numpy uint8 overflowed in uint8 (RuntimeWarning)
+    S = CellSupport(T=1.0, L=2, P=np.uint8(200), cells=[(0, 0)])
+    assert (type(S.T), type(S.L), type(S.P), S.mask.shape) == (float, int, int, (400, 400))
+    R = ChannelResponse(np.zeros(2 * 200**2), T=1, L=np.int8(2), P=np.uint8(200))
+    assert (type(R.T), type(R.L), type(R.P)) == (float, int, int)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_numpy_integer_L_window_builds_its_gabor_matrix():
+    # L*L of a numpy uint8 L = 16 overflowed while G(c) was built (RuntimeWarning)
+    window = Window(np.uint8(16), np.ones(16), seed=np.uint32(7), draws=np.int8(2))
+    assert window.entries.shape == (16, 256)
+    assert [type(x) for x in (window.L, window.seed, window.draws)] == [int, int, int]
+
+
+def test_an_int_T_whose_grid_steps_underflow_is_refused_by_name():
+    # 1.0 / (T*L) of an int T*L past the float range raised a bare OverflowError
+    with pytest.raises(InvalidParameters, match="Omega"):
+        CellSupport(T=10**308, L=3, P=4, cells=[(0, 0)])
+
+
+def test_an_identifier_train_with_an_infinite_period_is_refused_by_name():
+    # L*T = inf made kappa = inf*0 = NaN, refused as a misleading NonIntegerChirpPeriod
+    for T in (1e308, 10**308):
+        with pytest.raises(InvalidParameters, match="the period L\\*T must be finite"):
+            IdentifierTrain(T=T, weights=Window(3, np.ones(3)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_presets_check_their_numbers_before_they_build_a_mask():
+    # a bare TypeError, an OverflowError and a ValueError (maximum dimension exceeded)
+    for shear in (None, 1e300):
+        with pytest.raises(InvalidParameters, match="shear"):
+            presets.sheared_parallelogram_support(shear=shear)
+    with pytest.raises(InvalidParameters, match="L"):
+        presets.stacked_cover_violation(L=2**63)
+    with pytest.raises(InvalidParameters, match="L"):
+        presets.translate_collision_support(L=2**63)
+    integral = presets.sheared_parallelogram_support(P=4, shear=2.0)  # a float that is an int
+    assert np.array_equal(integral.mask, presets.sheared_parallelogram_support(P=4, shear=2).mask)
 
 
 # -- a Window checks its own seed -----------------------------------------------------

@@ -24,7 +24,13 @@ from opsample.gabor import (
     spark,
 )
 
-from oracles import column_dets_oracle, gabor_matrix_oracle, orbit_oracle, spark_oracle
+from oracles import (
+    column_dets_oracle,
+    gabor_matrix_oracle,
+    orbit_count_oracle,
+    orbit_oracle,
+    spark_oracle,
+)
 
 
 def test_build_matrix_L1():
@@ -414,6 +420,27 @@ def test_orbit_table_holds_one_subset_per_translation_orbit(L):
         orbits = orbit_oracle(L, k)
         assert [len(orbit & rows) for orbit in orbits] == [1] * len(orbits)
         assert len(table) == len(orbits)
+
+
+@pytest.mark.parametrize("L, k", [(L, k) for L in range(1, 7) for k in range(1, L + 1)]
+                         + [(7, k) for k in range(1, 7)] + [(11, 4)])
+def test_orbit_table_rows_are_the_least_translates_one_per_orbit(L, k):
+    # rows are distinct, ascending, hold column 0, come in lexicographic order and are each
+    # <= every translate taking a member to column 0; Burnside counts the orbits
+    table = _orbit_table(L, k).astype(int)
+    assert len(table) == orbit_count_oracle(L, k)
+    assert np.all(table[:, 0] == 0) and np.all(np.diff(table, axis=1) > 0)
+
+    def lex_less(a, b):  # a < b row by row, lexicographically
+        d = b - a
+        first = np.argmax(d != 0, axis=1)
+        return d[np.arange(len(d)), first] > 0
+
+    assert np.all(lex_less(table[:-1], table[1:]))  # sorted, so distinct
+    q, m = np.divmod(table, L)
+    for t in range(k):  # the translate (q, m) -> (q - q_t, m - m_t) moves member t to 0
+        moved = np.sort((q - q[:, t : t + 1]) % L * L + (m - m[:, t : t + 1]) % L, axis=1)
+        assert not np.any(lex_less(moved, table)), t
 
 
 def test_spark_of_the_all_ones_window_matches_oracle():

@@ -10,7 +10,8 @@ The script writes its input supports with SRC's own presets and formats, and
 two windows as plain JSON (one whose G(c) overflows, and all ones), then runs
 every opsample subcommand and mode (gen-window full and spark_k, spark,
 rectify, simulate plain, chirped and from --eta, identify sharp, smooth and
-symplectic, recover-support with exit 0 and exit 3, rates with and without
+symplectic, recover-support with exit 0 and exit 3, the level-7 decisions
+of a full-spark L = 7 window and a six-cell L = 7 decode, rates with and without
 --plan, verify, every command that reads the overflowing window, a spark-2
 window, and a few usage and I/O refusals) as child processes in OUTDIR with
 one BLAS thread.  It prints one line per command
@@ -48,6 +49,7 @@ SUPPORTS = {
     "two5.json": "CellSupport(T=1.0, L=5, P=16, cells=((0, 0), (2, 3)))",
     "two5p64.json": "CellSupport(T=1.0, L=5, P=64, cells=((1, 4), (3, 0)))",
     "three6.json": "CellSupport(T=1.0, L=6, P=4, cells=((0, 0), (2, 5), (5, 1)))",
+    "six7.json": "CellSupport(T=1.0, L=7, P=4, cells=tuple((q, q + 1) for q in range(6)))",
     "domain5.json": "CellSupport(T=1.0, L=5, P=16, cells=((0, 0), (1, 1), (2, 3), (4, 4)))",
     "small.json": "CellSupport(T=1.0, L=3, P=4, mask=small_mask)",
 }
@@ -79,6 +81,7 @@ COMMANDS = [
     "gen-window --L 4 --seed 2 --out w4.json",
     "gen-window --L 5 --seed 235 --out w5.json",
     "gen-window --L 6 --seed 3 --out w6.json",
+    "gen-window --L 7 --seed 1 --out w7.json",
     "gen-window --L 7 --target spark_k --k 4 --seed 0 --out w7k4.json",
     "gen-window --L 7 --target spark_k --k 2 --seed 5 --out w7k2.json",
     "gen-window --L 5 --target spark_k --k 3 --seed 1 --out w5k3.json",
@@ -87,6 +90,7 @@ COMMANDS = [
     "spark --window w4.json",
     "spark --window w5.json --matrix-out G5.csv",
     "spark --window w6.json",
+    "spark --window w7.json",
     "spark --window w7k4.json",
     "spark --window w7k2.json --matrix-out G7k2.csv",
     "spark --window w5k3.json",
@@ -147,6 +151,10 @@ COMMANDS = [
     " --zak-out zak_two5p64.csv",
     "recover-support --zak zak_two5p64.csv --window w5.json --kmax 2"
     " --eta-true eta_two5p64.csv --eta-out hat_two5p64.csv",
+    "simulate --support six7.json --window w7.json --seed 24 --eta-out eta_six7.csv"
+    " --zak-out zak_six7.csv",
+    "recover-support --zak zak_six7.csv --window w7.json --kmax 6 --eta-true eta_six7.csv"
+    " --eta-out hat_six7.csv --report-out est_six7.json",
     # rates
     "rates --support seven.json --window w3.json",
     "rates --support seven.json --window w3.json --eps 0.1 --report-out rates_seven.json",
