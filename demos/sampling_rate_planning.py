@@ -1,10 +1,13 @@
 """Sampling-rate diagnostics and bunched identifier planning.
 
 The delta train's rate D = ||c||_0 / (T*L) must reach the support's bandwidth
-B(S) (necessity); conversely any support of area |S| < 1 admits, after
-regridding to a suitable prime period, an identifier whose rate is arbitrarily
-close to |S| / T with the nonzero weights bunched at the start -- long dead
-time between bursts.
+B(S) (necessity).  Conversely, a support admits a bunched identifier when its
+cell-column hull h (the nu-shares its T-wide cell columns occupy, summed;
+h >= |S|) is below |S|(1+eps) < 1: regridded to a prime period L' within the
+grid budget, it is covered by |Gamma'| cells with |Gamma'|/L' < |S|(1+eps), and
+the |Gamma'| nonzero weights sit at the start of the period -- long dead time
+between bursts, at a rate below |S|(1+eps)/T.  A support narrow in t has a hull
+well above its area (up to P times it), so such a plan is refused at period T.
 """
 
 from opsample import (

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameters, NoPrimeInRange, NotIdentifiable
+from .errors import InvalidParameters, NoPrimeInRange
 from .channel import IdentifierTrain
 from .gabor import MAX_DRAWS, MAX_L, _dependent, _draw_window, _integer, _plan, _real, is_prime
 from .support import MAX_LP, CellSupport, _check_grid, bandwidth, rectify
@@ -47,10 +47,8 @@ class RateReport:
 
 def _memory(S):
     """K: right edge of the t-support, so every eta(., nu) lives in [0, K]."""
-    occupied = np.flatnonzero(S.mask.any(axis=1))
-    if occupied.size == 0:
-        return 0.0
-    return float((S.offsets[0] + occupied[-1] + 1) * S.dt)
+    rows = S.subcells[0]  # ascending: the last stored row is the right edge
+    return float((S.offsets[0] + rows[-1] + 1) * S.dt) if rows.size else 0.0
 
 
 def rate_report(g, S, eps=None):
@@ -132,7 +130,7 @@ def _bunched_search(S, eps):
     if area <= 0:
         raise InvalidParameters("cannot plan for an empty support")
     rows, cols, _, i, j = S.subcells
-    if rows[-1] - rows[0] >= S.L * S.P:  # the per-column bound below needs this
+    if rows[-1] - rows[0] >= S.L * S.P:  # the count below needs this
         raise InvalidParameters(f"a bunched plan needs the occupied t-rows within L*P = "
                                 f"{S.L * S.P} rows, got {rows[-1] - rows[0] + 1}")
     target = area * (1.0 + eps)
@@ -146,31 +144,32 @@ def _bunched_search(S, eps):
     # target for all L' > 2*runs/(target - h), which hold a prime: only the budget ends it.
     columns = np.zeros((S.L, S.L * S.P), dtype=bool)
     columns[i[rows] // S.P, j[cols]] = True
-    n_q = columns.sum(axis=1)
-    hull = n_q.sum() / (S.L * S.P)
+    hull = columns.sum() / (S.L * S.P)
     if hull >= target:
         raise NoPrimeInRange(f"every cell cover has |Gamma'|/L' >= the cell-column hull "
                              f"{hull:.6g}, not below |S|(1+eps) = {target:.6g}")
     budget = max(S.L, min(MAX_L, MAX_LP // (S.L * S.P)))  # the largest L' whose grid fits
-    for L_new in filter(is_prime, range(S.L, budget + 1)):
-        # Per-column bound |Gamma'| >= sum_q ceil(n_q*L'/(L*P)), for occupied t-rows within
-        # L*P of each other (checked above), so t's within L*T.  L' = L folds as above.  For
-        # L' > L the cell width T stays, and a refined column (t folded mod L'*T) holds t's
-        # of one floor(t/T) only: floors that differ by a nonzero multiple of L' are more
-        # than (L'-1)*T >= L*T apart.  So it lies in one column q, and the subcells (height
-        # 1/(T*L*P)) of q's refined columns make up q's n_q.  A refined column with n of
-        # them needs ceil(n*L'/(L*P)) cells of height 1/(T*L'), and ceil is subadditive,
-        # so column q needs ceil(n_q*L'/(L*P)) at least.  A prime whose bound misses the
-        # target cannot pass the check below: skip it unrefined.
-        if -(-n_q * L_new // (S.L * S.P)).sum() / L_new >= target:
-            continue
-        refined = refine_support(S, L_new)
-        try:
-            if len(rectify(refined).gamma) / L_new < target:
-                return refined if refined is not S else replace(S)  # no plan refers back to S
-        except NotIdentifiable:
-            continue
+    # With the t's within L*T (checked above), S refined to any L' >= L folds a point twice
+    # only where S's own fold does, and covers a base point at most |Gamma'| < L' times: one
+    # check on S decides every prime, so only the prime returned is refined.
+    t_cells = (S.offsets[0] + rows) // S.P  # floor(t/T) of each stored subcell: at most L+1 columns
+    nu = j[cols]  # its nu-subcell, one of L*P per 1/T
+    primes = filter(is_prime, range(S.L, budget + 1)) if S.fold_counts().max() <= 1 else ()
+    for L_new in primes:
+        if _cover(t_cells, nu, S.L * S.P, L_new) / L_new < target:
+            refined = refine_support(S, L_new)
+            return refined if refined is not S else replace(S)  # no plan refers back to S
     raise NoPrimeInRange(
         f"no prime modulus in [{S.L}, {budget}] brings the cell cover below |S|(1+eps) = "
         f"{target:.6g} within the grid budget L' <= {MAX_L}, L'*L*P <= {MAX_LP}"
     )
+
+
+def _cover(t_cells, nu, LP, L_new):
+    """|Gamma'| at modulus L_new: the distinct cells of height 1/(T*L_new) that the subcells
+    (t_cells[n], nu[n]) meet, cell column t_cells mod L_new.  Subcell nu spans the cells
+    nu*L_new // LP .. ceil((nu+1)*L_new/LP) - 1: one run per subcell, counted by a cumsum."""
+    runs = np.zeros((L_new, L_new + 1), dtype=np.int64)
+    np.add.at(runs, (t_cells % L_new, nu * L_new // LP), 1)
+    np.add.at(runs, (t_cells % L_new, -(-(nu + 1) * L_new // LP)), -1)
+    return int(np.count_nonzero(np.cumsum(runs, axis=1)[:, :L_new]))

@@ -248,6 +248,4 @@ def _rectify(S):
 
 def bandwidth(S):
     """B(S): maximum over t of the nu-measure of the support's t-slice."""
-    if not S.mask.any():
-        return 0.0
-    return float(S.mask.sum(axis=1).max()) * S.dnu
+    return float(S.mask.sum(axis=1).max(initial=0)) * S.dnu

@@ -69,6 +69,12 @@ def test_spreading_validation():
             DiscreteSpreadingFunction(support=S, values=bad)
 
 
+def test_apply_channel_refuses_a_window_in_place_of_a_train():
+    eta = random_spreading(staircase_support(T=1.0, P=4), seed=0)
+    with pytest.raises(GridMismatch, match="g must be an IdentifierTrain"):
+        apply_channel(eta, generate_window(3, seed=9))
+
+
 def test_relative_l2_error_refuses_another_grid():
     S = staircase_support(T=1.0, P=4)
     estimate = random_spreading(S, seed=2)

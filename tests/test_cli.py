@@ -564,6 +564,14 @@ def test_bad_grid_csv_exits_4(workdir, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_a_fine_mask_that_misses_the_grid_is_malformed(tmp_path):
+    path = tmp_path / "short.json"
+    payload = {"T": 1.0, "L": 3, "P": 2, "cells": [[0, 0]], "fine_mask_rle": "0,4"}  # 4 of 36
+    path.write_text(json.dumps(payload))
+    with pytest.raises(MalformedFile, match="mask run lengths do not cover the grid"):
+        formats.load_support(str(path))
+
+
 def test_malformed_json_exits_4_naming_the_file_once(workdir, capsys, monkeypatch):
     monkeypatch.chdir(workdir)
     payload = json.loads(Path("stairs.json").read_text())

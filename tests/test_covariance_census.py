@@ -9,15 +9,30 @@ spark, generate_window's acceptance (level L clean) and the decoder's certificat
 same for c and for T^b c, M^a c, conj(c), c_{-p} and (0.3 - 1.7i) c, whichever
 representative of each orbit the table holds.  rectify of a support translated by
 whole cells, (q, m) -> (q + a, m + b) mod L, must give the same classes with
-translated cells.  Windows and translations are seeded, so every run checks the same
-decisions.
+translated cells.  The window T^b c probes H with g' = T_{bT} g, and
+T_{-bT} H T_{bT} has the same support and the spreading function
+eta(t, nu) exp(2 pi i nu b T): the response to g', moved back by bT, is the response of
+that operator to g, and the known-support solve with c recovers it to rounding.
+Windows and translations are seeded, so every run checks the same decisions.
 """
 
 import numpy as np
 import pytest
 
-from opsample import CellSupport, presets, rectify
-from opsample.gabor import Window, generate_window, spark
+from opsample import (
+    CellSupport,
+    ChannelResponse,
+    DiscreteSpreadingFunction,
+    IdentifierTrain,
+    apply_channel,
+    presets,
+    random_spreading,
+    recover_eta_known_support,
+    rectify,
+    relative_l2_error,
+    zak_transform,
+)
+from opsample.gabor import Window, build_gabor_matrix, generate_window, spark
 
 
 def _census_windows(L):
@@ -80,12 +95,17 @@ def _classes(report, L, a=0, b=0):
              cls.points.tobytes()) for cls in report.classes}
 
 
-@pytest.mark.parametrize("make", [
-    lambda: presets.seven_cell_support(P=8),
-    lambda: presets.staircase_support(P=4),
-    lambda: presets.sheared_parallelogram_support(P=8),
-    lambda: CellSupport(T=1.0, L=3, P=8, cells=((0, 0), (1, 1)), shift=(0.25, 0.0)),
-], ids=["seven", "staircase", "sheared", "shifted"])
+_SUPPORTS = {
+    "seven": lambda: presets.seven_cell_support(P=8),
+    "staircase": lambda: presets.staircase_support(P=4),
+    "sheared": lambda: presets.sheared_parallelogram_support(P=8),
+    "shifted": lambda: CellSupport(T=1.0, L=3, P=8, cells=((0, 0), (1, 1)), shift=(0.25, 0.0)),
+    "shifted_nu": lambda: CellSupport(T=1.0, L=3, P=8, cells=((0, 0), (1, 2)),
+                                      shift=(0.25, -0.125)),  # nu0 = -3 dnu
+}
+
+
+@pytest.mark.parametrize("make", list(_SUPPORTS.values()), ids=list(_SUPPORTS))
 def test_rectify_of_a_whole_cell_translate_translates_its_classes(make):
     rng = np.random.default_rng(7)
     S = make()
@@ -97,3 +117,26 @@ def test_rectify_of_a_whole_cell_translate_translates_its_classes(make):
             sorted(len(cls.index) for cls in base.classes)
         assert moved.max_cover == base.max_cover
         assert set(moved.gamma) == {((q + a) % S.L, (m + b) % S.L) for q, m in base.gamma}
+
+
+@pytest.mark.parametrize("make", list(_SUPPORTS.values()), ids=list(_SUPPORTS))
+def test_the_solve_under_a_shifted_window_recovers_the_modulated_spreading_function(make):
+    S = make()
+    L, P = S.L, S.P
+    eta = random_spreading(S, seed=3)
+    window = generate_window(L, seed=5)
+    G = build_gabor_matrix(window)
+    nu_steps = S.offsets[1] + np.arange(eta.values.shape[1])  # nu = nu_steps * dnu, dnu*T = 1/(L*P)
+    for b in range(2 * L):  # b = L moves g by its period L*T: the same window, a new phase
+        shifted = IdentifierTrain(T=S.T, weights=Window(L, np.roll(window.weights, b)))
+        response = apply_channel(eta, shifted)
+        back = ChannelResponse(samples=np.roll(response.samples, -b * P), T=S.T, L=L, P=P)  # bT
+        phase = np.exp(2j * np.pi * (nu_steps * b % (L * P)) / (L * P))  # exp(2 pi i nu b T)
+        modulated = DiscreteSpreadingFunction(support=S, values=eta.values * phase)
+        want = apply_channel(modulated, IdentifierTrain(T=S.T, weights=window)).samples
+        assert np.abs(back.samples - want).max() <= 1e-13 * np.abs(want).max(), b
+        got = recover_eta_known_support(zak_transform(back), G, S).eta_hat
+        assert relative_l2_error(got, modulated) < 1e-13, b
+        G_b = build_gabor_matrix(shifted.weights)  # the shifted window's own solve returns eta
+        own = recover_eta_known_support(zak_transform(response), G_b, S).eta_hat
+        assert relative_l2_error(own, eta) < 1e-13, b

@@ -106,6 +106,17 @@ def test_rate_report_fields():
             rate_report(g, S, eps=eps)
 
 
+def test_an_empty_support_has_no_memory_and_no_plan():
+    spilled = np.zeros((12, 16), dtype=bool)
+    for empty in (CellSupport(T=1.0, L=3, P=4, cells=[]),
+                  CellSupport(T=1.0, L=3, P=4, mask=spilled, shift=(2.0, 0.0))):
+        rep = rate_report(_train(1.0, [1, 1, 0]), empty)
+        assert (rep.bandwidth, rep.area, rep.necessary_ok) == (0.0, 0.0, True)
+        assert rep.dead_time_fraction == 1.0 - 2.0 / 3.0  # K = 0: only the weights' T*||c||_0
+        with pytest.raises(InvalidParameters, match="cannot plan for an empty support"):
+            bunched_window_plan(empty, eps=0.5, seed=1)
+
+
 def test_refine_support_preserves_region():
     L, P, T = 3, 2, 0.5
     S = CellSupport(T=T, L=L, P=P, cells=[(0, 1), (2, 0)])
@@ -218,14 +229,14 @@ def test_bunched_plan_refuses_a_hull_above_the_target_at_once(monkeypatch):
         bunched_window_plan(small, eps=0.5, seed=4)
     assert calls == []
     window, _ = bunched_window_plan(small, eps=1.5, seed=4)  # 0.3125 clears the hull
-    assert window.L == 7 and calls == [7]  # the column bounds of 3 and 5 are 1/3 and 2/5
+    assert window.L == 7 and calls == [7]  # the covers at 3 and 5 are 1/3 and 2/5
 
 
 def test_bunched_plan_stops_at_the_grid_budget(monkeypatch):
     # a full-T strip a quarter of the nu-range high: the hull is 1/4 and every cover
     # ratio is above it, so eps = 0.001 needs L' > 3000; the search stops at the largest
     # L' whose refined grid L' * L * P fits MAX_LP (here 4096 // 96 = 42), and every
-    # prime's column bound ceil(L'/4)/L' misses the target, so none is refined
+    # prime's cover ceil(L'/4)/L' misses the target, so none is refined
     calls = _counting_refinements(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(NoPrimeInRange, match=r"in \[3, 42\] .* grid budget"):
@@ -233,13 +244,14 @@ def test_bunched_plan_stops_at_the_grid_budget(monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert calls == []
     # at P = 2 the grid would hold L' = 682: MAX_L ends the search first.  A strip on
-    # nu-subcells 1 and 2 passes the column bound at L' = 3 alone, where its cover
-    # of 2 cells misses 2/3 * 1.001 cells per L'
+    # nu-subcells 1 and 2 has a cover of 2 cells at L' = 3, which misses 2/3 * 1.001
+    # cells per L', and of at least (L' + 1)/3 at every larger prime below 1000, which
+    # misses too: none is refined
     mask = np.zeros((6, 6), dtype=bool)
     mask[0:2, 1:3] = True
     with pytest.raises(NoPrimeInRange, match=rf"in \[3, {gabor.MAX_L}\]"):
         bunched_window_plan(CellSupport(T=1.0, L=3, P=2, mask=mask), eps=0.001, seed=4)
-    assert calls == [3]
+    assert calls == []
 
 
 def test_bunched_plan_skips_primes_whose_column_bound_misses(monkeypatch):
@@ -265,7 +277,7 @@ def _first_prime_by_refinement(S, eps):
 
 
 def test_bunched_plan_picks_the_prime_of_the_search_by_refinement():
-    # the column bound skips only primes whose cover misses: every plan keeps its prime,
+    # the count skips only primes whose cover misses: every plan keeps its prime,
     # and so its window (a draw from the prime, the cover and the seed)
     cases = [
         (_corner(3, 6, 6, 2), 0.1), (_corner(3, 4, 2, 3), 1.5),
@@ -294,8 +306,60 @@ def test_bunched_plan_picks_the_prime_of_the_search_by_refinement():
     assert planned >= 20
 
 
+def _cover_census():
+    """Seeded supports with their t-rows within L*P: shifted masks, spilled rows and columns,
+    one that spans L+1 cell columns and one whose fold covers a point twice."""
+    rng = np.random.default_rng(38)
+    for _ in range(24):
+        L, P = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+        LP = L * P
+        mask = np.zeros((LP + int(rng.integers(P + 1)), LP + int(rng.integers(LP + 1))), dtype=bool)
+        first = mask.shape[0] - LP  # the rows above it stay empty: the stored rows span < L*P
+        mask[first:] = rng.random((LP, mask.shape[1])) < rng.uniform(0.01, 0.1)
+        mask[first + int(rng.integers(LP)), int(rng.integers(mask.shape[1]))] = True
+        shift = (int(rng.integers(-2 * P, 2 * P + 1)) / P, int(rng.integers(-LP, LP + 1)) / LP)
+        yield CellSupport(T=1.0, L=L, P=P, mask=mask, shift=shift if rng.random() < 0.5 else (0, 0))
+    wide = np.zeros((14, 12), dtype=bool)
+    wide[2, 0] = wide[13, 5] = True  # t-rows 2 and 13: cell columns 0 and 3, one column mod 3
+    yield CellSupport(T=1.0, L=3, P=4, mask=wide)
+    yield _folded_twice()
+
+
+def _folded_twice():
+    """nu-columns 0 and 6 of one t-row at L = 3, P = 2 fold onto one point."""
+    mask = np.zeros((6, 12), dtype=bool)
+    mask[0:2, 0] = mask[0:2, 6] = True
+    return CellSupport(T=1.0, L=3, P=2, mask=mask)
+
+
+def test_the_cover_count_is_the_cell_cover_of_the_refined_support(monkeypatch):
+    # _cover counts |Gamma'| from S's subcells; the oracle refines S and rectifies it, at every
+    # prime up to the budget that MAX_LP = 512 would give (so each refinement stays small)
+    compared = 0
+    for S in _cover_census():
+        rows, cols, _, _, j = S.subcells
+        t_cells = (S.offsets[0] + rows) // S.P
+        twice = S.fold_counts().max() > 1
+        for L_new in filter(gabor.is_prime, range(S.L, max(S.L, 512 // (S.L * S.P)) + 1)):
+            count = rates._cover(t_cells, j[cols], S.L * S.P, L_new)
+            refined = refine_support(S, L_new)
+            assert count == len(refined.cells), (S.cells, L_new)
+            try:
+                gamma = rectify(refined).gamma
+            except NotIdentifiable:  # only S's own double fold, or a cover of more than L' cells
+                assert twice or count > L_new, (S.cells, L_new)
+                continue
+            assert not twice and count == len(gamma), (S.cells, L_new)
+            compared += 1
+    assert compared >= 300
+    calls = _counting_refinements(monkeypatch)
+    with pytest.raises(NoPrimeInRange, match="grid budget"):  # the hull is 1/6, |S| = 1/3
+        bunched_window_plan(_folded_twice(), eps=0.5, seed=1)
+    assert calls == []
+
+
 def test_bunched_plan_refuses_occupied_rows_beyond_L_times_P():
-    # the per-column bound needs the t's within L*T: rows 0:2 and 14:16 are 16 > 12 rows apart
+    # the cover count needs the t's within L*T: rows 0:2 and 14:16 are 16 > 12 rows apart
     m = np.zeros((24, 12), dtype=bool)
     m[0:2, 0:2] = m[14:16, 0:2] = True
     with pytest.raises(InvalidParameters, match="within L\\*P = 12 rows, got 16"):
@@ -387,13 +451,13 @@ def test_a_refused_bunched_search_keeps_nothing(monkeypatch):
         with pytest.raises(NoPrimeInRange, match="hull"):
             bunched_window_plan(hull, eps=0.5, seed=4)
     assert hull._plans == {} and calls == []
-    mask = np.zeros((6, 6), dtype=bool)  # refused at the budget after refining at L' = 3
+    mask = np.zeros((6, 6), dtype=bool)  # refused at the budget, each cover counted unrefined
     mask[0:2, 1:3] = True
     budget = CellSupport(T=1.0, L=3, P=2, mask=mask)
     for _ in range(2):
         with pytest.raises(NoPrimeInRange, match="grid budget"):
             bunched_window_plan(budget, eps=0.001, seed=4)
-    assert calls == [3, 3] and list(budget._plans) == ["rectify"]  # a fact of S alone
+    assert calls == [] and budget._plans == {}
     rows = np.zeros((24, 12), dtype=bool)
     rows[0:2, 0:2] = rows[14:16, 0:2] = True
     spread = CellSupport(T=1.0, L=3, P=4, mask=rows)

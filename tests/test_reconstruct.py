@@ -244,6 +244,13 @@ def _report_score(values, truth):
     return norm(values - truth) / norm(truth)
 
 
+def test_recover_refuses_a_window_of_another_period():
+    G5 = build_gabor_matrix(generate_window(5, seed=9))
+    S3 = CellSupport(T=1.0, L=3, P=4, cells=[(0, 0)])
+    with pytest.raises(GridMismatch, match="G has period 5, support has L = 3"):
+        recover_eta_known_support(np.zeros((12, 4), dtype=complex), G5, S3)
+
+
 def test_relative_l2_error_keeps_the_report_bits():
     seven, band = seven_cell_support(P=8), sheared_parallelogram_support(P=8)
     eta, _, G, Z = _roundtrip(seven, seed=56)

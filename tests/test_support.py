@@ -44,6 +44,11 @@ def test_cell_support_derives_cells_from_mask():
     assert S.cells == ((0, 0), (1, 1))
 
 
+def test_cell_support_needs_cells_or_a_mask():
+    with pytest.raises(InvalidParameters, match="need cells or a mask"):
+        CellSupport(T=1.0, L=3, P=4)
+
+
 def test_cell_support_rejects_inconsistent_cells():
     mask = np.zeros((6, 6), dtype=bool)
     mask[0, 0] = True
