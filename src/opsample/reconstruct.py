@@ -11,7 +11,9 @@ at each of the class's subcells.  A stored subcell of S that folds onto
 
 All three known-support formulas are this one solve on the exact grid:
 
-- sharp/multiclass reads eta off X at the stored subcells of S;
+- sharp/multiclass reads eta off X at the stored subcells of S.  A union of whole cells
+  (rectify's whole_cells) is one class of every base point, with k = 0: row n of b @ Z_vec
+  is eta on cell n, read off as its P x P block by the same three factors, with no X;
 - smooth needs no blend: the raised-cosine partition of unity (r on t,
   phi_hat on nu) is exactly 1.0 at every grid point, because at most two
   translates overlap (eps < min(T, Omega)/2), their flanks there are a and
@@ -31,9 +33,9 @@ A recovery returns what it recovered and takes no ground truth: scoring an
 estimate against a known eta is channel.relative_l2_error.
 
 A plan lives on what it is a function of (gabor._plan): S keeps its rectification,
-read-off tables and, per kappa, S~ with its shear tables; G keeps each class's left
-inverse per (Gamma, Omega).  Keys are plain data and no plan refers to its owner, so
-supports and windows do not pin each other; kept arrays are read-only, refusals not kept.
+read-off tables (none if whole-cell) and, per kappa, S~ with its shear tables; G keeps each
+class's left inverse per (Gamma, Omega).  Keys are plain data and no plan refers to its owner,
+so supports and windows do not pin each other; kept arrays are read-only, refusals not kept.
 """
 
 from dataclasses import dataclass
@@ -165,13 +167,25 @@ def _read_off(S):
 
 
 def _solve(Zv, G, S):
-    """eta's values (a fresh array) and the class condition numbers from checked Z-vectors."""
+    """eta's values (a fresh array) and the class condition numbers from checked Z-vectors:
+    a whole-cell S by cell blocks (module docstring), any other by the read-off tables it keeps."""
     L, P = S.L, S.P
-    classes = rectify(S).classes
+    rectified = rectify(S)
+    values = np.zeros(S.mask.shape, dtype=complex)
+    if rectified.whole_cells:  # one class of every base point, in order
+        if not S.cells:
+            return values, []
+        inv = _plan(G, (S.cells, S.omega), left_inverse, G, S.cells, S.omega)
+        q, m = np.array(inv.gamma).T
+        # Zv is C-contiguous, so the product has the bits of the general path's np.take
+        eta = _unit_phase(np.multiply.outer(q, np.arange(P)), L * P)[:, None, :]
+        eta = eta * (inv.coefficients @ Zv).reshape(-1, P, P) * _unit_phase(0, P)
+        values.reshape(L, P, L, P)[q, :, m, :] = eta  # block n is cell (q[n], m[n])
+        return values, [inv.condition_number]
     flat, row_phase, col_phase = _plan(S, "read-off", _read_off, S)
     X = np.zeros((L * L, P * P), dtype=complex)  # X[q*L + m, u*P + v]
     conds = []
-    for cls in classes:
+    for cls in rectified.classes:
         if not cls.cells:
             continue
         # a RankDeficient refusal raises here and is not kept
@@ -181,7 +195,6 @@ def _solve(Zv, G, S):
         # np.take keeps the columns C-ordered (Zv[:, index] may not), so the product
         # takes the BLAS path, and gives the bits, of a freshly gathered matrix
         X[(q * L + m)[:, None], cls.index] = inv.coefficients @ np.take(Zv, cls.index, axis=1)
-    values = np.zeros(S.mask.shape, dtype=complex)
     values[S.mask] = row_phase * X.ravel()[flat] * col_phase
     return values, conds
 
@@ -190,14 +203,13 @@ def recover_eta_known_support(Zgrid, G, S):
     """Recover eta on the known support S from the Zak grid of Hg.
 
     Solves one restricted system per rectification class at each base-rectangle
-    subcell into X[q, m, u, v], then reads eta off X at the stored subcells of S
-    with the two root-of-unity phases of the module docstring.  S keeps its
-    rectification and read-off tables, and G each class's left inverse, for as long
-    as each lives.  The grid is checked and gathered once (_ZakVectors, which the
-    unknown-support decoder passes instead).  The values are zero off the mask by
-    construction, as they fill only S.mask.  The formula tag is "sharp" for
-    single-class supports and "multiclass" otherwise.  Raises NotIdentifiable
-    when S violates the fold conditions.
+    subcell, then reads eta off with the two root-of-unity phases of the module
+    docstring: by cell blocks for a union of whole cells, else off X at the stored
+    subcells by read-off tables S keeps; G keeps each class's left inverse.  The grid
+    is checked and gathered once (_ZakVectors, which the unknown-support decoder
+    passes instead).  The values are zero off the mask by construction, as they
+    fill only S.mask.  The formula tag is "sharp" for single-class supports and
+    "multiclass" otherwise.  Raises NotIdentifiable when S violates the fold conditions.
     """
     checked = Zgrid if isinstance(Zgrid, _ZakVectors) else _ZakVectors(Zgrid, G, S)
     values, conds = _solve(checked.Y, G, S)
@@ -316,8 +328,8 @@ def recover_symplectic(Zgrid, G, S, a):
     sheared support, and shears back.  Needs kappa = L*T*a integer (the shear
     moves the nu grid by kappa subcells per t step) and a canonically placed
     support.  Every phase and index depends on kappa only modulo 2*L*P^2.  S keeps
-    S~ and its tables per kappa, S~ its own read-off tables, G the inverses.  The values
-    are zero off the mask by construction: the shear back maps S~'s mask onto S's.
+    S~ and its tables per kappa (a whole-cell S~ is read off by cell blocks), G the inverses.
+    The values are zero off the mask by construction: the shear back maps S~'s mask onto S's.
     """
     L, P = S.L, S.P
     LP = L * P

@@ -179,6 +179,7 @@ class RectificationReport:
     gamma: tuple  # union of active cells
     classes: tuple  # PartitionClass entries, ascending row-major occupancy patterns (see rectify)
     max_cover: int  # essential supremum of the periodization count
+    whole_cells: bool = False  # set by rectify's whole-cell branch alone: solved by cell blocks
 
 
 def periodization_count(S):
@@ -215,6 +216,7 @@ def rectify(S):
     A union of at most L whole cells (zero offsets, an (L*P, L*P) mask whose
     P x P blocks are each constant) is one class, read off the mask without a
     fold: every base point sees the occupied cells, max_cover = their number.
+    Its report alone sets whole_cells, by which reconstruct._solve reads eta off cell blocks.
     """
     return _plan(S, "rectify", _rectify, S)
 
@@ -226,7 +228,7 @@ def _rectify(S):
         corners = S.mask[::P, ::P]  # with constant blocks, S.cells are the True corners
         if (S.mask.reshape(L, P, L, P) == corners[:, None, :, None]).all():
             one = PartitionClass(cells=S.cells, points=np.ones((P, P), dtype=bool))
-            return RectificationReport(gamma=S.cells, classes=(one,), max_cover=len(S.cells))
+            return RectificationReport(S.cells, (one,), len(S.cells), whole_cells=True)
     counts, cover, identifiable = _folds(S)
     if not identifiable:
         raise NotIdentifiable(

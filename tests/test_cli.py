@@ -884,6 +884,26 @@ def test_recover_support_zero_window_exits_3(workdir, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_an_empty_support_and_an_all_zero_grid_exit_0_with_a_zero_eta(workdir, capsys, monkeypatch):
+    # an empty whole-cell support has no class to invert: the solve must not ask for one
+    monkeypatch.chdir(workdir)
+    run(["gen-window", "--L", "3", "--seed", "7", "--out", "w.json"], capsys)
+    formats.save_support(CellSupport(T=1.0, L=3, P=4, cells=()), "empty.json")
+    formats.save_zak(np.zeros((12, 4)), 1.0, 3, 4, "zero.csv")
+    code, out, err = run(["identify", "--zak", "zero.csv", "--window", "w.json", "--support",
+                          "empty.json", "--eta-out", "eta.csv", "--report-out", "id.json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(Path("id.json").read_text()) == {
+        "formula": "sharp", "gamma": [], "relative_l2_error": None, "per_class_conditioning": []}
+    assert not formats.load_spreading("eta.csv").values.any()
+    code, out, err = run(["recover-support", "--zak", "zero.csv", "--window", "w.json", "--kmax",
+                          "2", "--eta-out", "hat.csv", "--report-out", "est.json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(Path("est.json").read_text())["gamma_hat"] == []
+    hat = formats.load_spreading("hat.csv")
+    assert hat.support.cells == () and not hat.values.any()
+
+
 def test_identify_smooth_and_symplectic(workdir, capsys):
     window_path = str(workdir / "w.json")
     run(["gen-window", "--L", "3", "--seed", "7", "--out", window_path], capsys)

@@ -36,12 +36,15 @@ from opsample.presets import (
     translate_collision_support,
 )
 from opsample.gabor import _plan
+from opsample.support import rectify
 from opsample.reconstruct import (
     recover_eta_known_support,
     recover_eta_smooth,
     recover_symplectic,
     reconstruct_h_sharp,
 )
+
+from test_support import _near_whole_cell_supports, _whole_cell_supports
 
 
 def _fresh_window(G):
@@ -220,8 +223,11 @@ def test_refusals_are_not_remembered(monkeypatch):
     for _ in range(2):
         with pytest.raises(RankDeficient):
             recover_eta_known_support(np.zeros((12, 4)), degenerate, parallel)
-    # S keeps what it alone determines; the refusal is a fact of the window: no (G, cells) key
-    assert len(rectified) == 4 and sorted(parallel._plans) == ["read-off", "rectify"]
+    # S keeps what it alone determines; the refusal is a fact of the window: no (G, cells) key.
+    # S is whole cells, solved by cell blocks: no "read-off" tables, no fold table
+    assert len(rectified) == 4 and sorted(parallel._plans) == ["rectify"]
+    assert "read-off" not in parallel._plans and "subcells" not in vars(parallel)
+    assert degenerate._plans == {}
     unrectifiable = CellSupport(T=1.0, L=3, P=8, cells=[(0, 0), (0, 1), (0, 2), (1, 0)])
     for _ in range(2):
         with pytest.raises(ShearNotRectifiable):
@@ -230,10 +236,10 @@ def test_refusals_are_not_remembered(monkeypatch):
 
 
 def _plan_arrays(S, kappa, *windows):
-    """The arrays S keeps after every path (S~'s included), and the inverses of windows."""
+    """The arrays S keeps after every path (S~'s included), and the inverses of windows.
+    S~ of the parallelogram is whole cells: it keeps no read-off tables."""
     S_tilde, *shear = S._plans[kappa]
-    for support in (S, S_tilde):
-        yield from support._plans["read-off"]
+    yield from S._plans["read-off"]
     for G in windows:
         yield from (inv.coefficients for inv in G._plans.values())
     yield from shear
@@ -246,13 +252,95 @@ def test_remembered_arrays_are_read_only():
     recover_symplectic(Z, G, S, S.omega)
     reconstruct_h_sharp(recover_eta_known_support(Z, G, S))
     arrays = list(_plan_arrays(S, 1, G))
-    # read-off 3 for S and 3 for S~, G's inverses of S's 2 classes and S~'s 1, shear 3,
-    # the mask of S~
-    assert len(arrays) == 5 + 4 + 3 + 1
+    assert "read-off" not in S._plans[1][0]._plans  # S~ is solved by cell blocks
+    # read-off 3 for S, G's inverses of S's 2 classes and S~'s 1, shear 3, the mask of S~
+    assert len(arrays) == 3 + 3 + 3 + 1
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a.flat[0] = a.flat[0]
+
+
+def _per_subcell(Zv, G, S):
+    """The per-subcell reference of a solve: X filled class by class as the general path
+    fills it, read off at every stored subcell by reconstruct._read_off(S)."""
+    L, P = S.L, S.P
+    X = np.zeros((L * L, P * P), dtype=complex)
+    conds = []
+    for cls in rectify(S).classes:
+        if cls.cells:
+            inv = reconstruct.left_inverse(G, cls.cells, S.omega)
+            conds.append(inv.condition_number)
+            q, m = np.array(inv.gamma).T
+            X[(q * L + m)[:, None], cls.index] = inv.coefficients @ np.take(Zv, cls.index, axis=1)
+    flat, row_phase, col_phase = reconstruct._read_off(S)
+    values = np.zeros(S.mask.shape, dtype=complex)
+    values[S.mask] = row_phase * X.ravel()[flat] * col_phase
+    return values, conds
+
+
+def _solved_like_the_reference(S, G, seed):
+    """Solve a response on S (simulated on a copy, so S has made no fold table), then an
+    all-zero grid, whose signed zeros pin every factor, and hold both reports to the
+    per-subcell reference of the same Z-vectors.  What S kept after the first solve."""
+    kept = None
+    for Z in (_zak(_fresh_support(S), G, seed)[1], np.zeros((S.L * S.P, S.P), dtype=complex)):
+        report = recover_eta_known_support(Z, G, S)
+        kept = kept or (sorted(S._plans), "subcells" in vars(S))
+        values, conds = _per_subcell(reconstruct._ZakVectors(Z, G, S).Y, G, S)
+        assert report.eta_hat.values.tobytes() == values.tobytes()
+        assert report.per_class_conditioning == conds
+        assert report.formula == ("sharp" if len(conds) <= 1 else "multiclass")
+    return kept
+
+
+def _two_cell_supports():
+    """20 seeded 2-cell supports at L=5, P=16, then the same cells given as explicit masks."""
+    rng = np.random.default_rng(103)
+    cells = [rng.choice(25, size=2, replace=False) for _ in range(20)]
+    pairs = [CellSupport(T=1.0, L=5, P=16, cells=[divmod(int(b), 5) for b in c]) for c in cells]
+    return pairs + [CellSupport(T=1.0, L=5, P=16, mask=S.mask) for S in pairs]
+
+
+def test_whole_cell_supports_are_solved_by_cell_blocks_with_the_per_subcell_bits():
+    windows = {3: generate_window(3, seed=104), 5: generate_window(5, seed=105)}
+    supports = _whole_cell_supports() + _two_cell_supports()
+    for n, S in enumerate(supports):
+        assert rectify(S).whole_cells
+        # no fold table and no read-off tables: the support keeps only its rectification
+        assert _solved_like_the_reference(S, windows[S.L], 1000 + n) == (["rectify"], False)
+    # one step from the one-class rule: the general path, its read-off tables and fold table
+    for n, S in enumerate(_near_whole_cell_supports()):
+        assert not rectify(S).whole_cells
+        kept = _solved_like_the_reference(S, windows[3], 2000 + n)
+        assert kept == (["read-off", "rectify"], True)
+
+
+def test_the_sheared_support_is_solved_by_cell_blocks_with_the_per_subcell_bits():
+    S, G = sheared_parallelogram_support(P=8), generate_window(3, seed=106)
+    eta, Z = _zak(S, G, 107, chirp_a=S.omega)
+    report = recover_symplectic(Z, G, S, S.omega)
+    S_tilde, chirp, gather, back = S._plans[1]
+    assert rectify(S_tilde).whole_cells and not rectify(S).whole_cells
+    assert sorted(S_tilde._plans) == ["rectify"] and "subcells" not in vars(S_tilde)
+    Zv = channel._zak_vectors(chirp.conj() * np.ravel(Z)[gather], S.L, S.P)
+    values, conds = _per_subcell(Zv, G, S_tilde)
+    assert report.eta_hat.values.tobytes() == (np.ravel(values)[back] * chirp).tobytes()
+    assert report.per_class_conditioning == conds and report.formula == "symplectic"
+    assert np.max(np.abs(report.eta_hat.values - eta.values)) <= 1e-12
+
+
+def test_an_empty_support_and_an_all_zero_grid_give_a_zero_eta():
+    G = generate_window(3, seed=108)
+    empty = CellSupport(T=1.0, L=3, P=4, cells=())
+    report = recover_eta_known_support(np.zeros((12, 4)), G, empty)
+    assert (report.formula, report.per_class_conditioning) == ("sharp", [])
+    assert not report.eta_hat.values.any() and G._plans == {}
+    R = CellSupport(T=1.0, L=3, P=4, cells=[(q, m) for q in range(3) for m in range(3)])
+    decoded = sparse.recover_unknown_support(np.zeros((12, 4)), G, R, k_max=2, tol=1e-9)
+    assert decoded.support_estimate.gamma_hat == () and decoded.eta_hat.support.cells == ()
+    assert (decoded.formula, decoded.per_class_conditioning) == ("sharp", [])
+    assert not decoded.eta_hat.values.any() and G._plans == {}
 
 
 def _every_path(S, G):
@@ -265,6 +353,7 @@ def test_a_dead_support_takes_its_tables_with_it():
     G = generate_window(3, seed=85)
     first = sheared_parallelogram_support(P=4)
     _every_path(first, G)
+    assert "read-off" not in first._plans[1][0]._plans  # S~ is solved by cell blocks
     tables = [weakref.ref(a) for a in _plan_arrays(first, 1)]
     support = weakref.ref(first)
     del first

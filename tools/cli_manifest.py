@@ -137,10 +137,12 @@ COMMANDS = [
     "simulate --support three6.json --window w6.json --seed 18 --eta-out eta_three6.csv"
     " --zak-out zak_three6.csv",
     "identify --zak zak_three6.csv --window w6.json --support three6.json"
-    " --eta-true eta_three6.csv --eta-out hat_three6.csv",
+    " --eta-true eta_three6.csv --eta-out hat_three6.csv --report-out id_three6.json",
     # unknown supports: certified (exit 0) and not (exit 3)
     "simulate --support two5.json --window w5.json --seed 19 --eta-out eta_two5.csv"
     " --zak-out zak_two5.csv",
+    "identify --zak zak_two5.csv --window w5.json --support two5.json --smooth --eps 0.0625"
+    " --eta-out hat_two5_smooth.csv --report-out id_two5_smooth.json",
     "recover-support --zak zak_two5.csv --window w5.json --kmax 2 --eta-true eta_two5.csv"
     " --eta-out hat_two5.csv --report-out est_two5.json",
     "recover-support --zak zak_two5.csv --window w5.json --kmax 4 --report-out est_two5_k4.json",
