@@ -55,6 +55,35 @@ complex product, 1 per sum).  With
 gamma_n * (1+sqrt(m))^m * (m/k)^(m/2) * k^(-1/2) * ||A||_F^k, ~4e-12*||A||_F^k
 at m = 6: far below tol*||A||_F^k.  A zero column 0 sends every block to the
 SVD.
+Tall blocks (k < L rows: the spark levels below L and the bunched plan's class
+blocks, _any_dependent) are screened by their Gram matrix M = A^H A, gathered from
+the Gram matrix of all the columns, which is formed once.  det M = prod s_i^2, so
+s_k <= tol*s_1 implies det M <= tol^2 * s_1^2 * prod_{i<k} s_i^2 <= tol^2 * F^k,
+F = ||A||_F^2 = sum_j ||a_j||^2.  det M comes from one LDL^H elimination without
+pivoting, vectorized across CHUNK blocks (at k = 2 the closed form d_0 d_1 - |m_10|^2
+against the bound times F^2), and a block is cleared, skipping the SVD, only if every
+pivot is positive and det M / F^k > tol^2 + delta (_gram_clears).  The SVD reads the
+rest as before, so no decision moves when delta = delta_{L,k} (_gram_rounding) bounds
+the rounding, with u = 2^-53 and gamma_n = n*u/(1-n*u):
+(1) with positive pivots the computed Gram and elimination are the exact LDL^H of
+M + E, |E_ij| <= g*||a_i||*||a_j||, g = gamma_{L+2} + (1+gamma_{L+2})*gamma_{5k}/(1-gamma_{5k})
+(a complex dot product of length L, then a Cholesky-type backward error of k steps,
+their complex products taken at 5 roundings a step);
+(2) det is multilinear in the columns, M = D C D with D = diag ||a_j|| and |C_ij| <= 1,
+so Hadamard's inequality on each mixed term and AM-GM give |det(M+E) - det M| <=
+prod ||a_j||^2 * k^(k/2) * ((1+g)^k - 1) <= rho*F^k, rho = k^(-k/2) * ((1+g)^k - 1);
+(3) the sum F, the k quotients by F and their product (F^2 and the bound's product at
+k = 2), and tol^2 + delta cost at most a factor 1 - eta,
+eta = 1 - (1-gamma_2) * (1-gamma_{L+k+1})^k / (1+gamma_{2k-1});
+(4) the SVD calls a block dependent only if its exact s_k <= (tol + eps)*s_1,
+eps = u + 2*sigma*(1+u), where sigma = gamma_{Lk} stands for LAPACK's p(L, k)*u backward
+error on the singular values; then det M <= (tol^2 + 2*eps + eps^2) * F^k for tol < 1.
+A cleared block has det M > ((tol^2 + delta)(1 - eta) - rho) * F^k, which exceeds that
+with delta = (rho + 2*eps + eps^2 + eta)/(1 - eta): 3e-15 to 3e-14 for L <= 7, below 8e-14
+at L = 11, so a cleared block has s_k/s_1 > 4e-8.  delta does not depend on tol, which the
+screen reads from DEFAULT_TOL at each call; a tol >= 1 clears nothing, since the computed
+det M / F^k stays below 1.  A bare tol^2 threshold would not be sound: 1e-18 lies below
+the rounding of forming A^H A.
 
 Dependence is monotone in the level k (subset size), so a spark decision reads
 only the levels it needs, each once per window: a Window remembers every level it
@@ -107,9 +136,9 @@ DEFAULT_TOL = 1e-9
 SPARK_SEARCH_LIMIT = 7
 
 #: rows per orbit-table growth pass, subsets per det-screen level pass, table rows
-#: per batched SVD call: the (5, 5) table's 2130 rows and 2300 shared minors fit one
-#: chunk, and the screen's (CHUNK,) complex vectors stay at 64 KiB (2048 to
-#: 16384 ran alike at L = 5 and 6)
+#: per Gram-screen pass and per batched SVD call: the (5, 5) table's 2130 rows and 2300
+#: shared minors fit one chunk, and the screens' (CHUNK,) complex vectors stay at 64 KiB
+#: (2048 to 16384 ran alike at L = 5 and 6)
 CHUNK = 4096
 
 #: seeded draws a window generator spends before it raises GenerationFailed
@@ -282,6 +311,21 @@ def _orbit_table(L, k):
     return rows
 
 
+@functools.lru_cache(maxsize=None)
+def _gram_rounding(L, k):
+    """delta_{L,k} of the Gram screen on L x k blocks (module docstring)."""
+    u = 2.0**-53
+
+    def gamma(n):
+        return n * u / (1 - n * u)
+
+    g = gamma(L + 2) + (1 + gamma(L + 2)) * gamma(5 * k) / (1 - gamma(5 * k))
+    rho = k ** (-k / 2) * math.expm1(k * math.log1p(g))
+    eps = u + 2 * gamma(L * k) * (1 + u)
+    eta = 1 - (1 - gamma(2)) * (1 - gamma(L + k + 1)) ** k / (1 + gamma(2 * k - 1))
+    return (rho + 2 * eps + eps**2 + eta) / (1 - eta)
+
+
 def _dependent(s):
     """The rank rule on descending singular values (last axis): s_min <= DEFAULT_TOL*s_max."""
     return s[..., -1] <= DEFAULT_TOL * s[..., 0]
@@ -363,23 +407,77 @@ def _column_dets(M, rows, ranks):
 
 def _has_dependent(entries, k):
     """True iff some k-column subset of a Gabor matrix's rows is dependent (_dependent)."""
-    parts = np.ascontiguousarray(entries).view(float)  # real and imaginary parts
-    # exact power-of-two scale to a largest part in [1/2, 1): screen and SVD never over/underflow
-    unit = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex)
     L = math.isqrt(entries.shape[1])
     table = _orbit_table(L, k)
-    chunks = (table[start : start + CHUNK] for start in range(0, len(table), CHUNK))
+    if k < len(entries):  # tall blocks
+        return _any_dependent(entries, table)
+    unit = _scaled(entries)
+    chunks = _chunks(table)
     p = np.argmax(np.abs(unit[:, 0]))  # first pivot of every square block (module docstring)
-    if k == len(unit) and unit[p, 0] != 0:  # that elimination step, once on the whole matrix
+    if unit[p, 0] != 0:  # that elimination step, once on the whole matrix
         schur = np.delete(unit - np.outer(unit[:, 0] / unit[p, 0], unit[p]), p, axis=0)
         dets = _column_dets(schur, table[:, 1:], _orbit_ranks(L, k))
         # |det| = |pivot * det| of the Schur block, NaN kept, against one bound for every block
         bound = 2 * DEFAULT_TOL * (k * np.max(np.sum(np.abs(unit) ** 2, axis=0))) ** (k / 2)
         chunks = (cols[~(np.abs(unit[p, 0] * det) > bound)] for cols, det in zip(chunks, dets))
-    for cols in chunks:
-        for batch in (cols[: k * k], cols[k * k :]):  # a few first: low-spark windows stop early
+    return any(_svd_dependent(unit, cols) for cols in chunks)
+
+
+def _any_dependent(entries, rows):
+    """True iff some block entries[:, rows[b]] of a (B, k) column table is dependent
+    (_dependent): the Gram screen clears what it can, CHUNK rows at a time, and the SVD
+    reads the rest (module docstring)."""
+    unit = _scaled(entries)
+    gram = unit.conj().T @ unit  # every column pair at once
+    return any(_svd_dependent(unit, cols[~_gram_clears(gram, cols, len(unit))])
+               for cols in _chunks(rows))
+
+
+def _chunks(rows):
+    return (rows[start : start + CHUNK] for start in range(0, len(rows), CHUNK))
+
+
+def _scaled(entries):
+    """entries times the power of two that puts its largest real or imaginary part in
+    [1/2, 1): an exact scale, under which neither screen nor the SVD over- or underflows."""
+    parts = np.ascontiguousarray(entries).view(float)  # real and imaginary parts
+    return np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex)
+
+
+def _gram_clears(gram, rows, L):
+    """For each row of a (B, k) column table, whether its block A (L rows) is clear of the
+    rank rule by det(A^H A) > (DEFAULT_TOL^2 + _gram_rounding(L, k)) * ||A||_F^(2k), with
+    A^H A gathered from gram and reduced by LDL^H without pivoting (module docstring)."""
+    k = rows.shape[1]
+    idx = rows.T.astype(np.intp)  # (k, B): each block's Gram entries as (B,) vectors
+    d = gram.diagonal().real.take(idx)  # the pivots, each reduced by the ones before it
+    F = np.sum(d, axis=0)  # ||A||_F^2
+    # m_ji for j > i, by take: faster than fancy indexing here
+    low = [[gram.take(idx[j] * len(gram) + idx[i]) for i in range(j)] for j in range(k)]
+    bound = DEFAULT_TOL**2 + _gram_rounding(L, k)
+    if k == 2:  # the closed form d_0 d_1 - |m_10|^2, against the bound times F^2
+        m = low[1][0]
+        return d[0] * d[1] - (m.real * m.real + m.imag * m.imag) > bound * (F * F)
+    ratio = np.ones(len(rows))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot or F: never cleared
+        for i in range(k):
+            ratio *= np.maximum(d[i], 0) / F  # a pivot <= 0 is never cleared
+            for j in range(i + 1, k):
+                col, scaled = low[j][i], low[j][i] / d[i]
+                d[j] -= (col.real * col.real + col.imag * col.imag) / d[i]
+                for m in range(i + 1, j):
+                    low[j][m] -= scaled * low[m][i].conj()
+    return ratio > bound
+
+
+def _svd_dependent(unit, rows):
+    """True iff the SVD calls some block unit[:, rows[b]] of a (B, k) column table dependent
+    (_dependent); its first k^2 blocks go first, so a low-spark window stops early."""
+    k = rows.shape[1]
+    for batch in (rows[: k * k], rows[k * k :]):
+        if len(batch):
             sub = np.transpose(unit[:, batch], (1, 0, 2))  # (B, rows, k)
-            if len(batch) and np.any(_dependent(np.linalg.svd(sub, compute_uv=False))):
+            if np.any(_dependent(np.linalg.svd(sub, compute_uv=False))):
                 return True
     return False
 
@@ -406,8 +504,9 @@ def spark(G):
 
     One subset per translation orbit with a det screen: level 2, then level L, then a
     bisection of levels 3..L-1 if L is dependent (module docstring).  With no level read
-    yet: ~0.3 ms at full spark and L = 5, ~4 ms at L = 6 (plus a one-time ~0.06 s table
-    build), ~0.15 s at L = 7 (plus ~1.9 s), ~0.1 ms for spark 2 (all ones) at any L.
+    yet: ~0.3 ms at full spark and L = 5, ~3 ms at L = 6 (plus a one-time ~0.06 s table
+    build), ~0.15 s at L = 7 (plus ~1.9 s), ~0.1 ms for spark 2 (all ones) at any L, ~2 ms
+    for spark 6 at L = 6 with one zero weight (levels 2, 4 and 5, each Gram-screened).
     Weights c whose nonzeros fit a cyclic run of r < L indices make level r+1 dependent,
     so level L is not read and only levels up to r are; level 2 goes first only when
     2 < r.  Enforces L <= 7; a Window's G(c) is built from its weights, so the orbit
@@ -433,7 +532,7 @@ def generate_window(L, target="full_spark", k=None, seed=None):
     are uniform on [1/2, 1] and phases uniform, so the target sets are open and
     dense and the first draw almost always succeeds; MAX_DRAWS failed draws
     raise GenerationFailed.  A draw reads level `support` of the G(c) it built:
-    ~0.3 ms for full spark at L = 5, ~0.2 ms for k = 2 at L = 7.  It returns
+    ~0.2 ms for full spark at L = 5, ~0.1 ms for k = 2 at L = 7.  It returns
     that Window, so its G(c) and the level read are kept.
     """
     L = _integer(L, "L", 1)

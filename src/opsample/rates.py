@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParameters, NoPrimeInRange
 from .channel import IdentifierTrain
-from .gabor import MAX_DRAWS, MAX_L, _dependent, _draw_window, _integer, _plan, _real, is_prime
+from .gabor import MAX_DRAWS, MAX_L, _any_dependent, _draw_window, _integer, _plan, _real, is_prime
 from .support import MAX_LP, CellSupport, _check_grid, bandwidth, rectify
 
 __all__ = ["RateReport", "rate_report", "refine_support", "bunched_window_plan"]
@@ -110,11 +110,9 @@ def bunched_window_plan(S, eps, seed=None):
     L_new, k = refined.L, len(report.gamma)
     class_columns = [[q * L_new + m for q, m in cls.cells] for cls in report.classes if cls.cells]
 
-    def well_conditioned(window):
-        return not any(
-            _dependent(np.linalg.svd(window.entries[:, cols], compute_uv=False))
-            for cols in class_columns
-        )
+    def well_conditioned(window):  # each class block is one row of its own table
+        return not any(_any_dependent(window.entries[:, cols], np.arange(len(cols))[None])
+                       for cols in class_columns)
 
     window = _draw_window(
         L_new, k, seed, well_conditioned,

@@ -340,8 +340,9 @@ def recover_symplectic(Zgrid, G, S, a):
         )
     kappa = _chirp_kappa(L, S.T, a) % (2 * L * P * P)  # reduced before any integer array product
     _check_chirp_grid(kappa, L, P)
-    S_tilde, chirp, gather, back = _plan(S, kappa, _shear_plan, S, kappa)
-    Zv = _zak_vectors(chirp.conj() * np.ravel(Zgrid)[gather], L, P)  # the de-chirped grid's
+    S_tilde, chirp, dechirp, gather, back = _plan(S, kappa, _shear_plan, S, kappa)
+    grid = np.ravel(Zgrid)[gather]  # a fresh gather, de-chirped in place as dechirp * grid
+    Zv = _zak_vectors(np.multiply(dechirp, grid, out=grid), L, P)
     try:
         values, conds = _solve(Zv, G, S_tilde)
     except NotIdentifiable as exc:
@@ -355,8 +356,8 @@ def recover_symplectic(Zgrid, G, S, a):
 
 def _shear_plan(S, kappa):
     """S~ (mask~[i, j] = mask[i, (j + kappa*i) mod L*P]) and read-only tables for
-    recover_symplectic: the row chirp and the flat indices of Z[i, (j + kappa*i + s) mod P]
-    and eta~[i, (j - kappa*i) mod L*P]."""
+    recover_symplectic: the row chirp and its conjugate, and the flat indices of
+    Z[i, (j + kappa*i + s) mod P] and eta~[i, (j - kappa*i) mod L*P]."""
     L, P = S.L, S.P
     LP = L * P
     i, j = np.ogrid[:LP, :LP]
@@ -364,5 +365,7 @@ def _shear_plan(S, kappa):
     chirp = _chirp_phase(i, kappa, L * P * P)
     gather = i * P + (np.arange(P) + kappa * i + s) % P
     back = i * LP + (j - kappa * i) % LP
-    chirp.flags.writeable = gather.flags.writeable = back.flags.writeable = False
-    return CellSupport(T=S.T, L=L, P=P, mask=S.mask[i, (j + kappa * i) % LP]), chirp, gather, back
+    tables = chirp, chirp.conj(), gather, back
+    for table in tables:
+        table.flags.writeable = False
+    return CellSupport(T=S.T, L=L, P=P, mask=S.mask[i, (j + kappa * i) % LP]), *tables

@@ -42,6 +42,17 @@ def spark_oracle(entries, tol=1e-9):
     return L + 1
 
 
+def level_oracle(entries, table, tol=1e-9):
+    """Whether some block entries[:, row] of a column table is dependent, by the SVD of
+    every row and no screen: s_min <= tol * s_max, 4096 rows per batched call."""
+    for start in range(0, len(table), 4096):
+        blocks = np.transpose(entries[:, table[start : start + 4096]], (1, 0, 2))
+        s = np.linalg.svd(blocks, compute_uv=False)
+        if np.any(s[:, -1] <= tol * s[:, 0]):
+            return True
+    return False
+
+
 def orbit_oracle(L, k):
     """The k-subsets of the L^2 Gabor columns (column q*L + m) partitioned into
     translation orbits by brute force: a list of sets of sorted tuples."""

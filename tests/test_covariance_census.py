@@ -36,14 +36,14 @@ from opsample.gabor import Window, build_gabor_matrix, generate_window, spark
 
 
 def _census_windows(L):
-    """Up to 14 weight vectors: 4 generate_window draws, 4 draws with ~40% zero weights,
-    4 draws rounded to halves, all ones and the cubic chirp exp(2*pi*i*p^3/L); an all-zero
-    vector is skipped.  (At L = 6 a spark-6 window reads level 5: ~60 ms per variant.)"""
+    """Up to 20 weight vectors: 6 generate_window draws, 6 draws with ~40% zero weights,
+    6 draws rounded to halves, all ones and the cubic chirp exp(2*pi*i*p^3/L); an all-zero
+    vector is skipped."""
     rng = np.random.default_rng(1000 + L)
-    draws = [generate_window(L, seed=L * 100 + s).weights for s in range(4)]
-    free = [rng.uniform(0.5, 1, L) * np.exp(2j * np.pi * rng.uniform(size=L)) for _ in range(8)]
-    zeros = [c * (rng.uniform(size=L) >= 0.4) for c in free[:4]]
-    halves = [np.round(2 * c) / 2 for c in free[4:]]
+    draws = [generate_window(L, seed=L * 100 + s).weights for s in range(6)]
+    free = [rng.uniform(0.5, 1, L) * np.exp(2j * np.pi * rng.uniform(size=L)) for _ in range(12)]
+    zeros = [c * (rng.uniform(size=L) >= 0.4) for c in free[:6]]
+    halves = [np.round(2 * c) / 2 for c in free[6:]]
     p = np.arange(L)
     windows = draws + zeros + halves + [np.ones(L), np.exp(2j * np.pi * p**3 / L)]
     return [c for c in windows if np.any(c != 0)]

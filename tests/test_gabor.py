@@ -27,6 +27,7 @@ from opsample.gabor import (
 from oracles import (
     column_dets_oracle,
     gabor_matrix_oracle,
+    level_oracle,
     orbit_count_oracle,
     orbit_oracle,
     spark_oracle,
@@ -846,6 +847,118 @@ def test_det_screen_rounding_stays_below_the_tolerance():
     for L in range(1, gabor.SPARK_SEARCH_LIMIT + 1):
         assert _screen_rounding_constant(L - 1) < gabor.DEFAULT_TOL, L
     assert _screen_rounding_constant(6) == pytest.approx(4.14e-12, rel=1e-2)
+
+
+def _level_windows(L):
+    """Census, near-tolerance and spark_k windows of period L: 6 first draws of the window
+    generator (unchecked: level L at L = 7 needs the (7, 7) table), 6 with ~40% zero
+    weights, 6 rounded to halves, all ones, the cubic chirp; all ones moved by 1e-8 and
+    3e-8 of a generic vector (tall blocks reach the SVD), a draw with its last weight shrunk
+    to 1e-9 and 3e-10 of itself; at prime L a spark_k draw for each k < L."""
+    rng = np.random.default_rng(2000 + L)
+    p = np.arange(L)
+    free = [rng.uniform(0.5, 1, L) * np.exp(2j * np.pi * rng.uniform(size=L)) for _ in range(13)]
+    windows = [gabor._draw_window(L, L, L * 10 + s, lambda w: True, "").weights
+               for s in range(6)]
+    windows += [c * (rng.uniform(size=L) >= 0.4) for c in free[:6]]
+    windows += [np.round(2 * c) / 2 for c in free[6:12]]
+    windows += [np.ones(L), np.exp(2j * np.pi * p**3 / L)]
+    near = [np.ones(L) + eps * free[12] for eps in (1e-8, 3e-8)]
+    near += [np.concatenate([windows[0][:-1], delta * windows[0][-1:]]) for delta in (1e-9, 3e-10)]
+    spark_k = [generate_window(L, target="spark_k", k=k, seed=k).weights
+               for k in range(1, L)] if gabor.is_prime(L) else []
+    return [c for c in windows if np.any(c)], near, spark_k
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_tall_levels_match_the_svd_of_every_row(L):
+    # the Gram screen clears blocks before the SVD: no level k < L may move
+    census, near, spark_k = _level_windows(L)
+    cases = [(c, range(1, L)) for c in census + near + spark_k]
+    if L == 7:  # level 5 holds 38,916 rows: one near window reads it; level 6's 285,384
+        # rows would take the oracle ~3 s
+        cases = [(c, range(1, 5)) for c, _ in cases] + [(near[0], [5])]
+    seen, reached = set(), 0
+    for n, (c, levels) in enumerate(cases):
+        entries = build_gabor_matrix(np.asarray(c, dtype=complex)).entries
+        unit = gabor._scaled(entries)
+        for k in levels:
+            table = _orbit_table(L, k)
+            got = gabor._has_dependent(entries, k)
+            assert got == level_oracle(entries, table), (n, k)
+            seen.add(got)
+            reached += not np.all(gabor._gram_clears(unit.conj().T @ unit, table, L))
+    assert seen == ({False} if L == 2 else {True, False}), seen
+    assert reached > 0 or L == 2  # near-tolerance blocks went on to the SVD
+
+
+def _blocks_with_singular_values(rng, L, k, ratio, B=40):
+    """(L, B*k) side by side: B seeded L x k blocks U diag(s) V^H, s_1 = 1 and s_k = ratio,
+    the others log-uniform between, U with orthonormal columns and V unitary."""
+    blocks = []
+    for _ in range(B):
+        U = np.linalg.qr(rng.normal(size=(L, k)) + 1j * rng.normal(size=(L, k)))[0]
+        V = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0]
+        s = np.sort(np.concatenate([[1.0, ratio], ratio ** rng.uniform(size=k - 2)]))[::-1]
+        blocks.append((U * s[:k]) @ V.conj().T)
+    return np.concatenate(blocks, axis=1)
+
+
+def test_the_gram_screen_never_clears_a_dependent_block():
+    # near the tolerance the SVD decides; the screen clears only blocks with
+    # s_k/s_1 well above it, at every k < L <= 11
+    rng = np.random.default_rng(11)
+    tol = gabor.DEFAULT_TOL
+    cleared = dependent = 0
+    for L in range(2, 12):
+        for k in range(2, L):
+            for ratio in (0.5 * tol, tol, 2 * tol, 10 * tol, 1e-6, 1e-3):
+                unit = gabor._scaled(_blocks_with_singular_values(rng, L, k, ratio))
+                rows = np.arange(unit.shape[1]).reshape(-1, k)
+                clears = gabor._gram_clears(unit.conj().T @ unit, rows, L)
+                blocks = np.transpose(unit[:, rows], (1, 0, 2))
+                flagged = gabor._dependent(np.linalg.svd(blocks, compute_uv=False))
+                assert not np.any(clears & flagged), (L, k, ratio)
+                if ratio <= 10 * tol:
+                    assert not np.any(clears), (L, k, ratio)  # (10 tol)^2 < delta
+                cleared += int(clears.sum())
+                dependent += int(flagged.sum())
+    assert cleared > 0 and dependent > 0
+
+
+def _gram_rounding_constant(L, k):
+    """delta_{L,k} of the Gram screen, restated from the module docstring."""
+    u = 2.0**-53
+    gamma = {n: n * u / (1 - n * u) for n in (2, L + 2, 5 * k, L * k, L + k + 1, 2 * k - 1)}
+    g = gamma[L + 2] + (1 + gamma[L + 2]) * gamma[5 * k] / (1 - gamma[5 * k])
+    rho = k ** (-k / 2) * math.expm1(k * math.log1p(g))
+    eps = u + 2 * gamma[L * k] * (1 + u)
+    eta = 1 - (1 - gamma[2]) * (1 - gamma[L + k + 1]) ** k / (1 + gamma[2 * k - 1])
+    return (rho + 2 * eps + eps**2 + eta) / (1 - eta)
+
+
+def test_gram_screen_rounding_is_pinned_and_sets_the_threshold(monkeypatch):
+    # delta_{L,k} bounds the screen's rounding and the SVD's; it does not depend on tol,
+    # and it stays below k^-k, the det M / F^k of k orthonormal columns, up to L = 11
+    for L in range(2, 12):
+        for k in range(1, L):
+            delta = gabor._gram_rounding(L, k)
+            assert delta == pytest.approx(_gram_rounding_constant(L, k), rel=1e-12), (L, k)
+            assert 1e-15 < delta < 8e-14 and delta < float(k) ** -k / 1000, (L, k)
+    assert gabor._gram_rounding(7, 6) == pytest.approx(2.99e-14, rel=1e-2)
+    assert gabor._gram_rounding(11, 10) == pytest.approx(7.59e-14, rel=1e-2)
+    # k - 1 unit columns and one tilted onto the first: det M = sin^2, F = k, so the block
+    # clears exactly when sin^2 / k^k > tol^2 + delta (the closed form at k = 2 too)
+    for tol in (1e-9, 1e-6, 1.0, 2.0):
+        monkeypatch.setattr(gabor, "DEFAULT_TOL", tol)
+        for k in range(2, 11):
+            bound = tol**2 + gabor._gram_rounding(11, k)
+            for factor in (0.7, 1.5):
+                sin2 = min(factor * k**k * bound, 1.0)
+                A = np.eye(11, k, dtype=complex)
+                A[:, k - 1] = np.sqrt(1 - sin2) * A[:, 0] + np.sqrt(sin2) * A[:, k - 1]
+                clears = gabor._gram_clears(A.conj().T @ A, np.arange(k)[None], 11)[0]
+                assert clears == (factor > 1 and tol < 1), (tol, k, factor)
 
 
 def test_fourier_table_is_the_inline_formula_and_read_only():

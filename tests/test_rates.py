@@ -207,6 +207,27 @@ def test_bunched_plan_gates(monkeypatch):
     assert len(builds) == gabor.MAX_DRAWS  # one G(c) per draw, the whole budget spent
 
 
+def test_bunched_plans_match_an_svd_of_every_class_block(monkeypatch):
+    # the Gram screen moves no acceptance: with a screen that clears nothing, the SVD
+    # decides every class block (sizes 1 to 4 below) and each plan draws the same window
+    plans = [(CellSupport(T=0.5, L=11, cells=[(2, 5), (7, 1)]), 1.5),
+             (CellSupport(T=1.0, L=4, P=2, cells=[(0, 0)]), 0.5),
+             (CellSupport(T=1.0, L=5, P=2, cells=[(0, 0), (1, 2), (2, 4)]), 0.5),
+             (CellSupport(T=1.0, L=5, P=2, cells=[(0, 0), (1, 2), (2, 4), (3, 1)]), 0.2)]
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(len(a)) or svd(a, **kw))
+
+    def draws():
+        return [(w.L, w.weights.tobytes(), w.draws, rep.sufficient_margin)
+                for S, eps in plans for seed in range(10)
+                for w, rep in [bunched_window_plan(S, eps, seed=seed)]]
+
+    screened = draws()
+    assert calls == []  # every class block of these draws is cleared by the screen
+    monkeypatch.setattr(gabor, "_gram_clears", lambda gram, rows, L: np.zeros(len(rows), bool))
+    assert draws() == screened and len(calls) >= 40
+
+
 def _corner(L, P, rows, cols):
     mask = np.zeros((L * P, L * P), dtype=bool)
     mask[:rows, :cols] = True

@@ -253,8 +253,9 @@ def test_remembered_arrays_are_read_only():
     reconstruct_h_sharp(recover_eta_known_support(Z, G, S))
     arrays = list(_plan_arrays(S, 1, G))
     assert "read-off" not in S._plans[1][0]._plans  # S~ is solved by cell blocks
-    # read-off 3 for S, G's inverses of S's 2 classes and S~'s 1, shear 3, the mask of S~
-    assert len(arrays) == 3 + 3 + 3 + 1
+    # read-off 3 for S, G's inverses of S's 2 classes and S~'s 1, shear 4 (the chirp, its
+    # conjugate and two gathers), the mask of S~
+    assert len(arrays) == 3 + 3 + 4 + 1
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -320,9 +321,11 @@ def test_the_sheared_support_is_solved_by_cell_blocks_with_the_per_subcell_bits(
     S, G = sheared_parallelogram_support(P=8), generate_window(3, seed=106)
     eta, Z = _zak(S, G, 107, chirp_a=S.omega)
     report = recover_symplectic(Z, G, S, S.omega)
-    S_tilde, chirp, gather, back = S._plans[1]
+    S_tilde, chirp, dechirp, gather, back = S._plans[1]
     assert rectify(S_tilde).whole_cells and not rectify(S).whole_cells
     assert sorted(S_tilde._plans) == ["rectify"] and "subcells" not in vars(S_tilde)
+    assert dechirp.tobytes() == chirp.conj().tobytes()
+    # the kept conjugate, multiplied in place, gives the bits of a fresh product
     Zv = channel._zak_vectors(chirp.conj() * np.ravel(Z)[gather], S.L, S.P)
     values, conds = _per_subcell(Zv, G, S_tilde)
     assert report.eta_hat.values.tobytes() == (np.ravel(values)[back] * chirp).tobytes()

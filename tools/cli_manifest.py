@@ -7,16 +7,17 @@ Usage:
 SRC is a source root holding the opsample package (for example the `src`
 directory of a checkout) and OUTDIR an empty or missing working directory.
 The script writes its input supports with SRC's own presets and formats, and
-two windows as plain JSON (one whose G(c) overflows, and all ones), then runs
-every opsample subcommand and mode (gen-window full and spark_k, spark,
-rectify, simulate plain, chirped and from --eta, identify sharp, smooth and
-symplectic, recover-support with exit 0 and exit 3, the level-7 decisions
-of a full-spark L = 7 window and a six-cell L = 7 decode, rates with and without
---plan, verify, every command that reads the overflowing window, a spark-2
-window, and a few usage and I/O refusals) as child processes in OUTDIR with
-one BLAS thread.  It prints one line per command
-(exit code and SHA-256 of stdout and stderr), then one SHA-256 line per
-file left in OUTDIR, so two trees that behave alike give identical output:
+four windows as plain JSON (WINDOWS), then runs every opsample subcommand and
+mode (gen-window full and spark_k, spark, rectify, simulate plain, chirped and
+from --eta, identify sharp, smooth and symplectic, recover-support with exit 0
+and exit 3, the level-7 decisions of a full-spark L = 7 window and a six-cell
+L = 7 decode, rates with and without --plan, verify, every command that reads
+the overflowing window, a spark-2 window, the spark of an L = 6 window with a
+zero weight and of a near-tolerance L = 5 window, and a few usage and I/O
+refusals) as child processes in OUTDIR with one BLAS thread.  It prints one
+line per command (exit code and SHA-256 of stdout and stderr), then one
+SHA-256 line per file left in OUTDIR, so two trees that behave alike give
+identical output:
 
     python3 tools/cli_manifest.py parent/src /tmp/m-parent > parent.txt
     python3 tools/cli_manifest.py src /tmp/m-change > change.txt
@@ -54,10 +55,17 @@ SUPPORTS = {
     "small.json": "CellSupport(T=1.0, L=3, P=4, mask=small_mask)",
 }
 
-#: input windows, written as plain JSON: G(c) of the first overflows, the second has spark 2
+#: input windows, written as plain JSON: G(c) of the first overflows, the second has spark 2,
+#: the third's zero weight makes spark bisect levels 2, 4 and 5, and the fourth, all ones
+#: moved by ~1e-8, sends blocks of levels 2 to 4 past the Gram screen to the SVD (spark 3)
 WINDOWS = {
     "huge.json": {"L": 3, "weights": [[1.7e308, 1.7e308]] * 3, "seed": None},
     "ones3.json": {"L": 3, "weights": [[1.0, 0.0]] * 3, "seed": None},
+    "zero6.json": {"L": 6, "weights": [[0.9, 0.1], [0.3, -0.7], [-0.5, 0.6], [0.8, 0.8],
+                                       [-0.2, -0.9], [0.0, 0.0]], "seed": None},
+    "near5.json": {"L": 5, "weights": [[1.000000003, 2e-09], [0.999999996, 1e-09],
+                                       [1.000000002, -5e-09], [1.000000001, 4e-09],
+                                       [0.999999997, -3e-09]], "seed": None},
 }
 
 SETUP = f"""
@@ -94,6 +102,8 @@ COMMANDS = [
     "spark --window w7k4.json",
     "spark --window w7k2.json --matrix-out G7k2.csv",
     "spark --window w5k3.json",
+    "spark --window zero6.json",
+    "spark --window near5.json",
     # geometry
     "rectify --support seven.json --report-out rect_seven.json",
     "rectify --support stair.json --report-out rect_stair.json",
